@@ -12,9 +12,9 @@ import numpy as np
 
 from altproj import (
     AffineSubspace,
+    InexactProjector,
     SolveOptions,
     fit_rate,
-    make_corrupting_projector,
     run_inexact,
 )
 
@@ -23,7 +23,7 @@ DIAG = AffineSubspace([0, 0], [[2**-0.5, 2**-0.5]])
 
 print(f"{'eps':>6} {'status':>10} {'iters':>6} {'fitted rate':>12} {'bound':>7}")
 for eps in (0.0, 0.01, 0.05, 0.1, 0.2):
-    proj = make_corrupting_projector(DIAG, eps, direction_seed=42)
+    proj = InexactProjector(DIAG, eps, direction_seed=42)
     trace = run_inexact(X_AXIS, proj, [1, 0], SolveOptions(1e-10, 2000, eps))
     rate = fit_rate(trace).rate
     print(
@@ -36,7 +36,7 @@ from altproj import run_exact
 
 exact = run_exact(X_AXIS, DIAG, [1, 0], SolveOptions(1e-10, 2000))
 zero = run_inexact(
-    X_AXIS, make_corrupting_projector(DIAG, 0.0, direction_seed=42), [1, 0],
+    X_AXIS, InexactProjector(DIAG, 0.0, direction_seed=42), [1, 0],
     SolveOptions(1e-10, 2000),
 )
 identical = exact.gaps == zero.gaps

@@ -12,7 +12,6 @@ from .alternating import (
     InexactProjector,
     IterationTrace,
     SolveOptions,
-    make_corrupting_projector,
     run_approximate,
     run_exact,
     run_inexact,
@@ -52,7 +51,6 @@ from .sets import (
     ProjectableSet,
     Sphere,
     check_transversality,
-    normal_vectors,
     set_from_json,
 )
 

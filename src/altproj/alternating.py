@@ -7,6 +7,7 @@ distances.  Traces are the single input to the diagnostics module.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,11 @@ class IterationTrace:
 
     Row k holds the iterate zs[k], the other-set point xs[k] produced
     from it, gap = |zs[k] - xs[k]|, and the distances of zs[k] to each
-    set (NaN when a set admits no exact distance).
+    set in dist_q and dist_m.  A distance column records 0.0 where the
+    row's iterate was produced by that set's projection (or, for the
+    approximate scheme, by a step that keeps iterates on M); otherwise
+    it records the distance to the projection computed in that
+    iteration, and NaN where the set admits no exact distance.
     """
 
     zs: list = field(default_factory=list)
@@ -118,17 +123,23 @@ class InexactProjector:
     """Wraps a set with a rule producing x with d_{P_M(z)}(x) <= eps d_M(z)."""
 
     def __init__(self, set_m: ProjectableSet, eps=0.0, direction_seed=42):
+        if eps < 0:
+            raise ValueError("eps must be nonnegative")
         self.set = set_m
         self.eps = float(eps)
         self.direction_seed = int(direction_seed)
 
     def project(self, z, k):
+        return self.project_with_exact(z, k)[0]
+
+    def project_with_exact(self, z, k):
+        """(x, P_M(z)): the eps-corrupted point and the exact projection it perturbs."""
         exact = self.set.project(z)
         if self.eps == 0.0:
-            return exact
+            return exact, exact
         d = float(np.linalg.norm(z - exact))
         if d == 0.0:
-            return exact
+            return exact, exact
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=self.direction_seed, spawn_key=(k,))
         )
@@ -137,31 +148,22 @@ class InexactProjector:
         while nu == 0.0:  # vanishing draw; essentially impossible
             u = rng.standard_normal(exact.shape[0])
             nu = np.linalg.norm(u)
-        return exact + (self.eps * d / nu) * u
-
-
-def make_corrupting_projector(set_m: ProjectableSet, eps, direction_seed=42):
-    """Deterministic eps-corrupted projector onto set_m (test harness)."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    return InexactProjector(set_m, eps, direction_seed)
+        return exact + (self.eps * d / nu) * u, exact
 
 
 class ApproximateProjector:
     """Base-point approximate projection onto a set M, keeping iterates on M.
 
-    step(z, y) returns the next point z' in M approximating P_M(y),
+    start(z0) checks the starting point and returns it with its distance
+    to M; step(z, y) returns the next point z' in M approximating P_M(y),
     given the previous iterate z in M.
     """
 
     def start(self, z0):
-        return np.asarray(z0, dtype=float)
+        return np.asarray(z0, dtype=float), 0.0
 
     def step(self, z, y):
         raise NotImplementedError
-
-    def dist_to_set(self, z):
-        return 0.0
 
 
 class ExactApproximateProjector(ApproximateProjector):
@@ -172,15 +174,46 @@ class ExactApproximateProjector(ApproximateProjector):
 
     def start(self, z0):
         z0 = np.asarray(z0, dtype=float)
-        if self.set.distance(z0) > 1e-9:
+        d = self.set.distance(z0)
+        if d > 1e-9:
             raise ValueError("starting point must lie on M")
-        return z0
+        return z0, d
 
     def step(self, z, y):
         return self.set.project(y)
 
-    def dist_to_set(self, z):
-        return self.set.distance(z)
+
+def iterate(rows, opts: SolveOptions) -> IterationTrace:
+    """The iteration loop shared by every driver, and its stopping rules.
+
+    rows is the driver's step, a generator yielding one trace row
+    (z, x, gap, dist_q, dist_m) per iterate k = 0, 1, ...; it computes
+    iterate k + 1 only when asked for row k + 1, so no work is done past
+    the row that stops the run.  A step that cannot go on returns a
+    status instead of yielding, and the run ends with that status.
+
+    The run has Converged once gap <= gap_tol and dist_q <= gap_tol, is
+    Diverged once the gap grew DIVERGENCE_FACTOR-fold over
+    DIVERGENCE_WINDOW iterations, and ends in MaxIters after max_iters
+    iterations (max_iters + 1 rows).
+    """
+    trace = IterationTrace()
+    while True:
+        try:
+            z, x, gap, dq, dm = next(rows)
+        except StopIteration as stop:
+            trace.status = stop.value
+            return trace
+        trace.add_row(z, x, gap, dq, dm)
+        if gap <= opts.gap_tol and dq <= opts.gap_tol:
+            trace.status = CONVERGED
+        elif trace.diverging():
+            trace.status = DIVERGED
+        elif trace.iterations == opts.max_iters:
+            trace.status = MAX_ITERS
+        else:
+            continue
+        return trace
 
 
 def run_exact(Q: ProjectableSet, M: ProjectableSet, z0, opts=None) -> IterationTrace:
@@ -197,26 +230,23 @@ def run_inexact(Q: ProjectableSet, M_inexact: InexactProjector, z0, opts=None):
     if Q.ambient_dim != M_inexact.set.ambient_dim:
         raise DimensionMismatch("Q and M live in different ambient spaces")
     z = linalg.as_vector(z0, dim=Q.ambient_dim)
-    trace = IterationTrace()
-    if Q.distance(z) > 1e-12:
-        z = Q.project(z)
-        trace.initial_projected = True
-
-    for k in range(opts.max_iters + 1):
-        x = M_inexact.project(z, k)
-        gap = float(np.linalg.norm(z - x))
-        trace.add_row(z, x, gap, Q.distance(z), M_inexact.set.distance(z))
-        if gap <= opts.gap_tol:
-            trace.status = CONVERGED
-            return trace
-        if trace.diverging():
-            trace.status = DIVERGED
-            return trace
-        if k == opts.max_iters:
-            break
-        z = Q.project(x)
-    trace.status = MAX_ITERS
+    pz = Q.project(z)
+    dq = float(np.linalg.norm(z - pz))
+    projected = dq > 1e-12
+    if projected:
+        z, dq = pz, 0.0
+    trace = iterate(_inexact_rows(Q, M_inexact, z, dq), opts)
+    trace.initial_projected = projected
     return trace
+
+
+def _inexact_rows(Q, M_inexact, z, dq):
+    for k in itertools.count():
+        x, exact = M_inexact.project_with_exact(z, k)
+        gap = float(np.linalg.norm(z - x))
+        dm = gap if x is exact else float(np.linalg.norm(z - exact))
+        yield z, x, gap, dq, dm
+        z, dq = Q.project(x), 0.0
 
 
 def run_approximate(M_approx: ApproximateProjector, Q: ProjectableSet, z0, opts=None):
@@ -225,21 +255,13 @@ def run_approximate(M_approx: ApproximateProjector, Q: ProjectableSet, z0, opts=
     y <- P_Q(z); z <- Phi(z, y) in M.
     """
     opts = opts or SolveOptions()
-    z = M_approx.start(linalg.as_vector(z0, dim=Q.ambient_dim))
-    trace = IterationTrace()
+    z, dm = M_approx.start(linalg.as_vector(z0, dim=Q.ambient_dim))
+    return iterate(_approximate_rows(M_approx, Q, z, dm), opts)
 
-    for k in range(opts.max_iters + 1):
+
+def _approximate_rows(M_approx, Q, z, dm):
+    while True:
         y = Q.project(z)
         gap = float(np.linalg.norm(z - y))
-        trace.add_row(z, y, gap, gap, M_approx.dist_to_set(z))
-        if gap <= opts.gap_tol:
-            trace.status = CONVERGED
-            return trace
-        if trace.diverging():
-            trace.status = DIVERGED
-            return trace
-        if k == opts.max_iters:
-            break
-        z = M_approx.step(z, y)
-    trace.status = MAX_ITERS
-    return trace
+        yield z, y, gap, gap, dm
+        z, dm = M_approx.step(z, y), 0.0

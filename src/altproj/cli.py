@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -179,12 +179,13 @@ def _summary(trace: IterationTrace):
 
 def cmd_solve(args):
     prob = load_problem(args.problem)
-    if args.tol is not None:
-        prob.options.gap_tol = float(args.tol)
-    if args.max_iters is not None:
-        prob.options.max_iters = int(args.max_iters)
-    if args.eps is not None:
-        prob.options.epsilon = float(args.eps)
+    flags = {"gap_tol": args.tol, "max_iters": args.max_iters, "epsilon": args.eps}
+    try:
+        prob.options = replace(
+            prob.options, **{k: v for k, v in flags.items() if v is not None}
+        )
+    except ValueError as exc:
+        raise ProblemFormatError(f"bad option: {exc}") from exc
     trace = run_problem(prob, args.scheme)
     if args.trace:
         with open(args.trace, "w") as fh:

@@ -14,13 +14,11 @@ import numpy as np
 
 from . import linalg
 from .alternating import (
-    CONVERGED,
-    DIVERGED,
-    MAX_ITERS,
     RANK_DEFICIENT,
     ApproximateProjector,
     IterationTrace,
     SolveOptions,
+    iterate,
 )
 from .errors import (
     DimensionMismatch,
@@ -30,6 +28,8 @@ from .errors import (
 )
 from .polymap import PolyMap
 from .sets import ProjectableSet, set_from_json
+
+_RANK_MESSAGE = "Jacobian is not full column rank"
 
 
 @dataclass
@@ -79,33 +79,15 @@ class ManifoldChart:
         return bool(np.all(x > self.lower) and np.all(x < self.upper))
 
     def jacobian_checked(self, x):
-        J = self.F.jacobian(x)
-        _, sigma, _ = linalg.svd(J)
-        if (
-            J.shape[1] > J.shape[0]
-            or sigma.size == 0
-            or sigma[min(J.shape) - 1] <= linalg.RANK_TOL * max(sigma[0], 1e-300)
-        ):
-            raise RankDeficient("chart Jacobian loses full column rank")
-        return J
-
-
-def _full_column_rank_jacobian(F: PolyMap, x):
-    J = F.jacobian(x)
-    if J.shape[1] > J.shape[0]:
-        raise RankDeficient("Jacobian has more columns than rows")
-    _, sigma, _ = linalg.svd(J)
-    if sigma.size == 0 or sigma[J.shape[1] - 1] <= linalg.RANK_TOL * max(
-        sigma[0], 1e-300
-    ):
-        raise RankDeficient("Jacobian is not full column rank")
-    return J
+        return linalg.require_full_column_rank(
+            self.F.jacobian(x), "chart Jacobian loses full column rank"
+        )
 
 
 def gauss_newton_step(p: InclusionProblem, x):
     """One linearized step: y = P_Q(F(x)), s = argmin |F(x) + J s - y|."""
     x = linalg.as_vector(x, dim=p.F.input_dim)
-    J = _full_column_rank_jacobian(p.F, x)
+    J = linalg.require_full_column_rank(p.F.jacobian(x), _RANK_MESSAGE)
     fx = p.F.eval(x)
     y = p.Q.project(fx)
     s = linalg.least_squares(J, y - fx)
@@ -120,30 +102,20 @@ def solve_inclusion(p: InclusionProblem, x0, opts=None) -> IterationTrace:
     admits no exact distance here).
     """
     opts = opts or SolveOptions()
-    x = linalg.as_vector(x0, dim=p.F.input_dim)
-    trace = IterationTrace()
+    return iterate(_inclusion_rows(p, linalg.as_vector(x0, dim=p.F.input_dim)), opts)
 
-    for k in range(opts.max_iters + 1):
+
+def _inclusion_rows(p, x):
+    while True:
         fx = p.F.eval(x)
         y = p.Q.project(fx)
         gap = float(np.linalg.norm(fx - y))
-        trace.add_row(x, y, gap, gap, float("nan"))
-        if gap <= opts.gap_tol:
-            trace.status = CONVERGED
-            return trace
-        if trace.diverging():
-            trace.status = DIVERGED
-            return trace
-        if k == opts.max_iters:
-            break
+        yield x, y, gap, gap, float("nan")
         try:
-            J = _full_column_rank_jacobian(p.F, x)
+            J = linalg.require_full_column_rank(p.F.jacobian(x), _RANK_MESSAGE)
         except RankDeficient:
-            trace.status = RANK_DEFICIENT
-            return trace
+            return RANK_DEFICIENT
         x = x + linalg.least_squares(J, y - fx)
-    trace.status = MAX_ITERS
-    return trace
 
 
 def faithful_projection(chart: ManifoldChart, x, y):
@@ -174,8 +146,9 @@ def normal_space_basis(chart: ManifoldChart, x):
 class ChartApproximateProjector(ApproximateProjector):
     """Adapter running Algorithm-style approximate projections on a chart.
 
-    Tracks the coordinates of the current iterate so each step solves
-    one least-squares problem in chart coordinates.
+    Tracks the coordinates of the current iterate and their image under
+    F, so each step solves one least-squares problem in chart coordinates
+    and evaluates F once.
     """
 
     def __init__(self, chart: ManifoldChart, x0):
@@ -186,18 +159,20 @@ class ChartApproximateProjector(ApproximateProjector):
 
     def start(self, z0):
         z0 = np.asarray(z0, dtype=float)
-        if np.linalg.norm(self.chart.F.eval(self.coords) - z0) > 1e-9:
+        self.fx = self.chart.F.eval(self.coords)
+        if np.linalg.norm(self.fx - z0) > 1e-9:
             raise ValueError("z0 does not match the chart coordinates")
-        return z0
+        return z0, 0.0
 
     def step(self, z, y):
         J = self.chart.jacobian_checked(self.coords)
-        s = linalg.least_squares(J, y - self.chart.F.eval(self.coords))
+        s = linalg.least_squares(J, y - self.fx)
         coords = self.coords + s
         if not self.chart.contains(coords):
             raise LeftChart("iterate left the chart domain")
         self.coords = coords
-        return self.chart.F.eval(coords)
+        self.fx = self.chart.F.eval(coords)
+        return self.fx
 
 
 def chart_projection_oracle(chart: ManifoldChart, y, samples=10_000, bisections=50):

@@ -63,6 +63,20 @@ def least_squares(A, b):
     return solve_triangular(R, Q.T @ b, lower=False)
 
 
+def require_full_column_rank(A, message):
+    """A, unless it has more columns than rows or sigma_min <= RANK_TOL * sigma_max.
+
+    Those raise RankDeficient(message).
+    """
+    n = A.shape[1]
+    if n > A.shape[0]:
+        raise RankDeficient(message)
+    _, sigma, _ = svd(A)
+    if sigma.size == 0 or sigma[n - 1] <= RANK_TOL * max(sigma[0], 1e-300):
+        raise RankDeficient(message)
+    return A
+
+
 def solve_spd(S, b):
     """Solve Sx = b for symmetric positive definite S via Cholesky."""
     S = as_matrix(S)

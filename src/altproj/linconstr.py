@@ -17,19 +17,16 @@ import numpy as np
 
 from . import linalg, qp
 from .alternating import (
-    CONVERGED,
-    DIVERGED,
     LINEARIZATION_INFEASIBLE,
-    MAX_ITERS,
     IterationTrace,
     SolveOptions,
+    iterate,
 )
 from .errors import (
     DimensionMismatch,
     Infeasible,
     InsufficientData,
     LinearizationInfeasible,
-    RankDeficient,
 )
 from .polymap import PolyMap
 from .sets import ProjectableSet, set_from_json
@@ -93,23 +90,31 @@ class LicqReport:
 
 
 def _linearized_rows(sys: ConstraintSystem, z):
-    """Rows of the linearization at z, in x-coordinates: A x (<=/=) b."""
+    """Rows of the linearization at z, in x-coordinates: A x (<=/=) b.
+
+    Also returns max(G+, P+, |H|) at z, from the same block values.
+    """
     z = linalg.as_vector(z, dim=sys.ambient_dim)
     blocks_ineq = []
     rhs_ineq = []
+    violation = 0.0
     for m in (sys.G, sys.P):
         if m.output_dim:
             J = m.jacobian(z)
+            v = m.eval(z)
             blocks_ineq.append(J)
-            rhs_ineq.append(J @ z - m.eval(z))
+            rhs_ineq.append(J @ z - v)
+            violation = max(violation, float(np.max(v, initial=0.0)))
     A_ineq = np.vstack(blocks_ineq) if blocks_ineq else np.zeros((0, sys.ambient_dim))
     b_ineq = np.concatenate(rhs_ineq) if rhs_ineq else np.zeros(0)
     if sys.H.output_dim:
         JH = sys.H.jacobian(z)
-        A_eq, b_eq = JH, JH @ z - sys.H.eval(z)
+        h = sys.H.eval(z)
+        A_eq, b_eq = JH, JH @ z - h
+        violation = max(violation, float(np.max(np.abs(h), initial=0.0)))
     else:
         A_eq, b_eq = np.zeros((0, sys.ambient_dim)), np.zeros(0)
-    return z, A_ineq, b_ineq, A_eq, b_eq
+    return z, A_ineq, b_ineq, A_eq, b_eq, violation
 
 
 def linearized_projection(sys: ConstraintSystem, z):
@@ -118,7 +123,7 @@ def linearized_projection(sys: ConstraintSystem, z):
     Returns (x_z, KktCertificate).  Raises LinearizationInfeasible when
     the linearized polyhedron is empty (possible far from the solution).
     """
-    z, A_ineq, b_ineq, A_eq, b_eq = _linearized_rows(sys, z)
+    z, A_ineq, b_ineq, A_eq, b_eq, _ = _linearized_rows(sys, z)
     try:
         cert = qp.solve_projection_qp(qp.ProjectionQp(z, A_ineq, b_ineq, A_eq, b_eq))
     except Infeasible as exc:
@@ -147,11 +152,7 @@ def newton_feasibility_step(sys: ConstraintSystem, z):
         return z.copy()
     a = np.concatenate(vals)
     J = np.vstack(jacs)
-    _, sigma, _ = linalg.svd(J)
-    if sigma.size == 0 or sigma[-1] <= linalg.RANK_TOL * max(sigma[0], 1e-300) or (
-        J.shape[0] > J.shape[1]
-    ):
-        raise RankDeficient("stacked (G, H) Jacobian is not full row rank")
+    linalg.require_full_column_rank(J.T, "stacked (G, H) Jacobian is not full row rank")
     lam = linalg.solve_spd(J @ J.T, a)
     return z - J.T @ lam
 
@@ -193,43 +194,27 @@ def solve_constraint_system(sys: ConstraintSystem, x0, opts=None) -> IterationTr
     """
     opts = opts or SolveOptions()
     x = linalg.as_vector(x0, dim=sys.ambient_dim)
-    trace = IterationTrace()
+    return iterate(_constraint_rows(sys, x, sys.Q.distance(x)), opts)
 
-    for k in range(opts.max_iters + 1):
-        zx, A_ineq, b_ineq, A_eq, b_eq = _linearized_rows(sys, x)
+
+def _constraint_rows(sys, x, dq):
+    while True:
+        _, A_ineq, b_ineq, A_eq, b_eq, violation = _linearized_rows(sys, x)
         try:
             cert = qp.solve_projection_qp(
                 qp.ProjectionQp(x, A_ineq, b_ineq, A_eq, b_eq)
             )
         except Infeasible:
-            trace.status = LINEARIZATION_INFEASIBLE
-            return trace
+            return LINEARIZATION_INFEASIBLE
         s = cert.solution - x
-        gap = float(np.linalg.norm(s))
-        trace.add_row(x, x + s, gap, sys.Q.distance(x), constraint_violation(sys, x))
-        if gap <= opts.gap_tol and sys.Q.distance(x) <= opts.gap_tol:
-            trace.status = CONVERGED
-            return trace
-        if trace.diverging():
-            trace.status = DIVERGED
-            return trace
-        if k == opts.max_iters:
-            break
-        x = sys.Q.project(x + s)
-    trace.status = MAX_ITERS
-    return trace
+        shifted = x + s
+        yield x, shifted, float(np.linalg.norm(s)), dq, violation
+        x, dq = sys.Q.project(shifted), 0.0
 
 
 def constraint_violation(sys: ConstraintSystem, x):
     """max(G+, P+, |H|) at x."""
-    v = 0.0
-    if sys.G.output_dim:
-        v = max(v, float(np.max(sys.G.eval(x), initial=0.0)))
-    if sys.P.output_dim:
-        v = max(v, float(np.max(sys.P.eval(x), initial=0.0)))
-    if sys.H.output_dim:
-        v = max(v, float(np.max(np.abs(sys.H.eval(x)), initial=0.0)))
-    return v
+    return _linearized_rows(sys, x)[-1]
 
 
 @dataclass

@@ -397,11 +397,6 @@ class NormalConeProbe:
             raise ValueError("probe point does not lie on the set")
 
 
-def normal_vectors(probe: NormalConeProbe) -> NormalCone:
-    """Generators / basis of the normal cone of probe.set at probe.point."""
-    return probe.set.normal_cone(probe.point)
-
-
 @dataclass
 class TransversalityResult:
     transversal: bool
@@ -417,8 +412,8 @@ def check_transversality(a: NormalConeProbe, b: NormalConeProbe) -> Transversali
     """
     if np.linalg.norm(a.point - b.point) > ON_SET_TOL:
         raise ValueError("probes must be at the same point")
-    na = normal_vectors(a)
-    nb = normal_vectors(b)
+    na = a.set.normal_cone(a.point)
+    nb = b.set.normal_cone(b.point)
     if na.trivial or nb.trivial:
         return TransversalityResult(True)
     if na.full:

@@ -16,6 +16,7 @@ from altproj import (
     FinitePointSet,
     Hyperplane,
     InclusionProblem,
+    InexactProjector,
     ManifoldChart,
     Monomial,
     PolyMap,
@@ -24,7 +25,6 @@ from altproj import (
     angles_from_trace,
     chart_projection_oracle,
     fit_rate,
-    make_corrupting_projector,
     measure_quadratic_decay,
     run_exact,
     run_inexact,
@@ -102,13 +102,13 @@ def test_criterion_4_inexact_recovery_and_degradation():
     M = line_through_origin(np.pi / 4)
     opts0 = SolveOptions(1e-10, 500, 0.0)
     exact = run_exact(X_AXIS, M, [1, 0], opts0)
-    zero_eps = run_inexact(X_AXIS, make_corrupting_projector(M, 0.0, 42), [1, 0], opts0)
+    zero_eps = run_inexact(X_AXIS, InexactProjector(M, 0.0, 42), [1, 0], opts0)
     identical = exact.gaps == zero_eps.gaps and all(
         np.array_equal(a, b) for a, b in zip(exact.zs, zero_eps.zs)
     )
 
     opts = SolveOptions(1e-10, 500, 0.05)
-    noisy = run_inexact(X_AXIS, make_corrupting_projector(M, 0.05, 42), [1, 0], opts)
+    noisy = run_inexact(X_AXIS, InexactProjector(M, 0.05, 42), [1, 0], opts)
     rate = fit_rate(noisy).rate
     ok = identical and noisy.status == "Converged" and rate <= 0.55 + 0.05
     report(

@@ -9,7 +9,6 @@ from altproj import (
     IterationTrace,
     SolveOptions,
     Sphere,
-    make_corrupting_projector,
     run_approximate,
     run_exact,
     run_inexact,
@@ -62,7 +61,7 @@ class TestRunInexact:
         exact = line_line_trace()
         inexact = run_inexact(
             X_AXIS,
-            make_corrupting_projector(DIAGONAL, 0.0, 42),
+            InexactProjector(DIAGONAL, 0.0, 42),
             [1, 0],
             SolveOptions(max_iters=200),
         )
@@ -75,7 +74,7 @@ class TestRunInexact:
         # kappa = 1 for affine Q: per-cycle contraction <= tau + kappa*eps.
         # Individual ratios fluctuate with the random error direction, so
         # the bound is checked on the geometric mean.
-        proj = make_corrupting_projector(DIAGONAL, 0.05, 42)
+        proj = InexactProjector(DIAGONAL, 0.05, 42)
         tr = run_inexact(X_AXIS, proj, [1, 0], SolveOptions(1e-10, 500, 0.05))
         assert tr.status == "Converged"
         g = np.array(tr.gaps[:-1])
@@ -85,7 +84,7 @@ class TestRunInexact:
         assert np.max(ratios) <= 1.0
 
     def test_large_eps_recorded_not_asserted(self):
-        proj = make_corrupting_projector(DIAGONAL, 0.9, 7)
+        proj = InexactProjector(DIAGONAL, 0.9, 7)
         tr = run_inexact(X_AXIS, proj, [1, 0], SolveOptions(1e-10, 100, 0.9))
         assert tr.status in ("Converged", "MaxIters", "Diverged")
         assert len(tr.gaps) >= 2
@@ -93,20 +92,20 @@ class TestRunInexact:
 
 class TestCorruptingProjector:
     def test_eps_zero_exact(self):
-        p = make_corrupting_projector(DIAGONAL, 0.0, 42)
+        p = InexactProjector(DIAGONAL, 0.0, 42)
         z = np.array([1.0, 0.0])
         np.testing.assert_array_equal(p.project(z, 0), DIAGONAL.project(z))
 
     def test_perturbation_magnitude(self):
         sphere = Sphere([0, 0], 1.0)
-        p = make_corrupting_projector(sphere, 0.1, 42)
+        p = InexactProjector(sphere, 0.1, 42)
         z = np.array([3.0, 0.0])  # d_M(z) = 2
         x = p.project(z, 0)
         assert np.linalg.norm(x - sphere.project(z)) == pytest.approx(0.2)
 
     def test_determinism(self):
-        p1 = make_corrupting_projector(DIAGONAL, 0.3, 99)
-        p2 = make_corrupting_projector(DIAGONAL, 0.3, 99)
+        p1 = InexactProjector(DIAGONAL, 0.3, 99)
+        p2 = InexactProjector(DIAGONAL, 0.3, 99)
         z = np.array([1.0, 0.0])
         assert np.array_equal(p1.project(z, 5), p2.project(z, 5))
         assert not np.array_equal(p1.project(z, 5), p1.project(z, 6))
@@ -114,7 +113,7 @@ class TestCorruptingProjector:
     def test_bound_holds_by_construction(self):
         sphere = Sphere([0, 0], 1.0)
         rng = np.random.default_rng(2)
-        p = make_corrupting_projector(sphere, 0.25, 11)
+        p = InexactProjector(sphere, 0.25, 11)
         for k in range(20):
             z = rng.standard_normal(2) * 3
             x = p.project(z, k)

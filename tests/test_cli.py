@@ -54,6 +54,12 @@ class TestSolve:
         assert main(["solve", "--problem", path]) == 2
         assert json.loads(capsys.readouterr().out)["status"] == "MaxIters"
 
+    def test_negative_eps_names_it(self, tmp_path, capsys):
+        path = write_problem(tmp_path, TWO_LINES)
+        args = ["solve", "--problem", path, "--scheme", "inexact", "--eps", "-0.1"]
+        assert main(args) == 1
+        assert "epsilon" in capsys.readouterr().err
+
     def test_trace_csv_deterministic(self, tmp_path, capsys):
         path = write_problem(tmp_path, TWO_LINES)
         t1 = tmp_path / "a.csv"

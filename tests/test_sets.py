@@ -13,7 +13,6 @@ from altproj import (
     Polyhedron,
     Sphere,
     check_transversality,
-    normal_vectors,
     set_from_json,
 )
 from altproj.errors import DimensionMismatch, RankDrop
@@ -135,22 +134,26 @@ class TestProjectionProperties:
 
 class TestNormalCones:
     def test_sphere_radial_normal(self):
-        cone = normal_vectors(NormalConeProbe(Sphere([0, 0], 1.0), [1, 0]))
+        probe = NormalConeProbe(Sphere([0, 0], 1.0), [1, 0])
+        cone = probe.set.normal_cone(probe.point)
         assert cone.lineality.shape == (1, 2)
         np.testing.assert_allclose(np.abs(cone.lineality[0]), [1, 0], atol=1e-12)
 
     def test_hyperplane_normal(self):
         h = Hyperplane([0.0, 2.0], 1.0)
-        cone = normal_vectors(NormalConeProbe(h, [3.0, 0.5]))
+        probe = NormalConeProbe(h, [3.0, 0.5])
+        cone = probe.set.normal_cone(probe.point)
         np.testing.assert_allclose(np.abs(cone.lineality[0]), [0, 1], atol=1e-12)
 
     def test_box_corner_cone(self):
-        cone = normal_vectors(NormalConeProbe(Box([0, 0], [1, 1]), [1, 1]))
+        probe = NormalConeProbe(Box([0, 0], [1, 1]), [1, 1])
+        cone = probe.set.normal_cone(probe.point)
         rays = sorted(map(tuple, cone.rays))
         assert rays == [(0.0, 1.0), (1.0, 0.0)]
 
     def test_finite_point_full_space(self):
-        cone = normal_vectors(NormalConeProbe(FinitePointSet([[0, 0]]), [0, 0]))
+        probe = NormalConeProbe(FinitePointSet([[0, 0]]), [0, 0])
+        cone = probe.set.normal_cone(probe.point)
         assert cone.full
 
     def test_fixed_rank_drop(self):
