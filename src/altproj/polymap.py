@@ -14,6 +14,9 @@ import numpy as np
 from .errors import DimensionMismatch
 from .linalg import as_vector
 
+# exponents are compiled into an integer array (see PolyMap)
+_MAX_EXPONENT = int(np.iinfo(np.intp).max)
+
 
 @dataclass(frozen=True)
 class Monomial:
@@ -27,6 +30,8 @@ class Monomial:
         exps = tuple(int(e) for e in self.exponents)
         if any(e < 0 for e in exps):
             raise ValueError("monomial exponents must be nonnegative")
+        if any(e > _MAX_EXPONENT for e in exps):
+            raise ValueError(f"monomial exponents must be at most {_MAX_EXPONENT}")
         object.__setattr__(self, "exponents", exps)
 
 
@@ -35,6 +40,20 @@ class PolyMap:
 
     components[j] is the list of Monomials of output coordinate j.
     output_dim = 0 (an empty constraint block) is legal everywhere.
+
+    The constructor compiles the monomials, in order, into arrays: a
+    coefficient per term, a T x n exponent matrix and the output index of
+    each term, plus one derivative entry per (term, variable with positive
+    exponent) holding the reduced exponent row, the coefficient c * e_i and
+    the Jacobian entry out * n + i.  eval and jacobian look the factors up
+    in a per-call table of x_k**d with one entry per distinct (k, d) that
+    occurs, so its size does not grow with an exponent's value.  They
+    multiply each term's factors variable by variable in coordinate order
+    and sum with np.bincount, which adds in term order.
+    The table is built from numpy scalars, so each power is one libm pow
+    call (numpy's array power can differ in the last bit) and an overflow
+    gives inf with numpy's RuntimeWarning, not an OverflowError.  So every
+    value is bit-identical to a term-by-term loop over the monomials.
     """
 
     def __init__(self, input_dim, components):
@@ -52,6 +71,19 @@ class PolyMap:
                     )
             comps.append(tuple(comp))
         self.components = tuple(comps)
+
+        n = self.input_dim
+        terms = [(j, m) for j, comp in enumerate(self.components) for m in comp]
+        coeff = np.array([m.coeff for _, m in terms], dtype=float)
+        expo = np.array([m.exponents for _, m in terms], dtype=np.intp).reshape(-1, n)
+        out = np.array([j for j, _ in terms], dtype=np.intp)
+        self._values = _TermSums(coeff, expo, out, self.output_dim)
+        t, i = np.nonzero(expo)
+        reduced = expo[t]
+        reduced[np.arange(t.size), i] -= 1
+        self._partials = _TermSums(
+            coeff[t] * expo[t, i], reduced, out[t] * n + i, self.output_dim * n
+        )
 
     @property
     def output_dim(self):
@@ -77,34 +109,11 @@ class PolyMap:
         return PolyMap(input_dim, [[Monomial(v, zero)] for v in values])
 
     def eval(self, x):
-        x = as_vector(x, dim=self.input_dim)
-        out = np.zeros(self.output_dim)
-        for j, comp in enumerate(self.components):
-            acc = 0.0
-            for m in comp:
-                term = m.coeff
-                for xi, e in zip(x, m.exponents):
-                    if e:
-                        term *= xi**e
-                acc += term
-            out[j] = acc
-        return out
+        return self._values.at(as_vector(x, dim=self.input_dim))
 
     def jacobian(self, x):
-        x = as_vector(x, dim=self.input_dim)
-        J = np.zeros((self.output_dim, self.input_dim))
-        for j, comp in enumerate(self.components):
-            for m in comp:
-                for i, e in enumerate(m.exponents):
-                    if e == 0:
-                        continue
-                    term = m.coeff * e
-                    for k, (xk, ek) in enumerate(zip(x, m.exponents)):
-                        p = ek - 1 if k == i else ek
-                        if p:
-                            term *= xk**p
-                    J[j, i] += term
-        return J
+        J = self._partials.at(as_vector(x, dim=self.input_dim))
+        return J.reshape(self.output_dim, self.input_dim)
 
     def check_jacobian(self, x, h=1e-5):
         """Max entrywise |analytic - central finite difference| at x."""
@@ -154,3 +163,38 @@ class PolyMap:
 
     def __repr__(self):
         return f"PolyMap({self.input_dim} -> {self.output_dim})"
+
+
+class _TermSums:
+    """Sums of terms coeff[t] * prod_k x_k**expo[t, k], term t added into bins[t].
+
+    A power table holds 1.0 in column 0 and then x_k**d for each distinct
+    (k, d) with d = expo[t, k] > 0 in some term t, sorted by k and then d, so
+    its length is bounded by the number of factors, not by the exponents'
+    values.  index[r] holds, for every term, the table column of its r-th
+    factor with positive exponent in coordinate order, or column 0 once a
+    term has run out of such factors; multiplying by that 1.0 is exact.
+    """
+
+    def __init__(self, coeff, expo, bins, size):
+        t, k = np.nonzero(expo)  # term by term, in coordinate order
+        pairs, column = np.unique(np.column_stack([k, expo[t, k]]), axis=0, return_inverse=True)
+        rank = np.arange(t.size) - np.searchsorted(t, t)
+        # at least one row, so that at() has a first factor even when no term has one
+        index = np.zeros((rank.max(initial=0) + 1, len(expo)), dtype=np.intp)
+        index[rank, t] = column.reshape(-1) + 1
+        self.powers = [(var, d) for var, d in pairs.tolist()]
+        self.index = tuple(index)
+        self.coeff = coeff
+        self.bins = bins
+        self.size = size
+
+    def at(self, x):
+        """The (size,) sums at the point x; x[k]**d on a numpy scalar calls libm pow."""
+        table = np.array([1.0] + [x[k] ** d for k, d in self.powers])
+        first, *rest = self.index
+        vals = self.coeff * table.take(first)
+        for columns in rest:
+            vals *= table.take(columns)
+        sums = np.bincount(self.bins, weights=vals, minlength=self.size)
+        return sums.astype(float, copy=False)  # bincount gives int64 when there are no terms

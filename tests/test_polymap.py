@@ -1,10 +1,116 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altproj import Monomial, PolyMap
 from altproj.errors import DimensionMismatch
 
 CIRCLE = PolyMap(2, [[Monomial(1, (2, 0)), Monomial(1, (0, 2)), Monomial(-1, (0, 0))]])
+
+
+def reference_eval(F, x):
+    """eval as a term-by-term loop over the monomials."""
+    out = np.zeros(F.output_dim)
+    for j, comp in enumerate(F.components):
+        acc = 0.0
+        for m in comp:
+            term = m.coeff
+            for xi, e in zip(x, m.exponents):
+                if e:
+                    term *= xi**e
+            acc += term
+        out[j] = acc
+    return out
+
+
+def reference_jacobian(F, x):
+    """jacobian as a term-by-term loop over the monomials."""
+    J = np.zeros((F.output_dim, F.input_dim))
+    for j, comp in enumerate(F.components):
+        for m in comp:
+            for i, e in enumerate(m.exponents):
+                if e == 0:
+                    continue
+                term = m.coeff * e
+                for k, (xk, ek) in enumerate(zip(x, m.exponents)):
+                    p = ek - 1 if k == i else ek
+                    if p:
+                        term *= xk**p
+                J[j, i] += term
+    return J
+
+
+def _monomials(n):
+    # total degree <= 4: each draw from 0..n-1 raises that variable's exponent by one
+    exponents = st.lists(st.integers(0, n - 1), max_size=4).map(
+        lambda picks: tuple(picks.count(i) for i in range(n))
+    )
+    return st.builds(Monomial, st.floats(-10.0, 10.0), exponents)
+
+
+# exact zeros, and either sign with magnitudes from 1e-3 to 1e3
+_coordinates = st.one_of(
+    st.just(0.0),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 3.0)).map(lambda se: se[0] * 10.0 ** se[1]),
+)
+
+
+@st.composite
+def _maps_and_points(draw):
+    n = draw(st.integers(1, 10))
+    components = draw(st.lists(st.lists(_monomials(n), max_size=6), max_size=12))
+    x = np.array(draw(st.lists(_coordinates, min_size=n, max_size=n)))
+    return PolyMap(n, components), x
+
+
+def _assert_matches_reference(F, x):
+    assert np.array_equal(F.eval(x), reference_eval(F, x))
+    assert np.array_equal(F.jacobian(x), reference_jacobian(F, x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_maps_and_points())
+def test_eval_and_jacobian_match_reference_loops_bitwise(case):
+    _assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize(
+    "F",
+    [PolyMap.identity(1), PolyMap.identity(4), PolyMap.constant(3, [2.5, -1.0, 0.0]),
+     PolyMap.constant(2, []), PolyMap.empty(1), PolyMap.empty(5)],
+    ids=repr,
+)
+def test_special_maps_match_reference_loops(F):
+    n = F.input_dim
+    for x in (np.zeros(n), np.linspace(-3.0, 2.0, n), np.full(n, 1e-3)):
+        _assert_matches_reference(F, x)
+
+
+def test_large_exponents_cost_one_power_each():
+    # the power tables hold one entry per distinct (variable, exponent) that occurs,
+    # so an exponent's value does not set the work or memory of a call
+    F = PolyMap(2, [[Monomial(2.0, (1_000_000, 3)), Monomial(-1.0, (0, 1))], [Monomial(0.5, (1_000_000, 0))]])
+    assert F._values.powers == [(0, 1_000_000), (1, 1), (1, 3)]
+    assert F._partials.powers == [(0, 999_999), (0, 1_000_000), (1, 2), (1, 3)]
+    for x in ([1.0 + 1e-7, -0.7], [-(1.0 - 1e-7), 2.0], [0.0, 1.5]):
+        _assert_matches_reference(F, np.array(x))
+
+
+def test_exponent_too_large_for_the_arrays_is_rejected():
+    with pytest.raises(ValueError, match="exponents must be at most"):
+        PolyMap.from_json({"input_dim": 1, "outputs": [[{"coeff": 1.0, "exponents": [2**70]}]]})
+
+
+def test_overflow_gives_inf_with_runtime_warning():
+    F = PolyMap(2, [[Monomial(1, (3, 0)), Monomial(-2, (0, 1))]])
+    x = [1e200, 0.0]
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        values = F.eval(x)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        J = F.jacobian(x)
+    assert np.array_equal(values, [np.inf])
+    assert np.array_equal(J, [[np.inf, -2.0]])
 
 
 def test_identity_eval():
