@@ -60,7 +60,6 @@ class ProblemFile:
     start: np.ndarray
     options: SolveOptions
     chart_bounds: tuple | None = None
-    raw: dict | None = None
 
 
 def _require(obj, key, where):
@@ -119,7 +118,7 @@ def load_problem(path) -> ProblemFile:
             np.asarray(_require(obj, "U_lower", "chart block"), dtype=float),
             np.asarray(_require(obj, "U_upper", "chart block"), dtype=float),
         )
-    return ProblemFile(kind, payload, start, options, chart, obj)
+    return ProblemFile(kind, payload, start, options, chart)
 
 
 def run_problem(prob: ProblemFile, scheme=None, seed=None) -> IterationTrace:

@@ -29,9 +29,6 @@ from .errors import (
 from .polymap import PolyMap
 from .sets import ProjectableSet, set_from_json
 
-_RANK_MESSAGE = "Jacobian is not full column rank"
-
-
 @dataclass
 class InclusionProblem:
     """Find x with F(x) in Q; F must have one-to-one derivative locally."""
@@ -78,20 +75,13 @@ class ManifoldChart:
         x = linalg.as_vector(x, dim=self.F.input_dim)
         return bool(np.all(x > self.lower) and np.all(x < self.upper))
 
-    def jacobian_checked(self, x):
-        return linalg.require_full_column_rank(
-            self.F.jacobian(x), "chart Jacobian loses full column rank"
-        )
-
 
 def gauss_newton_step(p: InclusionProblem, x):
     """One linearized step: y = P_Q(F(x)), s = argmin |F(x) + J s - y|."""
     x = linalg.as_vector(x, dim=p.F.input_dim)
-    J = linalg.require_full_column_rank(p.F.jacobian(x), _RANK_MESSAGE)
     fx = p.F.eval(x)
     y = p.Q.project(fx)
-    s = linalg.least_squares(J, y - fx)
-    return s, y
+    return linalg.least_squares(p.F.jacobian(x), y - fx), y
 
 
 def solve_inclusion(p: InclusionProblem, x0, opts=None) -> IterationTrace:
@@ -112,10 +102,9 @@ def _inclusion_rows(p, x):
         gap = float(np.linalg.norm(fx - y))
         yield x, y, gap, gap, float("nan")
         try:
-            J = linalg.require_full_column_rank(p.F.jacobian(x), _RANK_MESSAGE)
+            x = x + linalg.least_squares(p.F.jacobian(x), y - fx)
         except RankDeficient:
             return RANK_DEFICIENT
-        x = x + linalg.least_squares(J, y - fx)
 
 
 def faithful_projection(chart: ManifoldChart, x, y):
@@ -128,9 +117,7 @@ def faithful_projection(chart: ManifoldChart, x, y):
     if not chart.contains(x):
         raise LeftChart("base coordinates outside the chart domain")
     y = linalg.as_vector(y, dim=chart.F.output_dim)
-    J = chart.jacobian_checked(x)
-    s = linalg.least_squares(J, y - chart.F.eval(x))
-    xs = x + s
+    xs = x + linalg.least_squares(chart.F.jacobian(x), y - chart.F.eval(x))
     if not chart.contains(xs):
         raise LeftChart("updated coordinates left the chart domain")
     return chart.F.eval(xs)
@@ -138,9 +125,10 @@ def faithful_projection(chart: ManifoldChart, x, y):
 
 def normal_space_basis(chart: ManifoldChart, x):
     """Orthonormal basis of N_M(F(x)) = Null(grad F(x)^T)."""
-    J = chart.jacobian_checked(linalg.as_vector(x, dim=chart.F.input_dim))
-    U, _, _ = linalg.svd(J)
-    return U[:, J.shape[1] :].T
+    U, _, _ = linalg.require_full_column_rank(
+        chart.F.jacobian(x), "chart Jacobian loses full column rank"
+    )
+    return U[:, chart.F.input_dim :].T
 
 
 class ChartApproximateProjector(ApproximateProjector):
@@ -165,9 +153,9 @@ class ChartApproximateProjector(ApproximateProjector):
         return z0, 0.0
 
     def step(self, z, y):
-        J = self.chart.jacobian_checked(self.coords)
-        s = linalg.least_squares(J, y - self.fx)
-        coords = self.coords + s
+        coords = self.coords + linalg.least_squares(
+            self.chart.F.jacobian(self.coords), y - self.fx
+        )
         if not self.chart.contains(coords):
             raise LeftChart("iterate left the chart domain")
         self.coords = coords

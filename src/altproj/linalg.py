@@ -1,6 +1,6 @@
 """Dense small-scale linear algebra kernels.
 
-QR-based least squares, SPD solves, and SVD at desk scale (dims <= 100).
+SVD-based least squares, SPD solves, and SVD at desk scale (dims <= 100).
 Everything here is a pure function of its inputs.
 """
 
@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonConvergence, NotPositiveDefinite, RankDeficient
 
-RANK_TOL = 1e-10   # relative threshold on R diagonal / singular values
+RANK_TOL = 1e-10   # relative threshold on singular values
 SOLVE_TOL = 1e-12  # relative residual for SPD solves
 ORTHO_TOL = 1e-9   # orthonormality slack for SVD factors
 
@@ -42,39 +42,30 @@ def as_matrix(a, rows=None, cols=None):
 
 
 def least_squares(A, b):
-    """Unique minimizer of |As - b| for full-column-rank A, via Householder QR.
+    """Unique minimizer of |As - b| for full-column-rank A.
 
-    Raises RankDeficient if the numerical column rank (smallest |R_ii|
-    relative to the largest) falls below RANK_TOL.
+    s = V diag(1/sigma) U[:, :n]^T b from the SVD that the rank test of
+    require_full_column_rank computes, so the test and the solve share one
+    factorization.  A with no columns gives the empty step; a wide or
+    numerically rank-deficient A raises RankDeficient.
     """
-    A = as_matrix(A)
-    m, n = A.shape
-    b = as_vector(b, dim=m)
-    if n == 0:
-        return np.zeros(0)
-    if n > m:
-        raise RankDeficient(f"{m}x{n} matrix cannot have full column rank")
-    Q, R = np.linalg.qr(A, mode="reduced")
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag.min() <= RANK_TOL * max(diag.max(), RANK_TOL):
-        raise RankDeficient("numerical column rank below full")
-    from scipy.linalg import solve_triangular
-
-    return solve_triangular(R, Q.T @ b, lower=False)
+    U, sigma, V = require_full_column_rank(A, "matrix does not have full column rank")
+    b = as_vector(b, dim=U.shape[0])
+    return V @ ((U[:, : sigma.size].T @ b) / sigma)
 
 
 def require_full_column_rank(A, message):
-    """A, unless it has more columns than rows or sigma_min <= RANK_TOL * sigma_max.
+    """The SVD (U, sigma, V) of A, as svd returns it, once A passes the rank test.
 
-    Those raise RankDeficient(message).
+    This is the one rank test on Jacobians: it raises RankDeficient(message)
+    if A has more columns than rows or sigma_min <= RANK_TOL * sigma_max.
+    A with no columns passes.  Callers solve with the returned factors.
     """
-    n = A.shape[1]
-    if n > A.shape[0]:
+    U, sigma, V = svd(A)
+    n = V.shape[0]
+    if n > U.shape[0] or (n and sigma[-1] <= RANK_TOL * max(sigma[0], 1e-300)):
         raise RankDeficient(message)
-    _, sigma, _ = svd(A)
-    if sigma.size == 0 or sigma[n - 1] <= RANK_TOL * max(sigma[0], 1e-300):
-        raise RankDeficient(message)
-    return A
+    return U, sigma, V
 
 
 def solve_spd(S, b):

@@ -139,7 +139,8 @@ def newton_feasibility_step(sys: ConstraintSystem, z):
     """z - grad A(z)^T (grad A(z) grad A(z)^T)^{-1} A(z) with A = (G, H).
 
     Satisfies the linearized G/H equalities exactly; requires the
-    stacked Jacobian to have full row rank.
+    stacked Jacobian to have full row rank.  The step is computed from
+    the SVD of its transpose that the rank test returns.
     """
     z = linalg.as_vector(z, dim=sys.ambient_dim)
     vals = []
@@ -152,9 +153,10 @@ def newton_feasibility_step(sys: ConstraintSystem, z):
         return z.copy()
     a = np.concatenate(vals)
     J = np.vstack(jacs)
-    linalg.require_full_column_rank(J.T, "stacked (G, H) Jacobian is not full row rank")
-    lam = linalg.solve_spd(J @ J.T, a)
-    return z - J.T @ lam
+    U, sigma, V = linalg.require_full_column_rank(
+        J.T, "stacked (G, H) Jacobian is not full row rank"
+    )
+    return z - U[:, : a.size] @ ((V.T @ a) / sigma)
 
 
 def check_licq(sys: ConstraintSystem, x, active_tol=DEFAULT_ACTIVE_TOL) -> LicqReport:
@@ -176,14 +178,9 @@ def check_licq(sys: ConstraintSystem, x, active_tol=DEFAULT_ACTIVE_TOL) -> LicqR
     smin = float(sigma[-1]) if K.shape[0] <= K.shape[1] else 0.0
     if smin > LICQ_TOL:
         return LicqReport(x, smin, True)
-    # witness: multipliers v with K^T v = 0
-    if K.shape[0] > K.shape[1]:
-        # more rows than dimensions: null space of K^T is nontrivial
-        _, s2, V2 = linalg.svd(K.T)
-        witness = V2[:, -1]
-    else:
-        witness = U[:, -1]
-    return LicqReport(x, smin, False, witness)
+    # witness: multipliers v with K^T v ~ 0; with more rows than dimensions
+    # U[:, -1] lies in the null space of K^T
+    return LicqReport(x, smin, False, U[:, -1])
 
 
 def solve_constraint_system(sys: ConstraintSystem, x0, opts=None) -> IterationTrace:

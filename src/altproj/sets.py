@@ -54,9 +54,6 @@ class ProjectableSet:
         z = linalg.as_vector(z, dim=self.ambient_dim)
         return float(np.linalg.norm(z - self.project(z)))
 
-    def contains(self, z, tol=ON_SET_TOL):
-        return self.distance(z) <= tol
-
     def normal_cone(self, point) -> NormalCone:
         raise UnsupportedVariant(
             f"{type(self).__name__} has no normal-cone description"
@@ -504,7 +501,9 @@ def set_from_json(obj) -> ProjectableSet:
     except (KeyError, TypeError) as exc:
         raise ValueError("set JSON missing field 'type'") from exc
     if kind not in _VARIANTS:
-        raise ValueError(f"unknown set type '{kind}'")
+        raise ValueError(
+            f"unknown set type '{kind}'; expected one of: {', '.join(_VARIANTS)}"
+        )
     try:
         return _VARIANTS[kind](obj)
     except KeyError as exc:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altproj import linalg
 from altproj.errors import NonConvergence, NotPositiveDefinite, RankDeficient
@@ -46,6 +48,50 @@ class TestLeastSquares:
             s = linalg.least_squares(A, b)
             oracle = np.linalg.solve(A.T @ A, A.T @ b)
             np.testing.assert_allclose(s, oracle, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 0)])
+    def test_no_columns_gives_empty_step(self, shape):
+        assert linalg.least_squares(np.zeros(shape), np.ones(shape[0])).shape == (0,)
+
+    def test_wide_rejected(self):
+        with pytest.raises(RankDeficient):
+            linalg.least_squares(np.eye(2, 3), [1, 1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(1, 12),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_agrees_with_lstsq(self, m, data, seed, log_scale):
+        # A = U diag(sigma) V^T with condition number <= 1e6
+        n = data.draw(st.integers(1, m))
+        log_sigma = data.draw(st.lists(st.floats(-6.0, 0.0), min_size=n, max_size=n))
+        b = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m)))
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        sigma = 10.0 ** (log_scale + np.array(log_sigma))
+        A = (U[:, :n] * sigma) @ V.T
+        oracle = np.linalg.lstsq(A, b, rcond=None)[0]
+        s = linalg.least_squares(A, b)
+        # Any backward-stable solve has a forward error term u * kappa^2 * |r| / |A|
+        # besides the relative one; with kappa near 1e6 and a large residual r it
+        # exceeds 1e-9 |x| for both solvers.
+        kappa = sigma.max() / sigma.min()
+        tol = 1e-9 * np.linalg.norm(oracle) + 1e-13 * kappa**2 * np.linalg.norm(A @ oracle - b) / sigma.max()
+        assert np.linalg.norm(s - oracle) <= tol
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 12), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_low_inner_dimension_rejected(self, m, data, seed):
+        n = data.draw(st.integers(1, m))
+        r = data.draw(st.integers(0, n - 1))
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+        with pytest.raises(RankDeficient):
+            linalg.least_squares(A, rng.standard_normal(m))
 
 
 class TestSolveSpd:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altproj import (
     AffineSubspace,
@@ -25,6 +27,20 @@ DIAG_LINE = AffineSubspace([0, 0], [[2**-0.5, 2**-0.5]])
 
 def circle_system(Q=FULL_PLANE):
     return ConstraintSystem(CIRCLE, PolyMap.empty(2), PolyMap.empty(2), Q, 2)
+
+
+def quadratic_block(rng, rows, n, x0=None):
+    """rows outputs c + a.x + sum_i q_i x_i^2 with random a, q; zero at x0 if given."""
+    a = rng.standard_normal((rows, n))
+    q = rng.standard_normal((rows, n))
+    c = np.zeros(rows) if x0 is None else -(a @ x0 + q @ x0**2)
+    unit = np.eye(n, dtype=int)
+    return PolyMap(n, [
+        [Monomial(c[j], (0,) * n)]
+        + [Monomial(a[j, i], tuple(unit[i])) for i in range(n)]
+        + [Monomial(q[j, i], tuple(2 * unit[i])) for i in range(n)]
+        for j in range(rows)
+    ])
 
 
 def affine_eq_system():
@@ -111,8 +127,39 @@ class TestNewtonStep:
             x, _ = linearized_projection(sys_, z)
             assert np.linalg.norm(x - z) <= np.linalg.norm(nx - z) + 1e-10
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_step_solves_linearization_in_row_space(self, n, data, seed):
+        k = data.draw(st.integers(1, n))
+        g = data.draw(st.integers(0, k))
+        rng = np.random.default_rng(seed)
+        G, H = quadratic_block(rng, g, n), quadratic_block(rng, k - g, n)
+        sys_ = ConstraintSystem(G, PolyMap.empty(n), H, AffineSubspace(np.zeros(n), np.eye(n)), n)
+        z = rng.standard_normal(n)
+        d = newton_feasibility_step(sys_, z) - z
+        a = np.concatenate([G.eval(z), H.eval(z)])
+        J = np.vstack([G.jacobian(z), H.jacobian(z)])
+        scale = np.linalg.norm(a) + np.linalg.norm(J, 2) * np.linalg.norm(d)
+        assert np.linalg.norm(a + J @ d) <= 1e-9 * scale
+        # no component in Null(J): d = J^T w for some w
+        w = np.linalg.lstsq(J.T, d, rcond=None)[0]
+        assert np.linalg.norm(J.T @ w - d) <= 1e-9 * np.linalg.norm(d)
+
 
 class TestLicq:
+    @settings(max_examples=100, deadline=None)
+    @given(h=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_three_active_rows_in_the_plane_give_a_null_witness(self, h, seed):
+        # h of the three rows are equalities, the rest inequalities active at x
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(2)
+        G, H = quadratic_block(rng, 3 - h, 2, x), quadratic_block(rng, h, 2, x)
+        rep = check_licq(ConstraintSystem(G, PolyMap.empty(2), H, FULL_PLANE, 2), x)
+        K = np.vstack([G.jacobian(x), H.jacobian(x)])
+        assert not rep.holds
+        assert np.linalg.norm(rep.witness) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(K.T @ rep.witness) <= 1e-9 * np.linalg.norm(K)
+
     def test_circle_boundary_holds(self):
         rep = check_licq(circle_system(), [1, 0])
         assert rep.holds

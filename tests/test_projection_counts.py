@@ -1,7 +1,8 @@
 """Each projection is computed once per iteration, and doing so changes no iterate.
 
 The sets and maps below are wrapped in counting subclasses; the iterates
-and gaps are compared bit for bit with a plain reference loop.
+and gaps are compared bit for bit with a plain reference loop.  Each
+Jacobian is factored once per step: the rank test's SVD is the solve's.
 """
 
 import numpy as np
@@ -9,16 +10,27 @@ import pytest
 
 from altproj import (
     AffineSubspace,
+    ChartApproximateProjector,
     ConstraintSystem,
     ExactApproximateProjector,
     FixedRankMatrices,
+    Hyperplane,
+    InclusionProblem,
     InexactProjector,
+    ManifoldChart,
     Monomial,
     PolyMap,
     SolveOptions,
+    check_licq,
+    faithful_projection,
+    gauss_newton_step,
+    linalg,
+    newton_feasibility_step,
+    normal_space_basis,
     run_approximate,
     run_exact,
     solve_constraint_system,
+    solve_inclusion,
 )
 from altproj.cli import bundled_problem_path, load_problem
 
@@ -133,3 +145,87 @@ def test_constraint_system_evaluates_each_block_once_per_iteration():
 def test_negative_eps_rejected():
     with pytest.raises(ValueError):
         InexactProjector(AffineSubspace([0, 0], [[1, 0]]), -0.1)
+
+
+# F(x) = (x0, x1, x0^2 + x1^2) on the box (-10, 10)^2, Q = {y2 = 1}
+PARABOLOID = PolyMap(2, [[Monomial(1, (1, 0))], [Monomial(1, (0, 1))],
+                         [Monomial(1, (2, 0)), Monomial(1, (0, 2))]])
+PARABOLOID_CHART = ManifoldChart(PARABOLOID, [-10, -10], [10, 10])
+PARABOLOID_PROBLEM = InclusionProblem(PARABOLOID, Hyperplane([0, 0, 1], 1.0))
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counts linalg.svd calls; any call of np.linalg.qr or linalg.solve_spd fails."""
+    calls = []
+    svd = linalg.svd
+
+    def counted(A):
+        calls.append(np.shape(A))
+        return svd(A)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a full-rank solve must reuse the rank test's SVD")
+
+    monkeypatch.setattr(linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, "qr", forbidden)
+    monkeypatch.setattr(linalg, "solve_spd", forbidden)
+    return calls
+
+
+def test_inclusion_factors_each_jacobian_once(svd_calls):
+    tr = solve_inclusion(PARABOLOID_PROBLEM, [1.0, 0.5], SolveOptions(1e-12, 100))
+    assert tr.status == "Converged"
+    assert tr.iterations >= 2
+    assert svd_calls == [(3, 2)] * tr.iterations
+
+
+def test_chart_approximate_factors_each_jacobian_once(svd_calls):
+    x0 = np.array([1.0, 0.5])
+    projector = ChartApproximateProjector(PARABOLOID_CHART, x0)
+    tr = run_approximate(projector, PARABOLOID_PROBLEM.Q, PARABOLOID.eval(x0),
+                         SolveOptions(1e-12, 100))
+    assert tr.status == "Converged"
+    assert tr.iterations >= 2
+    assert svd_calls == [(3, 2)] * tr.iterations
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        pytest.param(lambda: gauss_newton_step(PARABOLOID_PROBLEM, [1.0, 0.5]), id="gauss_newton_step"),
+        pytest.param(lambda: faithful_projection(PARABOLOID_CHART, [1.0, 0.5], [1, 1, 1]),
+                     id="faithful_projection"),
+        pytest.param(lambda: normal_space_basis(PARABOLOID_CHART, [1.0, 0.5]), id="normal_space_basis"),
+    ],
+)
+def test_chart_steps_factor_the_jacobian_once(svd_calls, step):
+    step()
+    assert svd_calls == [(3, 2)]
+
+
+def test_newton_feasibility_step_factors_once(svd_calls):
+    newton_feasibility_step(three_block_system(), [3.0, 1.0, 2.0])
+    assert svd_calls == [(3, 2)]  # the transpose of the stacked 2 x 3 (G, H) Jacobian
+
+
+def linear_map(rows):
+    """x -> A x as a PolyMap."""
+    n = len(rows[0])
+    return PolyMap(n, [[Monomial(c, tuple(int(i == j) for i in range(n))) for j, c in enumerate(row) if c]
+                       for row in rows])
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        pytest.param(PolyMap.empty(2), id="rows<=dims"),
+        pytest.param(linear_map([[1, 0], [0, 1], [1, 1]]), id="rows>dims"),
+    ],
+)
+def test_check_licq_factors_once(svd_calls, G):
+    # every row is active at the origin; H = x0 - x1
+    sys_ = ConstraintSystem(G, PolyMap.empty(2), linear_map([[1, -1]]),
+                            AffineSubspace([0, 0], np.eye(2)), 2)
+    check_licq(sys_, [0.0, 0.0])
+    assert len(svd_calls) == 1

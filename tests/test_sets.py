@@ -221,3 +221,8 @@ class TestJson:
     def test_missing_field_named(self):
         with pytest.raises(ValueError, match="radius"):
             set_from_json({"type": "ball", "center": [0, 0]})
+
+    def test_unknown_type_lists_accepted_names(self):
+        with pytest.raises(ValueError, match="finite_point_set") as exc:
+            set_from_json({"type": "finite_points"})
+        assert "fixed_rank_matrices" in str(exc.value)
