@@ -11,8 +11,6 @@ import numpy as np
 from .errors import DimensionMismatch, NonConvergence, NotPositiveDefinite, RankDeficient
 
 RANK_TOL = 1e-10   # relative threshold on singular values
-SOLVE_TOL = 1e-12  # relative residual for SPD solves
-ORTHO_TOL = 1e-9   # orthonormality slack for SVD factors
 
 
 def as_vector(x, dim=None):

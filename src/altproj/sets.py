@@ -131,13 +131,24 @@ class Ball(ProjectableSet):
 
 
 class AffineSubspace(ProjectableSet):
-    """anchor + span(basis rows); basis rows must be orthonormal to 1e-10."""
+    """anchor + span(basis rows); basis rows must be finite and orthonormal to 1e-10.
+
+    A basis whose rows are signed unit vectors on distinct coordinates
+    (matrix completion's observed-entry constraint, an axis line) is
+    projected by selecting those coordinates: basis^T basis is then the 0/1
+    diagonal of the free coordinates, so anchor + where(free, z - anchor, 0)
+    is the dense anchor + basis^T (basis (z - anchor)) bit for bit, signed
+    zeros included, since every product in the dense sums is 0*d or +-1*d.
+    """
 
     def __init__(self, anchor, basis):
         self.anchor = linalg.as_vector(anchor)
         self.ambient_dim = self.anchor.shape[0]
         basis = np.asarray(basis, dtype=float).reshape(-1, self.ambient_dim)
-        if basis.shape[0]:
+        if not np.isfinite(basis).all():
+            raise ValueError("affine subspace basis contains NaN/Inf entries")
+        self._free = _free_coordinates(basis)
+        if self._free is None:
             gram = basis @ basis.T
             if np.max(np.abs(gram - np.eye(basis.shape[0]))) > 1e-10:
                 raise ValueError("affine subspace basis is not orthonormal")
@@ -145,10 +156,11 @@ class AffineSubspace(ProjectableSet):
 
     def project(self, z):
         z = self._check(z)
-        d = z - self.anchor
         if self.basis.shape[0] == 0:
             return self.anchor.copy()
-        return self.anchor + self.basis.T @ (self.basis @ d)
+        if self._free is not None:
+            return self.anchor + np.where(self._free, z - self.anchor, 0.0)
+        return self.anchor + self.basis.T @ (self.basis @ (z - self.anchor))
 
     def normal_cone(self, point):
         self._check(point)
@@ -168,6 +180,27 @@ class AffineSubspace(ProjectableSet):
             "anchor": list(self.anchor),
             "basis": [list(row) for row in self.basis],
         }
+
+
+def _free_coordinates(basis):
+    """A mask of the coordinates spanned if the rows are +-e_c on distinct c, else None.
+
+    Such a basis, the empty one included, has Gram matrix exactly I.
+    Duplicates are found with a set: np.unique would import numpy.ma on
+    first use.
+    """
+    rows, c = basis.nonzero()
+    k = basis.shape[0]
+    if (
+        rows.size != k
+        or rows.tolist() != list(range(k))
+        or len(set(c.tolist())) != k
+        or not (np.abs(basis[rows, c]) == 1.0).all()
+    ):
+        return None
+    free = np.zeros(basis.shape[1], dtype=bool)
+    free[c] = True
+    return free
 
 
 class Hyperplane(ProjectableSet):

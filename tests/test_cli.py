@@ -96,6 +96,13 @@ class TestSolve:
         assert t1.read_bytes() == t2.read_bytes()
         assert t1.read_bytes() != t3.read_bytes()
 
+    def test_non_finite_basis_names_it(self, tmp_path, capsys):
+        prob = dict(TWO_LINES)
+        prob["Q"] = {"type": "affine_subspace", "anchor": [0, 0], "basis": [[float("nan"), 0]]}
+        path = write_problem(tmp_path, prob)
+        assert main(["solve", "--problem", path]) == 1
+        assert "basis contains NaN/Inf" in capsys.readouterr().err
+
     def test_incompatible_scheme(self, tmp_path, capsys):
         path = write_problem(tmp_path, TWO_LINES)
         assert main(["solve", "--problem", path, "--scheme", "linconstr"]) == 1

@@ -119,6 +119,45 @@ def test_run_approximate_exact_instance_projects_once_per_iteration(make):
     assert tr.dist_m[1:] == [0.0] * tr.iterations
 
 
+def dense_affine_reference(Q, M, z0, opts):
+    """run_exact's rows, with P_Q written out as anchor + B^T (B (z - anchor))."""
+    a, B = Q.anchor, Q.basis
+
+    def project_q(z):
+        return a + B.T @ (B @ (z - a))
+
+    z = np.asarray(z0, dtype=float)
+    pz = project_q(z)
+    dq = float(np.linalg.norm(z - pz))
+    if dq > 1e-12:
+        z, dq = pz, 0.0
+    zs, xs, gaps, dist_q = [], [], [], []
+    for _ in range(opts.max_iters + 1):
+        x = M.project(z)
+        zs.append(z)
+        xs.append(x)
+        gaps.append(float(np.linalg.norm(z - x)))
+        dist_q.append(dq)
+        if gaps[-1] <= opts.gap_tol:
+            break
+        z, dq = project_q(x), 0.0
+    return zs, xs, gaps, dist_q
+
+
+def test_completion_trace_matches_dense_affine_formula():
+    # Q's basis rows are unit vectors, so P_Q selects coordinates; the iterates must not move
+    Q, M, z0, opts = completion()
+    assert Q._free is not None
+    zs, xs, gaps, dist_q = dense_affine_reference(Q, M, z0, opts)
+    tr = run_exact(Q, M, z0, opts)
+    assert tr.status == "Converged"
+    assert tr.gaps == gaps
+    assert tr.dist_q == dist_q
+    assert len(tr.zs) == len(zs) == len(tr.xs)
+    for got, want in zip(tr.zs + tr.xs, zs + xs):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def three_block_system():
     """G: |x|^2 <= 4, P: x_0 <= 5, H: x_0 = x_1, Q: the plane x_2 = 1."""
     G = PolyMap(3, [[Monomial(1, (2, 0, 0)), Monomial(1, (0, 2, 0)),

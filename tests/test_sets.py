@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import altproj
 from altproj import (
     AffineSubspace,
     Ball,
@@ -130,6 +137,114 @@ class TestProjectionProperties:
             v = v / np.linalg.norm(v)
             proj = cone.lineality.T @ (cone.lineality @ v)
             assert np.linalg.norm(v - proj) <= 1e-8
+
+
+# signed zeros, magnitudes near the underflow and overflow ends, and plain values;
+# |z - anchor| stays finite, as for any iterate the solvers accept
+_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300]),
+    st.floats(-1e300, 1e300),
+)
+
+
+@st.composite
+def _coordinate_cases(draw):
+    """A basis of k signed unit rows on distinct coordinates, in random order, and a, z."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, n))
+    coords = draw(st.permutations(range(n)))[:k]
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=k, max_size=k))
+    basis = np.where(draw(st.booleans()), -0.0, 0.0) * np.ones((k, n))
+    basis[np.arange(k), coords] = signs
+    anchor = np.array(draw(st.lists(_entries, min_size=n, max_size=n)))
+    z = np.array(draw(st.lists(_entries, min_size=n, max_size=n)))
+    return anchor, basis, z
+
+
+def _dense(anchor, basis, z):
+    return anchor + basis.T @ (basis @ (z - anchor))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestCoordinateBasis:
+    """A basis of signed unit rows is projected by selection, bit for bit as the dense formula."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_coordinate_cases())
+    def test_coordinate_projection_is_the_dense_formula_bitwise(self, case):
+        anchor, basis, z = case
+        s = AffineSubspace(anchor, basis)
+        assert s._free is not None
+        # array_equal would take -0.0 == 0.0; the bit patterns do not
+        np.testing.assert_array_equal(_bits(s.project(z)), _bits(_dense(anchor, basis, z)))
+
+    def test_rotated_line_takes_the_dense_path(self):
+        s = AffineSubspace([1.0, -2.0], [[0.6, 0.8]])
+        assert s._free is None
+        z = np.array([3.0, 0.5])
+        np.testing.assert_array_equal(s.project(z), _dense(s.anchor, s.basis, z))
+
+    @pytest.mark.parametrize(
+        "basis",
+        [[[1, 0], [1, 0]], [[0, -1], [0, 1]], [[0.5, 0]], [[1, 0.5]], [[1, 0, 0], [0, 2, 0]],
+         [[1, 1], [0, 0]]],
+        ids=["repeated", "repeated-signed", "half", "two-nonzeros", "scaled-row", "zero-row"],
+    )
+    def test_non_orthonormal_still_rejected(self, basis):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            AffineSubspace(np.zeros(len(basis[0])), basis)
+
+    @pytest.mark.parametrize(
+        "basis", [[[np.nan, 0]], [[np.inf, 0]], [[1, 0], [0, -np.inf]]], ids=["nan", "inf", "-inf"]
+    )
+    def test_non_finite_basis_rejected(self, basis):
+        with pytest.raises(ValueError, match="basis contains NaN/Inf"):
+            AffineSubspace([0, 0], basis)
+
+    @pytest.mark.parametrize("basis", [[], np.zeros((0, 3))], ids=["list", "array"])
+    def test_empty_basis_is_the_anchor(self, basis):
+        s = AffineSubspace([1.0, -0.0, 2.0], basis)
+        assert s.basis.shape == (0, 3)
+        np.testing.assert_array_equal(_bits(s.project([5.0, 6.0, 7.0])), _bits([1.0, -0.0, 2.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), coordinate=st.booleans())
+    def test_idempotent_on_both_paths(self, data, coordinate):
+        n = data.draw(st.integers(1, 10))
+        k = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if coordinate:
+            basis = np.eye(n)[rng.permutation(n)[:k]] * rng.choice([-1.0, 1.0], (k, 1))
+        else:
+            basis = np.linalg.qr(rng.standard_normal((n, k)))[0].T
+        scale = 10.0 ** data.draw(st.integers(-3, 3))
+        anchor = scale * rng.standard_normal(n)
+        s = AffineSubspace(anchor, basis)
+        if coordinate:
+            assert s._free is not None
+        p = s.project(scale * rng.standard_normal(n))
+        np.testing.assert_allclose(s.project(p), p, rtol=0, atol=1e-12 * scale)
+
+    def test_setup_imports_no_numpy_ma(self):
+        # np.unique imports numpy.ma on first use, which costs set-up time and memory
+        code = (
+            "import sys\n"
+            "from altproj import AffineSubspace\n"
+            "AffineSubspace([1, 2, 3], [[0, -1, 0], [1, 0, 0]]).project([4, 5, 6])\n"
+            "AffineSubspace([1, 2], [[0.6, 0.8]]).project([4, 5])\n"
+            "try:\n"
+            "    AffineSubspace([1, 2], [[1, 0], [1, 0]])\n"
+            "except ValueError:\n"
+            "    pass\n"
+            "if 'numpy.ma' in sys.modules:\n"
+            "    sys.exit('numpy.ma was imported')\n"
+        )
+        src = os.path.dirname(os.path.dirname(altproj.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestNormalCones:
