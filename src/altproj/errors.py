@@ -13,10 +13,6 @@ class RankDeficient(AltprojError):
     """A matrix required to have full (column or row) rank does not."""
 
 
-class NotPositiveDefinite(AltprojError):
-    """Cholesky factorization hit a nonpositive pivot."""
-
-
 class NonConvergence(AltprojError):
     """An iterative kernel exceeded its iteration cap."""
 

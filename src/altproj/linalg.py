@@ -1,6 +1,6 @@
 """Dense small-scale linear algebra kernels.
 
-SVD-based least squares, SPD solves, and SVD at desk scale (dims <= 100).
+SVD-based least squares and SVD at desk scale (dims <= 100).
 Everything here is a pure function of its inputs.
 """
 
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence, NotPositiveDefinite, RankDeficient
+from .errors import DimensionMismatch, NonConvergence, RankDeficient
 
 RANK_TOL = 1e-10   # relative threshold on singular values
 
@@ -64,24 +64,6 @@ def require_full_column_rank(A, message):
     if n > U.shape[0] or (n and sigma[-1] <= RANK_TOL * max(sigma[0], 1e-300)):
         raise RankDeficient(message)
     return U, sigma, V
-
-
-def solve_spd(S, b):
-    """Solve Sx = b for symmetric positive definite S via Cholesky."""
-    S = as_matrix(S)
-    if S.shape[0] != S.shape[1]:
-        raise DimensionMismatch("solve_spd needs a square matrix")
-    b = as_vector(b, dim=S.shape[0])
-    if S.shape[0] == 0:
-        return np.zeros(0)
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    from scipy.linalg import solve_triangular
-
-    y = solve_triangular(L, b, lower=True)
-    return solve_triangular(L.T, y, lower=False)
 
 
 def svd(A):

@@ -1,17 +1,30 @@
-"""Dense active-set solver for nearest-point problems over polyhedra.
+"""Dual active-set solver for nearest-point problems over polyhedra.
 
 Solves   minimize 1/2 |x - z|^2
          subject to A_ineq x <= b_ineq,  A_eq x = b_eq
 
-by maintaining a working set of active rows, re-solving the associated
-equality-constrained projection at every pivot.  The Hessian is the
-identity, so each working-set solve reduces to one small SPD system.
-Ties are broken by lowest index (Bland-style) to prevent cycling, with a
-hard pivot cap for degenerate data.
+by the dual method of Goldfarb and Idnani ("A numerically stable dual
+method for solving strictly convex quadratic programs", Math. Prog. 27,
+1983) with Hessian I.  It starts at the unconstrained minimizer z, adds
+the equality rows, then repeatedly adds the most-violated inequality row
+(lowest index on ties).  Each step keeps x = z - N^T u with the working
+rows N satisfied as equalities and their inequality multipliers u >= 0,
+so x is always optimal for the working set.  Moving toward the entering
+row, the step is min(t_partial, t_full): a full step makes the row active,
+a partial step drops the working row whose multiplier reaches zero first.
+Every step with t > 0 strictly raises the dual objective, and at most
+n drops can follow each other, so no working set repeats and the method
+terminates.  If the entering row depends on the working set and no row
+can be dropped, the polyhedron is empty and the dependence coefficients
+give a Farkas witness.  The working rows are kept as QR factors
+N^T = Q[:, :q] R, updated in place: a Householder reflection on Q[:, q:]
+appends a row, Givens rotations restore R after a drop.  A pivot cap
+guards against numerical cycling.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +33,7 @@ from . import linalg
 from .errors import DimensionMismatch, Infeasible, MaxPivots
 
 FEAS_TOL = 1e-9     # primal feasibility (two orders above linalg tolerances)
-DUAL_TOL = 1e-10    # multiplier nonnegativity slack
+DUAL_TOL = 1e-10    # a working inequality row blocks a step only if its r exceeds this
 DEP_TOL = 1e-10     # linear-dependence threshold when growing the working set
 
 
@@ -64,123 +77,121 @@ class KktCertificate:
     slacks: np.ndarray
     eq_multipliers: np.ndarray
     active_set: list = field(default_factory=list)
+    pivots: int = 0   # working-set changes: rows added plus rows dropped
 
 
 def solve_projection_qp(p: ProjectionQp) -> KktCertificate:
     """Project p.target onto the polyhedron, returning a full certificate.
 
     Raises Infeasible (with a Farkas witness) if the polyhedron is empty,
-    MaxPivots if the active-set loop cycles past its cap.
+    MaxPivots if the dual loop cycles past its cap.
     """
-    n = p.dim
-    n_i = p.A_ineq.shape[0]
-    n_e = p.A_eq.shape[0]
-    rows = np.vstack([p.A_ineq, p.A_eq]) if (n_i + n_e) else np.zeros((0, n))
+    rows = np.vstack([p.A_ineq, p.A_eq])
     rhs = np.concatenate([p.b_ineq, p.b_eq])
-    is_eq = np.zeros(n_i + n_e, dtype=bool)
-    is_eq[n_i:] = True
+    return _solve(p.target, rows, rhs, p.A_ineq.shape[0])
 
-    work: list[int] = []   # indices into rows, full row rank maintained
 
-    def solve_working(extra=None):
-        idx = work if extra is None else work + [extra]
-        N = rows[idx]
-        lam = linalg.solve_spd(N @ N.T, N @ p.target - rhs[idx]) if idx else np.zeros(0)
-        x = p.target - (N.T @ lam if idx else 0.0)
-        return x, lam
-
-    def dependence(a):
-        """Coefficients u with rows[work]^T u ~ a, or None if independent."""
-        if not work:
-            return None if np.linalg.norm(a) > DEP_TOL else np.zeros(0)
-        N = rows[work]
-        u = linalg.solve_spd(N @ N.T, N @ a)
-        resid = a - N.T @ u
-        if np.linalg.norm(resid) > DEP_TOL * (1.0 + np.linalg.norm(a)):
-            return None
-        return u
-
-    # Seed the working set with the equality rows; dependent-but-consistent
-    # rows are redundant and skipped, inconsistent ones certify emptiness.
-    for j in range(n_i, n_i + n_e):
-        u = dependence(rows[j])
-        if u is None:
-            work.append(j)
-            continue
-        if abs(rhs[j] - u @ rhs[work]) > FEAS_TOL:
-            y_ineq = np.zeros(n_i)
-            y_eq = np.zeros(n_e)
-            y_eq[j - n_i] = 1.0
-            for coeff, k in zip(-u, work):
-                y_eq[k - n_i] += coeff
-            if rhs[j] - u @ rhs[work] > 0:
-                y_ineq, y_eq = y_ineq, -y_eq
-            raise Infeasible("inconsistent equality constraints", y_ineq, y_eq)
-
-    max_pivots = 100 * max(1, n_i + n_e)
-    for _ in range(max_pivots):
-        x, lam = solve_working()
-
-        # Dual feasibility: active inequality multipliers must be >= 0.
-        drop = None
-        for pos, j in enumerate(work):
-            if not is_eq[j] and lam[pos] < -DUAL_TOL:
-                drop = pos
+def _solve(z, rows, rhs, n_i):
+    """The dual method on checked data: rows = [A_ineq; A_eq], the first n_i inequalities."""
+    n, m = z.shape[0], rows.shape[0]
+    max_pivots = 100 * max(1, m)
+    x = z.copy()
+    Q = np.eye(n)
+    R = np.zeros((n, n))
+    u = np.zeros(n)                     # multipliers of the working rows
+    work = np.zeros(n, dtype=int)       # working row indices, in factor order
+    q = pivots = 0
+    A, b = rows[:n_i], rhs[:n_i]
+    equalities = iter(range(n_i, m))
+    while True:
+        # Entering row: each equality in turn, then the most-violated inequality.
+        p = next(equalities, None)
+        if p is None:
+            if not n_i:
                 break
-        if drop is not None:
-            work.pop(drop)
-            continue
-
-        # Primal feasibility: pick the lowest-index violated inequality.
-        enter = None
-        for j in range(n_i):
-            if j in work:
-                continue
-            if rows[j] @ x - rhs[j] > FEAS_TOL:
-                enter = j
+            viol = A @ x - b
+            viol[work[:q][work[:q] < n_i]] = -np.inf    # working rows are met
+            p = int(np.argmax(viol))
+            if viol[p] <= FEAS_TOL:
                 break
-        if enter is None:
-            return _certificate(p, x, lam, work, n_i, n_e)
-
-        u = dependence(rows[enter])
-        if u is None:
-            work.append(enter)
-            continue
-
-        # rows[enter] depends on the working set.  If no active inequality
-        # can be relaxed (all dependence coefficients on inequality rows
-        # <= 0), the violation is structural: Farkas certificate.
-        relax = [
-            (pos, j) for pos, j in enumerate(work) if not is_eq[j] and u[pos] > DEP_TOL
-        ]
-        if not relax:
-            y_ineq = np.zeros(n_i)
-            y_eq = np.zeros(n_e)
-            y_ineq[enter] = 1.0
-            for pos, j in enumerate(work):
-                if is_eq[j]:
-                    y_eq[j - n_i] += -u[pos]
+        a = rows[p]
+        u_p = 0.0
+        while True:
+            # w = Q^T a splits a = N^T r + d with d = Q[:, q:] w[q:] orthogonal to the working rows.
+            w = a @ Q
+            r = np.linalg.solve(R[:q, :q], w[:q]) if q else w[:0]
+            dd = float(w[q:] @ w[q:])   # |d|^2, zero when a depends on the working rows
+            if dd <= DEP_TOL * DEP_TOL * (1.0 + np.sqrt(w @ w)) ** 2:
+                dd = 0.0
+            s = float(a @ x) - rhs[p]
+            t = s / dd if dd else np.inf
+            k = None
+            blocking = (work[:q] < n_i) & (r > DUAL_TOL)
+            if blocking.any():
+                # partial step: the first working multiplier to reach zero
+                ratios = np.full(q, np.inf)
+                ratios[blocking] = np.maximum(u[:q][blocking], 0.0) / r[blocking]
+                k = int(np.argmin(ratios))
+                if ratios[k] < t:
+                    t = float(ratios[k])
                 else:
-                    y_ineq[j] += -u[pos]
-            raise Infeasible("polyhedron is empty", y_ineq, y_eq)
-        work.pop(relax[0][0])
-        work.append(enter)
+                    k = None
+            elif not dd:
+                if p >= n_i and abs(s) <= FEAS_TOL:
+                    break       # a dependent but consistent equality row is redundant
+                # Farkas witness e_p - r: A^T y = 0 and b^T y = -|s| < 0.
+                y = np.zeros(m)
+                y[p] = 1.0
+                y[work[:q]] -= r
+                if s < 0:
+                    y = -y
+                raise Infeasible("inconsistent equality constraints" if p >= n_i
+                                 else "polyhedron is empty", np.maximum(y[:n_i], 0.0), y[n_i:])
+            if pivots >= max_pivots:
+                raise MaxPivots(f"dual active-set pivot cap {max_pivots} exceeded")
+            pivots += 1
+            if dd:
+                x = x - t * (Q[:, q:] @ w[q:])
+            u[:q] -= t * r
+            u_p += t
+            if k is None:
+                q = _add(Q, R, u, work, q, w, p, u_p)
+                break
+            q = _drop(Q, R, u, work, q, k)
 
-    raise MaxPivots(f"active-set pivot cap {max_pivots} exceeded")
-
-
-def _certificate(p, x, lam, work, n_i, n_e):
-    w = np.zeros(n_i)
-    y = np.zeros(n_e)
-    for pos, j in enumerate(work):
-        if j < n_i:
-            w[j] = max(lam[pos], 0.0)
-        else:
-            y[j - n_i] = lam[pos]
-    slacks = p.b_ineq - p.A_ineq @ x if n_i else np.zeros(0)
+    y = np.zeros(m)
+    y[work[:q]] = u[:q]
+    slacks = b - A @ x
     slacks = np.where(np.abs(slacks) < FEAS_TOL, np.maximum(slacks, 0.0), slacks)
-    active = sorted(j for j in work if j < n_i)
-    return KktCertificate(x, w, slacks, y, active)
+    return KktCertificate(x, np.maximum(y[:n_i], 0.0), slacks, y[n_i:],
+                          sorted(int(j) for j in work[:q] if j < n_i), pivots)
+
+
+def _add(Q, R, u, work, q, w, j, u_j):
+    """Append row j (w = Q^T a_j) to the factors: one Householder on Q[:, q:]."""
+    v = w[q:].copy()
+    alpha = -math.copysign(math.sqrt(v @ v), v[0])
+    v[0] -= alpha
+    Q[:, q:] -= np.outer(Q[:, q:] @ v, v * (2.0 / (v @ v)))
+    R[:q, q] = w[:q]
+    R[q, q] = alpha
+    u[q], work[q] = u_j, j
+    return q + 1
+
+
+def _drop(Q, R, u, work, q, k):
+    """Remove working position k: shift columns, then Givens rotations restore R."""
+    R[:, k:q - 1] = R[:, k + 1:q]
+    R[:, q - 1] = 0.0
+    u[k:q - 1] = u[k + 1:q]
+    work[k:q - 1] = work[k + 1:q]
+    for i in range(k, q - 1):
+        h = np.hypot(R[i, i], R[i + 1, i])
+        G = np.array([[R[i, i], R[i + 1, i]], [-R[i + 1, i], R[i, i]]]) / h
+        R[i:i + 2, i:q - 1] = G @ R[i:i + 2, i:q - 1]
+        R[i + 1, i] = 0.0
+        Q[:, i:i + 2] = Q[:, i:i + 2] @ G.T
+    return q - 1
 
 
 def min_norm_step(A_ineq, b_ineq, A_eq, b_eq) -> np.ndarray:

@@ -373,25 +373,30 @@ class Polyhedron(ProjectableSet):
         if A_ineq.ndim != 2:
             raise DimensionMismatch("A_ineq must be 2-D")
         n = A_ineq.shape[1]
-        if A_eq is None:
-            A_eq = np.zeros((0, n))
-            b_eq = np.zeros(0)
+        if A_eq is None and b_eq is None:
+            A_eq, b_eq = np.zeros((0, n)), np.zeros(0)
+        elif A_eq is None or b_eq is None:
+            raise ValueError("polyhedron needs both A_eq and b_eq, or neither")
         self.A_ineq = A_ineq
         self.b_ineq = np.asarray(b_ineq, dtype=float).reshape(-1)
         self.A_eq = np.asarray(A_eq, dtype=float).reshape(-1, n)
         self.b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
+        for name in ("A_ineq", "b_ineq", "A_eq", "b_eq"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"polyhedron {name} contains NaN/Inf entries")
+        for rhs, rows in (("b_ineq", "A_ineq"), ("b_eq", "A_eq")):
+            if getattr(self, rhs).shape[0] != getattr(self, rows).shape[0]:
+                raise DimensionMismatch(f"polyhedron {rhs} needs one entry per row of {rows}")
         self.ambient_dim = n
+        # checked once here; project hands the stacked rows to the solver core
+        self._rows = np.vstack([self.A_ineq, self.A_eq])
+        self._rhs = np.concatenate([self.b_ineq, self.b_eq])
         # one QP feasibility solve certifies nonemptiness
-        qp.solve_projection_qp(
-            qp.ProjectionQp(np.zeros(n), self.A_ineq, self.b_ineq, self.A_eq, self.b_eq)
-        )
+        qp._solve(np.zeros(n), self._rows, self._rhs, self.A_ineq.shape[0])
 
     def project(self, z):
         z = self._check(z)
-        cert = qp.solve_projection_qp(
-            qp.ProjectionQp(z, self.A_ineq, self.b_ineq, self.A_eq, self.b_eq)
-        )
-        return cert.solution
+        return qp._solve(z, self._rows, self._rhs, self.A_ineq.shape[0]).solution
 
     def normal_cone(self, point):
         p = self._check(point)

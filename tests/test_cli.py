@@ -103,6 +103,15 @@ class TestSolve:
         assert main(["solve", "--problem", path]) == 1
         assert "basis contains NaN/Inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["A_ineq", "b_ineq"])
+    def test_non_finite_polyhedron_names_it(self, tmp_path, capsys, field):
+        prob = dict(TWO_LINES)
+        prob["Q"] = {"type": "polyhedron", "A_ineq": [[1, 0]], "b_ineq": [1]}
+        prob["Q"][field] = [[float("nan"), 0]] if field == "A_ineq" else [float("nan")]
+        path = write_problem(tmp_path, prob)
+        assert main(["solve", "--problem", path]) == 1
+        assert f"polyhedron {field} contains NaN/Inf" in capsys.readouterr().err
+
     def test_incompatible_scheme(self, tmp_path, capsys):
         path = write_problem(tmp_path, TWO_LINES)
         assert main(["solve", "--problem", path, "--scheme", "linconstr"]) == 1

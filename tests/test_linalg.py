@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altproj import linalg
-from altproj.errors import NonConvergence, NotPositiveDefinite, RankDeficient
+from altproj.errors import NonConvergence, RankDeficient
 
 
 def reconstruct(U, sigma, V, shape):
@@ -92,36 +92,6 @@ class TestLeastSquares:
         A = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
         with pytest.raises(RankDeficient):
             linalg.least_squares(A, rng.standard_normal(m))
-
-
-class TestSolveSpd:
-    def test_identity(self):
-        np.testing.assert_allclose(linalg.solve_spd(np.eye(2), [5, -2]), [5, -2])
-
-    def test_scalar(self):
-        np.testing.assert_allclose(linalg.solve_spd([[4.0]], [8]), [2.0])
-
-    def test_indefinite_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            linalg.solve_spd([[0.0, 1.0], [1.0, 0.0]], [1, 1])
-
-    def test_relative_residual(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            B = rng.standard_normal((5, 5))
-            S = B @ B.T + 5 * np.eye(5)
-            b = rng.standard_normal(5)
-            x = linalg.solve_spd(S, b)
-            assert np.linalg.norm(S @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-    def test_agrees_with_least_squares(self):
-        rng = np.random.default_rng(5)
-        B = rng.standard_normal((4, 4))
-        S = B @ B.T + 4 * np.eye(4)
-        b = rng.standard_normal(4)
-        np.testing.assert_allclose(
-            linalg.solve_spd(S, b), linalg.least_squares(S, b), atol=1e-10
-        )
 
 
 class TestSvd:

@@ -195,7 +195,7 @@ PARABOLOID_PROBLEM = InclusionProblem(PARABOLOID, Hyperplane([0, 0, 1], 1.0))
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """Counts linalg.svd calls; any call of np.linalg.qr or linalg.solve_spd fails."""
+    """Counts linalg.svd calls; any call of np.linalg.qr fails."""
     calls = []
     svd = linalg.svd
 
@@ -208,7 +208,6 @@ def svd_calls(monkeypatch):
 
     monkeypatch.setattr(linalg, "svd", counted)
     monkeypatch.setattr(np.linalg, "qr", forbidden)
-    monkeypatch.setattr(linalg, "solve_spd", forbidden)
     return calls
 
 

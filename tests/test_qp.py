@@ -1,11 +1,19 @@
 import itertools
+import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from altproj import ProjectionQp, min_norm_step, solve_projection_qp
 from altproj.errors import Infeasible
 from altproj.qp import verify_certificate
+
+KEPT_INSTANCE = os.path.join(
+    os.path.dirname(__file__), os.pardir, "perfbench", "data", "maxpivots_10x30.json"
+)
 
 
 def enumeration_oracle(p: ProjectionQp):
@@ -157,3 +165,98 @@ class TestOracleAgreement:
             if p.A_eq.shape[0]:
                 stat = stat + p.A_eq.T @ cert.eq_multipliers
             assert np.linalg.norm(stat) <= 1e-9
+
+
+@st.composite
+def qp_draws(draw, infeasible=False):
+    """Random QPs with n <= 10, m <= 4n inequality rows and 0-2 equality rows.
+
+    Slacks are zeroed on some rows (degenerate vertices) and one row may be
+    a scaled copy of another.  With infeasible=True a last row is
+    -(y . A[:k]) with y > 0 and a right-hand side below -(y . b[:k]), so
+    the rows certify their own emptiness.
+    """
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1 if infeasible else 0, 4 * n))
+    n_eq = draw(st.integers(0, min(2, n)))
+    degenerate, duplicate = draw(st.booleans()), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x_feas = rng.standard_normal(n)
+    A = rng.standard_normal((m, n))
+    slack = rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.3 if degenerate else 1.0)
+    if duplicate and m >= 2:
+        c = rng.uniform(0.5, 2.0)
+        A[-1], slack[-1] = c * A[0], c * slack[0]
+    b = A @ x_feas + slack
+    C = rng.standard_normal((n_eq, n))
+    if infeasible:
+        k = int(rng.integers(1, min(m, n + 1) + 1))
+        y = rng.uniform(0.1, 1.0, k)
+        A = np.vstack([A, -(y @ A[:k])])
+        b = np.append(b, -(y @ b[:k]) - rng.uniform(1e-3, 1.0))
+    return ProjectionQp(rng.standard_normal(n) * 2, A, b, C, C @ x_feas)
+
+
+def pivot_cap(p):
+    return 100 * max(1, p.A_ineq.shape[0] + p.A_eq.shape[0])
+
+
+class TestProperties:
+    @given(p=qp_draws())
+    def test_certificate_verifies_and_matches_oracle(self, p):
+        cert = solve_projection_qp(p)
+        assert verify_certificate(p, cert) <= 1e-8
+        assert cert.pivots < pivot_cap(p)
+        if p.A_ineq.shape[0] <= 8:
+            np.testing.assert_allclose(cert.solution, enumeration_oracle(p), atol=1e-8)
+
+    @given(p=qp_draws())
+    def test_same_input_same_bits(self, p):
+        a, b = solve_projection_qp(p), solve_projection_qp(p)
+        for f in ("solution", "ineq_multipliers", "slacks", "eq_multipliers"):
+            assert getattr(a, f).tobytes() == getattr(b, f).tobytes()
+        assert (a.active_set, a.pivots) == (b.active_set, b.pivots)
+
+    @given(p=qp_draws(infeasible=True))
+    def test_infeasible_draws_give_farkas_witness(self, p):
+        with pytest.raises(Infeasible) as exc:
+            solve_projection_qp(p)
+        y_ineq, y_eq = exc.value.y_ineq, exc.value.y_eq
+        assert np.all(y_ineq >= 0)
+        scale = np.abs(y_ineq).sum() + np.abs(y_eq).sum()
+        assert np.linalg.norm(p.A_ineq.T @ y_ineq + p.A_eq.T @ y_eq) <= 1e-9 * scale
+        assert p.b_ineq @ y_ineq + p.b_eq @ y_eq < 0
+
+
+class TestEqualityWitness:
+    @pytest.mark.parametrize("rhs", [1.0, -1.0])
+    def test_inconsistent_equalities_witness(self, rhs):
+        # x_0 = 0 and 2 x_0 = rhs: y_eq = +-(-2, 1) has A^T y = 0 and b^T y < 0
+        C, d = np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([0.0, rhs])
+        with pytest.raises(Infeasible) as exc:
+            solve_projection_qp(ProjectionQp([3.0, 4.0], np.zeros((0, 2)), [], C, d))
+        y_eq = exc.value.y_eq
+        np.testing.assert_allclose(C.T @ y_eq, [0.0, 0.0], atol=1e-12)
+        assert d @ y_eq < 0
+        assert exc.value.y_ineq.shape == (0,)
+
+
+class TestMaxPivotsRegressions:
+    """Feasible QPs on which the primal active-set loop hit its pivot cap."""
+
+    def test_generator_draws_at_20x100(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(8):
+            p = random_feasible_qp(rng, 20, 100)
+            cert = solve_projection_qp(p)
+            assert verify_certificate(p, cert) <= 1e-8
+            assert cert.pivots < pivot_cap(p)
+
+    def test_kept_benchmark_instance(self):
+        with open(KEPT_INSTANCE) as fh:
+            d = json.load(fh)
+        A = np.array(d["A"])
+        p = ProjectionQp(d["z0"], A, d["b"], np.zeros((0, A.shape[1])), [])
+        cert = solve_projection_qp(p)
+        assert verify_certificate(p, cert) <= 1e-8
+        assert cert.pivots < pivot_cap(p)

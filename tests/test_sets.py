@@ -79,6 +79,52 @@ class TestProjectionBasics:
             Polyhedron([[1.0], [-1.0]], [0.0, -1.0])
 
 
+class TestPolyhedron:
+    @pytest.mark.parametrize("field", ["A_ineq", "b_ineq", "A_eq", "b_eq"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_field_named(self, field, bad):
+        data = {"A_ineq": [[1.0, 0.0]], "b_ineq": [1.0], "A_eq": [[0.0, 1.0]], "b_eq": [0.0]}
+        data[field] = np.full(np.shape(data[field]), bad)
+        with pytest.raises(ValueError, match=f"polyhedron {field} contains NaN/Inf"):
+            Polyhedron(**data)
+
+    @pytest.mark.parametrize("given", ["A_eq", "b_eq"])
+    def test_equality_block_needs_both_fields(self, given):
+        data = {"A_ineq": [[1.0, 0.0]], "b_ineq": [1.0], given: [[0.0, 1.0]] if given == "A_eq" else [0.0]}
+        with pytest.raises(ValueError, match="both A_eq and b_eq"):
+            Polyhedron(**data)
+
+    def test_right_hand_side_length_named(self):
+        with pytest.raises(DimensionMismatch, match="b_ineq"):
+            Polyhedron([[1.0, 0.0], [0.0, 1.0]], [1.0])
+
+    def test_generator_polyhedra_at_20x100(self):
+        # the primal active-set loop hit its pivot cap in this constructor
+        rng = np.random.default_rng(2024)
+        for _ in range(2):
+            A = rng.standard_normal((100, 20))
+            b = A @ rng.standard_normal(20) + rng.uniform(0.0, 1.0, 100)
+            P = Polyhedron(A, b)
+            x = P.project(rng.standard_normal(20) * 2)
+            assert np.all(A @ x - b <= 1e-9)
+
+    def test_projection_imports_no_scipy(self):
+        # scipy.linalg cost set-up time and memory when the QP imported it
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from altproj import Polyhedron, ProjectionQp, solve_projection_qp\n"
+            "P = Polyhedron([[1, 0], [0, 1], [1, 1]], [1, 1, 1.5], [[1, -1]], [0])\n"
+            "P.project([3, 2])\n"
+            "solve_projection_qp(ProjectionQp([3, 2], [[1, 1]], [1], np.zeros((0, 2)), []))\n"
+            "if 'scipy' in sys.modules:\n"
+            "    sys.exit('scipy was imported')\n"
+        )
+        src = os.path.dirname(os.path.dirname(altproj.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 class TestProjectionProperties:
     @pytest.mark.parametrize("s", CONVEX_SETS + NONCONVEX_SETS)
     def test_idempotence(self, s):
