@@ -23,7 +23,6 @@ from .inclusion import (
     ManifoldChart,
     chart_projection_oracle,
     faithful_projection,
-    gauss_newton_step,
     normal_space_basis,
     solve_inclusion,
     verify_faithfulness,
@@ -33,11 +32,10 @@ from .linconstr import (
     check_licq,
     linearized_projection,
     measure_quadratic_decay,
-    newton_feasibility_step,
     solve_constraint_system,
 )
 from .polymap import Monomial, PolyMap
-from .qp import KktCertificate, ProjectionQp, min_norm_step, solve_projection_qp
+from .qp import KktCertificate, ProjectionQp, solve_projection_qp
 from .sets import (
     AffineSubspace,
     Ball,

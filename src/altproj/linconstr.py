@@ -90,31 +90,27 @@ class LicqReport:
 
 
 def _linearized_rows(sys: ConstraintSystem, z):
-    """Rows of the linearization at z, in x-coordinates: A x (<=/=) b.
+    """The linearization at a checked z as qp._solve takes it: rows x (<=/=) rhs.
 
-    Also returns max(G+, P+, |H|) at z, from the same block values.
+    rows = [J_G; J_P; J_H], the first n_i of them inequalities, stacked as
+    solve_projection_qp stacks [A_ineq; A_eq].  Also returns
+    max(G+, P+, |H|) at z, from the same block values.  A NaN/Inf in the
+    linearization (a polynomial that overflows) raises DimensionMismatch.
     """
-    z = linalg.as_vector(z, dim=sys.ambient_dim)
-    blocks_ineq = []
-    rhs_ineq = []
+    blocks, rhs = [], []
     violation = 0.0
-    for m in (sys.G, sys.P):
+    for m, equality in ((sys.G, False), (sys.P, False), (sys.H, True)):
         if m.output_dim:
             J = m.jacobian(z)
             v = m.eval(z)
-            blocks_ineq.append(J)
-            rhs_ineq.append(J @ z - v)
-            violation = max(violation, float(np.max(v, initial=0.0)))
-    A_ineq = np.vstack(blocks_ineq) if blocks_ineq else np.zeros((0, sys.ambient_dim))
-    b_ineq = np.concatenate(rhs_ineq) if rhs_ineq else np.zeros(0)
-    if sys.H.output_dim:
-        JH = sys.H.jacobian(z)
-        h = sys.H.eval(z)
-        A_eq, b_eq = JH, JH @ z - h
-        violation = max(violation, float(np.max(np.abs(h), initial=0.0)))
-    else:
-        A_eq, b_eq = np.zeros((0, sys.ambient_dim)), np.zeros(0)
-    return z, A_ineq, b_ineq, A_eq, b_eq, violation
+            blocks.append(J)
+            rhs.append(J @ z - v)
+            violation = max(violation, float(np.max(np.abs(v) if equality else v, initial=0.0)))
+    rows = np.vstack(blocks) if blocks else np.zeros((0, sys.ambient_dim))
+    rhs = np.concatenate(rhs) if rhs else np.zeros(0)
+    if not (np.isfinite(rows).all() and np.isfinite(rhs).all()):
+        raise DimensionMismatch("linearized constraints contain NaN/Inf entries")
+    return rows, rhs, sys.G.output_dim + sys.P.output_dim, violation
 
 
 def linearized_projection(sys: ConstraintSystem, z):
@@ -123,9 +119,10 @@ def linearized_projection(sys: ConstraintSystem, z):
     Returns (x_z, KktCertificate).  Raises LinearizationInfeasible when
     the linearized polyhedron is empty (possible far from the solution).
     """
-    z, A_ineq, b_ineq, A_eq, b_eq, _ = _linearized_rows(sys, z)
+    z = linalg.as_vector(z, dim=sys.ambient_dim)
+    rows, rhs, n_i, _ = _linearized_rows(sys, z)
     try:
-        cert = qp.solve_projection_qp(qp.ProjectionQp(z, A_ineq, b_ineq, A_eq, b_eq))
+        cert = qp._solve(z, rows, rhs, n_i)
     except Infeasible as exc:
         raise LinearizationInfeasible(
             "linearized constraints are infeasible at this point",
@@ -196,11 +193,9 @@ def solve_constraint_system(sys: ConstraintSystem, x0, opts=None) -> IterationTr
 
 def _constraint_rows(sys, x, dq):
     while True:
-        _, A_ineq, b_ineq, A_eq, b_eq, violation = _linearized_rows(sys, x)
+        rows, rhs, n_i, violation = _linearized_rows(sys, x)
         try:
-            cert = qp.solve_projection_qp(
-                qp.ProjectionQp(x, A_ineq, b_ineq, A_eq, b_eq)
-            )
+            cert = qp._solve(x, rows, rhs, n_i)
         except Infeasible:
             return LINEARIZATION_INFEASIBLE
         s = cert.solution - x
@@ -211,7 +206,7 @@ def _constraint_rows(sys, x, dq):
 
 def constraint_violation(sys: ConstraintSystem, x):
     """max(G+, P+, |H|) at x."""
-    return _linearized_rows(sys, x)[-1]
+    return _linearized_rows(sys, linalg.as_vector(x, dim=sys.ambient_dim))[-1]
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, qp
-from .errors import DimensionMismatch, RankDrop, UnsupportedVariant
+from .errors import DimensionMismatch, Infeasible, RankDrop, UnsupportedVariant
 
 ON_SET_TOL = 1e-9
 ACTIVE_TOL = 1e-9
@@ -40,6 +40,14 @@ class NormalCone:
     @property
     def trivial(self):
         return not self.full and self.rays.shape[0] == 0 and self.lineality.shape[0] == 0
+
+
+def _finite(value, field):
+    """value as a float array; a NaN/Inf entry raises ValueError naming the set field."""
+    a = np.asarray(value, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{field} contains NaN/Inf entries")
+    return a
 
 
 class ProjectableSet:
@@ -68,8 +76,8 @@ class ProjectableSet:
 
 class Box(ProjectableSet):
     def __init__(self, lower, upper):
-        self.lower = linalg.as_vector(lower)
-        self.upper = linalg.as_vector(upper, dim=self.lower.shape[0])
+        self.lower = linalg.as_vector(_finite(lower, "box lower"))
+        self.upper = linalg.as_vector(_finite(upper, "box upper"), dim=self.lower.shape[0])
         if np.any(self.lower > self.upper):
             raise ValueError("box lower bound exceeds upper bound")
         self.ambient_dim = self.lower.shape[0]
@@ -98,8 +106,9 @@ class Box(ProjectableSet):
 
 class Ball(ProjectableSet):
     def __init__(self, center, radius):
-        self.center = linalg.as_vector(center)
+        self.center = linalg.as_vector(_finite(center, "ball center"))
         self.radius = float(radius)
+        _finite(self.radius, "ball radius")
         if self.radius <= 0:
             raise ValueError("ball radius must be positive")
         self.ambient_dim = self.center.shape[0]
@@ -142,11 +151,9 @@ class AffineSubspace(ProjectableSet):
     """
 
     def __init__(self, anchor, basis):
-        self.anchor = linalg.as_vector(anchor)
+        self.anchor = linalg.as_vector(_finite(anchor, "affine subspace anchor"))
         self.ambient_dim = self.anchor.shape[0]
-        basis = np.asarray(basis, dtype=float).reshape(-1, self.ambient_dim)
-        if not np.isfinite(basis).all():
-            raise ValueError("affine subspace basis contains NaN/Inf entries")
+        basis = _finite(basis, "affine subspace basis").reshape(-1, self.ambient_dim)
         self._free = _free_coordinates(basis)
         if self._free is None:
             gram = basis @ basis.T
@@ -207,10 +214,11 @@ class Hyperplane(ProjectableSet):
     """{x : <normal, x> = offset}."""
 
     def __init__(self, normal, offset):
-        self.normal = linalg.as_vector(normal)
+        self.normal = linalg.as_vector(_finite(normal, "hyperplane normal"))
         if np.linalg.norm(self.normal) == 0:
             raise ValueError("hyperplane normal must be nonzero")
         self.offset = float(offset)
+        _finite(self.offset, "hyperplane offset")
         self.ambient_dim = self.normal.shape[0]
 
     def project(self, z):
@@ -231,10 +239,11 @@ class Halfspace(ProjectableSet):
     """{x : <normal, x> <= offset}."""
 
     def __init__(self, normal, offset):
-        self.normal = linalg.as_vector(normal)
+        self.normal = linalg.as_vector(_finite(normal, "halfspace normal"))
         if np.linalg.norm(self.normal) == 0:
             raise ValueError("halfspace normal must be nonzero")
         self.offset = float(offset)
+        _finite(self.offset, "halfspace offset")
         self.ambient_dim = self.normal.shape[0]
 
     def project(self, z):
@@ -266,8 +275,9 @@ class Halfspace(ProjectableSet):
 
 class Sphere(ProjectableSet):
     def __init__(self, center, radius):
-        self.center = linalg.as_vector(center)
+        self.center = linalg.as_vector(_finite(center, "sphere center"))
         self.radius = float(radius)
+        _finite(self.radius, "sphere radius")
         if self.radius <= 0:
             raise ValueError("sphere radius must be positive")
         self.ambient_dim = self.center.shape[0]
@@ -295,7 +305,7 @@ class Sphere(ProjectableSet):
 
 class FinitePointSet(ProjectableSet):
     def __init__(self, points):
-        pts = [linalg.as_vector(p) for p in points]
+        pts = [linalg.as_vector(_finite(p, "finite point set points")) for p in points]
         if not pts:
             raise ValueError("finite point set must be nonempty")
         self.points = np.vstack(pts)
@@ -369,7 +379,7 @@ class Polyhedron(ProjectableSet):
     """{x : A_ineq x <= b_ineq, A_eq x = b_eq}; emptiness rejected at construction."""
 
     def __init__(self, A_ineq, b_ineq, A_eq=None, b_eq=None):
-        A_ineq = np.asarray(A_ineq, dtype=float)
+        A_ineq = _finite(A_ineq, "polyhedron A_ineq")
         if A_ineq.ndim != 2:
             raise DimensionMismatch("A_ineq must be 2-D")
         n = A_ineq.shape[1]
@@ -378,12 +388,9 @@ class Polyhedron(ProjectableSet):
         elif A_eq is None or b_eq is None:
             raise ValueError("polyhedron needs both A_eq and b_eq, or neither")
         self.A_ineq = A_ineq
-        self.b_ineq = np.asarray(b_ineq, dtype=float).reshape(-1)
-        self.A_eq = np.asarray(A_eq, dtype=float).reshape(-1, n)
-        self.b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
-        for name in ("A_ineq", "b_ineq", "A_eq", "b_eq"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"polyhedron {name} contains NaN/Inf entries")
+        self.b_ineq = _finite(b_ineq, "polyhedron b_ineq").reshape(-1)
+        self.A_eq = _finite(A_eq, "polyhedron A_eq").reshape(-1, n)
+        self.b_eq = _finite(b_eq, "polyhedron b_eq").reshape(-1)
         for rhs, rows in (("b_ineq", "A_ineq"), ("b_eq", "A_eq")):
             if getattr(self, rhs).shape[0] != getattr(self, rows).shape[0]:
                 raise DimensionMismatch(f"polyhedron {rhs} needs one entry per row of {rows}")
@@ -442,8 +449,8 @@ def check_transversality(a: NormalConeProbe, b: NormalConeProbe) -> Transversali
     """Decide whether N_A(p) intersects -N_B(p) only at the origin.
 
     Both probes must sit at the same point.  Pure-subspace cases are
-    decided by rank; cones bring in small LP feasibility problems over
-    the generator descriptions.
+    decided by rank; cones bring in small feasibility problems over the
+    generator descriptions, each decided by the nearest-point QP.
     """
     if np.linalg.norm(a.point - b.point) > ON_SET_TOL:
         raise ValueError("probes must be at the same point")
@@ -483,38 +490,33 @@ def _subspace_intersection(La, Lb):
 
 
 def _cone_intersection(na: NormalCone, nb: NormalCone):
-    from scipy.optimize import linprog
-
     n = na.dim
     # variables: [wa (>=0), ya (free), wb (>=0), yb (free)]
     ka, ma = na.rays.shape[0], na.lineality.shape[0]
     kb, mb = nb.rays.shape[0], nb.lineality.shape[0]
     nv = ka + ma + kb + mb
-    blocks = np.hstack(
-        [na.rays.T, na.lineality.T, nb.rays.T, nb.lineality.T]
-    ) if nv else np.zeros((n, 0))
-    bounds = (
-        [(0, None)] * ka + [(None, None)] * ma + [(0, None)] * kb + [(None, None)] * mb
-    )
+    blocks = np.hstack([na.rays.T, na.lineality.T, nb.rays.T, nb.lineality.T])
+    a_cols = blocks[:, : ka + ma]
+    # -lambda_i <= 0 on the ray coefficients wa and wb, then blocks lambda = 0
+    fixed = np.vstack([-np.eye(nv)[np.r_[0:ka, ka + ma:ka + ma + kb]], blocks])
+    rhs = np.append(np.zeros(ka + kb + n), 1.0)
     # a nonzero common v must have positive inner product with a generator
     # of its own description, so normalizing against each generator of the
     # A side (rays, +/- lineality) covers every nonzero candidate
     candidates = [r for r in na.rays] + [l for l in na.lineality] + [
         -l for l in na.lineality
     ]
-    a_cols = np.hstack([na.rays.T, na.lineality.T]) if ka + ma else np.zeros((n, 0))
     for g in candidates:
         norm_row = np.concatenate([g @ a_cols, np.zeros(kb + mb)])
-        A_eq = np.vstack([blocks, norm_row[None, :]])
-        b_eq = np.concatenate([np.zeros(n), [1.0]])
-        res = linprog(
-            np.zeros(nv), A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs"
-        )
-        if res.status == 0:
-            sol = res.x
-            v = a_cols @ sol[: ka + ma]
-            if np.linalg.norm(v) > 1e-9:
-                return TransversalityResult(False, v)
+        # {lambda : fixed rows, norm_row lambda = 1} is nonempty exactly when
+        # its min-norm point exists; Infeasible rules g out
+        try:
+            sol = qp._solve(np.zeros(nv), np.vstack([fixed, norm_row]), rhs, ka + kb).solution
+        except Infeasible:
+            continue
+        v = a_cols @ sol[: ka + ma]
+        if np.linalg.norm(v) > 1e-9:
+            return TransversalityResult(False, v)
     return TransversalityResult(True)
 
 

@@ -6,6 +6,34 @@ import pytest
 from altproj import IterationTrace, set_from_json
 from altproj.cli import bundled_problem_path, load_problem, main
 
+NAN, INF = float("nan"), float("inf")
+POLYHEDRON = {"type": "polyhedron", "A_ineq": [[1, 0]], "b_ineq": [1], "A_eq": [[0, 1]], "b_eq": [0]}
+# (set JSON, the field its error names, test id)
+NON_FINITE_FIELDS = [
+    (dict(POLYHEDRON, A_ineq=[[NAN, 0]]), "polyhedron A_ineq", "A_ineq"),
+    (dict(POLYHEDRON, b_ineq=[NAN]), "polyhedron b_ineq", "b_ineq"),
+    (dict(POLYHEDRON, A_eq=[[0, INF]]), "polyhedron A_eq", "A_eq"),
+    (dict(POLYHEDRON, b_eq=[-INF]), "polyhedron b_eq", "b_eq"),
+    ({"type": "box", "lower": [NAN, 0], "upper": [1, 1]}, "box lower", "box-lower"),
+    ({"type": "box", "lower": [0, 0], "upper": [1, INF]}, "box upper", "box-upper"),
+    ({"type": "ball", "center": [INF, 0], "radius": 1}, "ball center", "ball-center"),
+    ({"type": "ball", "center": [0, 0], "radius": NAN}, "ball radius", "ball-radius"),
+    ({"type": "sphere", "center": [0, NAN], "radius": 1}, "sphere center", "sphere-center"),
+    ({"type": "sphere", "center": [0, 0], "radius": INF}, "sphere radius", "sphere-radius"),
+    ({"type": "affine_subspace", "anchor": [NAN, 0], "basis": [[1, 0]]}, "affine subspace anchor",
+     "affine-anchor"),
+    ({"type": "hyperplane", "normal": [1, INF], "offset": 0}, "hyperplane normal",
+     "hyperplane-normal"),
+    ({"type": "hyperplane", "normal": [1, 0], "offset": NAN}, "hyperplane offset",
+     "hyperplane-offset"),
+    ({"type": "halfspace", "normal": [NAN, 1], "offset": 0}, "halfspace normal",
+     "halfspace-normal"),
+    ({"type": "halfspace", "normal": [1, 0], "offset": -INF}, "halfspace offset",
+     "halfspace-offset"),
+    ({"type": "finite_point_set", "points": [[0, 0], [1, NAN]]}, "finite point set points",
+     "finite-points"),
+]
+
 TWO_LINES = {
     "kind": "two_sets",
     "Q": {"type": "affine_subspace", "anchor": [0, 0], "basis": [[1, 0]]},
@@ -103,14 +131,15 @@ class TestSolve:
         assert main(["solve", "--problem", path]) == 1
         assert "basis contains NaN/Inf" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["A_ineq", "b_ineq"])
-    def test_non_finite_polyhedron_names_it(self, tmp_path, capsys, field):
-        prob = dict(TWO_LINES)
-        prob["Q"] = {"type": "polyhedron", "A_ineq": [[1, 0]], "b_ineq": [1]}
-        prob["Q"][field] = [[float("nan"), 0]] if field == "A_ineq" else [float("nan")]
+    @pytest.mark.parametrize(
+        "Q, field", [pytest.param(q, field, id=i) for q, field, i in NON_FINITE_FIELDS]
+    )
+    def test_non_finite_polyhedron_names_it(self, tmp_path, capsys, Q, field):
+        # every set field, not only the polyhedron's: exit 1 naming the field
+        prob = dict(TWO_LINES, Q=Q)
         path = write_problem(tmp_path, prob)
         assert main(["solve", "--problem", path]) == 1
-        assert f"polyhedron {field} contains NaN/Inf" in capsys.readouterr().err
+        assert f"{field} contains NaN/Inf" in capsys.readouterr().err
 
     def test_incompatible_scheme(self, tmp_path, capsys):
         path = write_problem(tmp_path, TWO_LINES)

@@ -13,7 +13,6 @@ from altproj import (
     SolveOptions,
     chart_projection_oracle,
     faithful_projection,
-    gauss_newton_step,
     normal_space_basis,
     run_approximate,
     run_exact,
@@ -21,6 +20,7 @@ from altproj import (
     verify_faithfulness,
 )
 from altproj.errors import InsufficientData, LeftChart, RankDeficient
+from altproj.inclusion import gauss_newton_step
 
 # F(t) = (t, t^2), the standard parabola chart
 PARABOLA = PolyMap(1, [[Monomial(1, (1,))], [Monomial(1, (2,))]])

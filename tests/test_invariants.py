@@ -1,37 +1,147 @@
 """Invariants the theory guarantees, as property tests.
 
-Projections onto closed convex sets are idempotent and nonexpansive.
+Projections onto closed sets are idempotent, and onto closed convex sets
+nonexpansive.  Exact alternating projections between any two closed sets
+never increase the gap: |z' - x'| <= |z' - x| <= |z - x| because each new
+point is nearest to the last among points that include the old one.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from altproj import Polyhedron
+from altproj import (
+    AffineSubspace,
+    Ball,
+    Box,
+    FinitePointSet,
+    FixedRankMatrices,
+    Halfspace,
+    Hyperplane,
+    InexactProjector,
+    Polyhedron,
+    SolveOptions,
+    Sphere,
+    run_exact,
+    run_inexact,
+)
+from altproj import qp
+
+CONVEX = ["box", "ball", "affine_subspace", "hyperplane", "halfspace", "polyhedron"]
+NONCONVEX = ["sphere", "finite_point_set", "fixed_rank_matrices"]
+# Polyhedron projection has its own class below, with m up to 4n
+OTHER_CONVEX = [k for k in CONVEX if k != "polyhedron"]
 
 
-@st.composite
-def polyhedra_and_points(draw):
-    """A nonempty polyhedron in R^n, n <= 10, with up to 4n inequality and 0-2 equality rows."""
-    n = draw(st.integers(1, 10))
-    m = draw(st.integers(0, 4 * n))
-    n_eq = draw(st.integers(0, min(2, n)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def _polyhedron(n, rng):
+    """A nonempty polyhedron in R^n with up to 4n inequality and 0-2 equality rows."""
+    m = rng.integers(0, 4 * n + 1)
+    n_eq = rng.integers(0, min(2, n) + 1)
     x_feas = rng.standard_normal(n)
     A = rng.standard_normal((m, n))
     C = rng.standard_normal((n_eq, n))
-    P = Polyhedron(A, A @ x_feas + rng.uniform(0.0, 1.0, m), C, C @ x_feas)
-    return P, rng.standard_normal(n) * 2, rng.standard_normal(n) * 2
+    return Polyhedron(A, A @ x_feas + rng.uniform(0.0, 1.0, m), C, C @ x_feas)
+
+
+def _random_set(kind, n, rng):
+    """A random set of one of the nine variants in R^n."""
+    c = rng.standard_normal(n)
+    if kind == "box":
+        return Box(c, c + rng.uniform(0.0, 2.0, n))
+    if kind == "ball":
+        return Ball(c, rng.uniform(0.1, 3.0))
+    if kind == "sphere":
+        return Sphere(c, rng.uniform(0.1, 3.0))
+    if kind == "affine_subspace":
+        k = rng.integers(0, n + 1)
+        return AffineSubspace(c, np.linalg.qr(rng.standard_normal((n, k)))[0].T)
+    if kind == "hyperplane":
+        return Hyperplane(rng.standard_normal(n), rng.standard_normal())
+    if kind == "halfspace":
+        return Halfspace(rng.standard_normal(n), rng.standard_normal())
+    if kind == "finite_point_set":
+        return FinitePointSet(rng.standard_normal((rng.integers(1, 7), n)) * 2)
+    if kind == "fixed_rank_matrices":
+        rows = int(rng.choice([d for d in range(1, n + 1) if n % d == 0]))
+        cols = n // rows
+        return FixedRankMatrices(rows, cols, rng.integers(1, min(rows, cols) + 1))
+    return _polyhedron(n, rng)
+
+
+@st.composite
+def sets_and_points(draw, kind):
+    """A random set of the given kind in R^n, n <= 10, and two points z, w to project.
+
+    w is z moved by 1e-3 to 10 times a Gaussian step, so that some pairs
+    land close together on the same face of the set.
+    """
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    S = _random_set(kind, n, rng)
+    z = rng.standard_normal(n) * 2
+    return S, z, z + 10.0 ** rng.uniform(-3, 1) * rng.standard_normal(n)
+
+
+@st.composite
+def pairs_and_starts(draw):
+    """Two random sets Q, M drawn from the nine variants in R^n, n <= 8, and a start."""
+    kinds = st.sampled_from(CONVEX + NONCONVEX)
+    q_kind, m_kind = draw(kinds), draw(kinds)
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _random_set(q_kind, n, rng), _random_set(m_kind, n, rng), rng.standard_normal(n) * 2
 
 
 class TestPolyhedronProjection:
-    @given(case=polyhedra_and_points())
+    @given(case=sets_and_points("polyhedron"))
     def test_idempotent(self, case):
         P, z, _ = case
         x = P.project(z)
         np.testing.assert_allclose(P.project(x), x, atol=1e-9)
 
-    @given(case=polyhedra_and_points())
+    @given(case=sets_and_points("polyhedron"))
     def test_nonexpansive(self, case):
         P, z, w = case
         assert np.linalg.norm(P.project(z) - P.project(w)) <= np.linalg.norm(z - w) + 1e-9
+
+
+class TestProjection:
+    @pytest.mark.parametrize("kind", OTHER_CONVEX + NONCONVEX)
+    @given(data=st.data())
+    def test_idempotent(self, kind, data):
+        S, z, _ = data.draw(sets_and_points(kind))
+        x = S.project(z)
+        np.testing.assert_allclose(S.project(x), x, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", OTHER_CONVEX)
+    @given(data=st.data())
+    def test_nonexpansive(self, kind, data):
+        S, z, w = data.draw(sets_and_points(kind))
+        assert np.linalg.norm(S.project(z) - S.project(w)) <= np.linalg.norm(z - w) + 1e-9
+
+
+OPTS = SolveOptions(gap_tol=1e-10, max_iters=100)
+
+
+class TestDrivers:
+    @given(case=pairs_and_starts())
+    def test_exact_gap_nonincreasing(self, case):
+        Q, M, z0 = case
+        # Polyhedron.project is exact only to qp.FEAS_TOL: the QP never enters
+        # a row violated by less, so near convergence the gap may rise by
+        # about that much (up to 8e-10, in 58 of 20000 random pairs)
+        slack = 2 * qp.FEAS_TOL if isinstance(Q, Polyhedron) or isinstance(M, Polyhedron) else 0.0
+        g = run_exact(Q, M, z0, OPTS).gaps
+        for k in range(len(g) - 1):
+            assert g[k + 1] <= g[k] * (1 + 1e-12) + slack, (k, g[k], g[k + 1])
+
+    @given(case=pairs_and_starts(), seed=st.integers(0, 2**32 - 1))
+    def test_inexact_at_zero_eps_is_exact_bitwise(self, case, seed):
+        Q, M, z0 = case
+        a = run_exact(Q, M, z0, OPTS)
+        b = run_inexact(Q, InexactProjector(M, 0.0, seed), z0, OPTS)
+        assert (a.status, a.initial_projected) == (b.status, b.initial_projected)
+        for col in ("zs", "xs", "gaps", "dist_q", "dist_m"):
+            bits_a, bits_b = (np.asarray(getattr(t, col)).view(np.int64) for t in (a, b))
+            np.testing.assert_array_equal(bits_a, bits_b)

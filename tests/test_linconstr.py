@@ -13,11 +13,15 @@ from altproj import (
     check_licq,
     linearized_projection,
     measure_quadratic_decay,
-    newton_feasibility_step,
     solve_constraint_system,
 )
-from altproj.errors import InsufficientData, LinearizationInfeasible, RankDeficient
-from altproj.linconstr import geometric_path
+from altproj.errors import (
+    DimensionMismatch,
+    InsufficientData,
+    LinearizationInfeasible,
+    RankDeficient,
+)
+from altproj.linconstr import geometric_path, newton_feasibility_step
 from altproj.qp import min_norm_step
 
 CIRCLE = PolyMap(2, [[Monomial(1, (2, 0)), Monomial(1, (0, 2)), Monomial(-1, (0, 0))]])
@@ -81,6 +85,16 @@ class TestLinearizedProjection:
         sys_ = ConstraintSystem(G, PolyMap.empty(2), PolyMap.empty(2), FULL_PLANE, 2)
         with pytest.raises(LinearizationInfeasible):
             linearized_projection(sys_, [0.5, 0.0])
+
+    @pytest.mark.parametrize("run", [linearized_projection, solve_constraint_system],
+                             ids=["linearized_projection", "solve_constraint_system"])
+    def test_overflowing_linearization_raises(self, run):
+        # x1^3 - 1 overflows at x1 = 1e200, so the linearized rows hold Inf
+        G = PolyMap(2, [[Monomial(1, (3, 0)), Monomial(-1, (0, 0))]])
+        sys_ = ConstraintSystem(G, PolyMap.empty(2), PolyMap.empty(2), FULL_PLANE, 2)
+        with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+            with pytest.raises(DimensionMismatch):
+                run(sys_, [1e200, 0.0])
 
 
 class TestNewtonStep:

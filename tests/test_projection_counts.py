@@ -23,9 +23,7 @@ from altproj import (
     SolveOptions,
     check_licq,
     faithful_projection,
-    gauss_newton_step,
     linalg,
-    newton_feasibility_step,
     normal_space_basis,
     run_approximate,
     run_exact,
@@ -33,6 +31,8 @@ from altproj import (
     solve_inclusion,
 )
 from altproj.cli import bundled_problem_path, load_problem
+from altproj.inclusion import gauss_newton_step
+from altproj.linconstr import newton_feasibility_step
 
 TWO_SETS = ["circle_line", "parallel_lines", "two_lines_45deg", "two_lines_60deg"]
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from altproj import ProjectionQp, min_norm_step, solve_projection_qp
+from altproj import ProjectionQp, solve_projection_qp
 from altproj.errors import Infeasible
-from altproj.qp import verify_certificate
+from altproj.qp import min_norm_step, verify_certificate
 
 KEPT_INSTANCE = os.path.join(
     os.path.dirname(__file__), os.pardir, "perfbench", "data", "maxpivots_10x30.json"

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import altproj
@@ -23,6 +23,7 @@ from altproj import (
     set_from_json,
 )
 from altproj.errors import DimensionMismatch, RankDrop
+from altproj.sets import NormalCone, _cone_intersection
 
 RNG = np.random.default_rng(29)
 
@@ -109,16 +110,25 @@ class TestPolyhedron:
             assert np.all(A @ x - b <= 1e-9)
 
     def test_projection_imports_no_scipy(self):
-        # scipy.linalg cost set-up time and memory when the QP imported it
+        # numpy is the only run-time dependency: with scipy blocked, any
+        # import of it raises, and the QP decides both cone cases
         code = (
             "import sys\n"
+            "sys.modules['scipy'] = None\n"
             "import numpy as np\n"
-            "from altproj import Polyhedron, ProjectionQp, solve_projection_qp\n"
+            "from altproj import (Box, Halfspace, NormalConeProbe, Polyhedron, ProjectionQp,\n"
+            "                     check_transversality, solve_projection_qp)\n"
             "P = Polyhedron([[1, 0], [0, 1], [1, 1]], [1, 1, 1.5], [[1, -1]], [0])\n"
             "P.project([3, 2])\n"
             "solve_projection_qp(ProjectionQp([3, 2], [[1, 1]], [1], np.zeros((0, 2)), []))\n"
-            "if 'scipy' in sys.modules:\n"
-            "    sys.exit('scipy was imported')\n"
+            "a = NormalConeProbe(Box([0, 0], [1, 1]), [1, 1])\n"
+            "b = NormalConeProbe(Halfspace([1, 0], 1), [1, 1])\n"
+            "if not check_transversality(a, b).transversal:\n"
+            "    sys.exit('box corner and halfspace should be transversal')\n"
+            "a = NormalConeProbe(Halfspace([1, 0], 0), [0, 0])\n"
+            "b = NormalConeProbe(Halfspace([-1, 0], 0), [0, 0])\n"
+            "if check_transversality(a, b).transversal:\n"
+            "    sys.exit('opposing halfspaces should not be transversal')\n"
         )
         src = os.path.dirname(os.path.dirname(altproj.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -365,6 +375,62 @@ class TestTransversality:
         a = NormalConeProbe(Box([0, 0], [1, 1]), [1, 1])
         b = NormalConeProbe(Halfspace([1.0, 0.0], 1.0), [1, 1])
         assert check_transversality(a, b).transversal
+
+
+def _linprog_transversal(linprog, na, nb):
+    """The cone decision made with scipy's linprog: one feasibility LP per A-side generator."""
+    n = na.dim
+    ka, ma = na.rays.shape[0], na.lineality.shape[0]
+    kb, mb = nb.rays.shape[0], nb.lineality.shape[0]
+    blocks = np.hstack([na.rays.T, na.lineality.T, nb.rays.T, nb.lineality.T])
+    a_cols = blocks[:, : ka + ma]
+    bounds = [(0, None)] * ka + [(None, None)] * ma + [(0, None)] * kb + [(None, None)] * mb
+    for g in [*na.rays, *na.lineality, *(-na.lineality)]:
+        norm_row = np.concatenate([g @ a_cols, np.zeros(kb + mb)])
+        res = linprog(np.zeros(blocks.shape[1]), A_eq=np.vstack([blocks, norm_row]),
+                      b_eq=np.append(np.zeros(n), 1.0), bounds=bounds, method="highs")
+        if res.status == 0 and np.linalg.norm(a_cols @ res.x[: ka + ma]) > 1e-9:
+            return False
+    return True
+
+
+def _cone_residual(nnls, v, cone):
+    """Distance from v to cone(rays) + span(lineality), by nonnegative least squares."""
+    gens = np.vstack([cone.rays, cone.lineality, -cone.lineality])
+    return nnls(gens.T, v)[1]
+
+
+@st.composite
+def _cone_pairs(draw):
+    """Normal cones N_A, N_B in R^n, n <= 6, with up to 4 rays and 2 lineality rows each.
+
+    At least one side has rays, as check_transversality requires.
+    Integer generators in [-2, 2] bring zero, repeated and opposite rows;
+    Gaussian ones are in general position.
+    """
+    n = draw(st.integers(1, 6))
+    ka, ma, kb, mb = (draw(st.integers(0, k)) for k in (4, 2, 4, 2))
+    assume(ka + kb > 0 and ka + ma > 0 and kb + mb > 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        ra, la, rb, lb = (rng.integers(-2, 3, (k, n)).astype(float) for k in (ka, ma, kb, mb))
+    else:
+        ra, la, rb, lb = (rng.standard_normal((k, n)) for k in (ka, ma, kb, mb))
+    return NormalCone(n, ra, la), NormalCone(n, rb, lb)
+
+
+class TestConeDecisions:
+    """The QP decides each cone case as linprog did, with a witness in N_A and in -N_B."""
+
+    @given(pair=_cone_pairs())
+    def test_agrees_with_linprog(self, pair):
+        optimize = pytest.importorskip("scipy.optimize")
+        na, nb = pair
+        res = _cone_intersection(na, nb)
+        assert res.transversal == _linprog_transversal(optimize.linprog, na, nb)
+        if not res.transversal:
+            assert _cone_residual(optimize.nnls, res.witness, na) <= 1e-8
+            assert _cone_residual(optimize.nnls, -res.witness, nb) <= 1e-8
 
 
 class TestJson:
