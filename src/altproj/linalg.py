@@ -13,14 +13,19 @@ from .errors import DimensionMismatch, NonConvergence, RankDeficient
 RANK_TOL = 1e-10   # relative threshold on singular values
 
 
-def as_vector(x, dim=None):
-    """Coerce to a finite 1-D float array, checking dimension if given."""
+def as_vector(x, dim=None, field=None):
+    """Coerce to a finite 1-D float array, checking dimension if given.
+
+    NaN/Inf raises DimensionMismatch, or ValueError naming a set's input field.
+    """
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1:
         raise DimensionMismatch(f"expected a vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.shape[0]}")
     if not np.all(np.isfinite(v)):
+        if field is not None:
+            raise ValueError(f"{field} contains NaN/Inf entries")
         raise DimensionMismatch("vector contains NaN/Inf entries")
     return v
 

@@ -53,15 +53,11 @@ class ProjectionQp:
         self.A_ineq = linalg.as_matrix(
             np.asarray(self.A_ineq, dtype=float).reshape(-1, n), cols=n
         )
-        self.b_ineq = linalg.as_vector(
-            np.asarray(self.b_ineq, dtype=float).reshape(-1), dim=self.A_ineq.shape[0]
-        ) if self.A_ineq.shape[0] else np.zeros(0)
+        self.b_ineq = linalg.as_vector(np.reshape(self.b_ineq, -1), dim=self.A_ineq.shape[0])
         self.A_eq = linalg.as_matrix(
             np.asarray(self.A_eq, dtype=float).reshape(-1, n), cols=n
         )
-        self.b_eq = linalg.as_vector(
-            np.asarray(self.b_eq, dtype=float).reshape(-1), dim=self.A_eq.shape[0]
-        ) if self.A_eq.shape[0] else np.zeros(0)
+        self.b_eq = linalg.as_vector(np.reshape(self.b_eq, -1), dim=self.A_eq.shape[0])
 
     @property
     def dim(self):
@@ -213,19 +209,13 @@ def min_norm_step(A_ineq, b_ineq, A_eq, b_eq) -> np.ndarray:
 def verify_certificate(p: ProjectionQp, cert: KktCertificate, tol=FEAS_TOL):
     """Independent KKT check; returns the max violation across conditions."""
     x, w, s, y = cert.solution, cert.ineq_multipliers, cert.slacks, cert.eq_multipliers
-    v = 0.0
-    if p.A_ineq.shape[0]:
-        v = max(v, float(np.max(p.A_ineq @ x - p.b_ineq, initial=0.0)))
-        v = max(v, float(np.max(-w, initial=0.0)))
-        v = max(v, float(np.max(-s, initial=0.0)))
-        v = max(v, abs(float(w @ s)))
-        v = max(v, float(np.max(np.abs(p.b_ineq - p.A_ineq @ x - s))))
-    if p.A_eq.shape[0]:
-        v = max(v, float(np.max(np.abs(p.A_eq @ x - p.b_eq))))
-    stat = x - p.target
-    if p.A_ineq.shape[0]:
-        stat = stat + p.A_ineq.T @ w
-    if p.A_eq.shape[0]:
-        stat = stat + p.A_eq.T @ y
-    v = max(v, float(np.linalg.norm(stat)))
-    return v
+    stat = x - p.target + p.A_ineq.T @ w + p.A_eq.T @ y
+    return max(
+        float(np.max(p.A_ineq @ x - p.b_ineq, initial=0.0)),
+        float(np.max(-w, initial=0.0)),
+        float(np.max(-s, initial=0.0)),
+        abs(float(w @ s)),
+        float(np.max(np.abs(p.b_ineq - p.A_ineq @ x - s), initial=0.0)),
+        float(np.max(np.abs(p.A_eq @ x - p.b_eq), initial=0.0)),
+        float(np.linalg.norm(stat)),
+    )

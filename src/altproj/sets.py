@@ -76,8 +76,8 @@ class ProjectableSet:
 
 class Box(ProjectableSet):
     def __init__(self, lower, upper):
-        self.lower = linalg.as_vector(_finite(lower, "box lower"))
-        self.upper = linalg.as_vector(_finite(upper, "box upper"), dim=self.lower.shape[0])
+        self.lower = linalg.as_vector(lower, field="box lower")
+        self.upper = linalg.as_vector(upper, dim=self.lower.shape[0], field="box upper")
         if np.any(self.lower > self.upper):
             raise ValueError("box lower bound exceeds upper bound")
         self.ambient_dim = self.lower.shape[0]
@@ -106,7 +106,7 @@ class Box(ProjectableSet):
 
 class Ball(ProjectableSet):
     def __init__(self, center, radius):
-        self.center = linalg.as_vector(_finite(center, "ball center"))
+        self.center = linalg.as_vector(center, field="ball center")
         self.radius = float(radius)
         _finite(self.radius, "ball radius")
         if self.radius <= 0:
@@ -151,7 +151,7 @@ class AffineSubspace(ProjectableSet):
     """
 
     def __init__(self, anchor, basis):
-        self.anchor = linalg.as_vector(_finite(anchor, "affine subspace anchor"))
+        self.anchor = linalg.as_vector(anchor, field="affine subspace anchor")
         self.ambient_dim = self.anchor.shape[0]
         basis = _finite(basis, "affine subspace basis").reshape(-1, self.ambient_dim)
         self._free = _free_coordinates(basis)
@@ -214,7 +214,7 @@ class Hyperplane(ProjectableSet):
     """{x : <normal, x> = offset}."""
 
     def __init__(self, normal, offset):
-        self.normal = linalg.as_vector(_finite(normal, "hyperplane normal"))
+        self.normal = linalg.as_vector(normal, field="hyperplane normal")
         if np.linalg.norm(self.normal) == 0:
             raise ValueError("hyperplane normal must be nonzero")
         self.offset = float(offset)
@@ -239,7 +239,7 @@ class Halfspace(ProjectableSet):
     """{x : <normal, x> <= offset}."""
 
     def __init__(self, normal, offset):
-        self.normal = linalg.as_vector(_finite(normal, "halfspace normal"))
+        self.normal = linalg.as_vector(normal, field="halfspace normal")
         if np.linalg.norm(self.normal) == 0:
             raise ValueError("halfspace normal must be nonzero")
         self.offset = float(offset)
@@ -275,7 +275,7 @@ class Halfspace(ProjectableSet):
 
 class Sphere(ProjectableSet):
     def __init__(self, center, radius):
-        self.center = linalg.as_vector(_finite(center, "sphere center"))
+        self.center = linalg.as_vector(center, field="sphere center")
         self.radius = float(radius)
         _finite(self.radius, "sphere radius")
         if self.radius <= 0:
@@ -305,7 +305,7 @@ class Sphere(ProjectableSet):
 
 class FinitePointSet(ProjectableSet):
     def __init__(self, points):
-        pts = [linalg.as_vector(_finite(p, "finite point set points")) for p in points]
+        pts = [linalg.as_vector(p, field="finite point set points") for p in points]
         if not pts:
             raise ValueError("finite point set must be nonempty")
         self.points = np.vstack(pts)
@@ -489,8 +489,15 @@ def _subspace_intersection(La, Lb):
     return TransversalityResult(False, v)
 
 
+def _unit_rows(G):
+    """The nonzero rows of G at unit norm: the same cone, on the QP's FEAS_TOL scale."""
+    norms = np.linalg.norm(G, axis=1)
+    return G[norms > 0] / norms[norms > 0, None]
+
+
 def _cone_intersection(na: NormalCone, nb: NormalCone):
     n = na.dim
+    na, nb = (NormalCone(n, _unit_rows(c.rays), _unit_rows(c.lineality)) for c in (na, nb))
     # variables: [wa (>=0), ya (free), wb (>=0), yb (free)]
     ka, ma = na.rays.shape[0], na.lineality.shape[0]
     kb, mb = nb.rays.shape[0], nb.lineality.shape[0]

@@ -376,6 +376,13 @@ class TestTransversality:
         b = NormalConeProbe(Halfspace([1.0, 0.0], 1.0), [1, 1])
         assert check_transversality(a, b).transversal
 
+    def test_large_rows_keep_decision(self):
+        # N = cone{e1} on both sides meets -N only at 0, whatever the row's scale
+        P = Polyhedron([[1e5, 0]], [0])
+        a = NormalConeProbe(P, [0, 0])
+        b = NormalConeProbe(P, [0, 0])
+        assert check_transversality(a, b).transversal
+
 
 def _linprog_transversal(linprog, na, nb):
     """The cone decision made with scipy's linprog: one feasibility LP per A-side generator."""
@@ -406,7 +413,9 @@ def _cone_pairs(draw):
 
     At least one side has rays, as check_transversality requires.
     Integer generators in [-2, 2] bring zero, repeated and opposite rows;
-    Gaussian ones are in general position.
+    Gaussian ones are in general position.  Returns the pair twice: as
+    drawn, and with each row scaled by 10**uniform(-6, 6), which describes
+    the same cones.
     """
     n = draw(st.integers(1, 6))
     ka, ma, kb, mb = (draw(st.integers(0, k)) for k in (4, 2, 4, 2))
@@ -416,17 +425,24 @@ def _cone_pairs(draw):
         ra, la, rb, lb = (rng.integers(-2, 3, (k, n)).astype(float) for k in (ka, ma, kb, mb))
     else:
         ra, la, rb, lb = (rng.standard_normal((k, n)) for k in (ka, ma, kb, mb))
-    return NormalCone(n, ra, la), NormalCone(n, rb, lb)
+    scaled = [G * 10.0 ** rng.uniform(-6, 6, (G.shape[0], 1)) for G in (ra, la, rb, lb)]
+    return (NormalCone(n, ra, la), NormalCone(n, rb, lb)), (
+        NormalCone(n, *scaled[:2]), NormalCone(n, *scaled[2:])
+    )
 
 
 class TestConeDecisions:
-    """The QP decides each cone case as linprog did, with a witness in N_A and in -N_B."""
+    """The QP decides each cone case as linprog did, with a witness in N_A and in -N_B.
 
-    @given(pair=_cone_pairs())
-    def test_agrees_with_linprog(self, pair):
+    The QP sees the rescaled rows; linprog and the witness checks see the
+    rows as drawn.
+    """
+
+    @given(pairs=_cone_pairs())
+    def test_agrees_with_linprog(self, pairs):
         optimize = pytest.importorskip("scipy.optimize")
-        na, nb = pair
-        res = _cone_intersection(na, nb)
+        (na, nb), scaled = pairs
+        res = _cone_intersection(*scaled)
         assert res.transversal == _linprog_transversal(optimize.linprog, na, nb)
         if not res.transversal:
             assert _cone_residual(optimize.nnls, res.witness, na) <= 1e-8
