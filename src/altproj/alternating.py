@@ -154,9 +154,9 @@ class InexactProjector:
 class ApproximateProjector:
     """Base-point approximate projection onto a set M, keeping iterates on M.
 
-    start(z0) checks the starting point and returns it with its distance
-    to M; step(z, y) returns the next point z' in M approximating P_M(y),
-    given the previous iterate z in M.
+    start(z0) returns the first iterate on M for the start z0 with its
+    dist_M record; step(z, y) returns the next point z' in M approximating
+    P_M(y), given the previous iterate z in M.
     """
 
     def start(self, z0):
@@ -173,11 +173,8 @@ class ExactApproximateProjector(ApproximateProjector):
         self.set = set_m
 
     def start(self, z0):
-        z0 = np.asarray(z0, dtype=float)
-        d = self.set.distance(z0)
-        if d > 1e-9:
-            raise ValueError("starting point must lie on M")
-        return z0, d
+        """P_M(z0), which lies on M, as run_inexact projects its start onto Q."""
+        return self.set.project(z0), 0.0
 
     def step(self, z, y):
         return self.set.project(y)

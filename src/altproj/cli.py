@@ -136,9 +136,7 @@ def run_problem(prob: ProblemFile, scheme=None, seed=None) -> IterationTrace:
         if scheme == "inexact":
             proj = InexactProjector(M, prob.options.epsilon, seed)
             return alternating.run_inexact(Q, proj, prob.start, prob.options)
-        return alternating.run_approximate(
-            ExactApproximateProjector(M), Q, M.project(prob.start), prob.options
-        )
+        return alternating.run_approximate(ExactApproximateProjector(M), Q, prob.start, prob.options)
     if prob.kind == "constraint_system":
         return linconstr.solve_constraint_system(prob.payload, prob.start, prob.options)
     # inclusion kind
@@ -150,8 +148,7 @@ def run_problem(prob: ProblemFile, scheme=None, seed=None) -> IterationTrace:
         )
     chart = ManifoldChart(prob.payload.F, *prob.chart_bounds)
     projector = ChartApproximateProjector(chart, prob.start)
-    z0 = prob.payload.F.eval(prob.start)
-    return alternating.run_approximate(projector, prob.payload.Q, z0, prob.options)
+    return alternating.run_approximate(projector, prob.payload.Q, projector.fx, prob.options)
 
 
 def _status_exit(status):

@@ -78,10 +78,9 @@ class ManifoldChart:
 
 def gauss_newton_step(p: InclusionProblem, x):
     """One linearized step: y = P_Q(F(x)), s = argmin |F(x) + J s - y|."""
-    x = linalg.as_vector(x, dim=p.F.input_dim)
-    fx = p.F.eval(x)
+    fx, J = p.F._linearize(x)
     y = p.Q.project(fx)
-    return linalg.least_squares(p.F.jacobian(x), y - fx), y
+    return linalg.least_squares(J, y - fx), y
 
 
 def solve_inclusion(p: InclusionProblem, x0, opts=None) -> IterationTrace:
@@ -97,12 +96,12 @@ def solve_inclusion(p: InclusionProblem, x0, opts=None) -> IterationTrace:
 
 def _inclusion_rows(p, x):
     while True:
-        fx = p.F.eval(x)
+        fx, J = p.F._linearize(x)
         y = p.Q.project(fx)
         gap = float(np.linalg.norm(fx - y))
         yield x, y, gap, gap, float("nan")
         try:
-            x = x + linalg.least_squares(p.F.jacobian(x), y - fx)
+            x = x + linalg.least_squares(J, y - fx)
         except RankDeficient:
             return RANK_DEFICIENT
 
@@ -110,17 +109,12 @@ def _inclusion_rows(p, x):
 def faithful_projection(chart: ManifoldChart, x, y):
     """Phi(F(x), y) = F(x + s), s minimizing |F(x) + grad F(x) s - y|.
 
-    The result lies on M = F(U) exactly.  Raises LeftChart when the
-    updated coordinates exit the chart box.
+    One ChartApproximateProjector step from the coordinates x.  The
+    result lies on M = F(U) exactly.  Raises LeftChart when x or the
+    updated coordinates lie outside the chart box.
     """
-    x = linalg.as_vector(x, dim=chart.F.input_dim)
-    if not chart.contains(x):
-        raise LeftChart("base coordinates outside the chart domain")
-    y = linalg.as_vector(y, dim=chart.F.output_dim)
-    xs = x + linalg.least_squares(chart.F.jacobian(x), y - chart.F.eval(x))
-    if not chart.contains(xs):
-        raise LeftChart("updated coordinates left the chart domain")
-    return chart.F.eval(xs)
+    projector = ChartApproximateProjector(chart, x)
+    return projector.step(projector.fx, linalg.as_vector(y, dim=chart.F.output_dim))
 
 
 def normal_space_basis(chart: ManifoldChart, x):
@@ -134,32 +128,31 @@ def normal_space_basis(chart: ManifoldChart, x):
 class ChartApproximateProjector(ApproximateProjector):
     """Adapter running Algorithm-style approximate projections on a chart.
 
-    Tracks the coordinates of the current iterate and their image under
-    F, so each step solves one least-squares problem in chart coordinates
-    and evaluates F once.
+    Keeps the coordinates of the current iterate with its image fx = F(coords)
+    and the Jacobian J there, from one linearization at construction and
+    one after each step; each step solves one least-squares problem in
+    chart coordinates.
     """
 
     def __init__(self, chart: ManifoldChart, x0):
         self.chart = chart
         self.coords = linalg.as_vector(x0, dim=chart.F.input_dim)
         if not chart.contains(self.coords):
-            raise LeftChart("initial coordinates outside the chart domain")
+            raise LeftChart("coordinates outside the chart domain")
+        self.fx, self.J = chart.F._linearize(self.coords)
 
     def start(self, z0):
         z0 = np.asarray(z0, dtype=float)
-        self.fx = self.chart.F.eval(self.coords)
         if np.linalg.norm(self.fx - z0) > 1e-9:
             raise ValueError("z0 does not match the chart coordinates")
         return z0, 0.0
 
     def step(self, z, y):
-        coords = self.coords + linalg.least_squares(
-            self.chart.F.jacobian(self.coords), y - self.fx
-        )
+        coords = self.coords + linalg.least_squares(self.J, y - self.fx)
         if not self.chart.contains(coords):
-            raise LeftChart("iterate left the chart domain")
+            raise LeftChart("step left the chart domain")
         self.coords = coords
-        self.fx = self.chart.F.eval(coords)
+        self.fx, self.J = self.chart.F._linearize(coords)
         return self.fx
 
 
@@ -179,8 +172,8 @@ def chart_projection_oracle(chart: ManifoldChart, y, samples=10_000, bisections=
         return float(d @ d)
 
     def stat(t):
-        tv = np.array([t])
-        return float(chart.F.jacobian(tv)[:, 0] @ (chart.F.eval(tv) - y))
+        fx, J = chart.F._linearize(np.array([t]))
+        return float(J[:, 0] @ (fx - y))
 
     d2 = np.array([dist2(t) for t in ts])
     i = int(np.argmin(d2))
@@ -211,7 +204,8 @@ def verify_faithfulness(
 ):
     """Ratio sequence |z_hat_k - Phi(z_k, y_k)| / |y_k - z_k|.
 
-    base_coords are chart coordinates of the base points z_k on M;
+    base_coords are chart coordinates of the base points z_k on M, each
+    linearized once (LeftChart if one lies outside the chart box);
     queries are the off-manifold points y_k; exact_projections are the
     corresponding nearest points on M (supplied by an independent
     oracle).  Pairs whose angle between z_k - y_k and z_hat_k - y_k is
@@ -219,21 +213,20 @@ def verify_faithfulness(
     """
     if len(base_coords) != len(queries) or len(queries) != len(exact_projections):
         raise DimensionMismatch("sequences must have equal length")
+    bases = [ChartApproximateProjector(chart, x) for x in base_coords]
     gaps = [
-        float(np.linalg.norm(np.asarray(y, dtype=float) - chart.F.eval(x)))
-        for x, y in zip(base_coords, queries)
+        float(np.linalg.norm(np.asarray(y, dtype=float) - base.fx))
+        for base, y in zip(bases, queries)
     ]
     if len(gaps) >= 2 and gaps[-1] > 0.5 * gaps[0]:
         raise ValueError(
             "query sequence does not approach the base points: |y-z| is not shrinking"
         )
     ratios = []
-    for x, y, zhat in zip(base_coords, queries, exact_projections):
-        x = linalg.as_vector(x, dim=chart.F.input_dim)
+    for base, y, zhat in zip(bases, queries, exact_projections):
         y = linalg.as_vector(y, dim=chart.F.output_dim)
         zhat = linalg.as_vector(zhat, dim=chart.F.output_dim)
-        z = chart.F.eval(x)
-        u = z - y
+        u = base.fx - y
         v = zhat - y
         nu, nv = np.linalg.norm(u), np.linalg.norm(v)
         if nu == 0.0 or nv == 0.0:
@@ -243,7 +236,7 @@ def verify_faithfulness(
         if angle < angle_floor:
             ratios.append(None)
             continue
-        phi = faithful_projection(chart, x, y)
+        phi = base.step(base.fx, y)
         ratios.append(float(np.linalg.norm(zhat - phi) / nu))
     kept = [r for r in ratios if r is not None]
     if not kept:

@@ -101,8 +101,7 @@ def _linearized_rows(sys: ConstraintSystem, z):
     violation = 0.0
     for m, equality in ((sys.G, False), (sys.P, False), (sys.H, True)):
         if m.output_dim:
-            J = m.jacobian(z)
-            v = m.eval(z)
+            v, J = m._linearize(z)
             blocks.append(J)
             rhs.append(J @ z - v)
             violation = max(violation, float(np.max(np.abs(v) if equality else v, initial=0.0)))
@@ -140,16 +139,11 @@ def newton_feasibility_step(sys: ConstraintSystem, z):
     the SVD of its transpose that the rank test returns.
     """
     z = linalg.as_vector(z, dim=sys.ambient_dim)
-    vals = []
-    jacs = []
-    for m in (sys.G, sys.H):
-        if m.output_dim:
-            vals.append(m.eval(z))
-            jacs.append(m.jacobian(z))
-    if not vals:
+    blocks = [m._linearize(z) for m in (sys.G, sys.H) if m.output_dim]
+    if not blocks:
         return z.copy()
-    a = np.concatenate(vals)
-    J = np.vstack(jacs)
+    a = np.concatenate([v for v, _ in blocks])
+    J = np.vstack([J for _, J in blocks])
     U, sigma, V = linalg.require_full_column_rank(
         J.T, "stacked (G, H) Jacobian is not full row rank"
     )
@@ -161,8 +155,7 @@ def check_licq(sys: ConstraintSystem, x, active_tol=DEFAULT_ACTIVE_TOL) -> LicqR
     x = linalg.as_vector(x, dim=sys.ambient_dim)
     rows = []
     if sys.G.output_dim:
-        g = sys.G.eval(x)
-        JG = sys.G.jacobian(x)
+        g, JG = sys.G._linearize(x)
         for i in range(sys.G.output_dim):
             if abs(g[i]) <= active_tol:
                 rows.append(JG[i])

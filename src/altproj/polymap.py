@@ -41,15 +41,19 @@ class PolyMap:
     components[j] is the list of Monomials of output coordinate j.
     output_dim = 0 (an empty constraint block) is legal everywhere.
 
-    The constructor compiles the monomials, in order, into arrays: a
-    coefficient per term, a T x n exponent matrix and the output index of
-    each term, plus one derivative entry per (term, variable with positive
-    exponent) holding the reduced exponent row, the coefficient c * e_i and
-    the Jacobian entry out * n + i.  eval and jacobian look the factors up
-    in a per-call table of x_k**d with one entry per distinct (k, d) that
-    occurs, so its size does not grow with an exponent's value.  They
-    multiply each term's factors variable by variable in coordinate order
-    and sum with np.bincount, which adds in term order.
+    The constructor compiles the monomials into one sum of terms whose
+    bins are [F(x); vec J(x)], m * (1 + n) of them for m outputs and n
+    inputs.  The value terms come first, in monomial order: a coefficient,
+    an exponent row and the output index j of each.  Then come the
+    derivative terms, one per (value term, variable i with positive
+    exponent): the coefficient c * e_i, the exponent row with e_i reduced
+    by one, and the bin m + j * n + i of the Jacobian entry (j, i).
+    _linearize(x) looks the factors up in one per-call table of x_k**d,
+    with one entry per distinct (k, d) that occurs, so the table's size
+    does not grow with an exponent's value.  It multiplies each term's
+    factors variable by variable in coordinate order and sums with
+    np.bincount, which adds in term order; no bin mixes value and
+    derivative terms.  eval and jacobian are its two parts.
     The table is built from numpy scalars, so each power is one libm pow
     call (numpy's array power can differ in the last bit) and an overflow
     gives inf with numpy's RuntimeWarning, not an OverflowError.  So every
@@ -77,12 +81,14 @@ class PolyMap:
         coeff = np.array([m.coeff for _, m in terms], dtype=float)
         expo = np.array([m.exponents for _, m in terms], dtype=np.intp).reshape(-1, n)
         out = np.array([j for j, _ in terms], dtype=np.intp)
-        self._values = _TermSums(coeff, expo, out, self.output_dim)
         t, i = np.nonzero(expo)
         reduced = expo[t]
         reduced[np.arange(t.size), i] -= 1
-        self._partials = _TermSums(
-            coeff[t] * expo[t, i], reduced, out[t] * n + i, self.output_dim * n
+        self._sums = _TermSums(
+            np.concatenate([coeff, coeff[t] * expo[t, i]]),
+            np.vstack([expo, reduced]),
+            np.concatenate([out, self.output_dim + out[t] * n + i]),
+            self.output_dim * (1 + n),
         )
 
     @property
@@ -109,11 +115,19 @@ class PolyMap:
         return PolyMap(input_dim, [[Monomial(v, zero)] for v in values])
 
     def eval(self, x):
-        return self._values.at(as_vector(x, dim=self.input_dim))
+        return self._linearize(x)[0]
 
     def jacobian(self, x):
-        J = self._partials.at(as_vector(x, dim=self.input_dim))
-        return J.reshape(self.output_dim, self.input_dim)
+        return self._linearize(x)[1]
+
+    def _linearize(self, x):
+        """(F(x), J(x)) from one check of x and one power table.
+
+        F(x) is a copy, so keeping it does not keep the Jacobian's buffer.
+        """
+        sums = self._sums.at(as_vector(x, dim=self.input_dim))
+        m = self.output_dim
+        return sums[:m].copy(), sums[m:].reshape(m, self.input_dim)
 
     def check_jacobian(self, x, h=1e-5):
         """Max entrywise |analytic - central finite difference| at x."""

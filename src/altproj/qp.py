@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, Infeasible, MaxPivots
+from .errors import Infeasible, MaxPivots
 
 FEAS_TOL = 1e-9     # primal feasibility (two orders above linalg tolerances)
 DUAL_TOL = 1e-10    # a working inequality row blocks a step only if its r exceeds this
@@ -190,23 +190,7 @@ def _drop(Q, R, u, work, q, k):
     return q - 1
 
 
-def min_norm_step(A_ineq, b_ineq, A_eq, b_eq) -> np.ndarray:
-    """Minimal-norm s with A_ineq s <= b_ineq and A_eq s = b_eq.
-
-    Same program as solve_projection_qp with target 0.
-    """
-    A_ineq = np.asarray(A_ineq, dtype=float)
-    A_eq = np.asarray(A_eq, dtype=float)
-    if A_ineq.ndim != 2 or A_eq.ndim != 2:
-        raise DimensionMismatch("constraint blocks must be 2-D")
-    n = A_ineq.shape[1] if A_ineq.shape[1] else A_eq.shape[1]
-    if A_ineq.shape[1] != n or A_eq.shape[1] != n:
-        raise DimensionMismatch("constraint blocks disagree on dimension")
-    cert = solve_projection_qp(ProjectionQp(np.zeros(n), A_ineq, b_ineq, A_eq, b_eq))
-    return cert.solution
-
-
-def verify_certificate(p: ProjectionQp, cert: KktCertificate, tol=FEAS_TOL):
+def verify_certificate(p: ProjectionQp, cert: KktCertificate):
     """Independent KKT check; returns the max violation across conditions."""
     x, w, s, y = cert.solution, cert.ineq_multipliers, cert.slacks, cert.eq_multipliers
     stat = x - p.target + p.A_ineq.T @ w + p.A_eq.T @ y

@@ -142,9 +142,10 @@ class TestRunApproximate:
         assert tr.status == "Converged"
         assert tr.iterations == 0
 
-    def test_rejects_start_off_m(self):
-        with pytest.raises(ValueError):
-            run_approximate(ExactApproximateProjector(DIAGONAL), X_AXIS, [1.0, 0.0])
+    def test_projects_start_off_m(self):
+        tr = run_approximate(ExactApproximateProjector(DIAGONAL), X_AXIS, [1.0, 0.0])
+        assert np.array_equal(tr.zs[0], DIAGONAL.project([1.0, 0.0]))
+        assert tr.dist_m == [0.0] * len(tr.zs)
 
 
 class TestTrace:

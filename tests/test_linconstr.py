@@ -9,11 +9,13 @@ from altproj import (
     ConstraintSystem,
     Monomial,
     PolyMap,
+    ProjectionQp,
     SolveOptions,
     check_licq,
     linearized_projection,
     measure_quadratic_decay,
     solve_constraint_system,
+    solve_projection_qp,
 )
 from altproj.errors import (
     DimensionMismatch,
@@ -22,7 +24,6 @@ from altproj.errors import (
     RankDeficient,
 )
 from altproj.linconstr import geometric_path, newton_feasibility_step
-from altproj.qp import min_norm_step
 
 CIRCLE = PolyMap(2, [[Monomial(1, (2, 0)), Monomial(1, (0, 2)), Monomial(-1, (0, 0))]])
 FULL_PLANE = AffineSubspace([0, 0], [[1, 0], [0, 1]])
@@ -73,7 +74,9 @@ class TestLinearizedProjection:
             z = rng.standard_normal(2) * 2
             x, _ = linearized_projection(sys_, z)
             J = CIRCLE.jacobian(z)
-            s = min_norm_step(J, -CIRCLE.eval(z), np.zeros((0, 2)), [])
+            s = solve_projection_qp(
+                ProjectionQp(np.zeros(2), J, -CIRCLE.eval(z), np.zeros((0, 2)), [])
+            ).solution
             np.testing.assert_allclose(x, z + s, atol=1e-9)
 
     def test_infeasible_linearization(self):

@@ -65,11 +65,15 @@ def _maps_and_points(draw):
 
 
 def _assert_matches_reference(F, x):
-    assert np.array_equal(F.eval(x), reference_eval(F, x))
-    assert np.array_equal(F.jacobian(x), reference_jacobian(F, x))
+    values, J = reference_eval(F, x), reference_jacobian(F, x)
+    assert np.array_equal(F.eval(x), values)
+    assert np.array_equal(F.jacobian(x), J)
+    fx, Jx = F._linearize(x)
+    assert np.array_equal(fx, values) and np.array_equal(Jx, J)
 
 
-@settings(max_examples=300, deadline=None)
+# at least 300 maps, and the profile's count when it asks for more (thorough: 2000)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(case=_maps_and_points())
 def test_eval_and_jacobian_match_reference_loops_bitwise(case):
     _assert_matches_reference(*case)
@@ -88,11 +92,11 @@ def test_special_maps_match_reference_loops(F):
 
 
 def test_large_exponents_cost_one_power_each():
-    # the power tables hold one entry per distinct (variable, exponent) that occurs,
-    # so an exponent's value does not set the work or memory of a call
+    # the one power table holds one entry per distinct (variable, exponent) that occurs
+    # in a value or derivative term, so an exponent's value does not set the work or
+    # memory of a call
     F = PolyMap(2, [[Monomial(2.0, (1_000_000, 3)), Monomial(-1.0, (0, 1))], [Monomial(0.5, (1_000_000, 0))]])
-    assert F._values.powers == [(0, 1_000_000), (1, 1), (1, 3)]
-    assert F._partials.powers == [(0, 999_999), (0, 1_000_000), (1, 2), (1, 3)]
+    assert F._sums.powers == [(0, 999_999), (0, 1_000_000), (1, 1), (1, 2), (1, 3)]
     for x in ([1.0 + 1e-7, -0.7], [-(1.0 - 1e-7), 2.0], [0.0, 1.5]):
         _assert_matches_reference(F, np.array(x))
 

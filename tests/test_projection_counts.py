@@ -3,6 +3,8 @@
 The sets and maps below are wrapped in counting subclasses; the iterates
 and gaps are compared bit for bit with a plain reference loop.  Each
 Jacobian is factored once per step: the rank test's SVD is the solve's.
+Each linearization point builds one PolyMap power table for F and its
+Jacobian together.
 """
 
 import numpy as np
@@ -30,9 +32,10 @@ from altproj import (
     solve_constraint_system,
     solve_inclusion,
 )
-from altproj.cli import bundled_problem_path, load_problem
+from altproj.cli import bundled_problem_path, load_problem, run_problem
 from altproj.inclusion import gauss_newton_step
 from altproj.linconstr import newton_feasibility_step
+from altproj.polymap import _TermSums
 
 TWO_SETS = ["circle_line", "parallel_lines", "two_lines_45deg", "two_lines_60deg"]
 
@@ -104,6 +107,16 @@ def test_run_exact_projects_once_per_iteration(make):
     assert tr.dist_m == tr.gaps
 
 
+@pytest.mark.parametrize("name", TWO_SETS)
+def test_cli_approximate_projects_start_once(name):
+    # the start is projected onto M by the projector's start(), not also by the CLI
+    prob = load_problem(bundled_problem_path(name))
+    counting(prob.payload[1], "project")
+    tr = run_problem(prob, "approximate")
+    assert prob.payload[1].calls == tr.iterations + 1
+    assert tr.dist_m == [0.0] * len(tr.zs)
+
+
 @pytest.mark.parametrize("make", PROBLEMS)
 def test_run_approximate_exact_instance_projects_once_per_iteration(make):
     Q, M, z0, opts = make()
@@ -168,16 +181,28 @@ def three_block_system():
     return ConstraintSystem(G, P, H, Q, 3)
 
 
-def test_constraint_system_evaluates_each_block_once_per_iteration():
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The _TermSums of each PolyMap power table built, in call order."""
+    calls = []
+    at = _TermSums.at
+
+    def counted(self, x):
+        calls.append(self)
+        return at(self, x)
+
+    monkeypatch.setattr(_TermSums, "at", counted)
+    return calls
+
+
+def test_constraint_system_evaluates_each_block_once_per_iteration(table_builds):
     sys_ = three_block_system()
-    for block in (sys_.G, sys_.P, sys_.H):
-        counting(block, "eval")
     counting(sys_.Q, "project")
     tr = solve_constraint_system(sys_, [3.0, 1.0, 2.0], SolveOptions(1e-10, 200))
     assert tr.status == "Converged"
     assert tr.iterations >= 2
-    for block in (sys_.G, sys_.P, sys_.H):
-        assert block.calls == tr.iterations + 1
+    # one table per block and row, holding the block's values and Jacobian
+    assert table_builds == [sys_.G._sums, sys_.P._sums, sys_.H._sums] * (tr.iterations + 1)
     assert sys_.Q.calls <= tr.iterations + 1
 
 
@@ -211,40 +236,56 @@ def svd_calls(monkeypatch):
     return calls
 
 
-def test_inclusion_factors_each_jacobian_once(svd_calls):
+def test_inclusion_factors_each_jacobian_once(svd_calls, table_builds):
     tr = solve_inclusion(PARABOLOID_PROBLEM, [1.0, 0.5], SolveOptions(1e-12, 100))
     assert tr.status == "Converged"
     assert tr.iterations >= 2
     assert svd_calls == [(3, 2)] * tr.iterations
+    # one table per row gives F and the Jacobian the step uses
+    assert table_builds == [PARABOLOID._sums] * (tr.iterations + 1)
 
 
-def test_chart_approximate_factors_each_jacobian_once(svd_calls):
-    x0 = np.array([1.0, 0.5])
-    projector = ChartApproximateProjector(PARABOLOID_CHART, x0)
-    tr = run_approximate(projector, PARABOLOID_PROBLEM.Q, PARABOLOID.eval(x0),
-                         SolveOptions(1e-12, 100))
+def test_chart_approximate_factors_each_jacobian_once(svd_calls, table_builds):
+    projector = ChartApproximateProjector(PARABOLOID_CHART, [1.0, 0.5])
+    assert table_builds == [PARABOLOID._sums]
+    tr = run_approximate(projector, PARABOLOID_PROBLEM.Q, projector.fx, SolveOptions(1e-12, 100))
     assert tr.status == "Converged"
     assert tr.iterations >= 2
     assert svd_calls == [(3, 2)] * tr.iterations
+    # one table at construction and one after each step
+    assert table_builds == [PARABOLOID._sums] * (tr.iterations + 1)
+
+
+def test_cli_chart_approximate_tabulates_once_per_step(table_builds):
+    # the start row's F(x0) is the projector's, not a second evaluation
+    prob = load_problem(bundled_problem_path("parabola_inclusion"))
+    tr = run_problem(prob, "approximate")
+    assert tr.status == "Converged"
+    assert tr.iterations >= 2
+    assert table_builds == [prob.payload.F._sums] * (tr.iterations + 1)
 
 
 @pytest.mark.parametrize(
-    "step",
+    "step, tables",
     [
-        pytest.param(lambda: gauss_newton_step(PARABOLOID_PROBLEM, [1.0, 0.5]), id="gauss_newton_step"),
-        pytest.param(lambda: faithful_projection(PARABOLOID_CHART, [1.0, 0.5], [1, 1, 1]),
+        pytest.param(lambda: gauss_newton_step(PARABOLOID_PROBLEM, [1.0, 0.5]), 1, id="gauss_newton_step"),
+        # at the base point, and at the point on M it returns
+        pytest.param(lambda: faithful_projection(PARABOLOID_CHART, [1.0, 0.5], [1, 1, 1]), 2,
                      id="faithful_projection"),
-        pytest.param(lambda: normal_space_basis(PARABOLOID_CHART, [1.0, 0.5]), id="normal_space_basis"),
+        pytest.param(lambda: normal_space_basis(PARABOLOID_CHART, [1.0, 0.5]), 1, id="normal_space_basis"),
     ],
 )
-def test_chart_steps_factor_the_jacobian_once(svd_calls, step):
+def test_chart_steps_factor_the_jacobian_once(svd_calls, table_builds, step, tables):
     step()
     assert svd_calls == [(3, 2)]
+    assert table_builds == [PARABOLOID._sums] * tables
 
 
-def test_newton_feasibility_step_factors_once(svd_calls):
-    newton_feasibility_step(three_block_system(), [3.0, 1.0, 2.0])
+def test_newton_feasibility_step_factors_once(svd_calls, table_builds):
+    sys_ = three_block_system()
+    newton_feasibility_step(sys_, [3.0, 1.0, 2.0])
     assert svd_calls == [(3, 2)]  # the transpose of the stacked 2 x 3 (G, H) Jacobian
+    assert table_builds == [sys_.G._sums, sys_.H._sums]
 
 
 def linear_map(rows):
@@ -261,9 +302,10 @@ def linear_map(rows):
         pytest.param(linear_map([[1, 0], [0, 1], [1, 1]]), id="rows>dims"),
     ],
 )
-def test_check_licq_factors_once(svd_calls, G):
+def test_check_licq_factors_once(svd_calls, table_builds, G):
     # every row is active at the origin; H = x0 - x1
     sys_ = ConstraintSystem(G, PolyMap.empty(2), linear_map([[1, -1]]),
                             AffineSubspace([0, 0], np.eye(2)), 2)
     check_licq(sys_, [0.0, 0.0])
     assert len(svd_calls) == 1
+    assert table_builds == [m._sums for m in (sys_.G, sys_.H) if m.output_dim]
