@@ -130,11 +130,11 @@ class InexactProjector:
         self.direction_seed = int(direction_seed)
 
     def project(self, z, k):
-        return self.project_with_exact(z, k)[0]
+        return self.project_with_exact(linalg.as_vector(z, dim=self.set.ambient_dim), k)[0]
 
     def project_with_exact(self, z, k):
-        """(x, P_M(z)): the eps-corrupted point and the exact projection it perturbs."""
-        exact = self.set.project(z)
+        """(x, P_M(z)), z checked: the eps-corrupted point and the exact projection it perturbs."""
+        exact = self.set._project(z)
         if self.eps == 0.0:
             return exact, exact
         d = float(np.linalg.norm(z - exact))
@@ -177,7 +177,7 @@ class ExactApproximateProjector(ApproximateProjector):
         return self.set.project(z0), 0.0
 
     def step(self, z, y):
-        return self.set.project(y)
+        return self.set._project(y)
 
 
 def iterate(rows, opts: SolveOptions) -> IterationTrace:
@@ -192,7 +192,8 @@ def iterate(rows, opts: SolveOptions) -> IterationTrace:
     The run has Converged once gap <= gap_tol and dist_q <= gap_tol, is
     Diverged once the gap grew DIVERGENCE_FACTOR-fold over
     DIVERGENCE_WINDOW iterations, and ends in MaxIters after max_iters
-    iterations (max_iters + 1 rows).
+    iterations (max_iters + 1 rows).  The steps work on unchecked arrays,
+    so a row whose gap is NaN/Inf (an overflow) raises DimensionMismatch.
     """
     trace = IterationTrace()
     while True:
@@ -201,6 +202,8 @@ def iterate(rows, opts: SolveOptions) -> IterationTrace:
         except StopIteration as stop:
             trace.status = stop.value
             return trace
+        if not np.isfinite(gap):
+            raise DimensionMismatch(f"iteration {len(trace.gaps)} has gap {gap}")
         trace.add_row(z, x, gap, dq, dm)
         if gap <= opts.gap_tol and dq <= opts.gap_tol:
             trace.status = CONVERGED
@@ -227,7 +230,7 @@ def run_inexact(Q: ProjectableSet, M_inexact: InexactProjector, z0, opts=None):
     if Q.ambient_dim != M_inexact.set.ambient_dim:
         raise DimensionMismatch("Q and M live in different ambient spaces")
     z = linalg.as_vector(z0, dim=Q.ambient_dim)
-    pz = Q.project(z)
+    pz = Q._project(z)
     dq = float(np.linalg.norm(z - pz))
     projected = dq > 1e-12
     if projected:
@@ -243,7 +246,7 @@ def _inexact_rows(Q, M_inexact, z, dq):
         gap = float(np.linalg.norm(z - x))
         dm = gap if x is exact else float(np.linalg.norm(z - exact))
         yield z, x, gap, dq, dm
-        z, dq = Q.project(x), 0.0
+        z, dq = Q._project(x), 0.0
 
 
 def run_approximate(M_approx: ApproximateProjector, Q: ProjectableSet, z0, opts=None):
@@ -258,7 +261,7 @@ def run_approximate(M_approx: ApproximateProjector, Q: ProjectableSet, z0, opts=
 
 def _approximate_rows(M_approx, Q, z, dm):
     while True:
-        y = Q.project(z)
+        y = Q._project(z)
         gap = float(np.linalg.norm(z - y))
         yield z, y, gap, gap, dm
         z, dm = M_approx.step(z, y), 0.0

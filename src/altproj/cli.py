@@ -68,6 +68,13 @@ def _require(obj, key, where):
     return obj[key]
 
 
+def _finite_array(obj, key, where):
+    arr = np.asarray(_require(obj, key, where), dtype=float)
+    if not np.isfinite(arr).all():
+        raise ProblemFormatError(f"field '{key}' contains NaN/Inf entries")
+    return arr
+
+
 def load_problem(path) -> ProblemFile:
     try:
         with open(path) as fh:
@@ -107,7 +114,7 @@ def load_problem(path) -> ProblemFile:
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from exc
 
-    start = np.asarray(_require(obj, "start", "problem file"), dtype=float)
+    start = _finite_array(obj, "start", "problem file")
     if start.shape != (dim,):
         raise ProblemFormatError(
             f"start point has dimension {start.shape}, expected ({dim},)"
@@ -115,8 +122,8 @@ def load_problem(path) -> ProblemFile:
     chart = None
     if "U_lower" in obj or "U_upper" in obj:
         chart = (
-            np.asarray(_require(obj, "U_lower", "chart block"), dtype=float),
-            np.asarray(_require(obj, "U_upper", "chart block"), dtype=float),
+            _finite_array(obj, "U_lower", "chart block"),
+            _finite_array(obj, "U_upper", "chart block"),
         )
     return ProblemFile(kind, payload, start, options, chart)
 

@@ -114,11 +114,11 @@ def fit_rate(trace: IterationTrace) -> RateReport:
     tail = np.asarray(ratios[half:])
     rate = float(np.exp(np.mean(np.log(tail))))
     ks = np.arange(half, n, dtype=float)
-    slope, _ = np.polyfit(ks, np.log(g[half:]), 1)
-    rate_reg = float(np.exp(slope))
-    pred = np.polyval(np.polyfit(ks, np.log(g[half:]), 1), ks)
-    resid = np.log(g[half:]) - pred
-    total = np.log(g[half:]) - np.mean(np.log(g[half:]))
+    log_g = np.log(g[half:])
+    line = np.polyfit(ks, log_g, 1)
+    rate_reg = float(np.exp(line[0]))
+    resid = log_g - np.polyval(line, ks)
+    total = log_g - np.mean(log_g)
     denom = float(total @ total)
     r2 = 1.0 - float(resid @ resid) / denom if denom > 0 else 1.0
     quality = "good" if abs(rate_reg - rate) <= _GOOD_FIT_REL * rate else "poor"

@@ -72,14 +72,16 @@ class ManifoldChart:
             raise ValueError("chart domain box must be nonempty and open")
 
     def contains(self, x):
-        x = linalg.as_vector(x, dim=self.F.input_dim)
+        return self._contains(linalg.as_vector(x, dim=self.F.input_dim))
+
+    def _contains(self, x):
         return bool(np.all(x > self.lower) and np.all(x < self.upper))
 
 
 def gauss_newton_step(p: InclusionProblem, x):
     """One linearized step: y = P_Q(F(x)), s = argmin |F(x) + J s - y|."""
-    fx, J = p.F._linearize(x)
-    y = p.Q.project(fx)
+    fx, J = p.F._linearize(linalg.as_vector(x, dim=p.F.input_dim))
+    y = p.Q._project(fx)
     return linalg.least_squares(J, y - fx), y
 
 
@@ -97,7 +99,7 @@ def solve_inclusion(p: InclusionProblem, x0, opts=None) -> IterationTrace:
 def _inclusion_rows(p, x):
     while True:
         fx, J = p.F._linearize(x)
-        y = p.Q.project(fx)
+        y = p.Q._project(fx)
         gap = float(np.linalg.norm(fx - y))
         yield x, y, gap, gap, float("nan")
         try:
@@ -137,19 +139,19 @@ class ChartApproximateProjector(ApproximateProjector):
     def __init__(self, chart: ManifoldChart, x0):
         self.chart = chart
         self.coords = linalg.as_vector(x0, dim=chart.F.input_dim)
-        if not chart.contains(self.coords):
+        if not chart._contains(self.coords):
             raise LeftChart("coordinates outside the chart domain")
         self.fx, self.J = chart.F._linearize(self.coords)
 
     def start(self, z0):
         z0 = np.asarray(z0, dtype=float)
-        if np.linalg.norm(self.fx - z0) > 1e-9:
+        if not np.linalg.norm(self.fx - z0) <= 1e-9:  # a NaN z0 fails too
             raise ValueError("z0 does not match the chart coordinates")
         return z0, 0.0
 
     def step(self, z, y):
         coords = self.coords + linalg.least_squares(self.J, y - self.fx)
-        if not self.chart.contains(coords):
+        if not self.chart._contains(coords):
             raise LeftChart("step left the chart domain")
         self.coords = coords
         self.fx, self.J = self.chart.F._linearize(coords)
@@ -214,17 +216,14 @@ def verify_faithfulness(
     if len(base_coords) != len(queries) or len(queries) != len(exact_projections):
         raise DimensionMismatch("sequences must have equal length")
     bases = [ChartApproximateProjector(chart, x) for x in base_coords]
-    gaps = [
-        float(np.linalg.norm(np.asarray(y, dtype=float) - base.fx))
-        for base, y in zip(bases, queries)
-    ]
+    queries = [linalg.as_vector(y, dim=chart.F.output_dim) for y in queries]
+    gaps = [float(np.linalg.norm(y - base.fx)) for base, y in zip(bases, queries)]
     if len(gaps) >= 2 and gaps[-1] > 0.5 * gaps[0]:
         raise ValueError(
             "query sequence does not approach the base points: |y-z| is not shrinking"
         )
     ratios = []
     for base, y, zhat in zip(bases, queries, exact_projections):
-        y = linalg.as_vector(y, dim=chart.F.output_dim)
         zhat = linalg.as_vector(zhat, dim=chart.F.output_dim)
         u = base.fx - y
         v = zhat - y

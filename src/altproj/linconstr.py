@@ -160,7 +160,7 @@ def check_licq(sys: ConstraintSystem, x, active_tol=DEFAULT_ACTIVE_TOL) -> LicqR
             if abs(g[i]) <= active_tol:
                 rows.append(JG[i])
     if sys.H.output_dim:
-        rows.extend(sys.H.jacobian(x))
+        rows.extend(sys.H._linearize(x)[1])
     if not rows:
         return LicqReport(x, float("inf"), True)
     K = np.vstack(rows)
@@ -194,7 +194,7 @@ def _constraint_rows(sys, x, dq):
         s = cert.solution - x
         shifted = x + s
         yield x, shifted, float(np.linalg.norm(s)), dq, violation
-        x, dq = sys.Q.project(shifted), 0.0
+        x, dq = sys.Q._project(shifted), 0.0
 
 
 def constraint_violation(sys: ConstraintSystem, x):
@@ -226,10 +226,11 @@ def measure_quadratic_decay(
     errors = []
     dists = []
     for z in path:
+        z = linalg.as_vector(z, dim=sys.ambient_dim)
         x_z, _ = linearized_projection(sys, z)
         pm = oracle_m.project(z)
         errors.append(float(np.linalg.norm(x_z - pm)))
-        dists.append(oracle_m.distance(z))
+        dists.append(float(np.linalg.norm(z - pm)))
     errors = np.array(errors)
     dists = np.array(dists)
 

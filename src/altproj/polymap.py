@@ -115,17 +115,17 @@ class PolyMap:
         return PolyMap(input_dim, [[Monomial(v, zero)] for v in values])
 
     def eval(self, x):
-        return self._linearize(x)[0]
+        return self._linearize(as_vector(x, dim=self.input_dim))[0]
 
     def jacobian(self, x):
-        return self._linearize(x)[1]
+        return self._linearize(as_vector(x, dim=self.input_dim))[1]
 
     def _linearize(self, x):
-        """(F(x), J(x)) from one check of x and one power table.
+        """(F(x), J(x)) at a checked (input_dim,) float vector x, from one power table.
 
         F(x) is a copy, so keeping it does not keep the Jacobian's buffer.
         """
-        sums = self._sums.at(as_vector(x, dim=self.input_dim))
+        sums = self._sums.at(x)
         m = self.output_dim
         return sums[:m].copy(), sums[m:].reshape(m, self.input_dim)
 
@@ -134,12 +134,12 @@ class PolyMap:
         if h <= 0:
             raise ValueError("h must be positive")
         x = as_vector(x, dim=self.input_dim)
-        J = self.jacobian(x)
+        J = self._linearize(x)[1]
         fd = np.zeros_like(J)
         for i in range(self.input_dim):
             step = np.zeros(self.input_dim)
             step[i] = h
-            fd[:, i] = (self.eval(x + step) - self.eval(x - step)) / (2 * h)
+            fd[:, i] = (self._linearize(x + step)[0] - self._linearize(x - step)[0]) / (2 * h)
         if J.size == 0:
             return 0.0
         return float(np.max(np.abs(J - fd)))

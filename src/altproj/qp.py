@@ -20,6 +20,11 @@ give a Farkas witness.  The working rows are kept as QR factors
 N^T = Q[:, :q] R, updated in place: a Householder reflection on Q[:, q:]
 appends a row, Givens rotations restore R after a drop.  A pivot cap
 guards against numerical cycling.
+
+Inequality rows enter until none is violated beyond rounding: first any
+row violated by more than FEAS_TOL, then one violated by more than
+VIOL_RTOL (|a||x| + |b|), which for |x| > 1e4 exceeds FEAS_TOL.  A
+dependent row met to FEAS_TOL is skipped until the next pivot.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .errors import Infeasible, MaxPivots
 FEAS_TOL = 1e-9     # primal feasibility (two orders above linalg tolerances)
 DUAL_TOL = 1e-10    # a working inequality row blocks a step only if its r exceeds this
 DEP_TOL = 1e-10     # linear-dependence threshold when growing the working set
+VIOL_RTOL = 1e-13   # an inequality row enters once a.x - b exceeds this times |a||x| + |b|
 
 
 @dataclass
@@ -96,8 +102,10 @@ def _solve(z, rows, rhs, n_i):
     R = np.zeros((n, n))
     u = np.zeros(n)                     # multipliers of the working rows
     work = np.zeros(n, dtype=int)       # working row indices, in factor order
+    met = []                            # dependent rows met to FEAS_TOL since the last pivot
     q = pivots = 0
     A, b = rows[:n_i], rhs[:n_i]
+    a_norms = None                      # row norms of A, once the relative test first runs
     equalities = iter(range(n_i, m))
     while True:
         # Entering row: each equality in turn, then the most-violated inequality.
@@ -107,8 +115,15 @@ def _solve(z, rows, rhs, n_i):
                 break
             viol = A @ x - b
             viol[work[:q][work[:q] < n_i]] = -np.inf    # working rows are met
+            if met:
+                viol[met] = -np.inf
             p = int(np.argmax(viol))
-            if viol[p] <= FEAS_TOL:
+            if 0.0 < viol[p] <= FEAS_TOL:   # enter only rows violated beyond rounding
+                if a_norms is None:
+                    a_norms = np.linalg.norm(A, axis=1)
+                viol[viol <= VIOL_RTOL * (a_norms * math.sqrt(x @ x) + np.abs(b))] = -np.inf
+                p = int(np.argmax(viol))
+            if viol[p] <= 0.0:
                 break
         a = rows[p]
         u_p = 0.0
@@ -133,19 +148,20 @@ def _solve(z, rows, rhs, n_i):
                 else:
                     k = None
             elif not dd:
-                if p >= n_i and abs(s) <= FEAS_TOL:
-                    break       # a dependent but consistent equality row is redundant
+                if abs(s) <= FEAS_TOL:
+                    if p < n_i:
+                        met.append(p)
+                    break       # a dependent row consistent to FEAS_TOL is redundant
                 # Farkas witness e_p - r: A^T y = 0 and b^T y = -|s| < 0.
-                y = np.zeros(m)
-                y[p] = 1.0
+                y = np.eye(1, m, p)[0]
                 y[work[:q]] -= r
-                if s < 0:
-                    y = -y
+                y *= math.copysign(1.0, s)
                 raise Infeasible("inconsistent equality constraints" if p >= n_i
                                  else "polyhedron is empty", np.maximum(y[:n_i], 0.0), y[n_i:])
             if pivots >= max_pivots:
                 raise MaxPivots(f"dual active-set pivot cap {max_pivots} exceeded")
             pivots += 1
+            met.clear()         # x or the working set changes: recheck those rows
             if dd:
                 x = x - t * (Q[:, q:] @ w[q:])
             u[:q] -= t * r

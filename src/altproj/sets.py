@@ -1,8 +1,10 @@
 """Closed sets with exact, deterministic nearest-point projections.
 
-Each variant implements project / distance, a JSON schema, and (where
-defined) the normal cone at a point of the set.  Nonconvex projections
-use the documented tie-breaks so traces reproduce exactly:
+The base class checks the argument of project / distance / normal_cone
+once.  Each variant implements _project and _normal_cone on the checked
+vector (the drivers call _project directly) and a JSON schema.
+Nonconvex projections use the documented tie-breaks so traces
+reproduce exactly:
 
   * Sphere center          -> first standard basis direction
   * FinitePointSet ties    -> lowest index
@@ -56,22 +58,33 @@ class ProjectableSet:
     ambient_dim: int
 
     def project(self, z):
-        raise NotImplementedError
+        return self._project(self._check(z))
 
     def distance(self, z):
-        z = linalg.as_vector(z, dim=self.ambient_dim)
-        return float(np.linalg.norm(z - self.project(z)))
+        z = self._check(z)
+        return float(np.linalg.norm(z - self._project(z)))
 
     def normal_cone(self, point) -> NormalCone:
-        raise UnsupportedVariant(
-            f"{type(self).__name__} has no normal-cone description"
-        )
+        return self._normal_cone(self._check(point))
 
     def to_json(self):
         raise NotImplementedError
 
     def _check(self, z):
         return linalg.as_vector(z, dim=self.ambient_dim)
+
+    def _project(self, z):
+        """The nearest point to a checked (ambient_dim,) float vector z, as a new array."""
+        raise NotImplementedError
+
+    def _normal_cone(self, p):
+        raise UnsupportedVariant(f"{type(self).__name__} has no normal-cone description")
+
+    def _cone(self, rays=(), lineality=(), full=False):
+        """The NormalCone with these rows of rays and lineality; empty blocks by default."""
+        n = self.ambient_dim
+        return NormalCone(n, np.array(rays, float).reshape(-1, n),
+                          np.array(lineality, float).reshape(-1, n), full)
 
 
 class Box(ProjectableSet):
@@ -82,11 +95,10 @@ class Box(ProjectableSet):
             raise ValueError("box lower bound exceeds upper bound")
         self.ambient_dim = self.lower.shape[0]
 
-    def project(self, z):
-        return np.clip(self._check(z), self.lower, self.upper)
+    def _project(self, z):
+        return np.clip(z, self.lower, self.upper)
 
-    def normal_cone(self, point):
-        p = self._check(point)
+    def _normal_cone(self, p):
         rays = []
         for i in range(self.ambient_dim):
             if abs(p[i] - self.upper[i]) <= ACTIVE_TOL:
@@ -97,8 +109,7 @@ class Box(ProjectableSet):
                 e = np.zeros(self.ambient_dim)
                 e[i] = -1.0
                 rays.append(e)
-        rays = np.array(rays) if rays else np.zeros((0, self.ambient_dim))
-        return NormalCone(self.ambient_dim, rays, np.zeros((0, self.ambient_dim)))
+        return self._cone(rays)
 
     def to_json(self):
         return {"type": "box", "lower": list(self.lower), "upper": list(self.upper)}
@@ -113,27 +124,19 @@ class Ball(ProjectableSet):
             raise ValueError("ball radius must be positive")
         self.ambient_dim = self.center.shape[0]
 
-    def project(self, z):
-        z = self._check(z)
+    def _project(self, z):
         d = z - self.center
         r = np.linalg.norm(d)
         if r <= self.radius:
             return z.copy()
         return self.center + (self.radius / r) * d
 
-    def normal_cone(self, point):
-        p = self._check(point)
+    def _normal_cone(self, p):
         d = p - self.center
         n = np.linalg.norm(d)
         if abs(n - self.radius) <= ACTIVE_TOL:
-            return NormalCone(
-                self.ambient_dim, (d / n)[None, :], np.zeros((0, self.ambient_dim))
-            )
-        return NormalCone(
-            self.ambient_dim,
-            np.zeros((0, self.ambient_dim)),
-            np.zeros((0, self.ambient_dim)),
-        )
+            return self._cone([d / n])
+        return self._cone()
 
     def to_json(self):
         return {"type": "ball", "center": list(self.center), "radius": self.radius}
@@ -161,16 +164,14 @@ class AffineSubspace(ProjectableSet):
                 raise ValueError("affine subspace basis is not orthonormal")
         self.basis = basis
 
-    def project(self, z):
-        z = self._check(z)
+    def _project(self, z):
         if self.basis.shape[0] == 0:
             return self.anchor.copy()
         if self._free is not None:
             return self.anchor + np.where(self._free, z - self.anchor, 0.0)
         return self.anchor + self.basis.T @ (self.basis @ (z - self.anchor))
 
-    def normal_cone(self, point):
-        self._check(point)
+    def _normal_cone(self, p):
         # orthogonal complement of the direction space
         U, sigma, _ = linalg.svd(self.basis.T) if self.basis.shape[0] else (
             np.eye(self.ambient_dim),
@@ -179,7 +180,7 @@ class AffineSubspace(ProjectableSet):
         )
         r = int(np.sum(sigma > 1e-12))
         comp = U[:, r:].T
-        return NormalCone(self.ambient_dim, np.zeros((0, self.ambient_dim)), comp)
+        return self._cone(lineality=comp)
 
     def to_json(self):
         return {
@@ -221,15 +222,13 @@ class Hyperplane(ProjectableSet):
         _finite(self.offset, "hyperplane offset")
         self.ambient_dim = self.normal.shape[0]
 
-    def project(self, z):
-        z = self._check(z)
+    def _project(self, z):
         n = self.normal
         return z - ((n @ z - self.offset) / (n @ n)) * n
 
-    def normal_cone(self, point):
-        self._check(point)
+    def _normal_cone(self, p):
         n = self.normal / np.linalg.norm(self.normal)
-        return NormalCone(self.ambient_dim, np.zeros((0, self.ambient_dim)), n[None, :])
+        return self._cone(lineality=[n])
 
     def to_json(self):
         return {"type": "hyperplane", "normal": list(self.normal), "offset": self.offset}
@@ -246,28 +245,19 @@ class Halfspace(ProjectableSet):
         _finite(self.offset, "halfspace offset")
         self.ambient_dim = self.normal.shape[0]
 
-    def project(self, z):
-        z = self._check(z)
+    def _project(self, z):
         n = self.normal
         excess = n @ z - self.offset
         if excess <= 0:
             return z.copy()
         return z - (excess / (n @ n)) * n
 
-    def normal_cone(self, point):
-        p = self._check(point)
+    def _normal_cone(self, p):
         if abs(self.normal @ p - self.offset) <= ACTIVE_TOL * (
             1 + np.linalg.norm(self.normal)
         ):
-            n = self.normal / np.linalg.norm(self.normal)
-            return NormalCone(
-                self.ambient_dim, n[None, :], np.zeros((0, self.ambient_dim))
-            )
-        return NormalCone(
-            self.ambient_dim,
-            np.zeros((0, self.ambient_dim)),
-            np.zeros((0, self.ambient_dim)),
-        )
+            return self._cone([self.normal / np.linalg.norm(self.normal)])
+        return self._cone()
 
     def to_json(self):
         return {"type": "halfspace", "normal": list(self.normal), "offset": self.offset}
@@ -282,8 +272,7 @@ class Sphere(ProjectableSet):
             raise ValueError("sphere radius must be positive")
         self.ambient_dim = self.center.shape[0]
 
-    def project(self, z):
-        z = self._check(z)
+    def _project(self, z):
         d = z - self.center
         r = np.linalg.norm(d)
         if r == 0.0:
@@ -293,11 +282,10 @@ class Sphere(ProjectableSet):
             return self.center + e
         return self.center + (self.radius / r) * d
 
-    def normal_cone(self, point):
-        p = self._check(point)
+    def _normal_cone(self, p):
         d = p - self.center
         n = d / np.linalg.norm(d)
-        return NormalCone(self.ambient_dim, np.zeros((0, self.ambient_dim)), n[None, :])
+        return self._cone(lineality=[n])
 
     def to_json(self):
         return {"type": "sphere", "center": list(self.center), "radius": self.radius}
@@ -311,20 +299,13 @@ class FinitePointSet(ProjectableSet):
         self.points = np.vstack(pts)
         self.ambient_dim = self.points.shape[1]
 
-    def project(self, z):
-        z = self._check(z)
+    def _project(self, z):
         dists = np.linalg.norm(self.points - z, axis=1)
         return self.points[int(np.argmin(dists))].copy()  # lowest-index tie-break
 
-    def normal_cone(self, point):
-        self._check(point)
+    def _normal_cone(self, p):
         # at an isolated point every direction is normal
-        return NormalCone(
-            self.ambient_dim,
-            np.zeros((0, self.ambient_dim)),
-            np.zeros((0, self.ambient_dim)),
-            full=True,
-        )
+        return self._cone(full=True)
 
     def to_json(self):
         return {"type": "finite_point_set", "points": [list(p) for p in self.points]}
@@ -339,19 +320,14 @@ class FixedRankMatrices(ProjectableSet):
             raise ValueError("rank must satisfy 1 <= r <= min(rows, cols)")
         self.ambient_dim = self.rows * self.cols
 
-    def _to_matrix(self, z):
-        return self._check(z).reshape(self.rows, self.cols)
-
-    def project(self, z):
-        A = self._to_matrix(z)
-        U, sigma, V = linalg.svd(A)
+    def _project(self, z):
+        U, sigma, V = linalg.svd(z.reshape(self.rows, self.cols))
         r = self.rank
         trunc = U[:, :r] @ np.diag(sigma[:r]) @ V[:, :r].T  # Eckart-Young
         return trunc.reshape(-1)
 
-    def normal_cone(self, point):
-        A = self._to_matrix(point)
-        U, sigma, V = linalg.svd(A)
+    def _normal_cone(self, p):
+        U, sigma, V = linalg.svd(p.reshape(self.rows, self.cols))
         if sigma.size < self.rank or sigma[self.rank - 1] <= 1e-9 * max(
             sigma[0], 1e-300
         ):
@@ -363,8 +339,7 @@ class FixedRankMatrices(ProjectableSet):
         for i in range(Up.shape[1]):
             for j in range(Vp.shape[1]):
                 basis.append(np.outer(Up[:, i], Vp[:, j]).reshape(-1))
-        basis = np.array(basis) if basis else np.zeros((0, self.ambient_dim))
-        return NormalCone(self.ambient_dim, np.zeros((0, self.ambient_dim)), basis)
+        return self._cone(lineality=basis)
 
     def to_json(self):
         return {
@@ -395,26 +370,23 @@ class Polyhedron(ProjectableSet):
             if getattr(self, rhs).shape[0] != getattr(self, rows).shape[0]:
                 raise DimensionMismatch(f"polyhedron {rhs} needs one entry per row of {rows}")
         self.ambient_dim = n
-        # checked once here; project hands the stacked rows to the solver core
+        # checked once here; _project hands the stacked rows to the solver core
         self._rows = np.vstack([self.A_ineq, self.A_eq])
         self._rhs = np.concatenate([self.b_ineq, self.b_eq])
         # one QP feasibility solve certifies nonemptiness
         qp._solve(np.zeros(n), self._rows, self._rhs, self.A_ineq.shape[0])
 
-    def project(self, z):
-        z = self._check(z)
+    def _project(self, z):
         return qp._solve(z, self._rows, self._rhs, self.A_ineq.shape[0]).solution
 
-    def normal_cone(self, point):
-        p = self._check(point)
+    def _normal_cone(self, p):
         active = [
             i
             for i in range(self.A_ineq.shape[0])
             if abs(self.A_ineq[i] @ p - self.b_ineq[i])
             <= ACTIVE_TOL * (1 + np.linalg.norm(self.A_ineq[i]))
         ]
-        rays = self.A_ineq[active] if active else np.zeros((0, self.ambient_dim))
-        return NormalCone(self.ambient_dim, rays, self.A_eq.copy())
+        return self._cone(self.A_ineq[active], self.A_eq)
 
     def to_json(self):
         return {
@@ -434,7 +406,7 @@ class NormalConeProbe:
     point: np.ndarray
 
     def __post_init__(self):
-        self.point = linalg.as_vector(self.point, dim=self.set.ambient_dim)
+        self.point = self.set._check(self.point)
         if self.set.distance(self.point) > ON_SET_TOL:
             raise ValueError("probe point does not lie on the set")
 
@@ -454,8 +426,8 @@ def check_transversality(a: NormalConeProbe, b: NormalConeProbe) -> Transversali
     """
     if np.linalg.norm(a.point - b.point) > ON_SET_TOL:
         raise ValueError("probes must be at the same point")
-    na = a.set.normal_cone(a.point)
-    nb = b.set.normal_cone(b.point)
+    na = a.set._normal_cone(a.point)
+    nb = b.set._normal_cone(b.point)
     if na.trivial or nb.trivial:
         return TransversalityResult(True)
     if na.full:

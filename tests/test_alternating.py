@@ -13,6 +13,7 @@ from altproj import (
     run_exact,
     run_inexact,
 )
+from altproj.errors import DimensionMismatch
 
 X_AXIS = AffineSubspace([0, 0], [[1, 0]])
 DIAGONAL = AffineSubspace([0, 0], [[2**-0.5, 2**-0.5]])
@@ -21,6 +22,20 @@ LINE_Y1 = AffineSubspace([0, 1], [[1, 0]])
 
 def line_line_trace(max_iters=200, tol=1e-10):
     return run_exact(X_AXIS, DIAGONAL, [1, 0], SolveOptions(tol, max_iters))
+
+
+class OverflowingDiagonal(AffineSubspace):
+    """The diagonal line, whose projection returns `value` from call `after` + 1 on."""
+
+    def __init__(self, after, value):
+        super().__init__([0, 0], [[2**-0.5, 2**-0.5]])
+        self.after, self.value, self.calls = after, value, 0
+
+    def _project(self, z):
+        self.calls += 1
+        if self.calls > self.after:
+            return np.full(2, self.value)
+        return super()._project(z)
 
 
 class TestRunExact:
@@ -103,6 +118,11 @@ class TestCorruptingProjector:
         x = p.project(z, 0)
         assert np.linalg.norm(x - sphere.project(z)) == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("z", [[1.0, 0.0, 0.0], [np.nan, 0.0], [0.0, np.inf]])
+    def test_bad_point_raises_dimension_mismatch(self, z):
+        with pytest.raises(DimensionMismatch):
+            InexactProjector(DIAGONAL, 0.1, 42).project(z, 0)
+
     def test_determinism(self):
         p1 = InexactProjector(DIAGONAL, 0.3, 99)
         p2 = InexactProjector(DIAGONAL, 0.3, 99)
@@ -146,6 +166,23 @@ class TestRunApproximate:
         tr = run_approximate(ExactApproximateProjector(DIAGONAL), X_AXIS, [1.0, 0.0])
         assert np.array_equal(tr.zs[0], DIAGONAL.project([1.0, 0.0]))
         assert tr.dist_m == [0.0] * len(tr.zs)
+
+
+class TestNonFiniteGap:
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("max_iters", [3, 10], ids=["last-row", "mid-run"])
+    def test_run_exact_raises(self, value, max_iters):
+        # P_M turns non-finite on row 3, the last row max_iters = 3 allows
+        M = OverflowingDiagonal(3, value)
+        with pytest.raises(DimensionMismatch, match="iteration 3 has gap"):
+            run_exact(X_AXIS, M, [1, 0], SolveOptions(1e-10, max_iters))
+        assert M.calls == 4
+
+    def test_run_approximate_raises(self):
+        # the start's projection and two steps are finite; the third step is NaN
+        M = ExactApproximateProjector(OverflowingDiagonal(3, np.nan))
+        with pytest.raises(DimensionMismatch, match="iteration 3 has gap nan"):
+            run_approximate(M, X_AXIS, [1, 0], SolveOptions(1e-10, 10))
 
 
 class TestTrace:

@@ -141,6 +141,23 @@ class TestSolve:
         assert main(["solve", "--problem", path]) == 1
         assert f"{field} contains NaN/Inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, field, value",
+        [
+            ("circle_line", "start", [NAN, 0]),
+            ("circle_line", "start", [0, -INF]),
+            ("parabola_inclusion", "start", [NAN]),
+            ("parabola_inclusion", "U_lower", [-INF]),
+            ("parabola_inclusion", "U_upper", [NAN]),
+        ],
+    )
+    def test_non_finite_point_names_it(self, tmp_path, capsys, name, field, value):
+        # rejected on load, before any solve; the chart bounds even under the default scheme
+        prob = json.loads(bundled_problem_path(name).read_text())
+        path = write_problem(tmp_path, dict(prob, **{field: value}))
+        assert main(["solve", "--problem", path]) == 1
+        assert f"'{field}' contains NaN/Inf" in capsys.readouterr().err
+
     def test_incompatible_scheme(self, tmp_path, capsys):
         path = write_problem(tmp_path, TWO_LINES)
         assert main(["solve", "--problem", path, "--scheme", "linconstr"]) == 1

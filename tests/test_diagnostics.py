@@ -88,6 +88,17 @@ class TestFitRate:
         # the spurious recovery after the floor is ignored
         assert rep.rate == pytest.approx(0.5, abs=1e-6)
 
+    def test_regression_is_one_least_squares_line(self):
+        gaps = [0.5**k * (1 + 0.1 * np.sin(k)) for k in range(31)]
+        rep = fit_rate(synthetic_trace(gaps))
+        ks = np.arange(15, 31, dtype=float)  # the trailing half of the 30 ratios
+        log_g = np.log(gaps[15:])
+        slope, intercept = np.polyfit(ks, log_g, 1)
+        resid = log_g - (slope * ks + intercept)
+        total = log_g - np.mean(log_g)
+        assert rep.rate_regression == float(np.exp(slope))
+        assert rep.r_squared == 1.0 - float(resid @ resid) / float(total @ total)
+
     def test_too_few_gaps(self):
         with pytest.raises(InsufficientData):
             fit_rate(synthetic_trace([1.0, 0.5, 0.25]))

@@ -19,7 +19,7 @@ from altproj import (
     solve_inclusion,
     verify_faithfulness,
 )
-from altproj.errors import InsufficientData, LeftChart, RankDeficient
+from altproj.errors import DimensionMismatch, InsufficientData, LeftChart, RankDeficient
 from altproj.inclusion import gauss_newton_step
 
 # F(t) = (t, t^2), the standard parabola chart
@@ -74,6 +74,11 @@ class TestGaussNewtonStep:
         with pytest.raises(RankDeficient):
             gauss_newton_step(p, [0])
 
+    @pytest.mark.parametrize("x", [[1.0, 2.0], [np.nan]], ids=["length", "nan"])
+    def test_bad_point_raises_dimension_mismatch(self, x):
+        with pytest.raises(DimensionMismatch):
+            gauss_newton_step(InclusionProblem(PARABOLA, Hyperplane([0, 1], 1.0)), x)
+
 
 class TestSolveInclusion:
     def test_parabola_converges_to_unit_height(self):
@@ -112,6 +117,13 @@ class TestSolveInclusion:
         ref = run_exact(Q, ambient, [2, 3], SolveOptions(1e-12, 50))
         assert tr.status == ref.status == "Converged"
         np.testing.assert_allclose(tr.zs[-1], ref.zs[-1], atol=1e-12)
+
+    def test_overflowing_map_raises(self):
+        # F(t) = t^200 overflows to Inf at t = 1e10, so the first gap is not finite
+        F = PolyMap(1, [[Monomial(1, (200,))]])
+        with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+            with pytest.raises(DimensionMismatch):
+                solve_inclusion(InclusionProblem(F, Hyperplane([1.0], 1.0)), [1e10])
 
     def test_json_round_trip(self):
         p = InclusionProblem(PARABOLA, Hyperplane([0, 1], 1.0))
@@ -186,10 +198,22 @@ class TestChartProjector:
         for z in tr.zs:
             assert z[1] == pytest.approx(z[0] ** 2, abs=1e-9)
 
+    @pytest.mark.parametrize("x", [[1.0, 2.0], [np.nan]], ids=["length", "nan"])
+    def test_contains_checks_the_point(self, x):
+        with pytest.raises(DimensionMismatch):
+            PARABOLA_CHART.contains(x)
+
     def test_start_must_match_coords(self):
         proj = ChartApproximateProjector(PARABOLA_CHART, [2])
         with pytest.raises(ValueError):
             proj.start([3, 9])
+
+    @pytest.mark.parametrize("z0", [[float("nan")] * 2, [2, float("nan")], [float("inf"), 4]])
+    def test_start_rejects_non_finite(self, z0):
+        # a NaN distance to F(coords) is no match either
+        proj = ChartApproximateProjector(PARABOLA_CHART, [2])
+        with pytest.raises(ValueError, match="does not match"):
+            proj.start(np.array(z0))
 
 
 class TestVerifyFaithfulness:

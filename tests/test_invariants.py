@@ -127,11 +127,6 @@ class TestProjection:
 
 OPTS = SolveOptions(gap_tol=1e-10, max_iters=100)
 WITHOUT_POLYHEDRON = [k for k in ALL if k != "polyhedron"]
-# Polyhedron.project is exact only to qp.FEAS_TOL: the QP never enters a row
-# violated by less, so near convergence the gap can rise by up to about that
-POLYHEDRON_GAP = pytest.mark.xfail(
-    strict=False, reason="Polyhedron.project is exact only to qp.FEAS_TOL (FOUND in CHANGES.md)"
-)
 
 
 class TestDrivers:
@@ -139,8 +134,8 @@ class TestDrivers:
         "q_kinds, m_kinds",
         [
             pytest.param(WITHOUT_POLYHEDRON, WITHOUT_POLYHEDRON, id="without-polyhedron"),
-            pytest.param(["polyhedron"], ALL, id="polyhedron-first", marks=POLYHEDRON_GAP),
-            pytest.param(ALL, ["polyhedron"], id="polyhedron-second", marks=POLYHEDRON_GAP),
+            pytest.param(["polyhedron"], ALL, id="polyhedron-first"),
+            pytest.param(ALL, ["polyhedron"], id="polyhedron-second"),
         ],
     )
     @given(data=st.data())

@@ -132,6 +132,14 @@ def test_eval_dimension_mismatch():
         CIRCLE.eval([1, 2, 3])
 
 
+@pytest.mark.parametrize("method", ["eval", "jacobian", "check_jacobian"])
+@pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], [np.nan, 0.0], [0.0, -np.inf]],
+                         ids=["length", "nan", "inf"])
+def test_public_methods_check_the_point(method, x):
+    with pytest.raises(DimensionMismatch):
+        getattr(CIRCLE, method)(x)
+
+
 def test_circle_jacobian():
     np.testing.assert_allclose(CIRCLE.jacobian([2, 0]), [[4.0, 0.0]])
 

@@ -1,17 +1,22 @@
 """Each projection is computed once per iteration, and doing so changes no iterate.
 
-The sets and maps below are wrapped in counting subclasses; the iterates
+The sets and maps below are wrapped in counting subclasses, which count the
+private _project the drivers call on iterates they hold checked; the iterates
 and gaps are compared bit for bit with a plain reference loop.  Each
 Jacobian is factored once per step: the rank test's SVD is the solve's.
 Each linearization point builds one PolyMap power table for F and its
-Jacobian together.
+Jacobian together.  Input is checked once per solve, not once per iteration.
 """
+
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from altproj import (
     AffineSubspace,
+    Ball,
     ChartApproximateProjector,
     ConstraintSystem,
     ExactApproximateProjector,
@@ -26,6 +31,7 @@ from altproj import (
     check_licq,
     faithful_projection,
     linalg,
+    measure_quadratic_decay,
     normal_space_basis,
     run_approximate,
     run_exact,
@@ -34,7 +40,7 @@ from altproj import (
 )
 from altproj.cli import bundled_problem_path, load_problem, run_problem
 from altproj.inclusion import gauss_newton_step
-from altproj.linconstr import newton_feasibility_step
+from altproj.linconstr import geometric_path, newton_feasibility_step
 from altproj.polymap import _TermSums
 
 TWO_SETS = ["circle_line", "parallel_lines", "two_lines_45deg", "two_lines_60deg"]
@@ -96,7 +102,7 @@ PROBLEMS = [pytest.param(completion, id="completion30")] + [
 def test_run_exact_projects_once_per_iteration(make):
     Q, M, z0, opts = make()
     zs, gaps = reference_exact(Q, M, z0, opts)
-    tr = run_exact(counting(Q, "project"), counting(M, "project"), z0, opts)
+    tr = run_exact(counting(Q, "_project"), counting(M, "_project"), z0, opts)
     assert M.calls == tr.iterations + 1
     assert Q.calls <= tr.iterations + 1
     assert tr.gaps == gaps
@@ -111,7 +117,7 @@ def test_run_exact_projects_once_per_iteration(make):
 def test_cli_approximate_projects_start_once(name):
     # the start is projected onto M by the projector's start(), not also by the CLI
     prob = load_problem(bundled_problem_path(name))
-    counting(prob.payload[1], "project")
+    counting(prob.payload[1], "_project")
     tr = run_problem(prob, "approximate")
     assert prob.payload[1].calls == tr.iterations + 1
     assert tr.dist_m == [0.0] * len(tr.zs)
@@ -122,8 +128,8 @@ def test_run_approximate_exact_instance_projects_once_per_iteration(make):
     Q, M, z0, opts = make()
     z0 = M.project(z0)
     tr = run_approximate(
-        ExactApproximateProjector(counting(M, "project")),
-        counting(Q, "project"),
+        ExactApproximateProjector(counting(M, "_project")),
+        counting(Q, "_project"),
         z0,
         opts,
     )
@@ -197,7 +203,7 @@ def table_builds(monkeypatch):
 
 def test_constraint_system_evaluates_each_block_once_per_iteration(table_builds):
     sys_ = three_block_system()
-    counting(sys_.Q, "project")
+    counting(sys_.Q, "_project")
     tr = solve_constraint_system(sys_, [3.0, 1.0, 2.0], SolveOptions(1e-10, 200))
     assert tr.status == "Converged"
     assert tr.iterations >= 2
@@ -309,3 +315,91 @@ def test_check_licq_factors_once(svd_calls, table_builds, G):
     check_licq(sys_, [0.0, 0.0])
     assert len(svd_calls) == 1
     assert table_builds == [m._sums for m in (sys_.G, sys_.H) if m.output_dim]
+
+
+# the unit circle H: |x|^2 = 1 in the plane, with no inequality blocks
+UNIT_CIRCLE = PolyMap(2, [[Monomial(1, (2, 0)), Monomial(1, (0, 2)), Monomial(-1, (0, 0))]])
+
+
+def circle_system(Q):
+    return ConstraintSystem(PolyMap.empty(2), PolyMap.empty(2), UNIT_CIRCLE, Q, 2)
+
+
+def test_quadratic_decay_projects_each_path_point_once():
+    ball = counting(Ball([0, 0], 1.0), "_project")
+    path = geometric_path([1, 0], [1, 0], range(1, 11))
+    rep = measure_quadratic_decay(circle_system(AffineSubspace([0, 0], np.eye(2))), ball, path)
+    assert ball.calls == len(path)
+    # the distance is the one the set reports, bit for bit
+    assert rep.distances.tolist() == [Ball([0, 0], 1.0).distance(z) for z in path]
+
+
+@pytest.fixture
+def as_vector_calls(monkeypatch):
+    """The caller of each linalg.as_vector call, under every name a package module binds it to."""
+    calls = []
+    inner = linalg.as_vector
+
+    def counted(*args, **kwargs):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return inner(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "altproj" and getattr(module, "as_vector", None) is inner:
+            monkeypatch.setattr(module, "as_vector", counted)
+    return calls
+
+
+def checks_per_run(calls, run, iterations):
+    """The callers of as_vector in run(max_iters), which must end in MaxIters after that many.
+
+    The least-squares kernel checks its right-hand side, one per Gauss-Newton
+    or chart step; that check is counted apart.
+    """
+    del calls[:]
+    tr = run(iterations)
+    assert (tr.status, tr.iterations) == ("MaxIters", iterations)
+    assert calls.count("least_squares") in (0, iterations)
+    return sorted(c for c in calls if c != "least_squares")
+
+
+# no solution: the unit circle against the line x_1 = 2, and the parabola
+# (t, t^2) against the line y_1 = -1; each run stalls at gap 1
+STALLING_SYSTEM = circle_system(AffineSubspace([0, 2], [[1, 0]]))
+PARABOLA = PolyMap(1, [[Monomial(1, (1,))], [Monomial(1, (2,))]])
+BELOW_PARABOLA = Hyperplane([0, 1], -1.0)
+
+
+def parallel_lines_run(scheme):
+    prob = load_problem(bundled_problem_path("parallel_lines"))
+
+    def run(max_iters):
+        prob.options = replace(prob.options, max_iters=max_iters, epsilon=0.1)
+        return run_problem(prob, scheme)
+
+    return run
+
+
+def chart_run(max_iters):
+    projector = ChartApproximateProjector(ManifoldChart(PARABOLA, [-10], [10]), [2.0])
+    return run_approximate(projector, BELOW_PARABOLA, projector.fx, SolveOptions(1e-12, max_iters))
+
+
+def linconstr_run(max_iters):
+    return solve_constraint_system(STALLING_SYSTEM, [3.0, 2.0], SolveOptions(1e-12, max_iters))
+
+
+def inclusion_run(max_iters):
+    problem = InclusionProblem(PARABOLA, BELOW_PARABOLA)
+    return solve_inclusion(problem, [2.0], SolveOptions(1e-12, max_iters))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [pytest.param(parallel_lines_run(s), id=f"parallel_lines-{s}")
+     for s in ("exact", "inexact", "approximate")]
+    + [pytest.param(linconstr_run, id="linconstr"), pytest.param(inclusion_run, id="inclusion"),
+       pytest.param(chart_run, id="chart-approximate")],
+)
+def test_input_checks_do_not_grow_with_iterations(as_vector_calls, run):
+    assert checks_per_run(as_vector_calls, run, 5) == checks_per_run(as_vector_calls, run, 50)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from altproj import ProjectionQp, solve_projection_qp
 from altproj.errors import Infeasible
-from altproj.qp import verify_certificate
+from altproj.qp import VIOL_RTOL, verify_certificate
 
 KEPT_INSTANCE = os.path.join(
     os.path.dirname(__file__), os.pardir, "perfbench", "data", "maxpivots_10x30.json"
@@ -237,6 +237,43 @@ class TestEqualityWitness:
         np.testing.assert_allclose(C.T @ y_eq, [0.0, 0.0], atol=1e-12)
         assert d @ y_eq < 0
         assert exc.value.y_ineq.shape == (0,)
+
+
+class TestRoundingLevelRows:
+    """Rows violated by less than FEAS_TOL but beyond rounding."""
+
+    @pytest.mark.parametrize(
+        "A_ineq, b_ineq, A_eq, b_eq",
+        [
+            # x_0 <= 0, then its copy scaled by -3, violated by 3e-12 at x_0 = 0
+            ([[1.0, 0.0], [-3.0, 0.0]], [0.0, -3e-12], np.zeros((0, 2)), []),
+            # x_0 = 0, then an inequality copy scaled by 2, violated by 2e-12
+            ([[2.0, 0.0]], [-2e-12], [[1.0, 0.0]], [0.0]),
+        ],
+        ids=["inequality-copy", "equality-copy"],
+    )
+    def test_dependent_copy_within_feas_tol_is_met(self, A_ineq, b_ineq, A_eq, b_eq):
+        # the copy enters, depends on the working row with nothing to drop,
+        # and is met to FEAS_TOL: it is skipped, not a false Infeasible
+        p = ProjectionQp([1.0, 1.0], A_ineq, b_ineq, A_eq, b_eq)
+        cert = solve_projection_qp(p)
+        np.testing.assert_allclose(cert.solution, [0.0, 1.0], atol=1e-11)
+        assert verify_certificate(p, cert) <= 1e-9
+
+    def test_redundant_equality_before_inequalities(self):
+        # 2 x_0 = 0 repeats x_0 = 0; the inequality pass that follows must not trip on it
+        p = ProjectionQp([1.0, 1.0], [[0.0, 1.0]], [0.5], [[1.0, 0.0], [2.0, 0.0]], [0.0, 0.0])
+        cert = solve_projection_qp(p)
+        np.testing.assert_allclose(cert.solution, [0.0, 0.5], atol=1e-12)
+        assert verify_certificate(p, cert) <= 1e-9
+
+    def test_row_violated_below_feas_tol_enters(self):
+        # x_1 <= 1 - 1e-10 is violated by 1e-10 after x_0 <= 0 enters
+        A, b = [[1.0, 0.0], [0.0, 1.0]], [0.0, 1.0 - 1e-10]
+        p = ProjectionQp([1.0, 1.0], A, b, np.zeros((0, 2)), [])
+        x = solve_projection_qp(p).solution
+        scale = np.linalg.norm(p.A_ineq, axis=1) * np.linalg.norm(x) + np.abs(p.b_ineq)
+        assert np.all(p.A_ineq @ x - p.b_ineq <= VIOL_RTOL * scale)
 
 
 class TestMaxPivotsRegressions:

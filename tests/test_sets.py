@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -18,11 +19,13 @@ from altproj import (
     Hyperplane,
     NormalConeProbe,
     Polyhedron,
+    ProjectableSet,
     Sphere,
     check_transversality,
     set_from_json,
 )
-from altproj.errors import DimensionMismatch, RankDrop
+from altproj.errors import DimensionMismatch, RankDrop, UnsupportedVariant
+from altproj.qp import VIOL_RTOL
 from altproj.sets import NormalCone, _cone_intersection
 
 RNG = np.random.default_rng(29)
@@ -80,6 +83,39 @@ class TestProjectionBasics:
             Polyhedron([[1.0], [-1.0]], [0.0, -1.0])
 
 
+class TestPublicBoundary:
+    """project, distance and normal_cone check their argument; the variants do not."""
+
+    @pytest.mark.parametrize("method", ["project", "distance", "normal_cone"])
+    @pytest.mark.parametrize("s", CONVEX_SETS + NONCONVEX_SETS, ids=lambda s: type(s).__name__)
+    def test_bad_point_raises_dimension_mismatch(self, s, method):
+        n = s.ambient_dim
+        for bad in ([0.0] * (n + 1), [0.0] * (n - 1) + [np.nan], [np.inf] + [0.0] * (n - 1)):
+            with pytest.raises(DimensionMismatch):
+                getattr(s, method)(bad)
+
+    @pytest.mark.parametrize("cls", [type(s) for s in CONVEX_SETS + NONCONVEX_SETS],
+                             ids=lambda cls: cls.__name__)
+    def test_variants_implement_the_private_methods_only(self, cls):
+        assert {"_project", "_normal_cone"} <= set(vars(cls))
+        assert not {"project", "distance", "normal_cone"} & set(vars(cls))
+        assert "_check" not in inspect.getsource(cls)
+
+    def test_user_subclass_gets_the_checks(self):
+        class Origin(ProjectableSet):
+            ambient_dim = 2
+
+            def _project(self, z):
+                return np.zeros(2)
+
+        s = Origin()
+        assert s.distance([3, 4]) == 5.0
+        with pytest.raises(DimensionMismatch):
+            s.project([1, 2, 3])
+        with pytest.raises(UnsupportedVariant):
+            s.normal_cone([0, 0])
+
+
 class TestPolyhedron:
     @pytest.mark.parametrize("field", ["A_ineq", "b_ineq", "A_eq", "b_eq"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -108,6 +144,14 @@ class TestPolyhedron:
             P = Polyhedron(A, b)
             x = P.project(rng.standard_normal(20) * 2)
             assert np.all(A @ x - b <= 1e-9)
+
+    def test_projection_exact_to_rounding(self):
+        # x_1 <= 1 - 1e-10 is violated by 1e-10 once x_0 <= 0 is met; the
+        # projection used to stop there, 1e-10 outside the polyhedron
+        A, b = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.0, 1.0 - 1e-10])
+        x = Polyhedron(A, b).project([1.0, 1.0])
+        scale = np.linalg.norm(A, axis=1) * np.linalg.norm(x) + np.abs(b)
+        assert np.all(A @ x - b <= VIOL_RTOL * scale)
 
     def test_projection_imports_no_scipy(self):
         # numpy is the only run-time dependency: with scipy blocked, any
