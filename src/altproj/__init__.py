@@ -21,7 +21,6 @@ from .inclusion import (
     ChartApproximateProjector,
     InclusionProblem,
     ManifoldChart,
-    chart_projection_oracle,
     faithful_projection,
     normal_space_basis,
     solve_inclusion,

@@ -130,16 +130,16 @@ class InexactProjector:
         self.direction_seed = int(direction_seed)
 
     def project(self, z, k):
-        return self.project_with_exact(linalg.as_vector(z, dim=self.set.ambient_dim), k)[0]
+        z = linalg.as_vector(z, dim=self.set.ambient_dim)
+        return self._perturb(z, self.set._project(z), k)
 
-    def project_with_exact(self, z, k):
-        """(x, P_M(z)), z checked: the eps-corrupted point and the exact projection it perturbs."""
-        exact = self.set._project(z)
+    def _perturb(self, z, exact, k):
+        """The eps-corrupted point for a checked z and its exact projection P_M(z)."""
         if self.eps == 0.0:
-            return exact, exact
+            return exact
         d = float(np.linalg.norm(z - exact))
         if d == 0.0:
-            return exact, exact
+            return exact
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=self.direction_seed, spawn_key=(k,))
         )
@@ -148,7 +148,7 @@ class InexactProjector:
         while nu == 0.0:  # vanishing draw; essentially impossible
             u = rng.standard_normal(exact.shape[0])
             nu = np.linalg.norm(u)
-        return exact + (self.eps * d / nu) * u, exact
+        return exact + (self.eps * d / nu) * u
 
 
 class ApproximateProjector:
@@ -171,13 +171,18 @@ class ExactApproximateProjector(ApproximateProjector):
 
     def __init__(self, set_m: ProjectableSet):
         self.set = set_m
+        self._project_m = set_m._project
 
     def start(self, z0):
-        """P_M(z0), which lies on M, as run_inexact projects its start onto Q."""
-        return self.set.project(z0), 0.0
+        """P_M(z0), which lies on M, as run_inexact projects its start onto Q.
+
+        A run begins here, so here the steps get the run's projection onto M.
+        """
+        self._project_m = self.set._run_projection()
+        return self._project_m(self.set._check(z0)), 0.0
 
     def step(self, z, y):
-        return self.set._project(y)
+        return self._project_m(y)
 
 
 def iterate(rows, opts: SolveOptions) -> IterationTrace:
@@ -194,26 +199,30 @@ def iterate(rows, opts: SolveOptions) -> IterationTrace:
     DIVERGENCE_WINDOW iterations, and ends in MaxIters after max_iters
     iterations (max_iters + 1 rows).  The steps work on unchecked arrays,
     so a row whose gap is NaN/Inf (an overflow) raises DimensionMismatch.
+    The steps run inside this loop, with numpy's invalid-value warning
+    off, since that check reports the NaN such a step computes; numpy's
+    error state is restored when iterate returns or raises.
     """
     trace = IterationTrace()
-    while True:
-        try:
-            z, x, gap, dq, dm = next(rows)
-        except StopIteration as stop:
-            trace.status = stop.value
+    with np.errstate(invalid="ignore"):
+        while True:
+            try:
+                z, x, gap, dq, dm = next(rows)
+            except StopIteration as stop:
+                trace.status = stop.value
+                return trace
+            if not np.isfinite(gap):
+                raise DimensionMismatch(f"iteration {len(trace.gaps)} has gap {gap}")
+            trace.add_row(z, x, gap, dq, dm)
+            if gap <= opts.gap_tol and dq <= opts.gap_tol:
+                trace.status = CONVERGED
+            elif trace.diverging():
+                trace.status = DIVERGED
+            elif trace.iterations == opts.max_iters:
+                trace.status = MAX_ITERS
+            else:
+                continue
             return trace
-        if not np.isfinite(gap):
-            raise DimensionMismatch(f"iteration {len(trace.gaps)} has gap {gap}")
-        trace.add_row(z, x, gap, dq, dm)
-        if gap <= opts.gap_tol and dq <= opts.gap_tol:
-            trace.status = CONVERGED
-        elif trace.diverging():
-            trace.status = DIVERGED
-        elif trace.iterations == opts.max_iters:
-            trace.status = MAX_ITERS
-        else:
-            continue
-        return trace
 
 
 def run_exact(Q: ProjectableSet, M: ProjectableSet, z0, opts=None) -> IterationTrace:
@@ -230,23 +239,26 @@ def run_inexact(Q: ProjectableSet, M_inexact: InexactProjector, z0, opts=None):
     if Q.ambient_dim != M_inexact.set.ambient_dim:
         raise DimensionMismatch("Q and M live in different ambient spaces")
     z = linalg.as_vector(z0, dim=Q.ambient_dim)
-    pz = Q._project(z)
+    project_q = Q._run_projection()
+    pz = project_q(z)
     dq = float(np.linalg.norm(z - pz))
     projected = dq > 1e-12
     if projected:
         z, dq = pz, 0.0
-    trace = iterate(_inexact_rows(Q, M_inexact, z, dq), opts)
+    trace = iterate(_inexact_rows(project_q, M_inexact, z, dq), opts)
     trace.initial_projected = projected
     return trace
 
 
-def _inexact_rows(Q, M_inexact, z, dq):
+def _inexact_rows(project_q, M_inexact, z, dq):
+    project_m = M_inexact.set._run_projection()
     for k in itertools.count():
-        x, exact = M_inexact.project_with_exact(z, k)
+        exact = project_m(z)
+        x = M_inexact._perturb(z, exact, k)
         gap = float(np.linalg.norm(z - x))
         dm = gap if x is exact else float(np.linalg.norm(z - exact))
         yield z, x, gap, dq, dm
-        z, dq = Q._project(x), 0.0
+        z, dq = project_q(x), 0.0
 
 
 def run_approximate(M_approx: ApproximateProjector, Q: ProjectableSet, z0, opts=None):
@@ -256,12 +268,12 @@ def run_approximate(M_approx: ApproximateProjector, Q: ProjectableSet, z0, opts=
     """
     opts = opts or SolveOptions()
     z, dm = M_approx.start(linalg.as_vector(z0, dim=Q.ambient_dim))
-    return iterate(_approximate_rows(M_approx, Q, z, dm), opts)
+    return iterate(_approximate_rows(M_approx, Q._run_projection(), z, dm), opts)
 
 
-def _approximate_rows(M_approx, Q, z, dm):
+def _approximate_rows(M_approx, project_q, z, dm):
     while True:
-        y = Q._project(z)
+        y = project_q(z)
         gap = float(np.linalg.norm(z - y))
         yield z, y, gap, gap, dm
         z, dm = M_approx.step(z, y), 0.0

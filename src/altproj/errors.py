@@ -17,10 +17,6 @@ class NonConvergence(AltprojError):
     """An iterative kernel exceeded its iteration cap."""
 
 
-class AmbiguousProjection(AltprojError):
-    """A projection tie with no documented tie-break rule."""
-
-
 class UnsupportedVariant(AltprojError):
     """The requested operation is not defined for this set variant."""
 

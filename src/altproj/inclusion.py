@@ -97,13 +97,14 @@ def solve_inclusion(p: InclusionProblem, x0, opts=None) -> IterationTrace:
 
 
 def _inclusion_rows(p, x):
+    project_q = p.Q._run_projection()
     while True:
         fx, J = p.F._linearize(x)
-        y = p.Q._project(fx)
+        y = project_q(fx)
         gap = float(np.linalg.norm(fx - y))
         yield x, y, gap, gap, float("nan")
         try:
-            x = x + linalg.least_squares(J, y - fx)
+            x = x + linalg._least_squares(J, y - fx)
         except RankDeficient:
             return RANK_DEFICIENT
 
@@ -150,51 +151,12 @@ class ChartApproximateProjector(ApproximateProjector):
         return z0, 0.0
 
     def step(self, z, y):
-        coords = self.coords + linalg.least_squares(self.J, y - self.fx)
+        coords = self.coords + linalg._least_squares(self.J, y - self.fx)
         if not self.chart._contains(coords):
             raise LeftChart("step left the chart domain")
         self.coords = coords
         self.fx, self.J = self.chart.F._linearize(coords)
         return self.fx
-
-
-def chart_projection_oracle(chart: ManifoldChart, y, samples=10_000, bisections=50):
-    """Independent nearest-point oracle for 1-D charts.
-
-    Dense parameter sampling followed by bisection on the stationarity
-    condition grad F(t)^T (F(t) - y) = 0 around the best sample.
-    """
-    if chart.F.input_dim != 1:
-        raise DimensionMismatch("projection oracle supports 1-D charts only")
-    y = linalg.as_vector(y, dim=chart.F.output_dim)
-    ts = np.linspace(chart.lower[0], chart.upper[0], samples)
-
-    def dist2(t):
-        d = chart.F.eval(np.array([t])) - y
-        return float(d @ d)
-
-    def stat(t):
-        fx, J = chart.F._linearize(np.array([t]))
-        return float(J[:, 0] @ (fx - y))
-
-    d2 = np.array([dist2(t) for t in ts])
-    i = int(np.argmin(d2))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, samples - 1)]
-    flo, fhi = stat(lo), stat(hi)
-    if flo * fhi > 0:
-        # no bracket: the grid minimum sits at a boundary of the box
-        t_best = ts[i]
-    else:
-        for _ in range(bisections):
-            mid = 0.5 * (lo + hi)
-            fm = stat(mid)
-            if flo * fm <= 0:
-                hi, fhi = mid, fm
-            else:
-                lo, flo = mid, fm
-        t_best = 0.5 * (lo + hi)
-    return chart.F.eval(np.array([t_best]))
 
 
 def verify_faithfulness(

@@ -52,8 +52,14 @@ def least_squares(A, b):
     factorization.  A with no columns gives the empty step; a wide or
     numerically rank-deficient A raises RankDeficient.
     """
+    return _least_squares(A, b, check=True)
+
+
+def _least_squares(A, b, check=False):
+    """least_squares, by default for a b the caller holds checked: finite, one entry per row of A."""
     U, sigma, V = require_full_column_rank(A, "matrix does not have full column rank")
-    b = as_vector(b, dim=U.shape[0])
+    if check:
+        b = as_vector(b, dim=U.shape[0])
     return V @ ((U[:, : sigma.size].T @ b) / sigma)
 
 

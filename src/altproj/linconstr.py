@@ -90,7 +90,7 @@ class LicqReport:
 
 
 def _linearized_rows(sys: ConstraintSystem, z):
-    """The linearization at a checked z as qp._solve takes it: rows x (<=/=) rhs.
+    """The linearization at a checked z as the QP solver takes it: rows x (<=/=) rhs.
 
     rows = [J_G; J_P; J_H], the first n_i of them inequalities, stacked as
     solve_projection_qp stacks [A_ineq; A_eq].  Also returns
@@ -185,21 +185,16 @@ def solve_constraint_system(sys: ConstraintSystem, x0, opts=None) -> IterationTr
 
 
 def _constraint_rows(sys, x, dq):
+    project_q = sys.Q._run_projection()
     while True:
         rows, rhs, n_i, violation = _linearized_rows(sys, x)
         try:
-            cert = qp._solve(x, rows, rhs, n_i)
+            s = qp._nearest_point(x, rows, rhs, n_i)[0] - x
         except Infeasible:
             return LINEARIZATION_INFEASIBLE
-        s = cert.solution - x
         shifted = x + s
         yield x, shifted, float(np.linalg.norm(s)), dq, violation
-        x, dq = sys.Q._project(shifted), 0.0
-
-
-def constraint_violation(sys: ConstraintSystem, x):
-    """max(G+, P+, |H|) at x."""
-    return _linearized_rows(sys, linalg.as_vector(x, dim=sys.ambient_dim))[-1]
+        x, dq = project_q(shifted), 0.0
 
 
 @dataclass

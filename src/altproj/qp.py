@@ -25,6 +25,26 @@ Inequality rows enter until none is violated beyond rounding: first any
 row violated by more than FEAS_TOL, then one violated by more than
 VIOL_RTOL (|a||x| + |b|), which for |x| > 1e4 exceeds FEAS_TOL.  A
 dependent row met to FEAS_TOL is skipped until the next pivot.
+
+Warm start.  For a fixed working set W the factors Q, R depend only on
+the rows, not on the target, and alternating projections onto one
+polyhedron solve a sequence of QPs that mostly end on the same W (the
+online active-set idea of qpOASES, Ferreau et al., Math. Prog. Comp. 6,
+2014).  So _nearest_point can take a _Hint holding the previous solve's
+working rows in factor order and their factors.  With N^T = Q_1 R the
+multipliers of W at z solve R^T R u = N z - b_W.  Since N = R^T Q_1^T,
+v = R^{-T} (N z - b_W) = Q_1^T z - R^{-T} b_W and u = R^{-1} v; R^{-1}
+and R^{-T} b_W are formed once per working set, so a warm start costs
+three small matrix-vector products.  If every inequality multiplier in u
+is >= 0, then x = z - Q_1 v = z - N^T u is optimal for W.  That is a
+valid dual start, and the loop continues from it unchanged, so it
+terminates as before; the equality rows already in W are not entered
+again.  A negative or NaN multiplier falls back to the cold start at
+x = z.  The loop updates factors in place, so the hint's are copied
+first; a solve that changes the working set leaves its own in the hint.
+Hints are scoped to one run: Polyhedron._run_projection gives each run
+its own, so Polyhedron.project stays a pure function and two runs of the
+same problem give the same bits.
 """
 
 from __future__ import annotations
@@ -93,20 +113,61 @@ def solve_projection_qp(p: ProjectionQp) -> KktCertificate:
     return _solve(p.target, rows, rhs, p.A_ineq.shape[0])
 
 
-def _solve(z, rows, rhs, n_i):
-    """The dual method on checked data: rows = [A_ineq; A_eq], the first n_i inequalities."""
+class _Hint:
+    """A solve's working rows in factor order and their factors, to start the next one on the same rows.
+
+    Q and R factor N^T = Q[:, :q] R[:q, :q] for the q rows in work.  The
+    first warm start from them adds R^{-1} and c = R^{-T} b_W, which
+    serve every later one until a solve changes the working set.
+    """
+
+    __slots__ = ("work", "Q", "R", "R_inv", "c")
+
+    def __init__(self):
+        self.work = None
+
+    def keep(self, work, Q, R):
+        self.work, self.Q, self.R, self.R_inv, self.c = work, Q, R, None, None
+
+
+def _solve(z, rows, rhs, n_i, hint=None):
+    """The dual method on checked data: rows = [A_ineq; A_eq], the first n_i inequalities.
+
+    Returns the KktCertificate of _nearest_point's solution.
+    """
+    x, u, work, pivots = _nearest_point(z, rows, rhs, n_i, hint)
+    y = np.zeros(rows.shape[0])
+    y[work] = u
+    slacks = rhs[:n_i] - rows[:n_i] @ x
+    slacks = np.where(np.abs(slacks) < FEAS_TOL, np.maximum(slacks, 0.0), slacks)
+    return KktCertificate(x, np.maximum(y[:n_i], 0.0), slacks, y[n_i:],
+                          sorted(int(j) for j in work if j < n_i), pivots)
+
+
+def _nearest_point(z, rows, rhs, n_i, hint=None):
+    """(x, u, work, pivots): the solution, the multipliers u of the working rows work, and the pivots.
+
+    With a _Hint for these rows, start from its working set when that is a
+    valid dual start at z, and leave this solve's working set in it.
+    """
     n, m = z.shape[0], rows.shape[0]
     max_pivots = 100 * max(1, m)
-    x = z.copy()
-    Q = np.eye(n)
-    R = np.zeros((n, n))
-    u = np.zeros(n)                     # multipliers of the working rows
-    work = np.zeros(n, dtype=int)       # working row indices, in factor order
+    warm = _warm_start(z, rows, rhs, n_i, hint)
+    if warm is None:
+        x = z.copy()
+        Q = np.eye(n)
+        R = np.zeros((n, n))
+        u = np.zeros(n)                 # multipliers of the working rows
+        work = np.zeros(n, dtype=int)   # working row indices, in factor order
+        q = 0
+    else:
+        x, Q, R, u, work, q = warm
     met = []                            # dependent rows met to FEAS_TOL since the last pivot
-    q = pivots = 0
+    pivots = 0
     A, b = rows[:n_i], rhs[:n_i]
     a_norms = None                      # row norms of A, once the relative test first runs
-    equalities = iter(range(n_i, m))
+    in_work = set(work[:q].tolist())
+    equalities = (j for j in range(n_i, m) if j not in in_work)
     while True:
         # Entering row: each equality in turn, then the most-violated inequality.
         p = next(equalities, None)
@@ -171,12 +232,31 @@ def _solve(z, rows, rhs, n_i):
                 break
             q = _drop(Q, R, u, work, q, k)
 
-    y = np.zeros(m)
-    y[work[:q]] = u[:q]
-    slacks = b - A @ x
-    slacks = np.where(np.abs(slacks) < FEAS_TOL, np.maximum(slacks, 0.0), slacks)
-    return KktCertificate(x, np.maximum(y[:n_i], 0.0), slacks, y[n_i:],
-                          sorted(int(j) for j in work[:q] if j < n_i), pivots)
+    if hint is not None and (warm is None or pivots):
+        hint.keep(work[:q].copy(), Q, R)
+    return x, u[:q], work[:q], pivots
+
+
+def _warm_start(z, rows, rhs, n_i, hint):
+    """(x, Q, R, u, work, q) optimal for the hint's working set at z, on copied factors.
+
+    None without a nonempty hint, or if an inequality multiplier is < 0 or NaN.
+    """
+    if hint is None or hint.work is None or not hint.work.size:
+        return None
+    W, q, n = hint.work, hint.work.size, z.shape[0]
+    if hint.R_inv is None:
+        hint.R_inv = np.linalg.inv(hint.R[:q, :q])
+        hint.c = rhs[W] @ hint.R_inv
+    Q1 = hint.Q[:, :q]
+    v = z @ Q1 - hint.c             # R^{-T} (N z - b_W), as N = R^T Q1^T
+    u = np.zeros(n)
+    u[:q] = hint.R_inv @ v
+    if not (np.isfinite(u).all() and (u[:q][W < n_i] >= 0.0).all()):
+        return None
+    work = np.zeros(n, dtype=int)
+    work[:q] = W
+    return z - Q1 @ v, hint.Q.copy(), hint.R.copy(), u, work, q
 
 
 def _add(Q, R, u, work, q, w, j, u_j):
@@ -204,18 +284,3 @@ def _drop(Q, R, u, work, q, k):
         R[i + 1, i] = 0.0
         Q[:, i:i + 2] = Q[:, i:i + 2] @ G.T
     return q - 1
-
-
-def verify_certificate(p: ProjectionQp, cert: KktCertificate):
-    """Independent KKT check; returns the max violation across conditions."""
-    x, w, s, y = cert.solution, cert.ineq_multipliers, cert.slacks, cert.eq_multipliers
-    stat = x - p.target + p.A_ineq.T @ w + p.A_eq.T @ y
-    return max(
-        float(np.max(p.A_ineq @ x - p.b_ineq, initial=0.0)),
-        float(np.max(-w, initial=0.0)),
-        float(np.max(-s, initial=0.0)),
-        abs(float(w @ s)),
-        float(np.max(np.abs(p.b_ineq - p.A_ineq @ x - s), initial=0.0)),
-        float(np.max(np.abs(p.A_eq @ x - p.b_eq), initial=0.0)),
-        float(np.linalg.norm(stat)),
-    )

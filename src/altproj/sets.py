@@ -2,7 +2,9 @@
 
 The base class checks the argument of project / distance / normal_cone
 once.  Each variant implements _project and _normal_cone on the checked
-vector (the drivers call _project directly) and a JSON schema.
+vector and a JSON schema.  The drivers call the function _run_projection
+returns, once per run: _project itself, or for Polyhedron a projection
+that starts each QP from the previous one's working set.
 Nonconvex projections use the documented tie-breaks so traces
 reproduce exactly:
 
@@ -76,6 +78,14 @@ class ProjectableSet:
     def _project(self, z):
         """The nearest point to a checked (ambient_dim,) float vector z, as a new array."""
         raise NotImplementedError
+
+    def _run_projection(self):
+        """The _project of one run, built by the driver at its start.
+
+        A variant may return a function that carries state from one call
+        to the next within the run; the set itself keeps none.
+        """
+        return self._project
 
     def _normal_cone(self, p):
         raise UnsupportedVariant(f"{type(self).__name__} has no normal-cone description")
@@ -374,10 +384,15 @@ class Polyhedron(ProjectableSet):
         self._rows = np.vstack([self.A_ineq, self.A_eq])
         self._rhs = np.concatenate([self.b_ineq, self.b_eq])
         # one QP feasibility solve certifies nonemptiness
-        qp._solve(np.zeros(n), self._rows, self._rhs, self.A_ineq.shape[0])
+        qp._nearest_point(np.zeros(n), self._rows, self._rhs, self.A_ineq.shape[0])
 
     def _project(self, z):
-        return qp._solve(z, self._rows, self._rhs, self.A_ineq.shape[0]).solution
+        return qp._nearest_point(z, self._rows, self._rhs, self.A_ineq.shape[0])[0]
+
+    def _run_projection(self):
+        # consecutive QPs of a run mostly end on the same working set: each starts from the last
+        rows, rhs, n_i, hint = self._rows, self._rhs, self.A_ineq.shape[0], qp._Hint()
+        return lambda z: qp._nearest_point(z, rows, rhs, n_i, hint)[0]
 
     def _normal_cone(self, p):
         active = [
@@ -490,7 +505,7 @@ def _cone_intersection(na: NormalCone, nb: NormalCone):
         # {lambda : fixed rows, norm_row lambda = 1} is nonempty exactly when
         # its min-norm point exists; Infeasible rules g out
         try:
-            sol = qp._solve(np.zeros(nv), np.vstack([fixed, norm_row]), rhs, ka + kb).solution
+            sol = qp._nearest_point(np.zeros(nv), np.vstack([fixed, norm_row]), rhs, ka + kb)[0]
         except Infeasible:
             continue
         v = a_cols @ sol[: ka + ma]

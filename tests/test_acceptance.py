@@ -23,7 +23,6 @@ from altproj import (
     SolveOptions,
     Sphere,
     angles_from_trace,
-    chart_projection_oracle,
     fit_rate,
     measure_quadratic_decay,
     run_exact,
@@ -33,8 +32,9 @@ from altproj import (
     verify_faithfulness,
 )
 from altproj.linconstr import geometric_path
-from altproj.qp import ProjectionQp, solve_projection_qp, verify_certificate
+from altproj.qp import solve_projection_qp
 
+from oracles import chart_projection_oracle, verify_certificate
 from test_qp import enumeration_oracle, random_feasible_qp
 
 

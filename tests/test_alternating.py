@@ -44,6 +44,11 @@ class TestRunExact:
         assert tr.status == "Converged"
         assert tr.iterations == 0
 
+    def test_numpy_error_state_is_the_callers_after_a_run(self):
+        with np.errstate(all="raise"):
+            assert line_line_trace().status == "Converged"
+            assert set(np.geterr().values()) == {"raise"}
+
     def test_line_line_contraction_factor(self):
         # closed-form line projections: per-cycle factor cos^2(pi/4) = 0.5
         tr = line_line_trace()

@@ -25,6 +25,8 @@ from altproj.errors import (
 )
 from altproj.linconstr import geometric_path, newton_feasibility_step
 
+from oracles import constraint_violation
+
 CIRCLE = PolyMap(2, [[Monomial(1, (2, 0)), Monomial(1, (0, 2)), Monomial(-1, (0, 0))]])
 FULL_PLANE = AffineSubspace([0, 0], [[1, 0], [0, 1]])
 DIAG_LINE = AffineSubspace([0, 0], [[2**-0.5, 2**-0.5]])
@@ -247,8 +249,6 @@ class TestSolveConstraintSystem:
     def test_converged_iterate_feasible(self):
         opts = SolveOptions(gap_tol=1e-10, max_iters=200)
         tr = solve_constraint_system(circle_system(DIAG_LINE), [2, 2], opts)
-        from altproj.linconstr import constraint_violation
-
         sys_ = circle_system(DIAG_LINE)
         x = tr.zs[-1]
         assert max(constraint_violation(sys_, x), sys_.Q.distance(x)) <= opts.gap_tol * 10

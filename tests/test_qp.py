@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from altproj import ProjectionQp, solve_projection_qp
+from altproj import ProjectionQp, qp, solve_projection_qp
 from altproj.errors import Infeasible
-from altproj.qp import VIOL_RTOL, verify_certificate
+from altproj.qp import VIOL_RTOL
+
+from oracles import verify_certificate
 
 KEPT_INSTANCE = os.path.join(
     os.path.dirname(__file__), os.pardir, "perfbench", "data", "maxpivots_10x30.json"
@@ -295,3 +297,84 @@ class TestMaxPivotsRegressions:
         cert = solve_projection_qp(p)
         assert verify_certificate(p, cert) <= 1e-8
         assert cert.pivots < pivot_cap(p)
+
+
+def stacked(p):
+    """p's rows and right-hand sides as the solver core takes them."""
+    return np.vstack([p.A_ineq, p.A_eq]), np.concatenate([p.b_ineq, p.b_eq]), p.A_ineq.shape[0]
+
+
+@st.composite
+def hinted_qps(draw):
+    """(p, hint, kind, earlier): a QP, and a hint left by an earlier solve on its rows.
+
+    earlier is that solve's certificate.  Its target was
+      right:    p's own;
+      stale:    another random point;
+      negative: the reflection 2x - p.target of p's target through x, its
+                projection.  Its working rows are active at x, so each
+                multiplier they have at p's target is the negative of the
+                one at the earlier target.
+    """
+    p = draw(qp_draws())
+    kind = draw(st.sampled_from(["right", "stale", "negative"]))
+    rows, rhs, n_i = stacked(p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    earlier = {"right": p.target, "stale": rng.standard_normal(p.dim) * 2, "negative": p.target}[kind]
+    hint = qp._Hint()
+    cert = qp._solve(earlier, rows, rhs, n_i, hint)
+    if kind == "negative":
+        p = ProjectionQp(2 * cert.solution - p.target, p.A_ineq, p.b_ineq, p.A_eq, p.b_eq)
+    return p, hint, kind, cert
+
+
+class TestWarmStart:
+    @given(case=hinted_qps())
+    def test_warm_and_cold_agree(self, case):
+        p, hint, _, _ = case
+        rows, rhs, n_i = stacked(p)
+        cold = qp._solve(p.target, rows, rhs, n_i)
+        warm = qp._solve(p.target, rows, rhs, n_i, hint)
+        assert verify_certificate(p, cold) <= 1e-8
+        assert verify_certificate(p, warm) <= 1e-8
+        scale = 1.0 + np.linalg.norm(p.target)
+        assert np.max(np.abs(warm.solution - cold.solution), initial=0.0) <= 1e-12 * scale
+        # the hint now holds this solve's working set
+        assert sorted(int(j) for j in hint.work if j < n_i) == warm.active_set
+
+    @given(case=hinted_qps())
+    def test_hint_with_a_negative_multiplier_is_refused(self, case):
+        p, hint, kind, earlier = case
+        if kind == "negative" and np.any(earlier.ineq_multipliers > 1e-6):
+            assert qp._warm_start(p.target, *stacked(p), hint) is None
+
+    def test_right_hint_needs_no_pivot(self):
+        # the box corner again: both rows of the answer are the hint's working set
+        p = ProjectionQp([2, -1], [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], np.zeros((0, 2)), [])
+        rows, rhs, n_i = stacked(p)
+        hint = qp._Hint()
+        assert qp._solve(p.target, rows, rhs, n_i, hint).pivots == 2
+        cert = qp._solve(np.array([3.0, -2.0]), rows, rhs, n_i, hint)
+        assert (cert.pivots, cert.active_set) == (0, [0, 3])
+        np.testing.assert_array_equal(cert.solution, [1.0, 0.0])
+
+    def test_hint_with_an_equality_row(self):
+        # the hint holds x_0 = 1 alone; from there only x_1 <= 0 enters
+        p = ProjectionQp([0.0, 2.0], [[0.0, 1.0]], [0.0], [[1.0, 0.0]], [1.0])
+        rows, rhs, n_i = stacked(p)
+        hint = qp._Hint()
+        assert qp._solve(np.array([5.0, -1.0]), rows, rhs, n_i, hint).pivots == 1
+        assert hint.work.tolist() == [1]
+        cert = qp._solve(p.target, rows, rhs, n_i, hint)
+        assert cert.pivots == 1
+        assert hint.work.tolist() == [1, 0]
+        np.testing.assert_allclose(cert.solution, [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(cert.eq_multipliers, [-1.0], atol=1e-15)
+
+    def test_nan_target_falls_back_to_cold_start(self):
+        p = ProjectionQp([2, -1], [[1, 0], [0, -1]], [1, 0], np.zeros((0, 2)), [])
+        rows, rhs, n_i = stacked(p)
+        hint = qp._Hint()
+        qp._solve(p.target, rows, rhs, n_i, hint)
+        assert hint.work.size == 2
+        assert qp._warm_start(np.array([np.nan, 0.0]), rows, rhs, n_i, hint) is None

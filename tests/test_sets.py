@@ -13,16 +13,27 @@ from altproj import (
     AffineSubspace,
     Ball,
     Box,
+    ConstraintSystem,
+    ExactApproximateProjector,
     FinitePointSet,
     FixedRankMatrices,
     Halfspace,
     Hyperplane,
+    InclusionProblem,
+    Monomial,
     NormalConeProbe,
+    PolyMap,
     Polyhedron,
     ProjectableSet,
+    SolveOptions,
     Sphere,
     check_transversality,
+    qp,
+    run_approximate,
+    run_exact,
     set_from_json,
+    solve_constraint_system,
+    solve_inclusion,
 )
 from altproj.errors import DimensionMismatch, RankDrop, UnsupportedVariant
 from altproj.qp import VIOL_RTOL
@@ -178,6 +189,112 @@ class TestPolyhedron:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
+
+
+def thin_lens(n=6, m=12, seed=5):
+    """A polyhedron and a ball that overlap by 0.01, and a start: runs take tens of iterations.
+
+    The first n rows have normals near one axis u and b = 1, so several of
+    them are nearly active where the sets meet.
+    """
+    rng = np.random.default_rng(seed)
+    u = np.eye(n)[0]
+    G = rng.standard_normal((m, n))
+    G -= np.outer(G @ u, u)
+    A = G.copy()
+    A[:n] = u + 0.3 * G[:n]
+    A /= np.linalg.norm(A, axis=1, keepdims=True)
+    b = np.append(np.ones(n), rng.uniform(1.0, 2.0, m - n))
+    center = u * (1.0 / np.max(A[:n] @ u) + 1.0 - 0.01)
+    return Polyhedron(A, b), Ball(center, 1.0), center + 2.0 * rng.standard_normal(n) / np.sqrt(n)
+
+
+LENS_OPTS = SolveOptions(1e-9, 3000)
+# each driver with the polyhedron as one of its sets; the last ones end on
+# a nonempty working set of the polyhedron
+LENS_RUNS = {
+    "inclusion": lambda P, B, z0: solve_inclusion(
+        InclusionProblem(cubic_map(B.ambient_dim), P), z0, LENS_OPTS),
+    "linconstr": lambda P, B, z0: solve_constraint_system(
+        ConstraintSystem(ball_constraint(B), PolyMap.empty(B.ambient_dim),
+                         PolyMap.empty(B.ambient_dim), P, B.ambient_dim), z0, LENS_OPTS),
+    "approximate-Q": lambda P, B, z0: run_approximate(ExactApproximateProjector(B), P, z0, LENS_OPTS),
+    "approximate-M": lambda P, B, z0: run_approximate(ExactApproximateProjector(P), B, z0, LENS_OPTS),
+    "exact-Q": lambda P, B, z0: run_exact(P, B, z0, LENS_OPTS),
+    "exact-M": lambda P, B, z0: run_exact(B, P, z0, LENS_OPTS),
+}
+
+
+def ball_constraint(B):
+    """|x - c|^2 - r^2 <= 0 as a PolyMap."""
+    n = B.ambient_dim
+    monomials = [Monomial(float(B.center @ B.center - B.radius**2), (0,) * n)]
+    for i in range(n):
+        monomials.append(Monomial(1.0, tuple(2 * (k == i) for k in range(n))))
+        if B.center[i]:
+            monomials.append(Monomial(-2.0 * B.center[i], tuple(int(k == i) for k in range(n))))
+    return PolyMap(n, [monomials])
+
+
+def cubic_map(n):
+    """x_i + x_i^3 / 2 in each coordinate, so that Gauss-Newton takes several steps."""
+    return PolyMap(n, [[Monomial(1.0, tuple(int(k == i) for k in range(n))),
+                        Monomial(0.5, tuple(3 * int(k == i) for k in range(n)))] for i in range(n)])
+
+
+def trace_bits(tr):
+    columns = (tr.zs, tr.xs, tr.gaps, tr.dist_q, tr.dist_m)
+    return (tr.status,) + tuple(np.asarray(c, dtype=float).tobytes() for c in columns)
+
+
+class TestPolyhedronRuns:
+    """A run warm-starts each polyhedron QP from its previous one, and only within the run."""
+
+    @pytest.mark.parametrize("driver", LENS_RUNS)
+    def test_trace_does_not_depend_on_earlier_runs(self, driver):
+        P, B, z0 = thin_lens()
+        run = LENS_RUNS[driver]
+        first = run(P, B, z0)
+        for other in LENS_RUNS.values():
+            other(P, B, z0[::-1])
+        assert trace_bits(run(P, B, z0)) == trace_bits(first)
+        assert trace_bits(run(thin_lens()[0], B, z0)) == trace_bits(first)
+
+    def test_reused_approximate_projector_starts_each_run_afresh(self):
+        P, B, z0 = thin_lens()
+        projector = ExactApproximateProjector(P)
+        first = run_approximate(projector, B, z0, LENS_OPTS)
+        run_approximate(projector, B, z0[::-1], LENS_OPTS)
+        assert trace_bits(run_approximate(projector, B, z0, LENS_OPTS)) == trace_bits(first)
+
+    def test_project_is_the_same_before_and_after_a_run(self):
+        P, B, z0 = thin_lens()
+        points = [z0, B.center, 3 * z0, z0[::-1]]
+        cold = [qp._solve(z, P._rows, P._rhs, P.A_ineq.shape[0]).solution.tobytes() for z in points]
+        assert [P.project(z).tobytes() for z in points] == cold
+        assert run_exact(B, P, z0, LENS_OPTS).status == "Converged"
+        assert [P.project(z).tobytes() for z in points] == cold
+
+    @pytest.mark.parametrize("driver", LENS_RUNS)
+    def test_warm_run_matches_cold_run(self, driver, monkeypatch):
+        P, B, z0 = thin_lens()
+        warm_starts = []
+        warm_start = qp._warm_start
+
+        def counted(*args):
+            start = warm_start(*args)
+            warm_starts.append(start is not None)
+            return start
+
+        monkeypatch.setattr(qp, "_warm_start", counted)
+        warm = LENS_RUNS[driver](P, B, z0)
+        assert warm.iterations >= 5
+        assert sum(warm_starts) >= warm.iterations - 2
+        monkeypatch.setattr(Polyhedron, "_run_projection", lambda self: self._project)
+        cold = LENS_RUNS[driver](P, B, z0)
+        assert (warm.status, warm.iterations) == (cold.status, cold.iterations)
+        for a, b in zip(warm.zs, cold.zs):
+            assert np.max(np.abs(a - b)) <= 1e-12 * (1 + np.linalg.norm(b))
 
 class TestProjectionProperties:
     @pytest.mark.parametrize("s", CONVEX_SETS + NONCONVEX_SETS)
