@@ -39,5 +39,5 @@ zero = run_inexact(
     X_AXIS, InexactProjector(DIAG, 0.0, direction_seed=42), [1, 0],
     SolveOptions(1e-10, 2000),
 )
-identical = exact.gaps == zero.gaps
+identical = np.array_equal(exact.gaps, zero.gaps)
 print(f"\neps=0 trace identical to exact run: {identical}")

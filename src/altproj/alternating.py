@@ -8,7 +8,8 @@ distances.  Traces are the single input to the diagnostics module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,24 +53,20 @@ class IterationTrace:
     approximate scheme, by a step that keeps iterates on M); otherwise
     it records the distance to the projection computed in that
     iteration, and NaN where the set admits no exact distance.
+
+    gaps, dist_q and dist_m are float arrays.  zs and xs are lists of
+    the row vectors the steps produced, not copies; inclusion traces
+    hold zs in X-space and xs in Y-space, so their widths can differ.
+    A trace read from CSV has xs = None.
     """
 
-    zs: list = field(default_factory=list)
-    xs: list = field(default_factory=list)
-    gaps: list = field(default_factory=list)
-    dist_q: list = field(default_factory=list)
-    dist_m: list = field(default_factory=list)
+    zs: list
+    xs: list | None
+    gaps: np.ndarray
+    dist_q: np.ndarray
+    dist_m: np.ndarray
     status: str = MAX_ITERS
     initial_projected: bool = False
-
-    def add_row(self, z, x, gap, dq, dm):
-        if self.gaps and gap < 0:
-            raise ValueError("gaps must be nonnegative")
-        self.zs.append(np.asarray(z, dtype=float))
-        self.xs.append(np.asarray(x, dtype=float))
-        self.gaps.append(float(gap))
-        self.dist_q.append(float(dq))
-        self.dist_m.append(float(dm))
 
     @property
     def iterations(self):
@@ -77,46 +74,34 @@ class IterationTrace:
 
     @property
     def final_gap(self):
-        return self.gaps[-1] if self.gaps else float("nan")
-
-    def diverging(self):
-        g = self.gaps
-        k = len(g) - 1
-        return (
-            k >= DIVERGENCE_WINDOW
-            and g[k] > DIVERGENCE_FACTOR * g[k - DIVERGENCE_WINDOW]
-        )
+        return float(self.gaps[-1]) if len(self.gaps) else float("nan")
 
     # CSV schema: k, gap, dist_Q, dist_M, z_0..z_{d-1}; 17 significant digits.
 
     def to_csv(self):
-        if not self.zs:
-            return "k,gap,dist_Q,dist_M\n"
-        d = self.zs[0].shape[0]
-        header = "k,gap,dist_Q,dist_M," + ",".join(f"z_{i}" for i in range(d))
-        lines = [header]
-        for k in range(len(self.gaps)):
-            nums = [self.gaps[k], self.dist_q[k], self.dist_m[k]] + list(self.zs[k])
-            lines.append(str(k) + "," + ",".join(f"{v:.17g}" for v in nums))
-        return "\n".join(lines) + "\n"
+        n = len(self.gaps)
+        d = len(self.zs[0]) if n else 0
+        header = "k,gap,dist_Q,dist_M" + "".join(f",z_{i}" for i in range(d))
+        table = np.column_stack(
+            (np.arange(n), self.gaps, self.dist_q, self.dist_m, np.reshape(self.zs, (n, d)))
+        )
+        row = "%d" + ",%.17g" * (3 + d)
+        return "\n".join([header] + [row % tuple(r) for r in table.tolist()]) + "\n"
 
     @staticmethod
     def from_csv(text, status=None):
         lines = [ln for ln in text.strip().splitlines() if ln]
         if not lines or not lines[0].startswith("k,gap,dist_Q,dist_M"):
             raise ValueError("trace CSV missing header row")
-        trace = IterationTrace()
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            vals = [float(v) for v in parts[1:]]
-            trace.zs.append(np.array(vals[3:]))
-            trace.xs.append(None)
-            trace.gaps.append(vals[0])
-            trace.dist_q.append(vals[1])
-            trace.dist_m.append(vals[2])
-        if status is not None:
-            trace.status = status
-        return trace
+        widths = np.array([ln.count(",") + 1 for ln in lines])
+        (ragged,) = np.nonzero(widths != widths[0])
+        if ragged.size:
+            k = ragged[0]
+            raise ValueError(f"trace row {k - 1} has {widths[k]} fields, header has {widths[0]}")
+        rows = lines[1:]
+        table = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, widths[0]))
+        gaps, dist_q, dist_m = np.ascontiguousarray(table[:, 1:4].T)
+        return IterationTrace(list(table[:, 4:]), None, gaps, dist_q, dist_m, status or MAX_ITERS)
 
 
 class InexactProjector:
@@ -192,37 +177,41 @@ def iterate(rows, opts: SolveOptions) -> IterationTrace:
     (z, x, gap, dist_q, dist_m) per iterate k = 0, 1, ...; it computes
     iterate k + 1 only when asked for row k + 1, so no work is done past
     the row that stops the run.  A step that cannot go on returns a
-    status instead of yielding, and the run ends with that status.
+    status instead of yielding, and the run ends with that status.  The
+    rows are collected as yielded and the trace is built once, on return.
 
     The run has Converged once gap <= gap_tol and dist_q <= gap_tol, is
-    Diverged once the gap grew DIVERGENCE_FACTOR-fold over
-    DIVERGENCE_WINDOW iterations, and ends in MaxIters after max_iters
-    iterations (max_iters + 1 rows).  The steps work on unchecked arrays,
-    so a row whose gap is NaN/Inf (an overflow) raises DimensionMismatch.
-    The steps run inside this loop, with numpy's invalid-value warning
-    off, since that check reports the NaN such a step computes; numpy's
-    error state is restored when iterate returns or raises.
+    Diverged once gap[k] > DIVERGENCE_FACTOR * gap[k - DIVERGENCE_WINDOW],
+    and ends in MaxIters after max_iters iterations (max_iters + 1 rows).
+    The steps work on unchecked arrays, so a row whose gap is NaN/Inf (an
+    overflow) raises DimensionMismatch.  The steps run inside this loop,
+    with numpy's invalid-value warning off, since that check reports the
+    NaN such a step computes; numpy's error state is restored when
+    iterate returns or raises.
     """
-    trace = IterationTrace()
+    table = []
     with np.errstate(invalid="ignore"):
         while True:
             try:
-                z, x, gap, dq, dm = next(rows)
+                row = next(rows)
             except StopIteration as stop:
-                trace.status = stop.value
-                return trace
-            if not np.isfinite(gap):
-                raise DimensionMismatch(f"iteration {len(trace.gaps)} has gap {gap}")
-            trace.add_row(z, x, gap, dq, dm)
+                status = stop.value
+                break
+            k, gap, dq = len(table), row[2], row[3]
+            if not math.isfinite(gap):
+                raise DimensionMismatch(f"iteration {k} has gap {gap}")
+            table.append(row)
             if gap <= opts.gap_tol and dq <= opts.gap_tol:
-                trace.status = CONVERGED
-            elif trace.diverging():
-                trace.status = DIVERGED
-            elif trace.iterations == opts.max_iters:
-                trace.status = MAX_ITERS
+                status = CONVERGED
+            elif k >= DIVERGENCE_WINDOW and gap > DIVERGENCE_FACTOR * table[k - DIVERGENCE_WINDOW][2]:
+                status = DIVERGED
+            elif k == opts.max_iters:
+                status = MAX_ITERS
             else:
                 continue
-            return trace
+            break
+    zs, xs, *scalars = zip(*table) if table else ((),) * 5
+    return IterationTrace(list(zs), list(xs), *(np.array(c, dtype=float) for c in scalars), status)
 
 
 def run_exact(Q: ProjectableSet, M: ProjectableSet, z0, opts=None) -> IterationTrace:

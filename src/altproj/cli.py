@@ -33,7 +33,7 @@ from .alternating import (
 from .errors import AltprojError, InsufficientData
 from .inclusion import ChartApproximateProjector, InclusionProblem, ManifoldChart
 from .linconstr import ConstraintSystem
-from .sets import ProjectableSet, set_from_json
+from .sets import set_from_json
 
 SCHEMES = ("exact", "inexact", "approximate", "linconstr", "inclusion")
 _DEFAULT_SCHEME = {"two_sets": "exact", "constraint_system": "linconstr", "inclusion": "inclusion"}
@@ -222,6 +222,11 @@ def cmd_diagnose(args):
         prob = load_problem(args.problem)
         if prob.kind == "two_sets":
             _, M = prob.payload
+            if len(trace.zs[0]) != M.ambient_dim:
+                raise ProblemFormatError(
+                    f"trace points have dimension {len(trace.zs[0])},"
+                    f" the problem's sets have dimension {M.ambient_dim}"
+                )
             trace.xs = [M.project(z) for z in trace.zs]
             try:
                 out["angles"] = diagnostics.angles_from_trace(trace).to_json()

@@ -66,31 +66,35 @@ class RateReport:
         }
 
 
-def _angle(u, v):
-    c = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+def _rowdot(u, v):
+    """u[k] @ v[k] for every row k; the batched matmul sums as the 1-D product does."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 def angles_from_trace(trace: IterationTrace) -> AngleReport:
-    """Separability and super-regularity angles along a two-set trace."""
-    if len(trace.zs) < 2 or any(x is None for x in trace.xs[:-1]):
+    """Separability and super-regularity angles along a two-set trace.
+
+    A triple is skipped when any of its three segments has norm <= floor,
+    100 machine epsilons of the largest gap.
+    """
+    if trace.xs is None or len(trace.zs) < 2:
         raise InsufficientData("need at least 2 iterations with projected points")
-    if trace.xs[0] is not None and trace.xs[0].shape != trace.zs[0].shape:
+    if np.shape(trace.xs[0]) != np.shape(trace.zs[0]):
         raise InsufficientData("trace points live in different spaces; no angles")
-    max_gap = max(trace.gaps) if trace.gaps else 0.0
-    floor = 100 * np.finfo(float).eps * max_gap
-    report = AngleReport()
-    for k in range(len(trace.zs) - 1):
-        z, x, z1 = trace.zs[k], trace.xs[k], trace.zs[k + 1]
-        segs = (z - x, z1 - x, z - z1)
-        if any(np.linalg.norm(s) <= floor for s in segs):
-            report.skipped += 1
-            continue
-        report.separability.append(_angle(z - x, z1 - x))
-        report.super_regularity.append(_angle(z - z1, x - z1))
-    if not report.separability:
+    zs = np.stack(trace.zs)
+    z, z1, x = zs[:-1], zs[1:], np.stack(trace.xs[:-1])
+    segs = (z - x, z1 - x, z - z1)
+    norms = np.sqrt([_rowdot(s, s) for s in segs])
+    floor = 100 * np.finfo(float).eps * np.max(trace.gaps)
+    keep = ~(norms <= floor).any(axis=0)
+    if not keep.any():
         raise InsufficientData("all triples were degenerate")
-    return report
+    u, v, w = (s[keep] for s in segs)
+    nu, nv, nw = norms[:, keep]
+    # the angle at x between z - x and z1 - x; at z1 between z - z1 and x - z1
+    sep = np.arccos(np.clip(_rowdot(u, v) / (nu * nv), -1.0, 1.0))
+    sup = np.arccos(np.clip(_rowdot(w, -v) / (nw * nv), -1.0, 1.0))
+    return AngleReport(sep.tolist(), sup.tolist(), int(len(keep) - keep.sum()))
 
 
 def fit_rate(trace: IterationTrace) -> RateReport:
@@ -100,19 +104,14 @@ def fit_rate(trace: IterationTrace) -> RateReport:
     iterations, cross-checked against a log-linear regression.
     """
     gaps = np.asarray(trace.gaps, dtype=float)
-    floor = 100 * np.finfo(float).eps
-    usable = gaps > floor
-    # keep the leading contiguous run of usable gaps
-    n = 0
-    while n < len(gaps) and usable[n]:
-        n += 1
+    # keep the leading contiguous run of gaps above the noise floor
+    n = int(np.argmin(np.append(gaps > 100 * np.finfo(float).eps, False)))
     g = gaps[:n]
     if n < 6:
         raise InsufficientData(f"only {n} gaps above the noise floor, need 6")
-    ratios = (g[1:] / g[:-1]).tolist()
+    ratios = g[1:] / g[:-1]
     half = len(ratios) // 2
-    tail = np.asarray(ratios[half:])
-    rate = float(np.exp(np.mean(np.log(tail))))
+    rate = float(np.exp(np.mean(np.log(ratios[half:]))))
     ks = np.arange(half, n, dtype=float)
     log_g = np.log(g[half:])
     line = np.polyfit(ks, log_g, 1)
@@ -123,7 +122,7 @@ def fit_rate(trace: IterationTrace) -> RateReport:
     r2 = 1.0 - float(resid @ resid) / denom if denom > 0 else 1.0
     quality = "good" if abs(rate_reg - rate) <= _GOOD_FIT_REL * rate else "poor"
     return RateReport(
-        ratios=ratios,
+        ratios=ratios.tolist(),
         rate=rate,
         rate_regression=rate_reg,
         r_squared=r2,

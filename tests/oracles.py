@@ -1,7 +1,9 @@
 """Independent checks of the package's answers, used by several test modules.
 
 Each one recomputes what it checks from the problem data with public calls
-only, so a test that uses it does not trust the code under test.
+only, so a test that uses it does not trust the code under test.  The trace
+references compute, one row at a time, what the package computes on whole
+columns.
 """
 
 import numpy as np
@@ -71,3 +73,38 @@ def constraint_violation(sys: ConstraintSystem, x):
         float(np.max(sys.P.eval(x), initial=0.0)),
         float(np.max(np.abs(sys.H.eval(x)), initial=0.0)),
     )
+
+
+def _angle(u, v):
+    c = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
+    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+
+
+def angles_reference(trace):
+    """(separability, super_regularity, skipped) of a two-set trace, one triple at a time.
+
+    A triple (z_k, x_k, z_{k+1}) is skipped when any of its three segments
+    has norm <= 100 machine epsilons of the largest gap.
+    """
+    floor = 100 * np.finfo(float).eps * max(trace.gaps)
+    separability, super_regularity, skipped = [], [], 0
+    for k in range(len(trace.zs) - 1):
+        z, x, z1 = trace.zs[k], trace.xs[k], trace.zs[k + 1]
+        if any(np.linalg.norm(s) <= floor for s in (z - x, z1 - x, z - z1)):
+            skipped += 1
+            continue
+        separability.append(_angle(z - x, z1 - x))
+        super_regularity.append(_angle(z - z1, x - z1))
+    return separability, super_regularity, skipped
+
+
+def trace_csv_reference(trace):
+    """The trace CSV, with every value formatted on its own."""
+    if not len(trace.zs):
+        return "k,gap,dist_Q,dist_M\n"
+    d = len(trace.zs[0])
+    lines = ["k,gap,dist_Q,dist_M," + ",".join(f"z_{i}" for i in range(d))]
+    for k in range(len(trace.gaps)):
+        nums = [trace.gaps[k], trace.dist_q[k], trace.dist_m[k]] + list(trace.zs[k])
+        lines.append(str(k) + "," + ",".join(f"{v:.17g}" for v in nums))
+    return "\n".join(lines) + "\n"

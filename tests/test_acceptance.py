@@ -7,7 +7,6 @@ independent oracle computed inside the test.
 """
 
 import numpy as np
-import pytest
 
 from altproj import (
     AffineSubspace,
@@ -22,7 +21,6 @@ from altproj import (
     PolyMap,
     SolveOptions,
     Sphere,
-    angles_from_trace,
     fit_rate,
     measure_quadratic_decay,
     run_exact,
@@ -103,7 +101,7 @@ def test_criterion_4_inexact_recovery_and_degradation():
     opts0 = SolveOptions(1e-10, 500, 0.0)
     exact = run_exact(X_AXIS, M, [1, 0], opts0)
     zero_eps = run_inexact(X_AXIS, InexactProjector(M, 0.0, 42), [1, 0], opts0)
-    identical = exact.gaps == zero_eps.gaps and all(
+    identical = np.array_equal(exact.gaps, zero_eps.gaps) and all(
         np.array_equal(a, b) for a, b in zip(exact.zs, zero_eps.zs)
     )
 

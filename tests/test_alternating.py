@@ -1,21 +1,32 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from altproj import (
     AffineSubspace,
+    ConstraintSystem,
     ExactApproximateProjector,
     Hyperplane,
     InexactProjector,
     IterationTrace,
+    Monomial,
+    PolyMap,
     SolveOptions,
     Sphere,
     run_approximate,
     run_exact,
     run_inexact,
+    solve_constraint_system,
 )
+from altproj.alternating import DIVERGENCE_FACTOR, DIVERGENCE_WINDOW, iterate
+from altproj.cli import _COMPATIBLE, bundled_problem_path, load_problem, run_problem
 from altproj.errors import DimensionMismatch
 
+from oracles import trace_csv_reference
+
 X_AXIS = AffineSubspace([0, 0], [[1, 0]])
+FULL_PLANE = AffineSubspace([0, 0], [[1, 0], [0, 1]])
 DIAGONAL = AffineSubspace([0, 0], [[2**-0.5, 2**-0.5]])
 LINE_Y1 = AffineSubspace([0, 1], [[1, 0]])
 
@@ -86,7 +97,7 @@ class TestRunInexact:
             SolveOptions(max_iters=200),
         )
         assert exact.status == inexact.status
-        assert exact.gaps == inexact.gaps
+        assert np.array_equal(exact.gaps, inexact.gaps)
         for a, b in zip(exact.zs, inexact.zs):
             assert np.array_equal(a, b)
 
@@ -170,7 +181,7 @@ class TestRunApproximate:
     def test_projects_start_off_m(self):
         tr = run_approximate(ExactApproximateProjector(DIAGONAL), X_AXIS, [1.0, 0.0])
         assert np.array_equal(tr.zs[0], DIAGONAL.project([1.0, 0.0]))
-        assert tr.dist_m == [0.0] * len(tr.zs)
+        assert np.array_equal(tr.dist_m, np.zeros(len(tr.zs)))
 
 
 class TestNonFiniteGap:
@@ -190,13 +201,118 @@ class TestNonFiniteGap:
             run_approximate(M, X_AXIS, [1, 0], SolveOptions(1e-10, 10))
 
 
+def gap_rows(gaps):
+    """A step yielding rows with the given gaps; dist_q = 1 keeps them from converging."""
+    z = np.zeros(1)
+    for gap in gaps:
+        yield z, z, gap, 1.0, 0.0
+    raise AssertionError("iterate asked for a row past the one that stops the run")
+
+
+class TestStoppingRules:
+    def boundary_gaps(self, last):
+        # slowly growing gaps, so a window one row off moves the boundary
+        gaps = [0.3 + 0.01 * k for k in range(30)]
+        gaps[25] = last(DIVERGENCE_FACTOR * gaps[25 - DIVERGENCE_WINDOW])
+        return gaps
+
+    def test_gap_factor_times_window_ago_keeps_running(self):
+        gaps = self.boundary_gaps(lambda bound: bound)
+        tr = iterate(gap_rows(gaps), SolveOptions(max_iters=29))
+        assert tr.status == "MaxIters"
+        assert np.array_equal(tr.gaps, gaps)
+
+    def test_gap_above_factor_times_window_ago_diverges_on_that_row(self):
+        gaps = self.boundary_gaps(lambda bound: np.nextafter(bound, np.inf))
+        tr = iterate(gap_rows(gaps), SolveOptions(max_iters=29))
+        assert tr.status == "Diverged"
+        assert np.array_equal(tr.gaps, gaps[:26])
+
+    def test_no_divergence_before_a_full_window(self):
+        gaps = [1.0] + [1e6] * (DIVERGENCE_WINDOW - 1)
+        tr = iterate(gap_rows(gaps), SolveOptions(max_iters=DIVERGENCE_WINDOW - 1))
+        assert tr.status == "MaxIters"
+        assert np.array_equal(tr.gaps, gaps)
+
+    def test_rows_are_kept_as_yielded(self):
+        zs = [np.full(2, float(k)) for k in range(3)]
+        xs = [-z for z in zs]
+        tr = iterate(zip(zs, xs, [3.0, 2.0, 1.0], [1.0] * 3, [0.0] * 3), SolveOptions(max_iters=2))
+        assert tr.status == "MaxIters"
+        assert all(a is b for a, b in zip(tr.zs + tr.xs, zs + xs))
+        for col, want in ((tr.gaps, [3.0, 2.0, 1.0]), (tr.dist_q, [1.0] * 3), (tr.dist_m, [0.0] * 3)):
+            assert type(col) is np.ndarray and col.dtype == float
+            assert np.array_equal(col, want)
+
+
+def bundled_runs():
+    for name in ("two_lines_45deg", "two_lines_60deg", "circle_line", "parallel_lines",
+                 "circle_system", "parabola_inclusion"):
+        with resources.as_file(bundled_problem_path(name)) as path:
+            kind = load_problem(path).kind
+        for scheme in _COMPATIBLE[kind]:
+            yield pytest.param(name, scheme, id=f"{name}-{scheme}")
+
+
+def bundled_trace(name, scheme):
+    with resources.as_file(bundled_problem_path(name)) as path:
+        return run_problem(load_problem(path), scheme)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
 class TestTrace:
+    @pytest.mark.parametrize("name, scheme", list(bundled_runs()))
+    def test_csv_matches_per_value_reference(self, name, scheme):
+        tr = bundled_trace(name, scheme)
+        text = tr.to_csv()
+        assert text == trace_csv_reference(tr)
+        back = IterationTrace.from_csv(text, status=tr.status)
+        for col in ("gaps", "dist_q", "dist_m"):
+            assert np.array_equal(bits(getattr(back, col)), bits(getattr(tr, col)))
+        assert np.array_equal(bits(back.zs), bits(tr.zs))
+        assert back.xs is None and back.status == tr.status
+
+    def test_inclusion_trace(self):
+        # zs in X-space (1-D), xs in Y-space (2-D), dist_M NaN throughout
+        tr = bundled_trace("parabola_inclusion", "inclusion")
+        assert tr.status == "Converged"
+        assert {z.shape for z in tr.zs} == {(1,)} and {x.shape for x in tr.xs} == {(2,)}
+        assert np.isnan(tr.dist_m).all()
+        text = tr.to_csv()
+        assert text.splitlines()[0] == "k,gap,dist_Q,dist_M,z_0"
+        assert text == trace_csv_reference(tr)
+        back = IterationTrace.from_csv(text)
+        assert np.array_equal(bits(back.dist_m), bits(tr.dist_m))
+        assert np.array_equal(bits(back.zs), bits(tr.zs))
+
+    def test_empty_trace(self):
+        # x0 <= 0 and x0 >= 1: the linearization at the start is infeasible
+        G = PolyMap(2, [[Monomial(1, (1, 0))], [Monomial(-1, (1, 0)), Monomial(1, (0, 0))]])
+        sys_ = ConstraintSystem(G, PolyMap.empty(2), PolyMap.empty(2), FULL_PLANE, 2)
+        tr = solve_constraint_system(sys_, [0.5, 0.0])
+        assert tr.status == "LinearizationInfeasible"
+        assert tr.zs == [] and tr.xs == [] and tr.gaps.shape == (0,)
+        assert tr.iterations == 0 and np.isnan(tr.final_gap)
+        assert tr.to_csv() == trace_csv_reference(tr) == "k,gap,dist_Q,dist_M\n"
+        back = IterationTrace.from_csv(tr.to_csv())
+        assert back.zs == [] and back.xs is None
+        assert back.gaps.shape == back.dist_q.shape == back.dist_m.shape == (0,)
+
+    def test_ragged_csv_rejected(self):
+        text = line_line_trace().to_csv().splitlines()
+        text[3] = text[3].rsplit(",", 1)[0]
+        with pytest.raises(ValueError, match="trace row 2 has 5 fields, header has 6"):
+            IterationTrace.from_csv("\n".join(text))
+
     def test_csv_round_trip(self):
         tr = line_line_trace()
         text = tr.to_csv()
         assert text.splitlines()[0] == "k,gap,dist_Q,dist_M,z_0,z_1"
         again = IterationTrace.from_csv(text)
-        assert again.gaps == tr.gaps
+        assert np.array_equal(again.gaps, tr.gaps)
         for a, b in zip(again.zs, tr.zs):
             assert np.array_equal(a, b)
 

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -211,6 +212,27 @@ class TestDiagnose:
     def test_missing_trace_exit_one(self, capsys):
         assert main(["diagnose", "--trace", "/nonexistent.csv"]) == 1
 
+    @pytest.mark.parametrize("with_problem", [False, True], ids=["alone", "with-problem"])
+    def test_ragged_trace_exit_one(self, tmp_path, capsys, with_problem):
+        prob, tr = self.make_trace(tmp_path, capsys)
+        with open(tr) as fh:
+            lines = fh.read().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0]  # row 2 loses z_1
+        with open(tr, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        args = ["diagnose", "--trace", tr] + (["--problem", prob] if with_problem else [])
+        assert main(args) == 1
+        assert "trace row 2 has 5 fields, header has 6" in capsys.readouterr().err
+
+    def test_trace_of_other_dimension_exit_one(self, tmp_path, capsys):
+        tr = tmp_path / "one_d.csv"
+        rows = "".join(f"{k},{0.5**k!r},0,{0.5**k!r},{0.5**k!r}\n" for k in range(10))
+        tr.write_text("k,gap,dist_Q,dist_M,z_0\n" + rows)
+        with resources.as_file(bundled_problem_path("two_lines_45deg")) as prob:
+            assert main(["diagnose", "--trace", str(tr), "--problem", str(prob)]) == 1
+        err = capsys.readouterr().err
+        assert "trace points have dimension 1, the problem's sets have dimension 2" in err
+
 
 class TestBench:
     def test_full_suite_passes(self, capsys):
@@ -241,15 +263,11 @@ class TestBundledProblems:
 
     @pytest.mark.parametrize("name", NAMES)
     def test_loadable(self, name):
-        from importlib import resources
-
         with resources.as_file(bundled_problem_path(name)) as path:
             prob = load_problem(path)
         assert prob.start.ndim == 1
 
     def test_two_sets_payload_round_trips(self):
-        from importlib import resources
-
         with resources.as_file(bundled_problem_path("two_lines_45deg")) as path:
             prob = load_problem(path)
         Q, M = prob.payload

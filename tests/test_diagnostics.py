@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from altproj import (
     AffineSubspace,
@@ -13,17 +15,18 @@ from altproj import (
 )
 from altproj.errors import InsufficientData
 
+from oracles import angles_reference
+
 X_AXIS = AffineSubspace([0, 0], [[1, 0]])
 DIAGONAL = AffineSubspace([0, 0], [[2**-0.5, 2**-0.5]])
 
 
 def synthetic_trace(gaps):
     """One-dimensional trace whose gap sequence is exactly `gaps`."""
-    tr = IterationTrace()
-    for g in gaps:
-        tr.add_row([g], [0.0], float(g), float(g), 0.0)
-    tr.status = "Converged"
-    return tr
+    g = np.array(gaps, dtype=float)
+    return IterationTrace(
+        [np.array([v]) for v in g], [np.zeros(1)] * len(g), g, g.copy(), np.zeros(len(g)), "Converged"
+    )
 
 
 class TestAngles:
@@ -58,6 +61,61 @@ class TestAngles:
         rep = angles_from_trace(tr)
         assert rep.skipped >= 0
         assert len(rep.separability) + rep.skipped == len(tr.zs) - 1
+
+
+@st.composite
+def two_set_traces(draw):
+    """Random two-set traces; some triples are degenerate or collinear by construction."""
+    n, d = draw(st.integers(2, 25)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    zs = rng.standard_normal((n, d)) * scale
+    xs = rng.standard_normal((n, d)) * scale
+    kinds = draw(st.lists(st.sampled_from("-xyzctf"), min_size=n - 1, max_size=n - 1))
+    for k, kind in enumerate(kinds):
+        if kind == "x":  # x_k on z_k
+            xs[k] = zs[k]
+        elif kind == "y":  # x_k on z_{k+1}
+            xs[k] = zs[k + 1]
+        elif kind == "z":  # z_{k+1} on z_k
+            zs[k + 1] = zs[k]
+        elif kind == "c":  # x_k between z_k and z_{k+1}: separability near pi
+            xs[k] = zs[k] + rng.uniform() * (zs[k + 1] - zs[k])
+        elif kind == "t":  # x_k within a few rounding errors of z_k
+            xs[k] = zs[k] * (1 + 1e-14 * rng.standard_normal(d))
+    gaps = np.linalg.norm(zs - xs, axis=1)
+    f_rows = [k for k, kind in enumerate(kinds) if kind == "f"]
+    floor = 100 * np.finfo(float).eps * np.delete(gaps, f_rows).max()
+    for k in f_rows:  # |z_k - x_k| is the skip floor, or one ulp either side of it
+        s = draw(st.sampled_from([np.nextafter(floor, 0), floor, np.nextafter(floor, np.inf)]))
+        zs[k, 0] = 0.0
+        xs[k] = zs[k]
+        xs[k, 0] = s
+        gaps[k] = s
+    return IterationTrace(list(zs), list(xs), gaps, gaps.copy(), np.zeros(n))
+
+
+class TestAnglesAgainstReference:
+    @given(two_set_traces())
+    def test_match_per_triple_loop(self, tr):
+        separability, super_regularity, skipped = angles_reference(tr)
+        if not separability:
+            with pytest.raises(InsufficientData, match="degenerate"):
+                angles_from_trace(tr)
+            return
+        rep = angles_from_trace(tr)
+        assert rep.skipped == skipped
+        assert len(rep.separability) == len(separability)
+        assert len(rep.super_regularity) == len(super_regularity)
+        assert np.max(np.abs(np.subtract(rep.separability, separability))) <= 1e-15
+        assert np.max(np.abs(np.subtract(rep.super_regularity, super_regularity))) <= 1e-15
+
+    def test_trace_read_from_csv_has_no_angles(self):
+        tr = run_exact(DIAGONAL, X_AXIS, [1, 0], SolveOptions(1e-12, 200))
+        back = IterationTrace.from_csv(tr.to_csv())
+        assert back.xs is None
+        with pytest.raises(InsufficientData, match="projected points"):
+            angles_from_trace(back)
 
 
 class TestFitRate:

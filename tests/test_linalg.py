@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altproj import linalg
-from altproj.errors import NonConvergence, RankDeficient
+from altproj.errors import RankDeficient
 
 
 def reconstruct(U, sigma, V, shape):

@@ -105,12 +105,12 @@ def test_run_exact_projects_once_per_iteration(make):
     tr = run_exact(counting(Q, "_project"), counting(M, "_project"), z0, opts)
     assert M.calls == tr.iterations + 1
     assert Q.calls <= tr.iterations + 1
-    assert tr.gaps == gaps
+    assert np.array_equal(tr.gaps, gaps)
     assert len(tr.zs) == len(zs)
     assert all(np.array_equal(a, b) for a, b in zip(tr.zs, zs))
     # every iterate after the first came from P_Q, and dist_M is the gap
-    assert tr.dist_q[1:] == [0.0] * tr.iterations
-    assert tr.dist_m == tr.gaps
+    assert np.array_equal(tr.dist_q[1:], np.zeros(tr.iterations))
+    assert np.array_equal(tr.dist_m, tr.gaps)
 
 
 @pytest.mark.parametrize("name", TWO_SETS)
@@ -120,7 +120,7 @@ def test_cli_approximate_projects_start_once(name):
     counting(prob.payload[1], "_project")
     tr = run_problem(prob, "approximate")
     assert prob.payload[1].calls == tr.iterations + 1
-    assert tr.dist_m == [0.0] * len(tr.zs)
+    assert np.array_equal(tr.dist_m, np.zeros(len(tr.zs)))
 
 
 @pytest.mark.parametrize("make", PROBLEMS)
@@ -135,7 +135,7 @@ def test_run_approximate_exact_instance_projects_once_per_iteration(make):
     )
     assert M.calls == tr.iterations + 1
     assert Q.calls <= tr.iterations + 1
-    assert tr.dist_m[1:] == [0.0] * tr.iterations
+    assert np.array_equal(tr.dist_m[1:], np.zeros(tr.iterations))
 
 
 def dense_affine_reference(Q, M, z0, opts):
@@ -170,8 +170,8 @@ def test_completion_trace_matches_dense_affine_formula():
     zs, xs, gaps, dist_q = dense_affine_reference(Q, M, z0, opts)
     tr = run_exact(Q, M, z0, opts)
     assert tr.status == "Converged"
-    assert tr.gaps == gaps
-    assert tr.dist_q == dist_q
+    assert np.array_equal(tr.gaps, gaps)
+    assert np.array_equal(tr.dist_q, dist_q)
     assert len(tr.zs) == len(zs) == len(tr.xs)
     for got, want in zip(tr.zs + tr.xs, zs + xs):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
