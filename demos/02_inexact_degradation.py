@@ -24,7 +24,7 @@ DIAG = AffineSubspace([0, 0], [[2**-0.5, 2**-0.5]])
 print(f"{'eps':>6} {'status':>10} {'iters':>6} {'fitted rate':>12} {'bound':>7}")
 for eps in (0.0, 0.01, 0.05, 0.1, 0.2):
     proj = InexactProjector(DIAG, eps, direction_seed=42)
-    trace = run_inexact(X_AXIS, proj, [1, 0], SolveOptions(1e-10, 2000, eps))
+    trace = run_inexact(X_AXIS, proj, [1, 0], SolveOptions(1e-10, 2000))
     rate = fit_rate(trace).rate
     print(
         f"{eps:>6.2f} {trace.status:>10} {trace.iterations:>6}"

@@ -11,8 +11,6 @@ stay exactly on the parabola: each step solves one least-squares
 problem in chart coordinates and re-evaluates F.
 """
 
-import numpy as np
-
 from altproj import (
     ChartApproximateProjector,
     Hyperplane,

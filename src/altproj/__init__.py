@@ -7,8 +7,6 @@ contraction rates and intersection angles from iteration traces.
 """
 
 from .alternating import (
-    ApproximateProjector,
-    ExactApproximateProjector,
     InexactProjector,
     IterationTrace,
     SolveOptions,

@@ -31,15 +31,12 @@ DIVERGENCE_FACTOR = 10.0
 class SolveOptions:
     gap_tol: float = 1e-10
     max_iters: int = 10_000
-    epsilon: float = 0.0
 
     def __post_init__(self):
         if self.gap_tol <= 0:
             raise ValueError("gap_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
 
 
 @dataclass
@@ -136,40 +133,6 @@ class InexactProjector:
         return exact + (self.eps * d / nu) * u
 
 
-class ApproximateProjector:
-    """Base-point approximate projection onto a set M, keeping iterates on M.
-
-    start(z0) returns the first iterate on M for the start z0 with its
-    dist_M record; step(z, y) returns the next point z' in M approximating
-    P_M(y), given the previous iterate z in M.
-    """
-
-    def start(self, z0):
-        return np.asarray(z0, dtype=float), 0.0
-
-    def step(self, z, y):
-        raise NotImplementedError
-
-
-class ExactApproximateProjector(ApproximateProjector):
-    """The eps = 0 instance: plain exact projection onto M."""
-
-    def __init__(self, set_m: ProjectableSet):
-        self.set = set_m
-        self._project_m = set_m._project
-
-    def start(self, z0):
-        """P_M(z0), which lies on M, as run_inexact projects its start onto Q.
-
-        A run begins here, so here the steps get the run's projection onto M.
-        """
-        self._project_m = self.set._run_projection()
-        return self._project_m(self.set._check(z0)), 0.0
-
-    def step(self, z, y):
-        return self._project_m(y)
-
-
 def iterate(rows, opts: SolveOptions) -> IterationTrace:
     """The iteration loop shared by every driver, and its stopping rules.
 
@@ -250,19 +213,23 @@ def _inexact_rows(project_q, M_inexact, z, dq):
         z, dq = project_q(x), 0.0
 
 
-def run_approximate(M_approx: ApproximateProjector, Q: ProjectableSet, z0, opts=None):
+def run_approximate(M_approx, Q: ProjectableSet, z0, opts=None):
     """Approximate alternating projections keeping iterates on M.
 
-    y <- P_Q(z); z <- Phi(z, y) in M.
+    M_approx is a ChartApproximateProjector, or any object with its two
+    methods: start(z0) returns the first iterate, on M, for the checked
+    start z0; step(y) returns the next iterate, a point of M approximating
+    P_M(y).  Each iteration runs y <- P_Q(z), z <- step(y), so every row's
+    dist_M is 0.0.
     """
     opts = opts or SolveOptions()
-    z, dm = M_approx.start(linalg.as_vector(z0, dim=Q.ambient_dim))
-    return iterate(_approximate_rows(M_approx, Q._run_projection(), z, dm), opts)
+    z = M_approx.start(linalg.as_vector(z0, dim=Q.ambient_dim))
+    return iterate(_approximate_rows(M_approx, Q._run_projection(), z), opts)
 
 
-def _approximate_rows(M_approx, project_q, z, dm):
+def _approximate_rows(M_approx, project_q, z):
     while True:
         y = project_q(z)
         gap = float(np.linalg.norm(z - y))
-        yield z, y, gap, gap, dm
-        z, dm = M_approx.step(z, y), 0.0
+        yield z, y, gap, gap, 0.0
+        z = M_approx.step(y)

@@ -25,7 +25,6 @@ import numpy as np
 from . import alternating, diagnostics, inclusion, linconstr
 from .alternating import (
     CONVERGED,
-    ExactApproximateProjector,
     InexactProjector,
     IterationTrace,
     SolveOptions,
@@ -60,6 +59,7 @@ class ProblemFile:
     start: np.ndarray
     options: SolveOptions
     chart_bounds: tuple | None = None
+    epsilon: float = 0.0     # of the inexact scheme
 
 
 def _require(obj, key, where):
@@ -73,6 +73,13 @@ def _finite_array(obj, key, where):
     if not np.isfinite(arr).all():
         raise ProblemFormatError(f"field '{key}' contains NaN/Inf entries")
     return arr
+
+
+def _epsilon(value):
+    eps = float(value)
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {eps}")
+    return eps
 
 
 def load_problem(path) -> ProblemFile:
@@ -92,8 +99,8 @@ def load_problem(path) -> ProblemFile:
         options = SolveOptions(
             gap_tol=float(opts_obj.get("gap_tol", 1e-10)),
             max_iters=int(opts_obj.get("max_iters", 10_000)),
-            epsilon=float(opts_obj.get("epsilon", 0.0)),
         )
+        epsilon = _epsilon(opts_obj.get("epsilon", 0.0))
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"bad options block: {exc}") from exc
 
@@ -125,7 +132,7 @@ def load_problem(path) -> ProblemFile:
             _finite_array(obj, "U_lower", "chart block"),
             _finite_array(obj, "U_upper", "chart block"),
         )
-    return ProblemFile(kind, payload, start, options, chart)
+    return ProblemFile(kind, payload, start, options, chart, epsilon)
 
 
 def run_problem(prob: ProblemFile, scheme=None, seed=None) -> IterationTrace:
@@ -141,9 +148,13 @@ def run_problem(prob: ProblemFile, scheme=None, seed=None) -> IterationTrace:
         if scheme == "exact":
             return alternating.run_exact(Q, M, prob.start, prob.options)
         if scheme == "inexact":
-            proj = InexactProjector(M, prob.options.epsilon, seed)
+            proj = InexactProjector(M, prob.epsilon, seed)
             return alternating.run_inexact(Q, proj, prob.start, prob.options)
-        return alternating.run_approximate(ExactApproximateProjector(M), Q, prob.start, prob.options)
+        # approximate on two sets: exact projections onto M keep the iterates
+        # on M, so it is exact AP with Q and M exchanged, columns named back.
+        trace = alternating.run_exact(M, Q, prob.start, prob.options)
+        trace.dist_q, trace.dist_m = trace.dist_m, trace.dist_q
+        return trace
     if prob.kind == "constraint_system":
         return linconstr.solve_constraint_system(prob.payload, prob.start, prob.options)
     # inclusion kind
@@ -182,11 +193,13 @@ def _summary(trace: IterationTrace):
 
 def cmd_solve(args):
     prob = load_problem(args.problem)
-    flags = {"gap_tol": args.tol, "max_iters": args.max_iters, "epsilon": args.eps}
+    flags = {"gap_tol": args.tol, "max_iters": args.max_iters}
     try:
         prob.options = replace(
             prob.options, **{k: v for k, v in flags.items() if v is not None}
         )
+        if args.eps is not None:
+            prob.epsilon = _epsilon(args.eps)
     except ValueError as exc:
         raise ProblemFormatError(f"bad option: {exc}") from exc
     trace = run_problem(prob, args.scheme)

@@ -15,7 +15,6 @@ import numpy as np
 from . import linalg
 from .alternating import (
     RANK_DEFICIENT,
-    ApproximateProjector,
     IterationTrace,
     SolveOptions,
     iterate,
@@ -78,13 +77,6 @@ class ManifoldChart:
         return bool(np.all(x > self.lower) and np.all(x < self.upper))
 
 
-def gauss_newton_step(p: InclusionProblem, x):
-    """One linearized step: y = P_Q(F(x)), s = argmin |F(x) + J s - y|."""
-    fx, J = p.F._linearize(linalg.as_vector(x, dim=p.F.input_dim))
-    y = p.Q._project(fx)
-    return linalg.least_squares(J, y - fx), y
-
-
 def solve_inclusion(p: InclusionProblem, x0, opts=None) -> IterationTrace:
     """Iterate x <- x + s until distance(Q, F(x)) <= gap_tol.
 
@@ -104,7 +96,7 @@ def _inclusion_rows(p, x):
         gap = float(np.linalg.norm(fx - y))
         yield x, y, gap, gap, float("nan")
         try:
-            x = x + linalg._least_squares(J, y - fx)
+            x = x + linalg.least_squares(J, y - fx)
         except RankDeficient:
             return RANK_DEFICIENT
 
@@ -117,7 +109,7 @@ def faithful_projection(chart: ManifoldChart, x, y):
     updated coordinates lie outside the chart box.
     """
     projector = ChartApproximateProjector(chart, x)
-    return projector.step(projector.fx, linalg.as_vector(y, dim=chart.F.output_dim))
+    return projector.step(linalg.as_vector(y, dim=chart.F.output_dim))
 
 
 def normal_space_basis(chart: ManifoldChart, x):
@@ -128,7 +120,7 @@ def normal_space_basis(chart: ManifoldChart, x):
     return U[:, chart.F.input_dim :].T
 
 
-class ChartApproximateProjector(ApproximateProjector):
+class ChartApproximateProjector:
     """Adapter running Algorithm-style approximate projections on a chart.
 
     Keeps the coordinates of the current iterate with its image fx = F(coords)
@@ -148,10 +140,10 @@ class ChartApproximateProjector(ApproximateProjector):
         z0 = np.asarray(z0, dtype=float)
         if not np.linalg.norm(self.fx - z0) <= 1e-9:  # a NaN z0 fails too
             raise ValueError("z0 does not match the chart coordinates")
-        return z0, 0.0
+        return z0
 
-    def step(self, z, y):
-        coords = self.coords + linalg._least_squares(self.J, y - self.fx)
+    def step(self, y):
+        coords = self.coords + linalg.least_squares(self.J, y - self.fx)
         if not self.chart._contains(coords):
             raise LeftChart("step left the chart domain")
         self.coords = coords
@@ -197,7 +189,7 @@ def verify_faithfulness(
         if angle < angle_floor:
             ratios.append(None)
             continue
-        phi = base.step(base.fx, y)
+        phi = base.step(y)
         ratios.append(float(np.linalg.norm(zhat - phi) / nu))
     kept = [r for r in ratios if r is not None]
     if not kept:

@@ -49,17 +49,11 @@ def least_squares(A, b):
 
     s = V diag(1/sigma) U[:, :n]^T b from the SVD that the rank test of
     require_full_column_rank computes, so the test and the solve share one
-    factorization.  A with no columns gives the empty step; a wide or
-    numerically rank-deficient A raises RankDeficient.
+    factorization.  b is not checked: the drivers pass residuals of checked
+    arrays, one entry per row of A.  A with no columns gives the empty
+    step; a wide or numerically rank-deficient A raises RankDeficient.
     """
-    return _least_squares(A, b, check=True)
-
-
-def _least_squares(A, b, check=False):
-    """least_squares, by default for a b the caller holds checked: finite, one entry per row of A."""
     U, sigma, V = require_full_column_rank(A, "matrix does not have full column rank")
-    if check:
-        b = as_vector(b, dim=U.shape[0])
     return V @ ((U[:, : sigma.size].T @ b) / sigma)
 
 

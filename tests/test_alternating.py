@@ -6,7 +6,6 @@ import pytest
 from altproj import (
     AffineSubspace,
     ConstraintSystem,
-    ExactApproximateProjector,
     Hyperplane,
     InexactProjector,
     IterationTrace,
@@ -14,13 +13,12 @@ from altproj import (
     PolyMap,
     SolveOptions,
     Sphere,
-    run_approximate,
     run_exact,
     run_inexact,
     solve_constraint_system,
 )
 from altproj.alternating import DIVERGENCE_FACTOR, DIVERGENCE_WINDOW, iterate
-from altproj.cli import _COMPATIBLE, bundled_problem_path, load_problem, run_problem
+from altproj.cli import _COMPATIBLE, ProblemFile, bundled_problem_path, load_problem, run_problem
 from altproj.errors import DimensionMismatch
 
 from oracles import trace_csv_reference
@@ -29,6 +27,20 @@ X_AXIS = AffineSubspace([0, 0], [[1, 0]])
 FULL_PLANE = AffineSubspace([0, 0], [[1, 0], [0, 1]])
 DIAGONAL = AffineSubspace([0, 0], [[2**-0.5, 2**-0.5]])
 LINE_Y1 = AffineSubspace([0, 1], [[1, 0]])
+
+
+BUNDLED = ("two_lines_45deg", "two_lines_60deg", "circle_line", "parallel_lines",
+           "circle_system", "parabola_inclusion")
+
+
+def load_bundled(name):
+    with resources.as_file(bundled_problem_path(name)) as path:
+        return load_problem(path)
+
+
+def two_sets(Q, M, start, opts=None):
+    """An in-memory two_sets problem, as load_problem returns one."""
+    return ProblemFile("two_sets", (Q, M), np.asarray(start, dtype=float), opts or SolveOptions())
 
 
 def line_line_trace(max_iters=200, tol=1e-10):
@@ -54,6 +66,11 @@ class TestRunExact:
         tr = run_exact(X_AXIS, X_AXIS, [1, 0])
         assert tr.status == "Converged"
         assert tr.iterations == 0
+
+    def test_options_take_no_epsilon(self):
+        # eps belongs to the InexactProjector, so an exact run cannot be handed one
+        with pytest.raises(TypeError):
+            SolveOptions(epsilon=0.3)
 
     def test_numpy_error_state_is_the_callers_after_a_run(self):
         with np.errstate(all="raise"):
@@ -106,7 +123,7 @@ class TestRunInexact:
         # Individual ratios fluctuate with the random error direction, so
         # the bound is checked on the geometric mean.
         proj = InexactProjector(DIAGONAL, 0.05, 42)
-        tr = run_inexact(X_AXIS, proj, [1, 0], SolveOptions(1e-10, 500, 0.05))
+        tr = run_inexact(X_AXIS, proj, [1, 0], SolveOptions(1e-10, 500))
         assert tr.status == "Converged"
         g = np.array(tr.gaps[:-1])
         ratios = g[1:] / g[:-1]
@@ -116,7 +133,7 @@ class TestRunInexact:
 
     def test_large_eps_recorded_not_asserted(self):
         proj = InexactProjector(DIAGONAL, 0.9, 7)
-        tr = run_inexact(X_AXIS, proj, [1, 0], SolveOptions(1e-10, 100, 0.9))
+        tr = run_inexact(X_AXIS, proj, [1, 0], SolveOptions(1e-10, 100))
         assert tr.status in ("Converged", "MaxIters", "Diverged")
         assert len(tr.gaps) >= 2
 
@@ -158,30 +175,49 @@ class TestCorruptingProjector:
 
 
 class TestRunApproximate:
+    """On two sets the approximate scheme is exact AP with Q and M exchanged."""
+
     def test_exact_instance_matches_run_exact(self):
-        opts = SolveOptions(max_iters=200)
-        # run on (M, Q) = (diagonal, x-axis): z iterates live on M
-        tr_a = run_approximate(
-            ExactApproximateProjector(DIAGONAL), X_AXIS, [0, 0], opts
-        )
-        assert tr_a.status == "Converged"
+        names = [name for name in BUNDLED if load_bundled(name).kind == "two_sets"]
+        assert len(names) == 4
+        for name in names:
+            prob = load_bundled(name)
+            Q, M = prob.payload
+            tr = run_problem(prob, "approximate")
+            ref = run_exact(M, Q, prob.start, prob.options)
+            assert (tr.status, tr.initial_projected) == (ref.status, ref.initial_projected), name
+            for got, want in ((tr.zs, ref.zs), (tr.xs, ref.xs), (tr.gaps, ref.gaps),
+                              (tr.dist_q, ref.dist_m), (tr.dist_m, ref.dist_q)):
+                assert np.array_equal(bits(got), bits(want)), name
+            # every iterate lies on M, and its distance to Q is the gap
+            assert np.array_equal(bits(tr.dist_q), bits(tr.gaps)), name
+            assert np.array_equal(tr.dist_m, np.zeros(len(tr.zs))), name
 
     def test_iterates_stay_on_m(self):
-        opts = SolveOptions(gap_tol=1e-10, max_iters=300)
         z0 = DIAGONAL.project([1.0, 0.0])
-        tr = run_approximate(ExactApproximateProjector(DIAGONAL), X_AXIS, z0, opts)
+        tr = run_problem(two_sets(X_AXIS, DIAGONAL, z0, SolveOptions(1e-10, 300)), "approximate")
+        assert tr.status == "Converged"
         for z in tr.zs:
             assert DIAGONAL.distance(z) <= 1e-9
 
     def test_zero_iterations_at_intersection(self):
-        tr = run_approximate(ExactApproximateProjector(DIAGONAL), X_AXIS, [0, 0])
+        tr = run_problem(two_sets(X_AXIS, DIAGONAL, [0, 0]), "approximate")
         assert tr.status == "Converged"
         assert tr.iterations == 0
 
     def test_projects_start_off_m(self):
-        tr = run_approximate(ExactApproximateProjector(DIAGONAL), X_AXIS, [1.0, 0.0])
+        tr = run_problem(two_sets(X_AXIS, DIAGONAL, [1.0, 0.0]), "approximate")
+        assert tr.initial_projected
         assert np.array_equal(tr.zs[0], DIAGONAL.project([1.0, 0.0]))
         assert np.array_equal(tr.dist_m, np.zeros(len(tr.zs)))
+
+    def test_keeps_start_within_1e12_of_m(self):
+        z0 = np.array([1.0, 1.0 + 1e-13])
+        tr = run_problem(two_sets(X_AXIS, DIAGONAL, z0), "approximate")
+        assert not tr.initial_projected
+        assert np.array_equal(tr.zs[0], z0)
+        assert tr.dist_m[0] == DIAGONAL.distance(z0) > 0
+        assert np.array_equal(tr.dist_m[1:], np.zeros(tr.iterations))
 
 
 class TestNonFiniteGap:
@@ -196,9 +232,10 @@ class TestNonFiniteGap:
 
     def test_run_approximate_raises(self):
         # the start's projection and two steps are finite; the third step is NaN
-        M = ExactApproximateProjector(OverflowingDiagonal(3, np.nan))
+        M = OverflowingDiagonal(3, np.nan)
         with pytest.raises(DimensionMismatch, match="iteration 3 has gap nan"):
-            run_approximate(M, X_AXIS, [1, 0], SolveOptions(1e-10, 10))
+            run_problem(two_sets(X_AXIS, M, [1, 0], SolveOptions(1e-10, 10)), "approximate")
+        assert M.calls == 4
 
 
 def gap_rows(gaps):
@@ -246,17 +283,13 @@ class TestStoppingRules:
 
 
 def bundled_runs():
-    for name in ("two_lines_45deg", "two_lines_60deg", "circle_line", "parallel_lines",
-                 "circle_system", "parabola_inclusion"):
-        with resources.as_file(bundled_problem_path(name)) as path:
-            kind = load_problem(path).kind
-        for scheme in _COMPATIBLE[kind]:
+    for name in BUNDLED:
+        for scheme in _COMPATIBLE[load_bundled(name).kind]:
             yield pytest.param(name, scheme, id=f"{name}-{scheme}")
 
 
 def bundled_trace(name, scheme):
-    with resources.as_file(bundled_problem_path(name)) as path:
-        return run_problem(load_problem(path), scheme)
+    return run_problem(load_bundled(name), scheme)
 
 
 def bits(a):

@@ -89,6 +89,33 @@ class TestSolve:
         assert main(args) == 1
         assert "epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", [-0.1, NAN, INF])
+    def test_bad_eps_in_file_names_it(self, tmp_path, capsys, eps):
+        path = write_problem(tmp_path, dict(TWO_LINES, options={"epsilon": eps}))
+        assert main(["solve", "--problem", path]) == 1
+        assert "bad options block: epsilon must be finite and nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_flag_names_it(self, tmp_path, capsys, eps):
+        path = write_problem(tmp_path, TWO_LINES)
+        assert main(["solve", "--problem", path, "--scheme", "inexact", "--eps", eps]) == 1
+        assert "bad option: epsilon must be finite" in capsys.readouterr().err
+
+    def test_eps_flag_overrides_file(self, tmp_path, capsys):
+        path = write_problem(tmp_path, dict(TWO_LINES, options={"epsilon": 0.05}))
+
+        def trace(name, *flags):
+            out = tmp_path / name
+            main(["solve", "--problem", path, "--trace", str(out), *flags])
+            return out.read_bytes()
+
+        from_file = trace("a.csv", "--scheme", "inexact")
+        overridden = trace("b.csv", "--scheme", "inexact", "--eps", "0")
+        exact = trace("c.csv")
+        capsys.readouterr()
+        # eps = 0 makes the inexact run the exact one, bit for bit
+        assert overridden == exact != from_file
+
     def test_trace_csv_deterministic(self, tmp_path, capsys):
         path = write_problem(tmp_path, TWO_LINES)
         t1 = tmp_path / "a.csv"

@@ -14,7 +14,6 @@ from altproj import (
     Ball,
     Box,
     ConstraintSystem,
-    ExactApproximateProjector,
     FinitePointSet,
     FixedRankMatrices,
     Halfspace,
@@ -29,7 +28,6 @@ from altproj import (
     Sphere,
     check_transversality,
     qp,
-    run_approximate,
     run_exact,
     set_from_json,
     solve_constraint_system,
@@ -218,8 +216,6 @@ LENS_RUNS = {
     "linconstr": lambda P, B, z0: solve_constraint_system(
         ConstraintSystem(ball_constraint(B), PolyMap.empty(B.ambient_dim),
                          PolyMap.empty(B.ambient_dim), P, B.ambient_dim), z0, LENS_OPTS),
-    "approximate-Q": lambda P, B, z0: run_approximate(ExactApproximateProjector(B), P, z0, LENS_OPTS),
-    "approximate-M": lambda P, B, z0: run_approximate(ExactApproximateProjector(P), B, z0, LENS_OPTS),
     "exact-Q": lambda P, B, z0: run_exact(P, B, z0, LENS_OPTS),
     "exact-M": lambda P, B, z0: run_exact(B, P, z0, LENS_OPTS),
 }
@@ -259,13 +255,6 @@ class TestPolyhedronRuns:
             other(P, B, z0[::-1])
         assert trace_bits(run(P, B, z0)) == trace_bits(first)
         assert trace_bits(run(thin_lens()[0], B, z0)) == trace_bits(first)
-
-    def test_reused_approximate_projector_starts_each_run_afresh(self):
-        P, B, z0 = thin_lens()
-        projector = ExactApproximateProjector(P)
-        first = run_approximate(projector, B, z0, LENS_OPTS)
-        run_approximate(projector, B, z0[::-1], LENS_OPTS)
-        assert trace_bits(run_approximate(projector, B, z0, LENS_OPTS)) == trace_bits(first)
 
     def test_project_is_the_same_before_and_after_a_run(self):
         P, B, z0 = thin_lens()
