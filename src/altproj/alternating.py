@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, RankDeficient
 from .sets import ProjectableSet
 
 CONVERGED = "Converged"
@@ -220,7 +220,8 @@ def run_approximate(M_approx, Q: ProjectableSet, z0, opts=None):
     methods: start(z0) returns the first iterate, on M, for the checked
     start z0; step(y) returns the next iterate, a point of M approximating
     P_M(y).  Each iteration runs y <- P_Q(z), z <- step(y), so every row's
-    dist_M is 0.0.
+    dist_M is 0.0.  A step that raises RankDeficient ends the run with
+    that status, as in solve_inclusion.
     """
     opts = opts or SolveOptions()
     z = M_approx.start(linalg.as_vector(z0, dim=Q.ambient_dim))
@@ -232,4 +233,7 @@ def _approximate_rows(M_approx, project_q, z):
         y = project_q(z)
         gap = float(np.linalg.norm(z - y))
         yield z, y, gap, gap, 0.0
-        z = M_approx.step(y)
+        try:
+            z = M_approx.step(y)
+        except RankDeficient:
+            return RANK_DEFICIENT

@@ -28,6 +28,9 @@ from .errors import (
 from .polymap import PolyMap
 from .sets import ProjectableSet, set_from_json
 
+ANGLE_FLOOR = 0.1  # radians; verify_faithfulness drops pairs at smaller angles
+
+
 @dataclass
 class InclusionProblem:
     """Find x with F(x) in Q; F must have one-to-one derivative locally."""
@@ -151,13 +154,7 @@ class ChartApproximateProjector:
         return self.fx
 
 
-def verify_faithfulness(
-    chart: ManifoldChart,
-    base_coords,
-    queries,
-    exact_projections,
-    angle_floor=0.1,
-):
+def verify_faithfulness(chart: ManifoldChart, base_coords, queries, exact_projections):
     """Ratio sequence |z_hat_k - Phi(z_k, y_k)| / |y_k - z_k|.
 
     base_coords are chart coordinates of the base points z_k on M, each
@@ -165,7 +162,7 @@ def verify_faithfulness(
     queries are the off-manifold points y_k; exact_projections are the
     corresponding nearest points on M (supplied by an independent
     oracle).  Pairs whose angle between z_k - y_k and z_hat_k - y_k is
-    below angle_floor are filtered out.
+    below ANGLE_FLOOR are filtered out.
     """
     if len(base_coords) != len(queries) or len(queries) != len(exact_projections):
         raise DimensionMismatch("sequences must have equal length")
@@ -186,7 +183,7 @@ def verify_faithfulness(
             ratios.append(0.0 if nu == 0.0 else None)
             continue
         angle = float(np.arccos(np.clip(u @ v / (nu * nv), -1.0, 1.0)))
-        if angle < angle_floor:
+        if angle < ANGLE_FLOOR:
             ratios.append(None)
             continue
         phi = base.step(y)

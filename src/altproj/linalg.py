@@ -30,13 +30,11 @@ def as_vector(x, dim=None, field=None):
     return v
 
 
-def as_matrix(a, rows=None, cols=None):
-    """Coerce to a finite 2-D float array, checking shape if given."""
+def as_matrix(a, cols=None):
+    """Coerce to a finite 2-D float array, checking the column count if given."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {m.shape}")
-    if rows is not None and m.shape[0] != rows:
-        raise DimensionMismatch(f"expected {rows} rows, got {m.shape[0]}")
     if cols is not None and m.shape[1] != cols:
         raise DimensionMismatch(f"expected {cols} cols, got {m.shape[1]}")
     if m.size and not np.all(np.isfinite(m)):

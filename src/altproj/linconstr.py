@@ -32,7 +32,7 @@ from .polymap import PolyMap
 from .sets import ProjectableSet, set_from_json
 
 LICQ_TOL = 1e-8
-DEFAULT_ACTIVE_TOL = 1e-6
+ACTIVE_TOL = 1e-6
 
 
 @dataclass
@@ -93,23 +93,19 @@ def _linearized_rows(sys: ConstraintSystem, z):
     """The linearization at a checked z as the QP solver takes it: rows x (<=/=) rhs.
 
     rows = [J_G; J_P; J_H], the first n_i of them inequalities, stacked as
-    solve_projection_qp stacks [A_ineq; A_eq].  Also returns
-    max(G+, P+, |H|) at z, from the same block values.  A NaN/Inf in the
-    linearization (a polynomial that overflows) raises DimensionMismatch.
+    solve_projection_qp stacks [A_ineq; A_eq], and values = [G; P; H] at z.
+    rhs is J z - v block by block.  A NaN/Inf in the linearization (a
+    polynomial that overflows) raises DimensionMismatch.
     """
-    blocks, rhs = [], []
-    violation = 0.0
-    for m, equality in ((sys.G, False), (sys.P, False), (sys.H, True)):
-        if m.output_dim:
-            v, J = m._linearize(z)
-            blocks.append(J)
-            rhs.append(J @ z - v)
-            violation = max(violation, float(np.max(np.abs(v) if equality else v, initial=0.0)))
-    rows = np.vstack(blocks) if blocks else np.zeros((0, sys.ambient_dim))
-    rhs = np.concatenate(rhs) if rhs else np.zeros(0)
+    blocks = [m._linearize(z) for m in (sys.G, sys.P, sys.H) if m.output_dim] or [
+        (np.zeros(0), np.zeros((0, sys.ambient_dim)))
+    ]
+    rows = np.vstack([J for _, J in blocks])
+    rhs = np.concatenate([J @ z - v for v, J in blocks])
     if not (np.isfinite(rows).all() and np.isfinite(rhs).all()):
         raise DimensionMismatch("linearized constraints contain NaN/Inf entries")
-    return rows, rhs, sys.G.output_dim + sys.P.output_dim, violation
+    values = np.concatenate([v for v, _ in blocks])
+    return rows, rhs, sys.G.output_dim + sys.P.output_dim, values
 
 
 def linearized_projection(sys: ConstraintSystem, z):
@@ -131,39 +127,14 @@ def linearized_projection(sys: ConstraintSystem, z):
     return cert.solution, cert
 
 
-def newton_feasibility_step(sys: ConstraintSystem, z):
-    """z - grad A(z)^T (grad A(z) grad A(z)^T)^{-1} A(z) with A = (G, H).
-
-    Satisfies the linearized G/H equalities exactly; requires the
-    stacked Jacobian to have full row rank.  The step is computed from
-    the SVD of its transpose that the rank test returns.
-    """
-    z = linalg.as_vector(z, dim=sys.ambient_dim)
-    blocks = [m._linearize(z) for m in (sys.G, sys.H) if m.output_dim]
-    if not blocks:
-        return z.copy()
-    a = np.concatenate([v for v, _ in blocks])
-    J = np.vstack([J for _, J in blocks])
-    U, sigma, V = linalg.require_full_column_rank(
-        J.T, "stacked (G, H) Jacobian is not full row rank"
-    )
-    return z - U[:, : a.size] @ ((V.T @ a) / sigma)
-
-
-def check_licq(sys: ConstraintSystem, x, active_tol=DEFAULT_ACTIVE_TOL) -> LicqReport:
-    """LICQ at x: active G rows plus all H rows must be linearly independent."""
+def check_licq(sys: ConstraintSystem, x) -> LicqReport:
+    """LICQ at x: G rows with |G| <= ACTIVE_TOL plus all H rows must be linearly independent."""
     x = linalg.as_vector(x, dim=sys.ambient_dim)
-    rows = []
-    if sys.G.output_dim:
-        g, JG = sys.G._linearize(x)
-        for i in range(sys.G.output_dim):
-            if abs(g[i]) <= active_tol:
-                rows.append(JG[i])
-    if sys.H.output_dim:
-        rows.extend(sys.H._linearize(x)[1])
-    if not rows:
+    rows, _, n_i, values = _linearized_rows(sys, x)
+    n_g = sys.G.output_dim
+    K = np.vstack([rows[:n_g][np.abs(values[:n_g]) <= ACTIVE_TOL], rows[n_i:]])
+    if not K.shape[0]:
         return LicqReport(x, float("inf"), True)
-    K = np.vstack(rows)
     U, sigma, _ = linalg.svd(K)
     smin = float(sigma[-1]) if K.shape[0] <= K.shape[1] else 0.0
     if smin > LICQ_TOL:
@@ -187,13 +158,14 @@ def solve_constraint_system(sys: ConstraintSystem, x0, opts=None) -> IterationTr
 def _constraint_rows(sys, x, dq):
     project_q = sys.Q._run_projection()
     while True:
-        rows, rhs, n_i, violation = _linearized_rows(sys, x)
+        rows, rhs, n_i, values = _linearized_rows(sys, x)
         try:
             s = qp._nearest_point(x, rows, rhs, n_i)[0] - x
         except Infeasible:
             return LINEARIZATION_INFEASIBLE
         shifted = x + s
-        yield x, shifted, float(np.linalg.norm(s)), dq, violation
+        violation = max(values[:n_i].max(initial=0.0), np.abs(values[n_i:]).max(initial=0.0))
+        yield x, shifted, float(np.linalg.norm(s)), dq, float(violation)
         x, dq = project_q(shifted), 0.0
 
 

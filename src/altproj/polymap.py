@@ -53,7 +53,8 @@ class PolyMap:
     does not grow with an exponent's value.  It multiplies each term's
     factors variable by variable in coordinate order and sums with
     np.bincount, which adds in term order; no bin mixes value and
-    derivative terms.  eval and jacobian are its two parts.
+    derivative terms.  jacobian is its second part; eval sums only the
+    value terms, the first T into the first m bins, in the same order.
     The table is built from numpy scalars, so each power is one libm pow
     call (numpy's array power can differ in the last bit) and an overflow
     gives inf with numpy's RuntimeWarning, not an OverflowError.  So every
@@ -115,7 +116,8 @@ class PolyMap:
         return PolyMap(input_dim, [[Monomial(v, zero)] for v in values])
 
     def eval(self, x):
-        return self._linearize(as_vector(x, dim=self.input_dim))[0]
+        value_terms = sum(map(len, self.components))
+        return self._sums.at(as_vector(x, dim=self.input_dim), value_terms, self.output_dim)
 
     def jacobian(self, x):
         return self._linearize(as_vector(x, dim=self.input_dim))[1]
@@ -203,12 +205,17 @@ class _TermSums:
         self.bins = bins
         self.size = size
 
-    def at(self, x):
-        """The (size,) sums at the point x; x[k]**d on a numpy scalar calls libm pow."""
+    def at(self, x, terms=None, size=None):
+        """The (size,) sums at the point x; x[k]**d on a numpy scalar calls libm pow.
+
+        Given terms and size, the sums of the first terms terms alone, into
+        size bins; the bins of those terms must lie below size.
+        """
         table = np.array([1.0] + [x[k] ** d for k, d in self.powers])
         first, *rest = self.index
-        vals = self.coeff * table.take(first)
+        vals = self.coeff[:terms] * table.take(first[:terms])
         for columns in rest:
-            vals *= table.take(columns)
-        sums = np.bincount(self.bins, weights=vals, minlength=self.size)
+            vals *= table.take(columns[:terms])
+        size = self.size if size is None else size
+        sums = np.bincount(self.bins[:terms], weights=vals, minlength=size)
         return sums.astype(float, copy=False)  # bincount gives int64 when there are no terms

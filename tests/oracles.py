@@ -39,14 +39,13 @@ def chart_projection_oracle(chart: ManifoldChart, y, samples=10_000, bisections=
     y = np.asarray(y, dtype=float)
     ts = np.linspace(chart.lower[0], chart.upper[0], samples)
 
-    def dist2(t):
-        d = chart.F.eval([t]) - y
-        return float(d @ d)
-
     def stat(t):
         return float(chart.F.jacobian([t])[:, 0] @ (chart.F.eval([t]) - y))
 
-    d2 = np.array([dist2(t) for t in ts])
+    # squared distances at all samples at once, monomial by monomial
+    d2 = np.zeros(samples)
+    for comp, yj in zip(chart.F.components, y):
+        d2 += (sum(m.coeff * ts ** m.exponents[0] for m in comp) - yj) ** 2
     i = int(np.argmin(d2))
     lo = ts[max(i - 1, 0)]
     hi = ts[min(i + 1, samples - 1)]

@@ -83,6 +83,22 @@ class TestSolve:
         assert main(["solve", "--problem", path]) == 2
         assert json.loads(capsys.readouterr().out)["status"] == "MaxIters"
 
+    def test_rank_deficient_chart_writes_trace_exit_three(self, tmp_path, capsys):
+        # F(t) = (t^2, t^3) has a zero Jacobian at the start t = 0
+        cusp = {"input_dim": 1, "outputs": [[{"coeff": 1, "exponents": [2]}],
+                                            [{"coeff": 1, "exponents": [3]}]]}
+        path = write_problem(tmp_path, {
+            "kind": "inclusion",
+            "problem": {"F": cusp, "Q": {"type": "hyperplane", "normal": [1, 0], "offset": 1}},
+            "start": [0], "U_lower": [-10], "U_upper": [10],
+        })
+        tr = tmp_path / "t.csv"
+        assert main(["solve", "--problem", path, "--scheme", "approximate", "--trace", str(tr)]) == 3
+        assert json.loads(capsys.readouterr().out)["status"] == "RankDeficient"
+        trace = IterationTrace.from_csv(tr.read_text())
+        np.testing.assert_array_equal(trace.zs, [[0.0, 0.0]])
+        np.testing.assert_array_equal(trace.gaps, [1.0])
+
     def test_negative_eps_names_it(self, tmp_path, capsys):
         path = write_problem(tmp_path, TWO_LINES)
         args = ["solve", "--problem", path, "--scheme", "inexact", "--eps", "-0.1"]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from altproj import (
     AffineSubspace,
@@ -18,6 +20,7 @@ from altproj import (
     solve_inclusion,
     verify_faithfulness,
 )
+from altproj.cli import bundled_problem_path, load_problem, run_problem
 from altproj.errors import DimensionMismatch, InsufficientData, LeftChart
 
 from oracles import chart_projection_oracle
@@ -25,6 +28,11 @@ from oracles import chart_projection_oracle
 # F(t) = (t, t^2), the standard parabola chart
 PARABOLA = PolyMap(1, [[Monomial(1, (1,))], [Monomial(1, (2,))]])
 PARABOLA_CHART = ManifoldChart(PARABOLA, [-10], [10])
+# F(x) = (x0, x1, x0^2 + x1^2), the paraboloid chart
+PARABOLOID = PolyMap(2, [[Monomial(1, (1, 0))], [Monomial(1, (0, 1))],
+                         [Monomial(1, (2, 0)), Monomial(1, (0, 2))]])
+# F(t) = (t^2, t^3): the Jacobian vanishes at t = 0
+CUSP = PolyMap(1, [[Monomial(1, (2,))], [Monomial(1, (3,))]])
 
 
 def textbook_gn_oracle(F, Q, x):
@@ -226,6 +234,74 @@ class TestChartProjector:
         proj = ChartApproximateProjector(PARABOLA_CHART, [2])
         with pytest.raises(ValueError, match="does not match"):
             proj.start(np.array(z0))
+
+
+def assert_chart_run_is_gauss_newton(chart_trace, gn_trace, F):
+    """The chart run is the Gauss-Newton run read in Y-space, bit for bit."""
+    assert chart_trace.status == gn_trace.status
+    assert np.array_equal(chart_trace.gaps, gn_trace.gaps)
+    assert np.array_equal(chart_trace.dist_q, gn_trace.dist_q)
+    assert len(chart_trace.zs) == len(gn_trace.zs)
+    for z, x, y, y_gn in zip(chart_trace.zs, gn_trace.zs, chart_trace.xs, gn_trace.xs):
+        assert np.array_equal(z, F.eval(x))
+        assert np.array_equal(y, y_gn)
+
+
+def quadratic_map(rng, m, n):
+    """m outputs a.x + sum_i q_i x_i^2 with random a and small random q."""
+    a = rng.standard_normal((m, n))
+    q = 0.3 * rng.standard_normal((m, n))
+    unit = np.eye(n, dtype=int)
+    return PolyMap(n, [
+        [Monomial(a[j, i], tuple(unit[i])) for i in range(n)]
+        + [Monomial(q[j, i], tuple(2 * unit[i])) for i in range(n)]
+        for j in range(m)
+    ])
+
+
+class TestChartSchemeIsGaussNewton:
+    """The approximate scheme on a chart runs solve_inclusion's step."""
+
+    def test_bundled_problem(self):
+        prob = load_problem(bundled_problem_path("parabola_inclusion"))
+        chart_trace = run_problem(prob, "approximate")
+        assert chart_trace.status == "Converged"
+        assert_chart_run_is_gauss_newton(chart_trace, run_problem(prob, "inclusion"), prob.payload.F)
+
+    def test_paraboloid(self):
+        p = InclusionProblem(PARABOLOID, Hyperplane([0, 0, 1], 1.0))
+        opts = SolveOptions(1e-12, 100)
+        proj = ChartApproximateProjector(ManifoldChart(PARABOLOID, [-10, -10], [10, 10]), [1.0, 0.5])
+        chart_trace = run_approximate(proj, p.Q, proj.fx, opts)
+        assert chart_trace.status == "Converged"
+        assert_chart_run_is_gauss_newton(chart_trace, solve_inclusion(p, [1.0, 0.5], opts), PARABOLOID)
+
+    @given(n=st.integers(1, 3), extra=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_random_quadratic_charts(self, n, extra, seed):
+        rng = np.random.default_rng(seed)
+        F = quadratic_map(rng, n + extra, n)
+        x_star = rng.uniform(-1, 1, n)
+        normal = rng.standard_normal(n + extra)
+        p = InclusionProblem(F, Hyperplane(normal, normal @ F.eval(x_star)))
+        x0 = x_star + 0.3 * rng.standard_normal(n)
+        opts = SolveOptions(1e-10, 50)
+        chart = ManifoldChart(F, np.full(n, -3.0), np.full(n, 3.0))
+        assume(chart.contains(x0))
+        proj = ChartApproximateProjector(chart, x0)
+        try:
+            chart_trace = run_approximate(proj, p.Q, proj.fx, opts)
+        except LeftChart:
+            assume(False)  # Gauss-Newton left the box; the chart run rightly stops
+        assert_chart_run_is_gauss_newton(chart_trace, solve_inclusion(p, x0, opts), F)
+
+    def test_rank_deficient_jacobian_ends_with_status(self):
+        # Q = {y0 = 1} from t = 0, where grad F = 0
+        p = InclusionProblem(CUSP, Hyperplane([1, 0], 1.0))
+        proj = ChartApproximateProjector(ManifoldChart(CUSP, [-10], [10]), [0.0])
+        chart_trace = run_approximate(proj, p.Q, proj.fx)
+        assert chart_trace.status == "RankDeficient"
+        assert chart_trace.iterations == 0
+        assert_chart_run_is_gauss_newton(chart_trace, solve_inclusion(p, [0.0]), CUSP)
 
 
 class TestVerifyFaithfulness:

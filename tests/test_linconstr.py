@@ -21,9 +21,8 @@ from altproj.errors import (
     DimensionMismatch,
     InsufficientData,
     LinearizationInfeasible,
-    RankDeficient,
 )
-from altproj.linconstr import geometric_path, newton_feasibility_step
+from altproj.linconstr import geometric_path
 
 from oracles import constraint_violation
 
@@ -81,6 +80,33 @@ class TestLinearizedProjection:
             ).solution
             np.testing.assert_allclose(x, z + s, atol=1e-9)
 
+    def test_satisfies_linearized_inequality(self):
+        sys_ = circle_system()
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            z = rng.standard_normal(2) * 2 + [2, 0]
+            x, _ = linearized_projection(sys_, z)
+            lin = CIRCLE.eval(z) + CIRCLE.jacobian(z) @ (x - z)
+            assert np.max(lin) <= 1e-9
+
+    @given(n=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_step_solves_linearization_in_row_space(self, n, data, seed):
+        # k <= n random quadratic equalities: the step d = x_z - z is the
+        # min-norm solution of a + J d = 0
+        k = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(seed)
+        H = quadratic_block(rng, k, n)
+        sys_ = ConstraintSystem(PolyMap.empty(n), PolyMap.empty(n), H,
+                                AffineSubspace(np.zeros(n), np.eye(n)), n)
+        z = rng.standard_normal(n)
+        d = linearized_projection(sys_, z)[0] - z
+        a, J = H.eval(z), H.jacobian(z)
+        scale = np.linalg.norm(a) + np.linalg.norm(J, 2) * np.linalg.norm(d)
+        assert np.linalg.norm(a + J @ d) <= 1e-9 * scale
+        # no component in Null(J): d = J^T w for some w
+        w = np.linalg.lstsq(J.T, d, rcond=None)[0]
+        assert np.linalg.norm(J.T @ w - d) <= 1e-9 * np.linalg.norm(d)
+
     def test_infeasible_linearization(self):
         # G = (x1, -x1 + 1): linearization x1 <= 0 and x1 >= 1 everywhere
         G = PolyMap(
@@ -100,69 +126,6 @@ class TestLinearizedProjection:
         with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
             with pytest.raises(DimensionMismatch):
                 run(sys_, [1e200, 0.0])
-
-
-class TestNewtonStep:
-    def test_circle_closed_form(self):
-        x = newton_feasibility_step(circle_system(), [2, 0])
-        np.testing.assert_allclose(x, [1.25, 0], atol=1e-10)  # 2 - 3*4/16
-
-    def test_feasible_point_unchanged(self):
-        x = newton_feasibility_step(circle_system(), [1, 0])
-        np.testing.assert_allclose(x, [1, 0], atol=1e-12)
-
-    def test_affine_exact_projection(self):
-        sys_ = affine_eq_system()
-        x = newton_feasibility_step(sys_, [1, 0])
-        np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-12)
-
-    def test_satisfies_linearized_equalities(self):
-        sys_ = circle_system()
-        rng = np.random.default_rng(53)
-        for _ in range(10):
-            z = rng.standard_normal(2) * 2 + [2, 0]
-            x = newton_feasibility_step(sys_, z)
-            lin = CIRCLE.eval(z) + CIRCLE.jacobian(z) @ (x - z)
-            assert np.max(np.abs(lin)) <= 1e-9
-
-    def test_rank_deficient(self):
-        with pytest.raises(RankDeficient):
-            newton_feasibility_step(circle_system(), [0, 0])  # zero gradient
-
-    def test_upper_bounds_projection_step(self):
-        # equality-only system: the Newton point is QP-feasible, so
-        # |x_z - z| <= |newton - z|
-        H = PolyMap(2, [[Monomial(1, (2, 0)), Monomial(-1, (0, 1))]])  # y = x^2
-        sys_ = ConstraintSystem(PolyMap.empty(2), PolyMap.empty(2), H, FULL_PLANE, 2)
-        rng = np.random.default_rng(59)
-        for _ in range(10):
-            z = rng.standard_normal(2)
-            if abs(CIRCLE.eval(z)[0]) < 1e-6:
-                continue
-            try:
-                nx = newton_feasibility_step(sys_, z)
-            except RankDeficient:
-                continue
-            x, _ = linearized_projection(sys_, z)
-            assert np.linalg.norm(x - z) <= np.linalg.norm(nx - z) + 1e-10
-
-    @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2**32 - 1))
-    def test_step_solves_linearization_in_row_space(self, n, data, seed):
-        k = data.draw(st.integers(1, n))
-        g = data.draw(st.integers(0, k))
-        rng = np.random.default_rng(seed)
-        G, H = quadratic_block(rng, g, n), quadratic_block(rng, k - g, n)
-        sys_ = ConstraintSystem(G, PolyMap.empty(n), H, AffineSubspace(np.zeros(n), np.eye(n)), n)
-        z = rng.standard_normal(n)
-        d = newton_feasibility_step(sys_, z) - z
-        a = np.concatenate([G.eval(z), H.eval(z)])
-        J = np.vstack([G.jacobian(z), H.jacobian(z)])
-        scale = np.linalg.norm(a) + np.linalg.norm(J, 2) * np.linalg.norm(d)
-        assert np.linalg.norm(a + J @ d) <= 1e-9 * scale
-        # no component in Null(J): d = J^T w for some w
-        w = np.linalg.lstsq(J.T, d, rcond=None)[0]
-        assert np.linalg.norm(J.T @ w - d) <= 1e-9 * np.linalg.norm(d)
 
 
 class TestLicq:
@@ -197,6 +160,22 @@ class TestLicq:
         G = PolyMap(2, [[Monomial(1, (2, 0))]])  # x1^2, gradient 0 at origin
         sys_ = ConstraintSystem(G, PolyMap.empty(2), PolyMap.empty(2), FULL_PLANE, 2)
         assert not check_licq(sys_, [0, 0]).holds
+
+    def test_inequality_rows_of_p_are_left_out(self):
+        # P = x1 is active at the origin, but only G and H rows enter the test
+        x1 = PolyMap(2, [[Monomial(1, (1, 0))]])
+        sys_ = ConstraintSystem(x1, x1, PolyMap.empty(2), FULL_PLANE, 2)
+        rep = check_licq(sys_, [0, 0])
+        assert rep.holds
+        assert rep.smallest_singular_value == pytest.approx(1.0)
+
+    def test_overflowing_p_block_raises(self):
+        # every block is linearized, so an overflow in P raises as in G or H
+        P = PolyMap(2, [[Monomial(1, (3, 0)), Monomial(-1, (0, 0))]])
+        sys_ = ConstraintSystem(PolyMap.empty(2), P, PolyMap.empty(2), FULL_PLANE, 2)
+        with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+            with pytest.raises(DimensionMismatch):
+                check_licq(sys_, [1e200, 0.0])
 
     def test_row_permutation_invariant(self):
         g1 = [Monomial(1, (1, 0))]

@@ -70,6 +70,8 @@ def _assert_matches_reference(F, x):
     assert np.array_equal(F.jacobian(x), J)
     fx, Jx = F._linearize(x)
     assert np.array_equal(fx, values) and np.array_equal(Jx, J)
+    # eval sums the value terms alone; the same numbers in the same order
+    assert np.array_equal(F.eval(x), fx)
 
 
 # at least 300 maps, and the profile's count when it asks for more (thorough: 2000)

@@ -38,7 +38,7 @@ from altproj import (
     solve_inclusion,
 )
 from altproj.cli import ProblemFile, bundled_problem_path, load_problem, run_problem
-from altproj.linconstr import geometric_path, newton_feasibility_step
+from altproj.linconstr import geometric_path
 from altproj.polymap import _TermSums
 
 TWO_SETS = ["circle_line", "parallel_lines", "two_lines_45deg", "two_lines_60deg"]
@@ -188,9 +188,9 @@ def table_builds(monkeypatch):
     calls = []
     at = _TermSums.at
 
-    def counted(self, x):
+    def counted(self, x, *args):
         calls.append(self)
-        return at(self, x)
+        return at(self, x, *args)
 
     monkeypatch.setattr(_TermSums, "at", counted)
     return calls
@@ -279,13 +279,6 @@ def test_chart_steps_factor_the_jacobian_once(svd_calls, table_builds, step, tab
     step()
     assert svd_calls == [(3, 2)]
     assert table_builds == [PARABOLOID._sums] * tables
-
-
-def test_newton_feasibility_step_factors_once(svd_calls, table_builds):
-    sys_ = three_block_system()
-    newton_feasibility_step(sys_, [3.0, 1.0, 2.0])
-    assert svd_calls == [(3, 2)]  # the transpose of the stacked 2 x 3 (G, H) Jacobian
-    assert table_builds == [sys_.G._sums, sys_.H._sums]
 
 
 def linear_map(rows):
