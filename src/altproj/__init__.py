@@ -41,7 +41,6 @@ from .sets import (
     FixedRankMatrices,
     Halfspace,
     Hyperplane,
-    NormalConeProbe,
     Polyhedron,
     ProjectableSet,
     Sphere,

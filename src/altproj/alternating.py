@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, RankDeficient
+from .errors import DimensionMismatch, LeftChart, RankDeficient
 from .sets import ProjectableSet
 
 CONVERGED = "Converged"
@@ -22,6 +22,7 @@ MAX_ITERS = "MaxIters"
 LINEARIZATION_INFEASIBLE = "LinearizationInfeasible"
 DIVERGED = "Diverged"
 RANK_DEFICIENT = "RankDeficient"
+LEFT_CHART = "LeftChart"
 
 DIVERGENCE_WINDOW = 20
 DIVERGENCE_FACTOR = 10.0
@@ -220,8 +221,8 @@ def run_approximate(M_approx, Q: ProjectableSet, z0, opts=None):
     methods: start(z0) returns the first iterate, on M, for the checked
     start z0; step(y) returns the next iterate, a point of M approximating
     P_M(y).  Each iteration runs y <- P_Q(z), z <- step(y), so every row's
-    dist_M is 0.0.  A step that raises RankDeficient ends the run with
-    that status, as in solve_inclusion.
+    dist_M is 0.0.  A step that raises RankDeficient or LeftChart ends the
+    run with that status, the first as in solve_inclusion.
     """
     opts = opts or SolveOptions()
     z = M_approx.start(linalg.as_vector(z0, dim=Q.ambient_dim))
@@ -237,3 +238,5 @@ def _approximate_rows(M_approx, project_q, z):
             z = M_approx.step(y)
         except RankDeficient:
             return RANK_DEFICIENT
+        except LeftChart:
+            return LEFT_CHART

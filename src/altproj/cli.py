@@ -7,7 +7,7 @@
 Problem files carry {"kind": ..., payload, "start": [...], "options": {...}}
 with the payload schemas owned by the sets/linconstr/inclusion modules.
 Exit codes: 0 Converged, 1 input error, 2 MaxIters/Diverged,
-3 LinearizationInfeasible/RankDeficient.
+3 LinearizationInfeasible/RankDeficient/LeftChart.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .alternating import (
     IterationTrace,
     SolveOptions,
 )
-from .errors import AltprojError, InsufficientData
+from .errors import AltprojError, DimensionMismatch, InsufficientData
 from .inclusion import ChartApproximateProjector, InclusionProblem, ManifoldChart
 from .linconstr import ConstraintSystem
 from .sets import set_from_json
@@ -118,7 +118,7 @@ def load_problem(path) -> ProblemFile:
         else:
             payload = InclusionProblem.from_json(_require(obj, "problem", "problem file"))
             dim = payload.F.input_dim
-    except ValueError as exc:
+    except (ValueError, DimensionMismatch) as exc:
         raise ProblemFormatError(str(exc)) from exc
 
     start = _finite_array(obj, "start", "problem file")
@@ -172,7 +172,8 @@ def run_problem(prob: ProblemFile, scheme=None, seed=None) -> IterationTrace:
 def _status_exit(status):
     if status == CONVERGED:
         return EXIT_OK
-    if status in (alternating.LINEARIZATION_INFEASIBLE, alternating.RANK_DEFICIENT):
+    if status in (alternating.LINEARIZATION_INFEASIBLE, alternating.RANK_DEFICIENT,
+                  alternating.LEFT_CHART):
         return EXIT_STRUCTURAL
     return EXIT_NOT_CONVERGED
 

@@ -16,30 +16,44 @@ RANK_TOL = 1e-10   # relative threshold on singular values
 def as_vector(x, dim=None, field=None):
     """Coerce to a finite 1-D float array, checking dimension if given.
 
-    NaN/Inf raises DimensionMismatch, or ValueError naming a set's input field.
+    Errors raise DimensionMismatch.  Given field, the name of a set's input
+    field, a shape error names it and NaN/Inf raises ValueError naming it.
     """
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1:
-        raise DimensionMismatch(f"expected a vector, got shape {v.shape}")
+        raise _shape_error(field, f"expected a vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
-        raise DimensionMismatch(f"expected dimension {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
-        if field is not None:
-            raise ValueError(f"{field} contains NaN/Inf entries")
-        raise DimensionMismatch("vector contains NaN/Inf entries")
+        raise _shape_error(field, f"expected dimension {dim}, got {v.shape[0]}")
+    if not np.isfinite(v).all():
+        raise _non_finite(field, "vector")
     return v
 
 
-def as_matrix(a, cols=None):
-    """Coerce to a finite 2-D float array, checking the column count if given."""
+def as_matrix(a, cols=None, field=None):
+    """Coerce to a finite 2-D float array, checking the column count if given.
+
+    With cols given, [] is the empty (0, cols) matrix.  Errors as in as_vector.
+    """
     m = np.asarray(a, dtype=float)
+    if cols is not None and m.shape == (0,):
+        m = m.reshape(0, cols)
     if m.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got shape {m.shape}")
+        raise _shape_error(field, f"expected a matrix, got shape {m.shape}")
     if cols is not None and m.shape[1] != cols:
-        raise DimensionMismatch(f"expected {cols} cols, got {m.shape[1]}")
-    if m.size and not np.all(np.isfinite(m)):
-        raise DimensionMismatch("matrix contains NaN/Inf entries")
+        raise _shape_error(field, f"expected {cols} cols, got {m.shape[1]}")
+    if not np.isfinite(m).all():
+        raise _non_finite(field, "matrix")
     return m
+
+
+def _shape_error(field, message):
+    return DimensionMismatch(f"{field}: {message}" if field else message)
+
+
+def _non_finite(field, what):
+    if field:
+        return ValueError(f"{field} contains NaN/Inf entries")
+    return DimensionMismatch(f"{what} contains NaN/Inf entries")
 
 
 def least_squares(A, b):

@@ -76,14 +76,10 @@ class ProjectionQp:
     def __post_init__(self):
         self.target = linalg.as_vector(self.target)
         n = self.target.shape[0]
-        self.A_ineq = linalg.as_matrix(
-            np.asarray(self.A_ineq, dtype=float).reshape(-1, n), cols=n
-        )
-        self.b_ineq = linalg.as_vector(np.reshape(self.b_ineq, -1), dim=self.A_ineq.shape[0])
-        self.A_eq = linalg.as_matrix(
-            np.asarray(self.A_eq, dtype=float).reshape(-1, n), cols=n
-        )
-        self.b_eq = linalg.as_vector(np.reshape(self.b_eq, -1), dim=self.A_eq.shape[0])
+        self.A_ineq = linalg.as_matrix(self.A_ineq, cols=n)
+        self.b_ineq = linalg.as_vector(self.b_ineq, dim=self.A_ineq.shape[0])
+        self.A_eq = linalg.as_matrix(self.A_eq, cols=n)
+        self.b_eq = linalg.as_vector(self.b_eq, dim=self.A_eq.shape[0])
 
     @property
     def dim(self):

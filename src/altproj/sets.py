@@ -2,7 +2,10 @@
 
 The base class checks the argument of project / distance / normal_cone
 once.  Each variant implements _project and _normal_cone on the checked
-vector and a JSON schema.  The drivers call the function _run_projection
+vector, and declares its JSON schema: kind, its JSON "type", and fields,
+its constructor arguments in order, each stored under its own name.
+to_json, set_from_json and the field names in constructor errors are
+derived from these two.  The drivers call the function _run_projection
 returns, once per run: _project itself, or for Polyhedron a projection
 that starts each QP from the previous one's working set.
 Nonconvex projections use the documented tie-breaks so traces
@@ -16,6 +19,7 @@ reproduce exactly:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,18 +50,12 @@ class NormalCone:
         return not self.full and self.rays.shape[0] == 0 and self.lineality.shape[0] == 0
 
 
-def _finite(value, field):
-    """value as a float array; a NaN/Inf entry raises ValueError naming the set field."""
-    a = np.asarray(value, dtype=float)
-    if not np.isfinite(a).all():
-        raise ValueError(f"{field} contains NaN/Inf entries")
-    return a
-
-
 class ProjectableSet:
     """Base class: a closed set with deterministic nearest-point projection."""
 
     ambient_dim: int
+    kind: str
+    fields: tuple
 
     def project(self, z):
         return self._project(self._check(z))
@@ -70,7 +68,18 @@ class ProjectableSet:
         return self._normal_cone(self._check(point))
 
     def to_json(self):
-        raise NotImplementedError
+        return {"type": self.kind, **{f: np.asarray(getattr(self, f)).tolist() for f in self.fields}}
+
+    def _field(self, name):
+        """A constructor argument as errors name it: 'affine subspace basis'."""
+        return f"{self.kind.replace('_', ' ')} {name}"
+
+    def _scalar(self, name, value):
+        """float(value), checked to be finite; the error names the argument."""
+        x = float(value)
+        if not math.isfinite(x):
+            raise ValueError(f"{self._field(name)} contains NaN/Inf entries")
+        return x
 
     def _check(self, z):
         return linalg.as_vector(z, dim=self.ambient_dim)
@@ -98,9 +107,11 @@ class ProjectableSet:
 
 
 class Box(ProjectableSet):
+    kind, fields = "box", ("lower", "upper")
+
     def __init__(self, lower, upper):
-        self.lower = linalg.as_vector(lower, field="box lower")
-        self.upper = linalg.as_vector(upper, dim=self.lower.shape[0], field="box upper")
+        self.lower = linalg.as_vector(lower, field=self._field("lower"))
+        self.upper = linalg.as_vector(upper, dim=self.lower.shape[0], field=self._field("upper"))
         if np.any(self.lower > self.upper):
             raise ValueError("box lower bound exceeds upper bound")
         self.ambient_dim = self.lower.shape[0]
@@ -121,18 +132,22 @@ class Box(ProjectableSet):
                 rays.append(e)
         return self._cone(rays)
 
-    def to_json(self):
-        return {"type": "box", "lower": list(self.lower), "upper": list(self.upper)}
 
+class _CenterRadius(ProjectableSet):
+    """The constructor of Ball and Sphere."""
 
-class Ball(ProjectableSet):
+    fields = ("center", "radius")
+
     def __init__(self, center, radius):
-        self.center = linalg.as_vector(center, field="ball center")
-        self.radius = float(radius)
-        _finite(self.radius, "ball radius")
+        self.center = linalg.as_vector(center, field=self._field("center"))
+        self.radius = self._scalar("radius", radius)
         if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
+            raise ValueError(f"{self._field('radius')} must be positive")
         self.ambient_dim = self.center.shape[0]
+
+
+class Ball(_CenterRadius):
+    kind = "ball"
 
     def _project(self, z):
         d = z - self.center
@@ -148,8 +163,24 @@ class Ball(ProjectableSet):
             return self._cone([d / n])
         return self._cone()
 
-    def to_json(self):
-        return {"type": "ball", "center": list(self.center), "radius": self.radius}
+
+class Sphere(_CenterRadius):
+    kind = "sphere"
+
+    def _project(self, z):
+        d = z - self.center
+        r = np.linalg.norm(d)
+        if r == 0.0:
+            # documented tie-break: first standard basis direction
+            e = np.zeros(self.ambient_dim)
+            e[0] = self.radius
+            return self.center + e
+        return self.center + (self.radius / r) * d
+
+    def _normal_cone(self, p):
+        d = p - self.center
+        n = d / np.linalg.norm(d)
+        return self._cone(lineality=[n])
 
 
 class AffineSubspace(ProjectableSet):
@@ -163,15 +194,21 @@ class AffineSubspace(ProjectableSet):
     zeros included, since every product in the dense sums is 0*d or +-1*d.
     """
 
+    kind, fields = "affine_subspace", ("anchor", "basis")
+
     def __init__(self, anchor, basis):
-        self.anchor = linalg.as_vector(anchor, field="affine subspace anchor")
+        self.anchor = linalg.as_vector(anchor, field=self._field("anchor"))
         self.ambient_dim = self.anchor.shape[0]
-        basis = _finite(basis, "affine subspace basis").reshape(-1, self.ambient_dim)
+        basis = linalg.as_matrix(basis, cols=self.ambient_dim, field=self._field("basis"))
         self._free = _free_coordinates(basis)
         if self._free is None:
             gram = basis @ basis.T
             if np.max(np.abs(gram - np.eye(basis.shape[0]))) > 1e-10:
-                raise ValueError("affine subspace basis is not orthonormal")
+                raise ValueError(f"{self._field('basis')} is not orthonormal")
+            # one layout for the dense product, whatever the caller's: BLAS rounds
+            # it differently for row- and column-major bases, and a set read
+            # back from its JSON must project as the original does
+            basis = np.asfortranarray(basis)
         self.basis = basis
 
     def _project(self, z):
@@ -191,13 +228,6 @@ class AffineSubspace(ProjectableSet):
         r = int(np.sum(sigma > 1e-12))
         comp = U[:, r:].T
         return self._cone(lineality=comp)
-
-    def to_json(self):
-        return {
-            "type": "affine_subspace",
-            "anchor": list(self.anchor),
-            "basis": [list(row) for row in self.basis],
-        }
 
 
 def _free_coordinates(basis):
@@ -221,16 +251,23 @@ def _free_coordinates(basis):
     return free
 
 
-class Hyperplane(ProjectableSet):
-    """{x : <normal, x> = offset}."""
+class _NormalOffset(ProjectableSet):
+    """The constructor of Hyperplane and Halfspace."""
+
+    fields = ("normal", "offset")
 
     def __init__(self, normal, offset):
-        self.normal = linalg.as_vector(normal, field="hyperplane normal")
+        self.normal = linalg.as_vector(normal, field=self._field("normal"))
         if np.linalg.norm(self.normal) == 0:
-            raise ValueError("hyperplane normal must be nonzero")
-        self.offset = float(offset)
-        _finite(self.offset, "hyperplane offset")
+            raise ValueError(f"{self._field('normal')} must be nonzero")
+        self.offset = self._scalar("offset", offset)
         self.ambient_dim = self.normal.shape[0]
+
+
+class Hyperplane(_NormalOffset):
+    """{x : <normal, x> = offset}."""
+
+    kind = "hyperplane"
 
     def _project(self, z):
         n = self.normal
@@ -240,20 +277,11 @@ class Hyperplane(ProjectableSet):
         n = self.normal / np.linalg.norm(self.normal)
         return self._cone(lineality=[n])
 
-    def to_json(self):
-        return {"type": "hyperplane", "normal": list(self.normal), "offset": self.offset}
 
-
-class Halfspace(ProjectableSet):
+class Halfspace(_NormalOffset):
     """{x : <normal, x> <= offset}."""
 
-    def __init__(self, normal, offset):
-        self.normal = linalg.as_vector(normal, field="halfspace normal")
-        if np.linalg.norm(self.normal) == 0:
-            raise ValueError("halfspace normal must be nonzero")
-        self.offset = float(offset)
-        _finite(self.offset, "halfspace offset")
-        self.ambient_dim = self.normal.shape[0]
+    kind = "halfspace"
 
     def _project(self, z):
         n = self.normal
@@ -269,45 +297,17 @@ class Halfspace(ProjectableSet):
             return self._cone([self.normal / np.linalg.norm(self.normal)])
         return self._cone()
 
-    def to_json(self):
-        return {"type": "halfspace", "normal": list(self.normal), "offset": self.offset}
-
-
-class Sphere(ProjectableSet):
-    def __init__(self, center, radius):
-        self.center = linalg.as_vector(center, field="sphere center")
-        self.radius = float(radius)
-        _finite(self.radius, "sphere radius")
-        if self.radius <= 0:
-            raise ValueError("sphere radius must be positive")
-        self.ambient_dim = self.center.shape[0]
-
-    def _project(self, z):
-        d = z - self.center
-        r = np.linalg.norm(d)
-        if r == 0.0:
-            # documented tie-break: first standard basis direction
-            e = np.zeros(self.ambient_dim)
-            e[0] = self.radius
-            return self.center + e
-        return self.center + (self.radius / r) * d
-
-    def _normal_cone(self, p):
-        d = p - self.center
-        n = d / np.linalg.norm(d)
-        return self._cone(lineality=[n])
-
-    def to_json(self):
-        return {"type": "sphere", "center": list(self.center), "radius": self.radius}
-
 
 class FinitePointSet(ProjectableSet):
+    kind, fields = "finite_point_set", ("points",)
+
     def __init__(self, points):
-        pts = [linalg.as_vector(p, field="finite point set points") for p in points]
-        if not pts:
+        points, field = list(points), self._field("points")
+        if not points:
             raise ValueError("finite point set must be nonempty")
-        self.points = np.vstack(pts)
-        self.ambient_dim = self.points.shape[1]
+        n = linalg.as_vector(points[0], field=field).shape[0]
+        self.points = np.vstack([linalg.as_vector(p, n, field) for p in points])
+        self.ambient_dim = n
 
     def _project(self, z):
         dists = np.linalg.norm(self.points - z, axis=1)
@@ -317,12 +317,11 @@ class FinitePointSet(ProjectableSet):
         # at an isolated point every direction is normal
         return self._cone(full=True)
 
-    def to_json(self):
-        return {"type": "finite_point_set", "points": [list(p) for p in self.points]}
-
 
 class FixedRankMatrices(ProjectableSet):
     """Matrices of rank <= r, flattened row-major into R^(rows*cols)."""
+
+    kind, fields = "fixed_rank_matrices", ("rows", "cols", "rank")
 
     def __init__(self, rows, cols, rank):
         self.rows, self.cols, self.rank = int(rows), int(cols), int(rank)
@@ -351,35 +350,22 @@ class FixedRankMatrices(ProjectableSet):
                 basis.append(np.outer(Up[:, i], Vp[:, j]).reshape(-1))
         return self._cone(lineality=basis)
 
-    def to_json(self):
-        return {
-            "type": "fixed_rank_matrices",
-            "rows": self.rows,
-            "cols": self.cols,
-            "rank": self.rank,
-        }
-
 
 class Polyhedron(ProjectableSet):
     """{x : A_ineq x <= b_ineq, A_eq x = b_eq}; emptiness rejected at construction."""
 
+    kind, fields = "polyhedron", ("A_ineq", "b_ineq", "A_eq", "b_eq")
+
     def __init__(self, A_ineq, b_ineq, A_eq=None, b_eq=None):
-        A_ineq = _finite(A_ineq, "polyhedron A_ineq")
-        if A_ineq.ndim != 2:
-            raise DimensionMismatch("A_ineq must be 2-D")
-        n = A_ineq.shape[1]
+        self.A_ineq = linalg.as_matrix(A_ineq, field=self._field("A_ineq"))
+        n = self.ambient_dim = self.A_ineq.shape[1]
         if A_eq is None and b_eq is None:
             A_eq, b_eq = np.zeros((0, n)), np.zeros(0)
         elif A_eq is None or b_eq is None:
             raise ValueError("polyhedron needs both A_eq and b_eq, or neither")
-        self.A_ineq = A_ineq
-        self.b_ineq = _finite(b_ineq, "polyhedron b_ineq").reshape(-1)
-        self.A_eq = _finite(A_eq, "polyhedron A_eq").reshape(-1, n)
-        self.b_eq = _finite(b_eq, "polyhedron b_eq").reshape(-1)
-        for rhs, rows in (("b_ineq", "A_ineq"), ("b_eq", "A_eq")):
-            if getattr(self, rhs).shape[0] != getattr(self, rows).shape[0]:
-                raise DimensionMismatch(f"polyhedron {rhs} needs one entry per row of {rows}")
-        self.ambient_dim = n
+        self.b_ineq = linalg.as_vector(b_ineq, len(self.A_ineq), self._field("b_ineq"))
+        self.A_eq = linalg.as_matrix(A_eq, n, self._field("A_eq"))
+        self.b_eq = linalg.as_vector(b_eq, len(self.A_eq), self._field("b_eq"))
         # checked once here; _project hands the stacked rows to the solver core
         self._rows = np.vstack([self.A_ineq, self.A_eq])
         self._rhs = np.concatenate([self.b_ineq, self.b_eq])
@@ -403,28 +389,6 @@ class Polyhedron(ProjectableSet):
         ]
         return self._cone(self.A_ineq[active], self.A_eq)
 
-    def to_json(self):
-        return {
-            "type": "polyhedron",
-            "A_ineq": [list(r) for r in self.A_ineq],
-            "b_ineq": list(self.b_ineq),
-            "A_eq": [list(r) for r in self.A_eq],
-            "b_eq": list(self.b_eq),
-        }
-
-
-@dataclass
-class NormalConeProbe:
-    """A set together with one of its points, for normal-cone queries."""
-
-    set: ProjectableSet
-    point: np.ndarray
-
-    def __post_init__(self):
-        self.point = self.set._check(self.point)
-        if self.set.distance(self.point) > ON_SET_TOL:
-            raise ValueError("probe point does not lie on the set")
-
 
 @dataclass
 class TransversalityResult:
@@ -432,17 +396,20 @@ class TransversalityResult:
     witness: np.ndarray | None = None
 
 
-def check_transversality(a: NormalConeProbe, b: NormalConeProbe) -> TransversalityResult:
-    """Decide whether N_A(p) intersects -N_B(p) only at the origin.
+def check_transversality(A: ProjectableSet, B: ProjectableSet, point) -> TransversalityResult:
+    """Decide whether N_A(p) intersects -N_B(p) only at the origin, at a point p of A and B.
 
-    Both probes must sit at the same point.  Pure-subspace cases are
-    decided by rank; cones bring in small feasibility problems over the
-    generator descriptions, each decided by the nearest-point QP.
+    Sets of different dimensions raise DimensionMismatch, and a point
+    farther than ON_SET_TOL from either set ValueError.  Pure-subspace
+    cases are decided by rank; cones bring in small feasibility problems
+    over the generator descriptions, each decided by the nearest-point QP.
     """
-    if np.linalg.norm(a.point - b.point) > ON_SET_TOL:
-        raise ValueError("probes must be at the same point")
-    na = a.set._normal_cone(a.point)
-    nb = b.set._normal_cone(b.point)
+    if A.ambient_dim != B.ambient_dim:
+        raise DimensionMismatch("A and B live in different ambient spaces")
+    p = A._check(point)
+    if A.distance(p) > ON_SET_TOL or B.distance(p) > ON_SET_TOL:
+        raise ValueError("point does not lie on both sets")
+    na, nb = A._normal_cone(p), B._normal_cone(p)
     if na.trivial or nb.trivial:
         return TransversalityResult(True)
     if na.full:
@@ -514,22 +481,14 @@ def _cone_intersection(na: NormalCone, nb: NormalCone):
     return TransversalityResult(True)
 
 
-_VARIANTS = {
-    "box": lambda d: Box(d["lower"], d["upper"]),
-    "ball": lambda d: Ball(d["center"], d["radius"]),
-    "affine_subspace": lambda d: AffineSubspace(d["anchor"], d["basis"]),
-    "hyperplane": lambda d: Hyperplane(d["normal"], d["offset"]),
-    "halfspace": lambda d: Halfspace(d["normal"], d["offset"]),
-    "sphere": lambda d: Sphere(d["center"], d["radius"]),
-    "finite_point_set": lambda d: FinitePointSet(d["points"]),
-    "fixed_rank_matrices": lambda d: FixedRankMatrices(d["rows"], d["cols"], d["rank"]),
-    "polyhedron": lambda d: Polyhedron(
-        d["A_ineq"], d["b_ineq"], d.get("A_eq"), d.get("b_eq")
-    ),
-}
+_VARIANTS = {cls.kind: cls for cls in (
+    Box, Ball, AffineSubspace, Hyperplane, Halfspace, Sphere, FinitePointSet,
+    FixedRankMatrices, Polyhedron,
+)}
 
 
 def set_from_json(obj) -> ProjectableSet:
+    """The set a to_json dict describes; a field left out takes its constructor default."""
     try:
         kind = obj["type"]
     except (KeyError, TypeError) as exc:
@@ -538,7 +497,10 @@ def set_from_json(obj) -> ProjectableSet:
         raise ValueError(
             f"unknown set type '{kind}'; expected one of: {', '.join(_VARIANTS)}"
         )
-    try:
-        return _VARIANTS[kind](obj)
-    except KeyError as exc:
-        raise ValueError(f"set JSON of type '{kind}' missing field {exc}") from exc
+    cls = _VARIANTS[kind]
+    # fields are the constructor's arguments in order, the optional ones last
+    required = len(cls.fields) - len(cls.__init__.__defaults__ or ())
+    for name in cls.fields[:required]:
+        if name not in obj:
+            raise ValueError(f"set JSON of type '{kind}' missing field '{name}'")
+    return cls(**{name: obj[name] for name in cls.fields if name in obj})

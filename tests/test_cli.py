@@ -34,6 +34,23 @@ NON_FINITE_FIELDS = [
     ({"type": "finite_point_set", "points": [[0, 0], [1, NAN]]}, "finite point set points",
      "finite-points"),
 ]
+# (set JSON in R^2, the start of its error message, test id)
+BAD_SHAPE_FIELDS = [
+    ({"type": "affine_subspace", "anchor": [0, 0], "basis": [[1, 0, 0, 1]]},
+     "affine subspace basis: expected 2 cols, got 4", "affine-basis-cols"),
+    ({"type": "affine_subspace", "anchor": [0, 0], "basis": [1, 0]},
+     "affine subspace basis: expected a matrix, got shape (2,)", "affine-basis-vector"),
+    (dict(POLYHEDRON, A_eq=[[1, 0, 0, 0]], b_eq=[0, 0]), "polyhedron A_eq: expected 2 cols, got 4",
+     "A_eq-cols"),
+    (dict(POLYHEDRON, b_ineq=[1, 2]), "polyhedron b_ineq: expected dimension 1, got 2", "b_ineq"),
+    (dict(POLYHEDRON, b_eq=[]), "polyhedron b_eq: expected dimension 1, got 0", "b_eq"),
+    ({"type": "box", "lower": [0, 0], "upper": [1]}, "box upper: expected dimension 2, got 1",
+     "box-upper"),
+    ({"type": "ball", "center": [[0, 0]], "radius": 1},
+     "ball center: expected a vector, got shape (1, 2)", "ball-center"),
+    ({"type": "finite_point_set", "points": [[0, 0], [1, 1, 1]]},
+     "finite point set points: expected dimension 2, got 3", "finite-points"),
+]
 
 TWO_LINES = {
     "kind": "two_sets",
@@ -98,6 +115,18 @@ class TestSolve:
         trace = IterationTrace.from_csv(tr.read_text())
         np.testing.assert_array_equal(trace.zs, [[0.0, 0.0]])
         np.testing.assert_array_equal(trace.gaps, [1.0])
+
+    def test_left_chart_writes_trace_exit_three(self, tmp_path, capsys):
+        # the third step from t = 2.4 toward y1 = 0 leaves the chart box (0.5, 2.5)
+        prob = json.loads(bundled_problem_path("parabola_inclusion").read_text())
+        prob["problem"]["Q"] = {"type": "hyperplane", "normal": [0, 1], "offset": 0}
+        path = write_problem(tmp_path, dict(prob, start=[2.4], U_lower=[0.5], U_upper=[2.5]))
+        tr = tmp_path / "t.csv"
+        assert main(["solve", "--problem", path, "--scheme", "approximate", "--trace", str(tr)]) == 3
+        assert json.loads(capsys.readouterr().out)["status"] == "LeftChart"
+        trace = IterationTrace.from_csv(tr.read_text())
+        assert len(trace.gaps) == 3
+        np.testing.assert_array_equal(trace.zs[0], [2.4, 2.4 * 2.4])
 
     def test_negative_eps_names_it(self, tmp_path, capsys):
         path = write_problem(tmp_path, TWO_LINES)
@@ -184,6 +213,22 @@ class TestSolve:
         path = write_problem(tmp_path, prob)
         assert main(["solve", "--problem", path]) == 1
         assert f"{field} contains NaN/Inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "Q, message", [pytest.param(q, message, id=i) for q, message, i in BAD_SHAPE_FIELDS]
+    )
+    def test_wrongly_shaped_field_names_it(self, tmp_path, capsys, Q, message):
+        # rejected on load, not reshaped, and exit 1 like any bad input
+        path = write_problem(tmp_path, dict(TWO_LINES, Q=Q))
+        assert main(["solve", "--problem", path]) == 1
+        assert f"error: {message}\n" == capsys.readouterr().err
+
+    def test_inclusion_dimension_mismatch_exit_one(self, tmp_path, capsys):
+        prob = json.loads(bundled_problem_path("parabola_inclusion").read_text())
+        prob["problem"]["Q"] = {"type": "hyperplane", "normal": [0, 1, 0], "offset": 0}
+        path = write_problem(tmp_path, prob)
+        assert main(["solve", "--problem", path]) == 1
+        assert "F maps into R^2, Q lives in R^3" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name, field, value",

@@ -237,11 +237,19 @@ class TestChartProjector:
 
 
 def assert_chart_run_is_gauss_newton(chart_trace, gn_trace, F):
-    """The chart run is the Gauss-Newton run read in Y-space, bit for bit."""
-    assert chart_trace.status == gn_trace.status
-    assert np.array_equal(chart_trace.gaps, gn_trace.gaps)
-    assert np.array_equal(chart_trace.dist_q, gn_trace.dist_q)
-    assert len(chart_trace.zs) == len(gn_trace.zs)
+    """The chart run is the Gauss-Newton run read in Y-space, bit for bit.
+
+    A chart run that ends in LeftChart is the Gauss-Newton run up to the
+    row whose step leaves the box; the Gauss-Newton run goes on from there.
+    """
+    k = len(chart_trace.zs)
+    if chart_trace.status == "LeftChart":
+        assert len(gn_trace.zs) > k
+    else:
+        assert chart_trace.status == gn_trace.status
+        assert len(gn_trace.zs) == k
+    assert np.array_equal(chart_trace.gaps, gn_trace.gaps[:k])
+    assert np.array_equal(chart_trace.dist_q, gn_trace.dist_q[:k])
     for z, x, y, y_gn in zip(chart_trace.zs, gn_trace.zs, chart_trace.xs, gn_trace.xs):
         assert np.array_equal(z, F.eval(x))
         assert np.array_equal(y, y_gn)
@@ -288,11 +296,24 @@ class TestChartSchemeIsGaussNewton:
         chart = ManifoldChart(F, np.full(n, -3.0), np.full(n, 3.0))
         assume(chart.contains(x0))
         proj = ChartApproximateProjector(chart, x0)
-        try:
-            chart_trace = run_approximate(proj, p.Q, proj.fx, opts)
-        except LeftChart:
-            assume(False)  # Gauss-Newton left the box; the chart run rightly stops
-        assert_chart_run_is_gauss_newton(chart_trace, solve_inclusion(p, x0, opts), F)
+        chart_trace = run_approximate(proj, p.Q, proj.fx, opts)
+        gn_trace = solve_inclusion(p, x0, opts)
+        assert_chart_run_is_gauss_newton(chart_trace, gn_trace, F)
+        if chart_trace.status == "LeftChart":
+            # the next Gauss-Newton iterate is the step that left the box
+            assert not chart.contains(gn_trace.zs[len(chart_trace.zs)])
+
+    def test_step_leaving_the_box_ends_with_status(self):
+        # from t = 2.4 toward Q = {y1 = 0}, the third step lands below U_lower = 0.5
+        prob = load_problem(bundled_problem_path("parabola_inclusion"))
+        p = InclusionProblem(prob.payload.F, Hyperplane([0, 1], 0.0))
+        chart = ManifoldChart(p.F, [0.5], [2.5])
+        proj = ChartApproximateProjector(chart, [2.4])
+        chart_trace = run_approximate(proj, p.Q, proj.fx, prob.options)
+        assert chart_trace.status == "LeftChart"
+        gn_trace = solve_inclusion(p, [2.4], prob.options)
+        assert_chart_run_is_gauss_newton(chart_trace, gn_trace, p.F)
+        assert not chart.contains(gn_trace.zs[len(chart_trace.zs)])
 
     def test_rank_deficient_jacobian_ends_with_status(self):
         # Q = {y0 = 1} from t = 0, where grad F = 0

@@ -4,7 +4,11 @@ Projections onto closed sets are idempotent, and onto closed convex sets
 nonexpansive.  Exact alternating projections between any two closed sets
 never increase the gap: |z' - x'| <= |z' - x| <= |z - x| because each new
 point is nearest to the last among points that include the old one.
+A set read back from its JSON is the same set, bit for bit, except a
+polyhedron without inequality rows, whose JSON the reader rejects.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -25,7 +29,9 @@ from altproj import (
     Sphere,
     run_exact,
     run_inexact,
+    set_from_json,
 )
+from altproj.errors import DimensionMismatch
 
 CONVEX = ["box", "ball", "affine_subspace", "hyperplane", "halfspace", "polyhedron"]
 NONCONVEX = ["sphere", "finite_point_set", "fixed_rank_matrices"]
@@ -123,6 +129,23 @@ class TestProjection:
         S, z, *ws = data.draw(sets_and_points(kind))
         for w in ws:
             assert np.linalg.norm(S.project(z) - S.project(w)) <= np.linalg.norm(z - w) + 1e-9
+
+
+class TestJson:
+    @pytest.mark.parametrize("kind", ALL)
+    @given(data=st.data())
+    def test_round_trip_is_bitwise(self, kind, data):
+        S, z, _, _ = data.draw(sets_and_points(kind))
+        text = json.dumps(S.to_json())
+        if kind == "polyhedron" and S.A_ineq.shape[0] == 0:
+            # "A_ineq": [] does not say how many columns the rows have: a known
+            # gap in the format, asserted so that a change to it shows
+            with pytest.raises(DimensionMismatch, match="polyhedron A_ineq: expected a matrix"):
+                set_from_json(json.loads(text))
+            return
+        again = set_from_json(json.loads(text))
+        assert json.dumps(again.to_json()) == text
+        assert again._project(z).tobytes() == S._project(z).tobytes()
 
 
 OPTS = SolveOptions(gap_tol=1e-10, max_iters=100)

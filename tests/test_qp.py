@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from altproj import ProjectionQp, qp, solve_projection_qp
-from altproj.errors import Infeasible
+from altproj.errors import DimensionMismatch, Infeasible
 from altproj.qp import VIOL_RTOL
 
 from oracles import verify_certificate
@@ -128,6 +128,31 @@ class TestMinNormStep:
             ProjectionQp(np.zeros(2), np.zeros((0, 2)), [], np.zeros((0, 2)), [])
         ).solution
         np.testing.assert_allclose(s, [0, 0])
+
+
+class TestBlockShapes:
+    """A block is [], shape (0, n), or 2-D with n columns; nothing is reshaped."""
+
+    @pytest.mark.parametrize("A_eq, b_eq", [([], []), (np.zeros((0, 2)), np.zeros(0))],
+                             ids=["list", "array"])
+    def test_empty_block_accepted(self, A_eq, b_eq):
+        p = ProjectionQp([1.0, 1.0], [], [], A_eq, b_eq)
+        assert p.A_ineq.shape == p.A_eq.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "A_ineq, b_ineq, A_eq, b_eq, message",
+        [
+            (np.ones((3, 4)), np.ones(6), [], [], "expected 2 cols, got 4"),
+            ([1.0, 1.0], [1.0], [], [], r"expected a matrix, got shape \(2,\)"),
+            ([], [], [[1.0, 0.0, 0.0, 0.0]], [0.0, 0.0], "expected 2 cols, got 4"),
+            ([], [], np.zeros((0, 3)), [], "expected 2 cols, got 3"),
+            ([[1.0, 0.0]], [[1.0]], [], [], r"expected a vector, got shape \(1, 1\)"),
+        ],
+        ids=["A_ineq-3x4", "A_ineq-vector", "A_eq-1x4", "A_eq-0x3", "b_ineq-column"],
+    )
+    def test_wrong_shape_rejected(self, A_ineq, b_ineq, A_eq, b_eq, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            ProjectionQp(np.zeros(2), A_ineq, b_ineq, A_eq, b_eq)
 
 
 class TestOracleAgreement:

@@ -1,4 +1,5 @@
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -20,7 +21,6 @@ from altproj import (
     Hyperplane,
     InclusionProblem,
     Monomial,
-    NormalConeProbe,
     PolyMap,
     Polyhedron,
     ProjectableSet,
@@ -169,18 +169,14 @@ class TestPolyhedron:
             "import sys\n"
             "sys.modules['scipy'] = None\n"
             "import numpy as np\n"
-            "from altproj import (Box, Halfspace, NormalConeProbe, Polyhedron, ProjectionQp,\n"
-            "                     check_transversality, solve_projection_qp)\n"
+            "from altproj import (Box, Halfspace, Polyhedron, ProjectionQp, check_transversality,\n"
+            "                     solve_projection_qp)\n"
             "P = Polyhedron([[1, 0], [0, 1], [1, 1]], [1, 1, 1.5], [[1, -1]], [0])\n"
             "P.project([3, 2])\n"
             "solve_projection_qp(ProjectionQp([3, 2], [[1, 1]], [1], np.zeros((0, 2)), []))\n"
-            "a = NormalConeProbe(Box([0, 0], [1, 1]), [1, 1])\n"
-            "b = NormalConeProbe(Halfspace([1, 0], 1), [1, 1])\n"
-            "if not check_transversality(a, b).transversal:\n"
+            "if not check_transversality(Box([0, 0], [1, 1]), Halfspace([1, 0], 1), [1, 1]).transversal:\n"
             "    sys.exit('box corner and halfspace should be transversal')\n"
-            "a = NormalConeProbe(Halfspace([1, 0], 0), [0, 0])\n"
-            "b = NormalConeProbe(Halfspace([-1, 0], 0), [0, 0])\n"
-            "if check_transversality(a, b).transversal:\n"
+            "if check_transversality(Halfspace([1, 0], 0), Halfspace([-1, 0], 0), [0, 0]).transversal:\n"
             "    sys.exit('opposing halfspaces should not be transversal')\n"
         )
         src = os.path.dirname(os.path.dirname(altproj.__file__))
@@ -455,26 +451,21 @@ class TestCoordinateBasis:
 
 class TestNormalCones:
     def test_sphere_radial_normal(self):
-        probe = NormalConeProbe(Sphere([0, 0], 1.0), [1, 0])
-        cone = probe.set.normal_cone(probe.point)
+        cone = Sphere([0, 0], 1.0).normal_cone([1, 0])
         assert cone.lineality.shape == (1, 2)
         np.testing.assert_allclose(np.abs(cone.lineality[0]), [1, 0], atol=1e-12)
 
     def test_hyperplane_normal(self):
-        h = Hyperplane([0.0, 2.0], 1.0)
-        probe = NormalConeProbe(h, [3.0, 0.5])
-        cone = probe.set.normal_cone(probe.point)
+        cone = Hyperplane([0.0, 2.0], 1.0).normal_cone([3.0, 0.5])
         np.testing.assert_allclose(np.abs(cone.lineality[0]), [0, 1], atol=1e-12)
 
     def test_box_corner_cone(self):
-        probe = NormalConeProbe(Box([0, 0], [1, 1]), [1, 1])
-        cone = probe.set.normal_cone(probe.point)
+        cone = Box([0, 0], [1, 1]).normal_cone([1, 1])
         rays = sorted(map(tuple, cone.rays))
         assert rays == [(0.0, 1.0), (1.0, 0.0)]
 
     def test_finite_point_full_space(self):
-        probe = NormalConeProbe(FinitePointSet([[0, 0]]), [0, 0])
-        cone = probe.set.normal_cone(probe.point)
+        cone = FinitePointSet([[0, 0]]).normal_cone([0, 0])
         assert cone.full
 
     def test_fixed_rank_drop(self):
@@ -488,50 +479,52 @@ class TestNormalCones:
         cone = s.normal_cone(point)
         assert cone.lineality.shape == (2, 6)  # (rows - r) * (cols - r)
 
-    def test_probe_rejects_off_set_point(self):
-        with pytest.raises(ValueError):
-            NormalConeProbe(Sphere([0, 0], 1.0), [2, 0])
-
 
 class TestTransversality:
     def test_orthogonal_axes(self):
-        a = NormalConeProbe(AffineSubspace([0, 0], [[1, 0]]), [0, 0])
-        b = NormalConeProbe(AffineSubspace([0, 0], [[0, 1]]), [0, 0])
-        assert check_transversality(a, b).transversal
+        a = AffineSubspace([0, 0], [[1, 0]])
+        b = AffineSubspace([0, 0], [[0, 1]])
+        assert check_transversality(a, b, [0, 0]).transversal
 
     def test_identical_hyperplanes_degenerate(self):
         h = Hyperplane([0.0, 1.0], 0.0)
-        a = NormalConeProbe(h, [1, 0])
-        b = NormalConeProbe(h, [1, 0])
-        res = check_transversality(a, b)
+        res = check_transversality(h, h, [1, 0])
         assert not res.transversal
         np.testing.assert_allclose(np.abs(res.witness / np.linalg.norm(res.witness)),
                                    [0, 1], atol=1e-9)
 
     def test_sphere_vs_hyperplane(self):
-        a = NormalConeProbe(Sphere([0, 0], 1.0), [1, 0])
-        b = NormalConeProbe(Hyperplane([0.0, 1.0], 0.0), [1, 0])
-        assert check_transversality(a, b).transversal
+        a = Sphere([0, 0], 1.0)
+        b = Hyperplane([0.0, 1.0], 0.0)
+        assert check_transversality(a, b, [1, 0]).transversal
 
     def test_opposing_halfspaces_degenerate(self):
-        a = NormalConeProbe(Halfspace([1.0, 0.0], 0.0), [0, 0])
-        b = NormalConeProbe(Halfspace([-1.0, 0.0], 0.0), [0, 0])
-        res = check_transversality(a, b)
+        a = Halfspace([1.0, 0.0], 0.0)
+        b = Halfspace([-1.0, 0.0], 0.0)
+        res = check_transversality(a, b, [0, 0])
         assert not res.transversal
         w = res.witness / np.linalg.norm(res.witness)
         np.testing.assert_allclose(np.abs(w), [1, 0], atol=1e-9)
 
     def test_box_corner_vs_halfspace_transversal(self):
-        a = NormalConeProbe(Box([0, 0], [1, 1]), [1, 1])
-        b = NormalConeProbe(Halfspace([1.0, 0.0], 1.0), [1, 1])
-        assert check_transversality(a, b).transversal
+        a = Box([0, 0], [1, 1])
+        b = Halfspace([1.0, 0.0], 1.0)
+        assert check_transversality(a, b, [1, 1]).transversal
 
     def test_large_rows_keep_decision(self):
         # N = cone{e1} on both sides meets -N only at 0, whatever the row's scale
         P = Polyhedron([[1e5, 0]], [0])
-        a = NormalConeProbe(P, [0, 0])
-        b = NormalConeProbe(P, [0, 0])
-        assert check_transversality(a, b).transversal
+        assert check_transversality(P, P, [0, 0]).transversal
+
+    def test_point_off_either_set_rejected(self):
+        S, h = Sphere([0, 0], 1.0), Hyperplane([0.0, 1.0], 0.0)
+        for A, B in ((S, h), (h, S)):
+            with pytest.raises(ValueError, match="does not lie on both sets"):
+                check_transversality(A, B, [2, 0])
+
+    def test_sets_of_different_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            check_transversality(Sphere([0, 0], 1.0), Sphere([0, 0, 0], 1.0), [1, 0])
 
 
 def _linprog_transversal(linprog, na, nb):
@@ -599,7 +592,52 @@ class TestConeDecisions:
             assert _cone_residual(optimize.nnls, -res.witness, nb) <= 1e-8
 
 
+# json.dumps(s.to_json()) for one set of each variant: the problem-file format, byte for byte
+PINNED_JSON = [
+    (Box([0, -1.5], [1, 2.25]), '{"type": "box", "lower": [0.0, -1.5], "upper": [1.0, 2.25]}'),
+    (Ball([0.5, -0.5], 2.0), '{"type": "ball", "center": [0.5, -0.5], "radius": 2.0}'),
+    (Sphere([0, 0, 1e-300], 1),
+     '{"type": "sphere", "center": [0.0, 0.0, 1e-300], "radius": 1.0}'),
+    (AffineSubspace([1, 0, 0], [[0, 1, 0], [0, 0, 1]]),
+     '{"type": "affine_subspace", "anchor": [1.0, 0.0, 0.0],'
+     ' "basis": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}'),
+    (AffineSubspace([1, 2], np.zeros((0, 2))),
+     '{"type": "affine_subspace", "anchor": [1.0, 2.0], "basis": []}'),
+    (AffineSubspace([0, 0], [[2**-0.5, 2**-0.5]]),
+     '{"type": "affine_subspace", "anchor": [0.0, 0.0],'
+     ' "basis": [[0.7071067811865476, 0.7071067811865476]]}'),
+    (Hyperplane([1.0, 2.0], 3), '{"type": "hyperplane", "normal": [1.0, 2.0], "offset": 3.0}'),
+    (Halfspace([1.0, -1.0], 0.5), '{"type": "halfspace", "normal": [1.0, -1.0], "offset": 0.5}'),
+    (FinitePointSet([[0, 0], [1, 1], [2, 0.1]]),
+     '{"type": "finite_point_set", "points": [[0.0, 0.0], [1.0, 1.0], [2.0, 0.1]]}'),
+    (FixedRankMatrices(2, 3, 1), '{"type": "fixed_rank_matrices", "rows": 2, "cols": 3, "rank": 1}'),
+    (Polyhedron([[1, 0], [0, 1]], [1, 1]),
+     '{"type": "polyhedron", "A_ineq": [[1.0, 0.0], [0.0, 1.0]], "b_ineq": [1.0, 1.0],'
+     ' "A_eq": [], "b_eq": []}'),
+    (Polyhedron([[1, 0], [0, 1], [1, 1]], [1, 1, 1.5], [[1, -1]], [0]),
+     '{"type": "polyhedron", "A_ineq": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],'
+     ' "b_ineq": [1.0, 1.0, 1.5], "A_eq": [[1.0, -1.0]], "b_eq": [0.0]}'),
+]
+# one complete set JSON per variant; a polyhedron's optional A_eq and b_eq are left out
+COMPLETE_JSON = [
+    {"type": "box", "lower": [0, 0], "upper": [1, 1]},
+    {"type": "ball", "center": [0, 0], "radius": 1},
+    {"type": "sphere", "center": [0, 0], "radius": 1},
+    {"type": "affine_subspace", "anchor": [0, 0], "basis": [[1, 0]]},
+    {"type": "hyperplane", "normal": [0, 1], "offset": 0},
+    {"type": "halfspace", "normal": [0, 1], "offset": 0},
+    {"type": "finite_point_set", "points": [[0, 0]]},
+    {"type": "fixed_rank_matrices", "rows": 2, "cols": 2, "rank": 1},
+    {"type": "polyhedron", "A_ineq": [[1, 0]], "b_ineq": [1]},
+]
+
+
 class TestJson:
+    @pytest.mark.parametrize("s, text", PINNED_JSON, ids=lambda x: type(x).__name__)
+    def test_bytes_pinned(self, s, text):
+        assert json.dumps(s.to_json()) == text
+        assert json.dumps(set_from_json(json.loads(text)).to_json()) == text
+
     @pytest.mark.parametrize("s", CONVEX_SETS + NONCONVEX_SETS)
     def test_round_trip(self, s):
         again = set_from_json(s.to_json())
@@ -612,8 +650,13 @@ class TestJson:
             set_from_json({"center": [0, 0]})
 
     def test_missing_field_named(self):
-        with pytest.raises(ValueError, match="radius"):
-            set_from_json({"type": "ball", "center": [0, 0]})
+        # every required field of every variant
+        for obj in COMPLETE_JSON:
+            set_from_json(obj)
+            for field in obj.keys() - {"type"}:
+                message = f"^set JSON of type '{obj['type']}' missing field '{field}'$"
+                with pytest.raises(ValueError, match=message):
+                    set_from_json({k: v for k, v in obj.items() if k != field})
 
     def test_unknown_type_lists_accepted_names(self):
         with pytest.raises(ValueError, match="finite_point_set") as exc:
