@@ -30,14 +30,15 @@ DIVERGENCE_FACTOR = 10.0
 
 @dataclass
 class SolveOptions:
-    gap_tol: float = 1e-10
-    max_iters: int = 10_000
+    gap_tol: float = 1e-10   # a finite positive number; a bool is not one
+    max_iters: int = 10_000  # an integer >= 1
 
     def __post_init__(self):
-        if self.gap_tol <= 0:
-            raise ValueError("gap_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        tol, iters = self.gap_tol, self.max_iters
+        if type(tol) is bool or not isinstance(tol, (int, float, np.floating)) or not 0 < tol < math.inf:
+            raise ValueError(f"gap_tol must be a finite positive number, got {tol!r}")
+        if type(iters) is bool or not isinstance(iters, (int, np.integer)) or iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {iters!r}")
 
 
 @dataclass
@@ -111,10 +112,6 @@ class InexactProjector:
         self.set = set_m
         self.eps = float(eps)
         self.direction_seed = int(direction_seed)
-
-    def project(self, z, k):
-        z = linalg.as_vector(z, dim=self.set.ambient_dim)
-        return self._perturb(z, self.set._project(z), k)
 
     def _perturb(self, z, exact, k):
         """The eps-corrupted point for a checked z and its exact projection P_M(z)."""

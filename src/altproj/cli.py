@@ -5,7 +5,8 @@
     altproj bench    [--filter substr] [--json]
 
 Problem files carry {"kind": ..., payload, "start": [...], "options": {...}}
-with the payload schemas owned by the sets/linconstr/inclusion modules.
+with the payload schemas owned by the sets/linconstr/inclusion modules;
+linalg.read_fields reads every object in them.
 Exit codes: 0 Converged, 1 input error, 2 MaxIters/Diverged,
 3 LinearizationInfeasible/RankDeficient/LeftChart.
 """
@@ -29,13 +30,14 @@ from .alternating import (
     IterationTrace,
     SolveOptions,
 )
-from .errors import AltprojError, DimensionMismatch, InsufficientData
+from .errors import AltprojError, FieldError, InsufficientData
 from .inclusion import ChartApproximateProjector, InclusionProblem, ManifoldChart
+from .linalg import as_vector, integer, number, numbers, read_fields, string
 from .linconstr import ConstraintSystem
 from .sets import set_from_json
 
 SCHEMES = ("exact", "inexact", "approximate", "linconstr", "inclusion")
-_DEFAULT_SCHEME = {"two_sets": "exact", "constraint_system": "linconstr", "inclusion": "inclusion"}
+# per kind: its schemes, the default first
 _COMPATIBLE = {
     "two_sets": ("exact", "inexact", "approximate"),
     "constraint_system": ("linconstr",),
@@ -48,99 +50,71 @@ EXIT_NOT_CONVERGED = 2
 EXIT_STRUCTURAL = 3
 
 
-class ProblemFormatError(ValueError):
-    pass
-
-
 @dataclass
 class ProblemFile:
     kind: str
     payload: object          # (Q, M) | ConstraintSystem | InclusionProblem
     start: np.ndarray
     options: SolveOptions
-    chart_bounds: tuple | None = None
+    chart: ManifoldChart | None = None   # of an inclusion problem with U_lower/U_upper
     epsilon: float = 0.0     # of the inexact scheme
 
 
-def _require(obj, key, where):
-    if key not in obj:
-        raise ProblemFormatError(f"missing field '{key}' in {where}")
-    return obj[key]
-
-
-def _finite_array(obj, key, where):
-    arr = np.asarray(_require(obj, key, where), dtype=float)
-    if not np.isfinite(arr).all():
-        raise ProblemFormatError(f"field '{key}' contains NaN/Inf entries")
-    return arr
-
-
-def _epsilon(value):
-    eps = float(value)
+def _epsilon(eps, source):
     if not 0 <= eps < math.inf:
-        raise ValueError(f"epsilon must be finite and nonnegative, got {eps}")
+        raise ValueError(f"{source}: epsilon must be finite and nonnegative, got {eps}")
     return eps
 
 
+def _options(obj, where):
+    """(SolveOptions, epsilon) from an options block; a field left out takes its default."""
+    opts = read_fields(obj, _OPTIONS, "options", where, optional=_OPTIONS)
+    epsilon = _epsilon(opts.pop("epsilon", 0.0), "bad options block")
+    return SolveOptions(**opts), epsilon
+
+
+_OPTIONS = {"gap_tol": number, "max_iters": integer, "epsilon": number}
+_FIELDS = {  # per kind, the fields of a problem file; only "options" may be left out
+    "two_sets": {"Q": set_from_json, "M": set_from_json, "start": numbers, "options": _options},
+    "constraint_system": {"system": ConstraintSystem.from_json, "start": numbers, "options": _options},
+    "inclusion": {"problem": InclusionProblem.from_json, "start": numbers, "options": _options},
+}
+_CHART = {"U_lower": numbers, "U_upper": numbers}  # an inclusion problem's: both, or neither
+
+
 def load_problem(path) -> ProblemFile:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ProblemFormatError(f"cannot read problem file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from exc
-
-    kind = _require(obj, "kind", "problem file")
-    if kind not in _DEFAULT_SCHEME:
-        raise ProblemFormatError(f"unknown kind '{kind}'")
-    opts_obj = obj.get("options", {})
-    try:
-        options = SolveOptions(
-            gap_tol=float(opts_obj.get("gap_tol", 1e-10)),
-            max_iters=int(opts_obj.get("max_iters", 10_000)),
-        )
-        epsilon = _epsilon(opts_obj.get("epsilon", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"bad options block: {exc}") from exc
-
-    try:
-        if kind == "two_sets":
-            Q = set_from_json(_require(obj, "Q", "two_sets problem"))
-            M = set_from_json(_require(obj, "M", "two_sets problem"))
-            payload = (Q, M)
-            dim = Q.ambient_dim
-            if M.ambient_dim != dim:
-                raise ProblemFormatError("Q and M ambient dimensions differ")
-        elif kind == "constraint_system":
-            payload = ConstraintSystem.from_json(_require(obj, "system", "problem file"))
-            dim = payload.ambient_dim
-        else:
-            payload = InclusionProblem.from_json(_require(obj, "problem", "problem file"))
-            dim = payload.F.input_dim
-    except (ValueError, DimensionMismatch) as exc:
-        raise ProblemFormatError(str(exc)) from exc
-
-    start = _finite_array(obj, "start", "problem file")
-    if start.shape != (dim,):
-        raise ProblemFormatError(
-            f"start point has dimension {start.shape}, expected ({dim},)"
-        )
+    """The problem in a file; bad input raises ValueError, a FieldError naming the field."""
+    with open(path, "rb") as fh:
+        obj = json.loads(fh.read())
+    kind = read_fields(obj, {"kind": string}, "", "problem file")["kind"]
+    if kind not in _FIELDS:
+        raise FieldError(f"unknown kind '{kind}'; expected one of: {', '.join(_FIELDS)}")
+    f = read_fields(obj, _FIELDS[kind], "", "problem file", optional=("options",))
+    options, epsilon = f["options"] if "options" in f else (SolveOptions(), 0.0)
     chart = None
-    if "U_lower" in obj or "U_upper" in obj:
-        chart = (
-            _finite_array(obj, "U_lower", "chart block"),
-            _finite_array(obj, "U_upper", "chart block"),
-        )
+    if kind == "two_sets":
+        payload = Q, M = f["Q"], f["M"]
+        if M.ambient_dim != Q.ambient_dim:
+            raise FieldError(f"field 'M' lives in R^{M.ambient_dim}, field 'Q' in R^{Q.ambient_dim}")
+        dim = Q.ambient_dim
+    elif kind == "constraint_system":
+        payload = f["system"]
+        dim = payload.ambient_dim
+    else:
+        payload = f["problem"]
+        dim = payload.F.input_dim
+        if _CHART.keys() & obj.keys():
+            bounds = read_fields(obj, _CHART, "", "problem file")
+            lower, upper = (as_vector(v, dim, f"field '{k}'") for k, v in bounds.items())
+            chart = ManifoldChart(payload.F, lower, upper)
+    start = as_vector(f["start"], dim, "field 'start'")
     return ProblemFile(kind, payload, start, options, chart, epsilon)
 
 
 def run_problem(prob: ProblemFile, scheme=None, seed=None) -> IterationTrace:
-    scheme = scheme or _DEFAULT_SCHEME[prob.kind]
+    scheme = scheme or _COMPATIBLE[prob.kind][0]
     if scheme not in _COMPATIBLE[prob.kind]:
-        raise ProblemFormatError(
-            f"scheme '{scheme}' is not valid for kind '{prob.kind}'"
-        )
+        raise ValueError(f"scheme '{scheme}' is not valid for kind '{prob.kind}'")
     if seed is None:
         seed = int(os.environ.get("ALTPROJ_SEED", "42"))
     if prob.kind == "two_sets":
@@ -160,12 +134,9 @@ def run_problem(prob: ProblemFile, scheme=None, seed=None) -> IterationTrace:
     # inclusion kind
     if scheme == "inclusion":
         return inclusion.solve_inclusion(prob.payload, prob.start, prob.options)
-    if prob.chart_bounds is None:
-        raise ProblemFormatError(
-            "approximate scheme on an inclusion problem needs U_lower/U_upper"
-        )
-    chart = ManifoldChart(prob.payload.F, *prob.chart_bounds)
-    projector = ChartApproximateProjector(chart, prob.start)
+    if prob.chart is None:
+        raise ValueError("approximate scheme on an inclusion problem needs U_lower/U_upper")
+    projector = ChartApproximateProjector(prob.chart, prob.start)
     return alternating.run_approximate(projector, prob.payload.Q, projector.fx, prob.options)
 
 
@@ -195,14 +166,11 @@ def _summary(trace: IterationTrace):
 def cmd_solve(args):
     prob = load_problem(args.problem)
     flags = {"gap_tol": args.tol, "max_iters": args.max_iters}
-    try:
-        prob.options = replace(
-            prob.options, **{k: v for k, v in flags.items() if v is not None}
-        )
-        if args.eps is not None:
-            prob.epsilon = _epsilon(args.eps)
-    except ValueError as exc:
-        raise ProblemFormatError(f"bad option: {exc}") from exc
+    prob.options = replace(
+        prob.options, **{k: v for k, v in flags.items() if v is not None}
+    )
+    if args.eps is not None:
+        prob.epsilon = _epsilon(args.eps, "bad option")
     trace = run_problem(prob, args.scheme)
     if args.trace:
         with open(args.trace, "w") as fh:
@@ -217,12 +185,8 @@ def cmd_solve(args):
 
 
 def cmd_diagnose(args):
-    try:
-        with open(args.trace) as fh:
-            trace = IterationTrace.from_csv(fh.read())
-    except (OSError, ValueError) as exc:
-        print(f"error: unreadable trace: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with open(args.trace) as fh:
+        trace = IterationTrace.from_csv(fh.read())
 
     out = {}
     try:
@@ -237,10 +201,8 @@ def cmd_diagnose(args):
         if prob.kind == "two_sets":
             _, M = prob.payload
             if len(trace.zs[0]) != M.ambient_dim:
-                raise ProblemFormatError(
-                    f"trace points have dimension {len(trace.zs[0])},"
-                    f" the problem's sets have dimension {M.ambient_dim}"
-                )
+                raise ValueError(f"trace points have dimension {len(trace.zs[0])},"
+                                 f" the problem's sets have dimension {M.ambient_dim}")
             trace.xs = [M.project(z) for z in trace.zs]
             try:
                 out["angles"] = diagnostics.angles_from_trace(trace).to_json()
@@ -358,7 +320,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ProblemFormatError as exc:
+    except (OSError, ValueError) as exc:  # bad input: an unreadable file, a FieldError, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AltprojError as exc:

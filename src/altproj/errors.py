@@ -9,6 +9,10 @@ class DimensionMismatch(AltprojError):
     """Operand dimensions are inconsistent."""
 
 
+class FieldError(DimensionMismatch, ValueError):
+    """An input field of the wrong JSON type, shape or value; the message names it."""
+
+
 class RankDeficient(AltprojError):
     """A matrix required to have full (column or row) rank does not."""
 

@@ -19,12 +19,8 @@ from .alternating import (
     SolveOptions,
     iterate,
 )
-from .errors import (
-    DimensionMismatch,
-    InsufficientData,
-    LeftChart,
-    RankDeficient,
-)
+from .errors import DimensionMismatch, FieldError, InsufficientData, LeftChart, RankDeficient
+from .linalg import Schema
 from .polymap import PolyMap
 from .sets import ProjectableSet, set_from_json
 
@@ -32,27 +28,19 @@ ANGLE_FLOOR = 0.1  # radians; verify_faithfulness drops pairs at smaller angles
 
 
 @dataclass
-class InclusionProblem:
+class InclusionProblem(Schema):
     """Find x with F(x) in Q; F must have one-to-one derivative locally."""
 
     F: PolyMap
     Q: ProjectableSet
 
+    kind = "inclusion problem"
+    fields = {"F": PolyMap.from_json, "Q": set_from_json}
+
     def __post_init__(self):
         if self.F.output_dim != self.Q.ambient_dim:
-            raise DimensionMismatch(
-                f"F maps into R^{self.F.output_dim}, Q lives in R^{self.Q.ambient_dim}"
-            )
-
-    def to_json(self):
-        return {"F": self.F.to_json(), "Q": self.Q.to_json()}
-
-    @staticmethod
-    def from_json(obj):
-        for key in ("F", "Q"):
-            if key not in obj:
-                raise ValueError(f"inclusion problem JSON missing field '{key}'")
-        return InclusionProblem(PolyMap.from_json(obj["F"]), set_from_json(obj["Q"]))
+            raise FieldError(f"inclusion problem Q: F maps into R^{self.F.output_dim},"
+                             f" Q lives in R^{self.Q.ambient_dim}")
 
 
 @dataclass
@@ -72,9 +60,6 @@ class ManifoldChart:
         self.upper = linalg.as_vector(self.upper, dim=self.F.input_dim)
         if np.any(self.lower >= self.upper):
             raise ValueError("chart domain box must be nonempty and open")
-
-    def contains(self, x):
-        return self._contains(linalg.as_vector(x, dim=self.F.input_dim))
 
     def _contains(self, x):
         return bool(np.all(x > self.lower) and np.all(x < self.upper))

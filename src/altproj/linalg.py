@@ -1,14 +1,17 @@
-"""Dense small-scale linear algebra kernels.
+"""Dense small-scale linear algebra kernels, and the checks of every input.
 
-SVD-based least squares and SVD at desk scale (dims <= 100).
-Everything here is a pure function of its inputs.
+SVD-based least squares and SVD at desk scale (dims <= 100); as_vector and
+as_matrix check arrays, read_fields JSON objects.  Everything here is a
+pure function of its inputs.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence, RankDeficient
+from .errors import DimensionMismatch, FieldError, NonConvergence, RankDeficient
 
 RANK_TOL = 1e-10   # relative threshold on singular values
 
@@ -16,8 +19,8 @@ RANK_TOL = 1e-10   # relative threshold on singular values
 def as_vector(x, dim=None, field=None):
     """Coerce to a finite 1-D float array, checking dimension if given.
 
-    Errors raise DimensionMismatch.  Given field, the name of a set's input
-    field, a shape error names it and NaN/Inf raises ValueError naming it.
+    Errors raise DimensionMismatch.  Given field, the name of an input
+    field, they raise FieldError naming it.
     """
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1:
@@ -47,13 +50,102 @@ def as_matrix(a, cols=None, field=None):
 
 
 def _shape_error(field, message):
-    return DimensionMismatch(f"{field}: {message}" if field else message)
+    return FieldError(f"{field}: {message}") if field else DimensionMismatch(message)
 
 
 def _non_finite(field, what):
     if field:
-        return ValueError(f"{field} contains NaN/Inf entries")
+        return FieldError(f"{field} contains NaN/Inf entries")
     return DimensionMismatch(f"{what} contains NaN/Inf entries")
+
+
+def read_fields(obj, fields, label, where, optional=()):
+    """The fields that fields declares, read from the JSON object obj; where names obj.
+
+    fields maps each name, in order, to its reader (value, path): it returns
+    the value if its JSON type is right, else raises FieldError naming path,
+    '<label> <name>' or "field '<name>'" with no label.  Fields not in
+    optional must be present, and fields not declared are ignored.
+    """
+    if type(obj) is not dict:
+        raise FieldError(f"{where}: expected an object, got {_describe(obj)}")
+    values = {}
+    for name, read in fields.items():
+        if name in obj:
+            values[name] = read(obj[name], f"{label} {name}" if label else f"field '{name}'")
+        elif name not in optional:
+            raise FieldError(f"{where} missing field '{name}'")
+    return values
+
+
+def _json_type(what, *types):
+    """The reader of a JSON value of one of these Python types; what names them in errors."""
+
+    def read(value, path):
+        if type(value) not in types or type(value) is int and value not in _INT64:
+            raise FieldError(f"{path}: expected {what}, got {_describe(value)}")
+        return value
+
+    return read
+
+
+_INT64 = range(-(2**63), 2**63)  # the integers numpy takes; a JSON integer must be one of them
+number = _json_type("a number", int, float)  # NaN and Infinity too; true and false are not numbers
+integer = _json_type("an integer", int)
+string = _json_type("a string", str)
+_list = _json_type("a list", list)
+
+
+def numbers(value, path):
+    """A list of numbers, or of such lists of one length, nested to any depth."""
+    level = _list(value, path)
+    while (types := {type(x) for x in level}) == {list} and len({len(x) for x in level}) == 1:
+        level = [y for x in level for y in x]
+    bad = [x for x in level if type(x) is not float and (type(x) is not int or x not in _INT64)]
+    if bad:
+        got = "rows of unequal length" if list in types else f"{_describe(bad[0])} in it"
+        raise FieldError(f"{path}: expected a list of numbers, got {got}")
+    return value
+
+
+def list_of(read):
+    """The reader of a JSON list whose items read reads, item i at path '<path>[i]'."""
+    return lambda value, path: [read(x, f"{path}[{i}]") for i, x in enumerate(_list(value, path))]
+
+
+def _describe(value):
+    """A JSON value as errors name it: a scalar as written, anything else by its type."""
+    if type(value) in (bool, int, float, type(None)):
+        return json.dumps(value)
+    return {str: "string", list: "list", dict: "object"}.get(type(value), type(value).__name__)
+
+
+class Schema:
+    """A type read from and written to JSON by its declaration.
+
+    kind names it in errors; fields maps each constructor argument, in order
+    and stored under its own name, to the reader of its JSON value.  The JSON
+    may leave out an argument with a default, and to_json one stored as None.
+    """
+
+    kind: str
+    fields: dict
+
+    @classmethod
+    def from_json(cls, obj, where=None):
+        """The object a to_json dict describes; where names obj in errors."""
+        optional = list(cls.fields)[len(cls.fields) - len(cls.__init__.__defaults__ or ()):]
+        label, where = cls.kind.replace("_", " "), where or f"{cls.kind} JSON"
+        return cls(**read_fields(obj, cls.fields, label, where, optional))
+
+    def to_json(self):
+        return {f: Schema._json(v) for f in self.fields if (v := getattr(self, f)) is not None}
+
+    @staticmethod
+    def _json(value):
+        if isinstance(value, (list, tuple)):
+            return [Schema._json(x) for x in value]
+        return value.to_json() if isinstance(value, Schema) else np.asarray(value).tolist()
 
 
 def least_squares(A, b):

@@ -24,10 +24,12 @@ from .alternating import (
 )
 from .errors import (
     DimensionMismatch,
+    FieldError,
     Infeasible,
     InsufficientData,
     LinearizationInfeasible,
 )
+from .linalg import Schema, integer
 from .polymap import PolyMap
 from .sets import ProjectableSet, set_from_json
 
@@ -36,7 +38,7 @@ ACTIVE_TOL = 1e-6
 
 
 @dataclass
-class ConstraintSystem:
+class ConstraintSystem(Schema):
     """G <= 0, P <= 0, H = 0 together with the easy set Q.
 
     The G/P split (active vs inactive near the solution) is declared by
@@ -49,36 +51,16 @@ class ConstraintSystem:
     Q: ProjectableSet
     ambient_dim: int
 
+    kind = "constraint system"
+    fields = {"G": PolyMap.from_json, "P": PolyMap.from_json, "H": PolyMap.from_json,
+              "Q": set_from_json, "ambient_dim": integer}
+
     def __post_init__(self):
-        for name, m in (("G", self.G), ("P", self.P), ("H", self.H)):
-            if m.input_dim != self.ambient_dim:
-                raise DimensionMismatch(
-                    f"{name} has input_dim {m.input_dim}, expected {self.ambient_dim}"
-                )
-        if self.Q.ambient_dim != self.ambient_dim:
-            raise DimensionMismatch("Q ambient dimension mismatch")
-
-    def to_json(self):
-        return {
-            "G": self.G.to_json(),
-            "P": self.P.to_json(),
-            "H": self.H.to_json(),
-            "Q": self.Q.to_json(),
-            "ambient_dim": self.ambient_dim,
-        }
-
-    @staticmethod
-    def from_json(obj):
-        for key in ("G", "P", "H", "Q", "ambient_dim"):
-            if key not in obj:
-                raise ValueError(f"constraint system JSON missing field '{key}'")
-        return ConstraintSystem(
-            G=PolyMap.from_json(obj["G"]),
-            P=PolyMap.from_json(obj["P"]),
-            H=PolyMap.from_json(obj["H"]),
-            Q=set_from_json(obj["Q"]),
-            ambient_dim=int(obj["ambient_dim"]),
-        )
+        n = self.ambient_dim
+        for name, dim in (("G", self.G.input_dim), ("P", self.P.input_dim), ("H", self.H.input_dim),
+                          ("Q", self.Q.ambient_dim)):
+            if dim != n:
+                raise FieldError(f"constraint system {name}: lives in R^{dim}, ambient_dim is {n}")
 
 
 @dataclass

@@ -11,19 +11,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .linalg import as_vector
+from .errors import FieldError
+from .linalg import Schema, as_vector, integer, list_of, number
 
 # exponents are compiled into an integer array (see PolyMap)
 _MAX_EXPONENT = int(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True)
-class Monomial:
+class Monomial(Schema):
     """coeff * prod_i x_i**exponents[i]."""
 
     coeff: float
     exponents: tuple[int, ...]
+
+    kind = "monomial"
+    fields = {"coeff": number, "exponents": list_of(integer)}
 
     def __post_init__(self):
         object.__setattr__(self, "coeff", float(self.coeff))
@@ -35,10 +38,10 @@ class Monomial:
         object.__setattr__(self, "exponents", exps)
 
 
-class PolyMap:
+class PolyMap(Schema):
     """A polynomial map R^input_dim -> R^output_dim.
 
-    components[j] is the list of Monomials of output coordinate j.
+    outputs[j] is the list of Monomials of output coordinate j.
     output_dim = 0 (an empty constraint block) is legal everywhere.
 
     The constructor compiles the monomials into one sum of terms whose
@@ -61,24 +64,27 @@ class PolyMap:
     value is bit-identical to a term-by-term loop over the monomials.
     """
 
-    def __init__(self, input_dim, components):
+    kind = "polynomial map"
+    fields = {"input_dim": integer, "outputs": list_of(list_of(Monomial.from_json))}
+
+    def __init__(self, input_dim, outputs):
         self.input_dim = int(input_dim)
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         comps = []
-        for comp in components:
+        for comp in outputs:
             comp = [m if isinstance(m, Monomial) else Monomial(*m) for m in comp]
             for m in comp:
                 if len(m.exponents) != self.input_dim:
-                    raise DimensionMismatch(
+                    raise FieldError(
                         f"monomial has {len(m.exponents)} exponents, "
                         f"map input_dim is {self.input_dim}"
                     )
             comps.append(tuple(comp))
-        self.components = tuple(comps)
+        self.outputs = tuple(comps)
 
         n = self.input_dim
-        terms = [(j, m) for j, comp in enumerate(self.components) for m in comp]
+        terms = [(j, m) for j, comp in enumerate(self.outputs) for m in comp]
         coeff = np.array([m.coeff for _, m in terms], dtype=float)
         expo = np.array([m.exponents for _, m in terms], dtype=np.intp).reshape(-1, n)
         out = np.array([j for j, _ in terms], dtype=np.intp)
@@ -94,7 +100,7 @@ class PolyMap:
 
     @property
     def output_dim(self):
-        return len(self.components)
+        return len(self.outputs)
 
     @staticmethod
     def identity(n):
@@ -116,7 +122,7 @@ class PolyMap:
         return PolyMap(input_dim, [[Monomial(v, zero)] for v in values])
 
     def eval(self, x):
-        value_terms = sum(map(len, self.components))
+        value_terms = sum(map(len, self.outputs))
         return self._sums.at(as_vector(x, dim=self.input_dim), value_terms, self.output_dim)
 
     def jacobian(self, x):
@@ -146,35 +152,11 @@ class PolyMap:
             return 0.0
         return float(np.max(np.abs(J - fd)))
 
-    # JSON schema: {"input_dim": n, "outputs": [[{"coeff": c, "exponents": [...]}, ...], ...]}
-
-    def to_json(self):
-        return {
-            "input_dim": self.input_dim,
-            "outputs": [
-                [{"coeff": m.coeff, "exponents": list(m.exponents)} for m in comp]
-                for comp in self.components
-            ],
-        }
-
-    @staticmethod
-    def from_json(obj):
-        try:
-            input_dim = obj["input_dim"]
-            outputs = obj["outputs"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"polynomial map JSON missing field {exc}") from exc
-        comps = [
-            [Monomial(m["coeff"], tuple(m["exponents"])) for m in comp]
-            for comp in outputs
-        ]
-        return PolyMap(input_dim, comps)
-
     def __eq__(self, other):
         return (
             isinstance(other, PolyMap)
             and self.input_dim == other.input_dim
-            and self.components == other.components
+            and self.outputs == other.outputs
         )
 
     def __repr__(self):

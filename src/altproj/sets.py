@@ -2,10 +2,10 @@
 
 The base class checks the argument of project / distance / normal_cone
 once.  Each variant implements _project and _normal_cone on the checked
-vector, and declares its JSON schema: kind, its JSON "type", and fields,
-its constructor arguments in order, each stored under its own name.
-to_json, set_from_json and the field names in constructor errors are
-derived from these two.  The drivers call the function _run_projection
+vector, and declares its JSON schema (a linalg.Schema): kind, its "type",
+and fields, which maps its constructor arguments to their JSON readers.
+to_json, set_from_json and the field names in errors come from these two.
+The drivers call the function _run_projection
 returns, once per run: _project itself, or for Polyhedron a projection
 that starts each QP from the previous one's working set.
 Nonconvex projections use the documented tie-breaks so traces
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, qp
-from .errors import DimensionMismatch, Infeasible, RankDrop, UnsupportedVariant
+from .errors import DimensionMismatch, FieldError, Infeasible, RankDrop, UnsupportedVariant
+from .linalg import Schema, integer, list_of, number, numbers, read_fields, string
 
 ON_SET_TOL = 1e-9
 ACTIVE_TOL = 1e-9
@@ -50,12 +51,10 @@ class NormalCone:
         return not self.full and self.rays.shape[0] == 0 and self.lineality.shape[0] == 0
 
 
-class ProjectableSet:
+class ProjectableSet(Schema):
     """Base class: a closed set with deterministic nearest-point projection."""
 
     ambient_dim: int
-    kind: str
-    fields: tuple
 
     def project(self, z):
         return self._project(self._check(z))
@@ -68,7 +67,7 @@ class ProjectableSet:
         return self._normal_cone(self._check(point))
 
     def to_json(self):
-        return {"type": self.kind, **{f: np.asarray(getattr(self, f)).tolist() for f in self.fields}}
+        return {"type": self.kind, **super().to_json()}
 
     def _field(self, name):
         """A constructor argument as errors name it: 'affine subspace basis'."""
@@ -107,7 +106,7 @@ class ProjectableSet:
 
 
 class Box(ProjectableSet):
-    kind, fields = "box", ("lower", "upper")
+    kind, fields = "box", {"lower": numbers, "upper": numbers}
 
     def __init__(self, lower, upper):
         self.lower = linalg.as_vector(lower, field=self._field("lower"))
@@ -136,7 +135,7 @@ class Box(ProjectableSet):
 class _CenterRadius(ProjectableSet):
     """The constructor of Ball and Sphere."""
 
-    fields = ("center", "radius")
+    fields = {"center": numbers, "radius": number}
 
     def __init__(self, center, radius):
         self.center = linalg.as_vector(center, field=self._field("center"))
@@ -194,7 +193,7 @@ class AffineSubspace(ProjectableSet):
     zeros included, since every product in the dense sums is 0*d or +-1*d.
     """
 
-    kind, fields = "affine_subspace", ("anchor", "basis")
+    kind, fields = "affine_subspace", {"anchor": numbers, "basis": numbers}
 
     def __init__(self, anchor, basis):
         self.anchor = linalg.as_vector(anchor, field=self._field("anchor"))
@@ -203,7 +202,7 @@ class AffineSubspace(ProjectableSet):
         self._free = _free_coordinates(basis)
         if self._free is None:
             gram = basis @ basis.T
-            if np.max(np.abs(gram - np.eye(basis.shape[0]))) > 1e-10:
+            if np.abs(gram - np.eye(basis.shape[0])).max() > 1e-10:
                 raise ValueError(f"{self._field('basis')} is not orthonormal")
             # one layout for the dense product, whatever the caller's: BLAS rounds
             # it differently for row- and column-major bases, and a set read
@@ -254,7 +253,7 @@ def _free_coordinates(basis):
 class _NormalOffset(ProjectableSet):
     """The constructor of Hyperplane and Halfspace."""
 
-    fields = ("normal", "offset")
+    fields = {"normal": numbers, "offset": number}
 
     def __init__(self, normal, offset):
         self.normal = linalg.as_vector(normal, field=self._field("normal"))
@@ -299,12 +298,12 @@ class Halfspace(_NormalOffset):
 
 
 class FinitePointSet(ProjectableSet):
-    kind, fields = "finite_point_set", ("points",)
+    kind, fields = "finite_point_set", {"points": list_of(numbers)}
 
     def __init__(self, points):
         points, field = list(points), self._field("points")
         if not points:
-            raise ValueError("finite point set must be nonempty")
+            raise ValueError(f"{field} must be nonempty")
         n = linalg.as_vector(points[0], field=field).shape[0]
         self.points = np.vstack([linalg.as_vector(p, n, field) for p in points])
         self.ambient_dim = n
@@ -321,12 +320,12 @@ class FinitePointSet(ProjectableSet):
 class FixedRankMatrices(ProjectableSet):
     """Matrices of rank <= r, flattened row-major into R^(rows*cols)."""
 
-    kind, fields = "fixed_rank_matrices", ("rows", "cols", "rank")
+    kind, fields = "fixed_rank_matrices", {"rows": integer, "cols": integer, "rank": integer}
 
     def __init__(self, rows, cols, rank):
         self.rows, self.cols, self.rank = int(rows), int(cols), int(rank)
         if not (1 <= self.rank <= min(self.rows, self.cols)):
-            raise ValueError("rank must satisfy 1 <= r <= min(rows, cols)")
+            raise ValueError(f"{self._field('rank')} must satisfy 1 <= rank <= min(rows, cols)")
         self.ambient_dim = self.rows * self.cols
 
     def _project(self, z):
@@ -354,18 +353,25 @@ class FixedRankMatrices(ProjectableSet):
 class Polyhedron(ProjectableSet):
     """{x : A_ineq x <= b_ineq, A_eq x = b_eq}; emptiness rejected at construction."""
 
-    kind, fields = "polyhedron", ("A_ineq", "b_ineq", "A_eq", "b_eq")
+    kind = "polyhedron"
+    fields = {"A_ineq": numbers, "b_ineq": numbers, "A_eq": numbers, "b_eq": numbers, "dim": integer}
 
-    def __init__(self, A_ineq, b_ineq, A_eq=None, b_eq=None):
-        self.A_ineq = linalg.as_matrix(A_ineq, field=self._field("A_ineq"))
-        n = self.ambient_dim = self.A_ineq.shape[1]
+    def __init__(self, A_ineq, b_ineq, A_eq=None, b_eq=None, dim=None):
         if A_eq is None and b_eq is None:
-            A_eq, b_eq = np.zeros((0, n)), np.zeros(0)
+            A_eq, b_eq = [], []
         elif A_eq is None or b_eq is None:
             raise ValueError("polyhedron needs both A_eq and b_eq, or neither")
+        if dim is not None and dim < 1:
+            raise ValueError(f"{self._field('dim')} must be at least 1")
+        # rows are as long as A_ineq's, or A_eq's when A_ineq is [], or else dim, kept for to_json
+        if dim is None and not len(A_ineq) and len(A_eq):
+            dim = linalg.as_matrix(A_eq, field=self._field("A_eq")).shape[1]
+        self.A_ineq = linalg.as_matrix(A_ineq, dim, self._field("A_ineq"))
+        n = self.ambient_dim = self.A_ineq.shape[1]
         self.b_ineq = linalg.as_vector(b_ineq, len(self.A_ineq), self._field("b_ineq"))
         self.A_eq = linalg.as_matrix(A_eq, n, self._field("A_eq"))
         self.b_eq = linalg.as_vector(b_eq, len(self.A_eq), self._field("b_eq"))
+        self.dim = None if len(self.A_ineq) or len(self.A_eq) else n
         # checked once here; _project hands the stacked rows to the solver core
         self._rows = np.vstack([self.A_ineq, self.A_eq])
         self._rhs = np.concatenate([self.b_ineq, self.b_eq])
@@ -487,20 +493,9 @@ _VARIANTS = {cls.kind: cls for cls in (
 )}
 
 
-def set_from_json(obj) -> ProjectableSet:
-    """The set a to_json dict describes; a field left out takes its constructor default."""
-    try:
-        kind = obj["type"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("set JSON missing field 'type'") from exc
+def set_from_json(obj, where="set JSON") -> ProjectableSet:
+    """The set a to_json dict describes, of the variant its "type" names; where names obj in errors."""
+    kind = read_fields(obj, {"type": string}, "set", where)["type"]
     if kind not in _VARIANTS:
-        raise ValueError(
-            f"unknown set type '{kind}'; expected one of: {', '.join(_VARIANTS)}"
-        )
-    cls = _VARIANTS[kind]
-    # fields are the constructor's arguments in order, the optional ones last
-    required = len(cls.fields) - len(cls.__init__.__defaults__ or ())
-    for name in cls.fields[:required]:
-        if name not in obj:
-            raise ValueError(f"set JSON of type '{kind}' missing field '{name}'")
-    return cls(**{name: obj[name] for name in cls.fields if name in obj})
+        raise FieldError(f"unknown set type '{kind}'; expected one of: {', '.join(_VARIANTS)}")
+    return _VARIANTS[kind].from_json(obj, f"{where} of type '{kind}'")

@@ -44,7 +44,7 @@ def chart_projection_oracle(chart: ManifoldChart, y, samples=10_000, bisections=
 
     # squared distances at all samples at once, monomial by monomial
     d2 = np.zeros(samples)
-    for comp, yj in zip(chart.F.components, y):
+    for comp, yj in zip(chart.F.outputs, y):
         d2 += (sum(m.coeff * ts ** m.exponents[0] for m in comp) - yj) ** 2
     i = int(np.argmin(d2))
     lo = ts[max(i - 1, 0)]

@@ -138,30 +138,37 @@ class TestRunInexact:
         assert len(tr.gaps) >= 2
 
 
+def perturbed(p, z, k):
+    """The driver's M step at iteration k: the eps-corrupted exact projection of z."""
+    z = np.asarray(z, dtype=float)
+    return p._perturb(z, p.set.project(z), k)
+
+
 class TestCorruptingProjector:
     def test_eps_zero_exact(self):
         p = InexactProjector(DIAGONAL, 0.0, 42)
         z = np.array([1.0, 0.0])
-        np.testing.assert_array_equal(p.project(z, 0), DIAGONAL.project(z))
+        np.testing.assert_array_equal(perturbed(p, z, 0), DIAGONAL.project(z))
 
     def test_perturbation_magnitude(self):
         sphere = Sphere([0, 0], 1.0)
         p = InexactProjector(sphere, 0.1, 42)
         z = np.array([3.0, 0.0])  # d_M(z) = 2
-        x = p.project(z, 0)
+        x = perturbed(p, z, 0)
         assert np.linalg.norm(x - sphere.project(z)) == pytest.approx(0.2)
 
     @pytest.mark.parametrize("z", [[1.0, 0.0, 0.0], [np.nan, 0.0], [0.0, np.inf]])
     def test_bad_point_raises_dimension_mismatch(self, z):
+        # the driver checks the start before any M step
         with pytest.raises(DimensionMismatch):
-            InexactProjector(DIAGONAL, 0.1, 42).project(z, 0)
+            run_inexact(X_AXIS, InexactProjector(DIAGONAL, 0.1, 42), z)
 
     def test_determinism(self):
         p1 = InexactProjector(DIAGONAL, 0.3, 99)
         p2 = InexactProjector(DIAGONAL, 0.3, 99)
         z = np.array([1.0, 0.0])
-        assert np.array_equal(p1.project(z, 5), p2.project(z, 5))
-        assert not np.array_equal(p1.project(z, 5), p1.project(z, 6))
+        assert np.array_equal(perturbed(p1, z, 5), perturbed(p2, z, 5))
+        assert not np.array_equal(perturbed(p1, z, 5), perturbed(p1, z, 6))
 
     def test_bound_holds_by_construction(self):
         sphere = Sphere([0, 0], 1.0)
@@ -169,7 +176,7 @@ class TestCorruptingProjector:
         p = InexactProjector(sphere, 0.25, 11)
         for k in range(20):
             z = rng.standard_normal(2) * 3
-            x = p.project(z, k)
+            x = perturbed(p, z, k)
             d = sphere.distance(z)
             assert np.linalg.norm(x - sphere.project(z)) <= 0.25 * d + 1e-12
 

@@ -12,7 +12,7 @@ CIRCLE = PolyMap(2, [[Monomial(1, (2, 0)), Monomial(1, (0, 2)), Monomial(-1, (0,
 def reference_eval(F, x):
     """eval as a term-by-term loop over the monomials."""
     out = np.zeros(F.output_dim)
-    for j, comp in enumerate(F.components):
+    for j, comp in enumerate(F.outputs):
         acc = 0.0
         for m in comp:
             term = m.coeff
@@ -27,7 +27,7 @@ def reference_eval(F, x):
 def reference_jacobian(F, x):
     """jacobian as a term-by-term loop over the monomials."""
     J = np.zeros((F.output_dim, F.input_dim))
-    for j, comp in enumerate(F.components):
+    for j, comp in enumerate(F.outputs):
         for m in comp:
             for i, e in enumerate(m.exponents):
                 if e == 0:
@@ -105,6 +105,9 @@ def test_large_exponents_cost_one_power_each():
 
 def test_exponent_too_large_for_the_arrays_is_rejected():
     with pytest.raises(ValueError, match="exponents must be at most"):
+        PolyMap(1, [[Monomial(1.0, (2**70,))]])
+    # read from JSON, it is rejected earlier, as an integer past int64
+    with pytest.raises(ValueError, match=rf"^monomial exponents\[0\]: expected an integer, got {2**70}$"):
         PolyMap.from_json({"input_dim": 1, "outputs": [[{"coeff": 1.0, "exponents": [2**70]}]]})
 
 
