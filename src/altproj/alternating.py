@@ -117,7 +117,7 @@ class InexactProjector:
         """The eps-corrupted point for a checked z and its exact projection P_M(z)."""
         if self.eps == 0.0:
             return exact
-        d = float(np.linalg.norm(z - exact))
+        d = linalg.norm(z - exact)
         if d == 0.0:
             return exact
         rng = np.random.default_rng(
@@ -191,7 +191,7 @@ def run_inexact(Q: ProjectableSet, M_inexact: InexactProjector, z0, opts=None):
     z = linalg.as_vector(z0, dim=Q.ambient_dim)
     project_q = Q._run_projection()
     pz = project_q(z)
-    dq = float(np.linalg.norm(z - pz))
+    dq = linalg.norm(z - pz)
     projected = dq > 1e-12
     if projected:
         z, dq = pz, 0.0
@@ -205,8 +205,8 @@ def _inexact_rows(project_q, M_inexact, z, dq):
     for k in itertools.count():
         exact = project_m(z)
         x = M_inexact._perturb(z, exact, k)
-        gap = float(np.linalg.norm(z - x))
-        dm = gap if x is exact else float(np.linalg.norm(z - exact))
+        gap = linalg.norm(z - x)
+        dm = gap if x is exact else linalg.norm(z - exact)
         yield z, x, gap, dq, dm
         z, dq = project_q(x), 0.0
 
@@ -229,7 +229,7 @@ def run_approximate(M_approx, Q: ProjectableSet, z0, opts=None):
 def _approximate_rows(M_approx, project_q, z):
     while True:
         y = project_q(z)
-        gap = float(np.linalg.norm(z - y))
+        gap = linalg.norm(z - y)
         yield z, y, gap, gap, 0.0
         try:
             z = M_approx.step(y)

@@ -85,7 +85,11 @@ _CHART = {"U_lower": numbers, "U_upper": numbers}  # an inclusion problem's: bot
 def load_problem(path) -> ProblemFile:
     """The problem in a file; bad input raises ValueError, a FieldError naming the field."""
     with open(path, "rb") as fh:
-        obj = json.loads(fh.read())
+        text = fh.read()
+    try:
+        obj = json.loads(text)
+    except RecursionError:  # json's parser recurses once per nesting level
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
     kind = read_fields(obj, {"kind": string}, "", "problem file")["kind"]
     if kind not in _FIELDS:
         raise FieldError(f"unknown kind '{kind}'; expected one of: {', '.join(_FIELDS)}")

@@ -81,7 +81,7 @@ def _inclusion_rows(p, x):
     while True:
         fx, J = p.F._linearize(x)
         y = project_q(fx)
-        gap = float(np.linalg.norm(fx - y))
+        gap = linalg.norm(fx - y)
         yield x, y, gap, gap, float("nan")
         try:
             x = x + linalg.least_squares(J, y - fx)

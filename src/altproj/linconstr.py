@@ -147,7 +147,7 @@ def _constraint_rows(sys, x, dq):
             return LINEARIZATION_INFEASIBLE
         shifted = x + s
         violation = max(values[:n_i].max(initial=0.0), np.abs(values[n_i:]).max(initial=0.0))
-        yield x, shifted, float(np.linalg.norm(s)), dq, float(violation)
+        yield x, shifted, linalg.norm(s), dq, float(violation)
         x, dq = project_q(shifted), 0.0
 
 

@@ -176,12 +176,13 @@ class _TermSums:
 
     def __init__(self, coeff, expo, bins, size):
         t, k = np.nonzero(expo)  # term by term, in coordinate order
-        pairs, column = np.unique(np.column_stack([k, expo[t, k]]), axis=0, return_inverse=True)
+        factors = list(zip(k.tolist(), expo[t, k].tolist()))
+        self.powers = sorted(set(factors))
+        column = {f: c for c, f in enumerate(self.powers, 1)}
         rank = np.arange(t.size) - np.searchsorted(t, t)
         # at least one row, so that at() has a first factor even when no term has one
         index = np.zeros((rank.max(initial=0) + 1, len(expo)), dtype=np.intp)
-        index[rank, t] = column.reshape(-1) + 1
-        self.powers = [(var, d) for var, d in pairs.tolist()]
+        index[rank, t] = [column[f] for f in factors]
         self.index = tuple(index)
         self.coeff = coeff
         self.bins = bins

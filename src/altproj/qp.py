@@ -40,8 +40,12 @@ is >= 0, then x = z - Q_1 v = z - N^T u is optimal for W.  That is a
 valid dual start, and the loop continues from it unchanged, so it
 terminates as before; the equality rows already in W are not entered
 again.  A negative or NaN multiplier falls back to the cold start at
-x = z.  The loop updates factors in place, so the hint's are copied
-first; a solve that changes the working set leaves its own in the hint.
+x = z.  The entering-row test runs once before the loop is set up: when
+no row enters, which is how most warm solves end, x is returned at once,
+with no pivot and nothing copied.  The loop updates factors in place, so
+the hint's are copied at the first pivot (when the first row enters); a
+hint's arrays are never changed, even by a solve that raises, and a
+solve that changes the working set leaves its own in the hint.
 Hints are scoped to one run: Polyhedron._run_projection gives each run
 its own, so Polyhedron.project stays a pure function and two runs of the
 same problem give the same bits.
@@ -113,17 +117,19 @@ class _Hint:
     """A solve's working rows in factor order and their factors, to start the next one on the same rows.
 
     Q and R factor N^T = Q[:, :q] R[:q, :q] for the q rows in work.  The
-    first warm start from them adds R^{-1} and c = R^{-T} b_W, which
-    serve every later one until a solve changes the working set.
+    first warm start from them adds R^{-1}, c = R^{-T} b_W, the mask ineq
+    of the inequality rows in work and the equality rows not in it, which
+    serve every later one until a solve changes the working set.  Solves
+    read these arrays and never change them in place.
     """
 
-    __slots__ = ("work", "Q", "R", "R_inv", "c")
+    __slots__ = ("work", "Q", "R", "R_inv", "c", "ineq", "equalities")
 
     def __init__(self):
         self.work = None
 
     def keep(self, work, Q, R):
-        self.work, self.Q, self.R, self.R_inv, self.c = work, Q, R, None, None
+        self.work, self.Q, self.R, self.R_inv = work, Q, R, None
 
 
 def _solve(z, rows, rhs, n_i, hint=None):
@@ -144,44 +150,33 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
     """(x, u, work, pivots): the solution, the multipliers u of the working rows work, and the pivots.
 
     With a _Hint for these rows, start from its working set when that is a
-    valid dual start at z, and leave this solve's working set in it.
+    valid dual start at z, and leave this solve's working set in it.  The
+    arrays returned are not to be changed: work may be the hint's.
     """
     n, m = z.shape[0], rows.shape[0]
-    max_pivots = 100 * max(1, m)
+    A, b = rows[:n_i], rhs[:n_i]
     warm = _warm_start(z, rows, rhs, n_i, hint)
     if warm is None:
-        x = z.copy()
-        Q = np.eye(n)
-        R = np.zeros((n, n))
-        u = np.zeros(n)                 # multipliers of the working rows
-        work = np.zeros(n, dtype=int)   # working row indices, in factor order
-        q = 0
+        x, u, work = z.copy(), np.zeros(0), np.zeros(0, dtype=int)
+        equalities, skip = iter(range(n_i, m)), work
     else:
-        x, Q, R, u, work, q = warm
+        x, u, work = warm
+        equalities, skip = iter(hint.equalities), work[hint.ineq]
+    p, a_norms = _entering(x, A, b, equalities, skip, (), None)
+    if p is None:
+        if hint is not None and warm is None:
+            hint.keep(work, None, None)
+        return x, u, work, 0
+    # a row enters: the loop pivots on arrays of its own, for a warm start copies of the hint's factors
+    q, start = work.size, (u, work)
+    Q, R = (np.eye(n), np.zeros((n, n))) if warm is None else (hint.Q.copy(), hint.R.copy())
+    u = np.zeros(n)                     # multipliers of the working rows
+    work = np.zeros(n, dtype=int)       # working row indices, in factor order
+    u[:q], work[:q] = start
     met = []                            # dependent rows met to FEAS_TOL since the last pivot
     pivots = 0
-    A, b = rows[:n_i], rhs[:n_i]
-    a_norms = None                      # row norms of A, once the relative test first runs
-    in_work = set(work[:q].tolist())
-    equalities = (j for j in range(n_i, m) if j not in in_work)
-    while True:
-        # Entering row: each equality in turn, then the most-violated inequality.
-        p = next(equalities, None)
-        if p is None:
-            if not n_i:
-                break
-            viol = A @ x - b
-            viol[work[:q][work[:q] < n_i]] = -np.inf    # working rows are met
-            if met:
-                viol[met] = -np.inf
-            p = int(np.argmax(viol))
-            if 0.0 < viol[p] <= FEAS_TOL:   # enter only rows violated beyond rounding
-                if a_norms is None:
-                    a_norms = np.linalg.norm(A, axis=1)
-                viol[viol <= VIOL_RTOL * (a_norms * math.sqrt(x @ x) + np.abs(b))] = -np.inf
-                p = int(np.argmax(viol))
-            if viol[p] <= 0.0:
-                break
+    max_pivots = 100 * max(1, m)
+    while p is not None:
         a = rows[p]
         u_p = 0.0
         while True:
@@ -227,32 +222,59 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
                 q = _add(Q, R, u, work, q, w, p, u_p)
                 break
             q = _drop(Q, R, u, work, q, k)
+        p, a_norms = _entering(x, A, b, equalities, work[:q][work[:q] < n_i], met, a_norms)
 
     if hint is not None and (warm is None or pivots):
         hint.keep(work[:q].copy(), Q, R)
     return x, u[:q], work[:q], pivots
 
 
-def _warm_start(z, rows, rhs, n_i, hint):
-    """(x, Q, R, u, work, q) optimal for the hint's working set at z, on copied factors.
+def _entering(x, A, b, equalities, skip, met, a_norms):
+    """(p, a_norms): the row to enter at x, None when none does, and the row norms of A.
 
-    None without a nonempty hint, or if an inequality multiplier is < 0 or NaN.
+    Each equality row that equalities still holds enters in turn, then the
+    most-violated inequality row not in skip (the working ones) or met:
+    first any row violated by more than FEAS_TOL, else one violated beyond
+    VIOL_RTOL (|a||x| + |b|).  a_norms is None until that relative test
+    first needs the norms, and is passed back to be reused.
+    """
+    p = next(equalities, None)
+    if p is not None or not b.size:
+        return p, a_norms
+    viol = A @ x - b
+    viol[skip] = -np.inf            # working rows are met
+    if met:
+        viol[met] = -np.inf
+    p = int(viol.argmax())
+    if 0.0 < viol[p] <= FEAS_TOL:   # enter only rows violated beyond rounding
+        if a_norms is None:
+            a_norms = np.linalg.norm(A, axis=1)
+        viol[viol <= VIOL_RTOL * (a_norms * linalg.norm(x) + np.abs(b))] = -np.inf
+        p = int(viol.argmax())
+    return (None if viol[p] <= 0.0 else p), a_norms
+
+
+def _warm_start(z, rows, rhs, n_i, hint):
+    """(x, u, W): the hint's working rows W, their multipliers u at z and the point x optimal for them.
+
+    None without a nonempty hint, or if an inequality multiplier is < 0 or
+    NaN.  The hint's factors are read, not copied.
     """
     if hint is None or hint.work is None or not hint.work.size:
         return None
-    W, q, n = hint.work, hint.work.size, z.shape[0]
+    W = hint.work
     if hint.R_inv is None:
+        q, in_work = W.size, set(W.tolist())
         hint.R_inv = np.linalg.inv(hint.R[:q, :q])
         hint.c = rhs[W] @ hint.R_inv
-    Q1 = hint.Q[:, :q]
+        hint.ineq = W < n_i
+        hint.equalities = [j for j in range(n_i, rows.shape[0]) if j not in in_work]
+    Q1 = hint.Q[:, :W.size]
     v = z @ Q1 - hint.c             # R^{-T} (N z - b_W), as N = R^T Q1^T
-    u = np.zeros(n)
-    u[:q] = hint.R_inv @ v
-    if not (np.isfinite(u).all() and (u[:q][W < n_i] >= 0.0).all()):
+    u = hint.R_inv @ v
+    if not (np.isfinite(u).all() and (u[hint.ineq] >= 0.0).all()):
         return None
-    work = np.zeros(n, dtype=int)
-    work[:q] = W
-    return z - Q1 @ v, hint.Q.copy(), hint.R.copy(), u, work, q
+    return z - Q1 @ v, u, W
 
 
 def _add(Q, R, u, work, q, w, j, u_j):

@@ -150,7 +150,7 @@ class Ball(_CenterRadius):
 
     def _project(self, z):
         d = z - self.center
-        r = np.linalg.norm(d)
+        r = linalg.norm(d)
         if r <= self.radius:
             return z.copy()
         return self.center + (self.radius / r) * d
@@ -168,7 +168,7 @@ class Sphere(_CenterRadius):
 
     def _project(self, z):
         d = z - self.center
-        r = np.linalg.norm(d)
+        r = linalg.norm(d)
         if r == 0.0:
             # documented tie-break: first standard basis direction
             e = np.zeros(self.ambient_dim)
@@ -498,4 +498,7 @@ def set_from_json(obj, where="set JSON") -> ProjectableSet:
     kind = read_fields(obj, {"type": string}, "set", where)["type"]
     if kind not in _VARIANTS:
         raise FieldError(f"unknown set type '{kind}'; expected one of: {', '.join(_VARIANTS)}")
-    return _VARIANTS[kind].from_json(obj, f"{where} of type '{kind}'")
+    try:
+        return _VARIANTS[kind].from_json(obj, f"{where} of type '{kind}'")
+    except Infeasible as exc:  # an empty polyhedron: read from JSON, it is bad input
+        raise FieldError(f"{where}: {exc}") from exc

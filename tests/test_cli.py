@@ -90,6 +90,12 @@ class TestSolve:
         assert main(["solve", "--problem", str(path)]) == 1
         assert "line" in capsys.readouterr().err
 
+    def test_deeply_nested_json_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        assert main(["solve", "--problem", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply to read\n"
+
     def test_nonexistent_file_exit_one(self, capsys):
         assert main(["solve", "--problem", "/nonexistent.json"]) == 1
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,3 +126,42 @@ class TestSvd:
         U, _, V = linalg.svd(A)
         assert np.max(np.abs(U.T @ U - np.eye(U.shape[1]))) <= 1e-9
         assert np.max(np.abs(V.T @ V - np.eye(V.shape[1]))) <= 1e-9
+
+
+def same_norm(v):
+    """linalg.norm(v) is a float, the same float64 as np.linalg.norm(v) bit for bit or both NaN.
+
+    An overflow of the dot to inf warns in both; the comparison ignores it.
+    """
+    with np.errstate(over="ignore"):
+        a, b = linalg.norm(v), float(np.linalg.norm(v))
+    return type(a) is float and ((math.isnan(a) and math.isnan(b)) or
+                                 np.float64(a).tobytes() == np.float64(b).tobytes())
+
+
+class TestNorm:
+    @pytest.mark.parametrize("v", [
+        [], [0.0], [-0.0], [0.0, -0.0], [3.0, 4.0], [-3.0, -4.0],
+        [1e200, 1e200], [-1e308, 1e308], [np.inf, 1.0], [-np.inf],
+        [1e-200, 1e-200, 1e-200], [5e-324], [np.nan, 1.0], [np.inf, np.nan],
+    ])
+    def test_edge_vectors_match_numpy(self, v):
+        assert same_norm(np.array(v, dtype=float))
+
+    @given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=64))
+    def test_any_floats_match_numpy(self, values):
+        assert same_norm(np.array(values, dtype=float))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200), log_scale=st.integers(-160, 160))
+    def test_random_vectors_match_numpy(self, seed, n, log_scale):
+        # huge scales overflow the dot to inf and tiny ones underflow it to 0, in numpy too
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(n) * 10.0 ** (log_scale * rng.random(n) ** 0.25 * np.sign(log_scale))
+        d = v - rng.standard_normal(n)  # a difference, as the drivers pass
+        assert same_norm(v) and same_norm(d) and same_norm(v[::-1].copy())
+
+    def test_overflow_warns_as_numpy_does(self):
+        v = np.array([1e200, 1e200])
+        for norm in (linalg.norm, np.linalg.norm):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                assert norm(v) == math.inf

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from altproj import Monomial, PolyMap
 from altproj.errors import DimensionMismatch
+from altproj.polymap import _TermSums
 
 CIRCLE = PolyMap(2, [[Monomial(1, (2, 0)), Monomial(1, (0, 2)), Monomial(-1, (0, 0))]])
 
@@ -101,6 +102,36 @@ def test_large_exponents_cost_one_power_each():
     assert F._sums.powers == [(0, 999_999), (0, 1_000_000), (1, 1), (1, 2), (1, 3)]
     for x in ([1.0 + 1e-7, -0.7], [-(1.0 - 1e-7), 2.0], [0.0, 1.5]):
         _assert_matches_reference(F, np.array(x))
+
+
+def reference_table(expo):
+    """(powers, index) of _TermSums as np.unique over the (k, d) rows of the factors builds them."""
+    t, k = np.nonzero(expo)
+    pairs, column = np.unique(np.column_stack([k, expo[t, k]]), axis=0, return_inverse=True)
+    rank = np.arange(t.size) - np.searchsorted(t, t)
+    index = np.zeros((rank.max(initial=0) + 1, len(expo)), dtype=np.intp)
+    index[rank, t] = column.reshape(-1) + 1
+    return [(var, d) for var, d in pairs.tolist()], tuple(index)
+
+
+@st.composite
+def _exponent_arrays(draw):
+    # mostly zeros and small exponents, some near the intp limit, so rows sort as integers
+    terms, n = draw(st.integers(0, 30)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    expo = rng.integers(0, 4, size=(terms, n)) * (rng.random((terms, n)) < 0.5)
+    huge = rng.random((terms, n)) < 0.1
+    expo[huge] = np.iinfo(np.intp).max - rng.integers(0, 3, size=int(huge.sum()))
+    return expo.astype(np.intp)
+
+
+@given(expo=_exponent_arrays())
+def test_power_table_matches_unique_rows(expo):
+    sums = _TermSums(np.ones(len(expo)), expo, np.zeros(len(expo), dtype=np.intp), 1)
+    powers, index = reference_table(expo)
+    assert sums.powers == powers
+    assert len(sums.index) == len(index)
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(sums.index, index))
 
 
 def test_exponent_too_large_for_the_arrays_is_rejected():

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from altproj import Polyhedron, SolveOptions, set_from_json
 from altproj.cli import _COMPATIBLE, bundled_problem_path, main
+from altproj.errors import Infeasible
 
 from test_invariants import ALL, _random_set
 
@@ -31,9 +32,9 @@ BUNDLED = ("two_lines_45deg", "two_lines_60deg", "circle_line", "parallel_lines"
 FUZZ_VALUES = [[1], "ab", {}, None, True, [[[1]]]]
 STATUS_EXIT = {"Converged": 0, "MaxIters": 2, "Diverged": 2,
                "LinearizationInfeasible": 3, "RankDeficient": 3, "LeftChart": 3}
-# the errors that end a file with exit 3, not statuses: a value that overflows to
-# NaN/Inf mid-run, and a polyhedron that is empty
-RUN_ERRORS = ("error: DimensionMismatch: ", "error: Infeasible: ")
+# the error that ends a file with exit 3, not a status: a value that overflows to
+# NaN/Inf mid-run (an empty polyhedron is bad input and exits 1)
+RUN_ERRORS = ("error: DimensionMismatch: ",)
 
 
 def bundled(name):
@@ -234,6 +235,16 @@ class TestPolyhedronJson:
         text = json.dumps(P.to_json())
         assert text == '{"type": "polyhedron", "A_ineq": [], "b_ineq": [], "A_eq": [[1.0, 1.0]], "b_eq": [1.0]}'
         assert set_from_json(json.loads(text)).ambient_dim == 2
+
+    @pytest.mark.parametrize("holder", ["Q", "M"])
+    def test_empty_polyhedron_is_bad_input(self, tmp_path, holder):
+        # x <= 0 and -x <= -1: no point; the API still raises Infeasible
+        empty = {"type": "polyhedron", "A_ineq": [[1.0, 0.0], [-1.0, 0.0]], "b_ineq": [0.0, -1.0]}
+        obj = dict(bundled("circle_line"), **{holder: empty})
+        code, _, err = solve(tmp_path, obj)
+        assert (code, err) == (1, f"error: field '{holder}': polyhedron is empty\n")
+        with pytest.raises(Infeasible):
+            Polyhedron(empty["A_ineq"], empty["b_ineq"])
 
     @pytest.mark.parametrize("obj, message", [
         ({"A_ineq": [], "b_ineq": []}, "polyhedron A_ineq: expected a matrix, got shape (0,)"),

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from altproj import ProjectionQp, qp, solve_projection_qp
-from altproj.errors import DimensionMismatch, Infeasible
+from altproj.errors import DimensionMismatch, Infeasible, MaxPivots
 from altproj.qp import VIOL_RTOL
 
 from oracles import verify_certificate
@@ -403,3 +403,74 @@ class TestWarmStart:
         qp._solve(p.target, rows, rhs, n_i, hint)
         assert hint.work.size == 2
         assert qp._warm_start(np.array([np.nan, 0.0]), rows, rhs, n_i, hint) is None
+
+
+def held(hint):
+    """The arrays a hint holds, each with a copy of its bits."""
+    return [(a, a.tobytes()) for a in (hint.work, hint.Q, hint.R) if a is not None]
+
+
+def unchanged(arrays):
+    return all(a.tobytes() == bits for a, bits in arrays)
+
+
+BOX = ProjectionQp([2, -1], [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], np.zeros((0, 2)), [])
+
+
+class TestHintArrays:
+    """A solve reads a hint's arrays and never writes them: the loop pivots on copies."""
+
+    @given(case=hinted_qps())
+    def test_solve_leaves_the_arrays_it_was_given(self, case):
+        p, hint, _, _ = case
+        rows, rhs, n_i = stacked(p)
+        warm = qp._warm_start(p.target, rows, rhs, n_i, hint) is not None
+        before = held(hint)
+        cert = qp._solve(p.target, rows, rhs, n_i, hint)
+        assert unchanged(before)
+        if warm and cert.pivots == 0:
+            # returned before the loop: the hint keeps the very same arrays
+            assert all(x is y for x, (y, _) in zip((hint.work, hint.Q, hint.R), before))
+
+    def test_zero_pivot_solve_returns_before_the_loop(self, monkeypatch):
+        rows, rhs, n_i = stacked(BOX)
+        hint = qp._Hint()
+        qp._solve(BOX.target, rows, rhs, n_i, hint)
+        before = held(hint)
+        monkeypatch.setattr(qp, "_add", None)   # the loop would fail at its first pivot
+        monkeypatch.setattr(qp, "_drop", None)
+        x, u, work, pivots = qp._nearest_point(np.array([3.0, -2.0]), rows, rhs, n_i, hint)
+        assert (x.tolist(), u.tolist(), work.tolist(), pivots) == ([1.0, 0.0], [2.0, 2.0], [0, 3], 0)
+        assert work is hint.work and all(a is b for (a, _), b in zip(before, (hint.work, hint.Q, hint.R)))
+        assert unchanged(before)
+
+    def test_infeasible_hinted_solve_leaves_the_hint(self):
+        # the hint's rows x <= 1 and -y <= 0 with y >= 2 instead: a valid start at
+        # (3, -5), from which y <= 1 enters, depends on -y <= -2 and proves the box empty
+        rows, rhs, n_i = stacked(BOX)
+        hint = qp._Hint()
+        qp._solve(BOX.target, rows, rhs, n_i, hint)
+        before = held(hint)
+        empty = np.array([1.0, 0.0, 1.0, -2.0])
+        assert qp._warm_start(np.array([3.0, -5.0]), rows, empty, n_i, hint) is not None
+        with pytest.raises(Infeasible):
+            qp._nearest_point(np.array([3.0, -5.0]), rows, empty, n_i, hint)
+        assert unchanged(before) and hint.work is before[0][0]
+
+    @pytest.mark.parametrize("error", [MaxPivots, Infeasible])
+    def test_solve_raising_after_a_pivot_leaves_the_hint(self, error, monkeypatch):
+        # a row entered and the loop's factors changed; then the solve raises
+        rows, rhs, n_i = stacked(BOX)
+        hint = qp._Hint()
+        assert qp._solve(np.array([0.5, 2.0]), rows, rhs, n_i, hint).active_set == [2]
+        before = held(hint)
+        add = qp._add
+
+        def add_then_raise(Q, R, *args):
+            add(Q, R, *args)
+            raise error("raised after the factors changed")
+
+        monkeypatch.setattr(qp, "_add", add_then_raise)
+        with pytest.raises(error):
+            qp._nearest_point(np.array([2.0, 3.0]), rows, rhs, n_i, hint)
+        assert unchanged(before) and hint.work is before[0][0]
