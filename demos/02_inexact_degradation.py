@@ -12,7 +12,6 @@ import numpy as np
 
 from altproj import (
     AffineSubspace,
-    InexactProjector,
     SolveOptions,
     fit_rate,
     run_inexact,
@@ -23,21 +22,17 @@ DIAG = AffineSubspace([0, 0], [[2**-0.5, 2**-0.5]])
 
 print(f"{'eps':>6} {'status':>10} {'iters':>6} {'fitted rate':>12} {'bound':>7}")
 for eps in (0.0, 0.01, 0.05, 0.1, 0.2):
-    proj = InexactProjector(DIAG, eps, direction_seed=42)
-    trace = run_inexact(X_AXIS, proj, [1, 0], SolveOptions(1e-10, 2000))
+    trace = run_inexact(X_AXIS, DIAG, [1, 0], eps, seed=42, opts=SolveOptions(1e-10, 2000))
     rate = fit_rate(trace).rate
     print(
         f"{eps:>6.2f} {trace.status:>10} {trace.iterations:>6}"
         f" {rate:>12.6f} {0.5 + eps:>7.2f}"
     )
 
-# eps = 0 reproduces the exact run bit for bit: same projector, no noise.
+# eps = 0 reproduces the exact run bit for bit: same projections, no noise.
 from altproj import run_exact
 
 exact = run_exact(X_AXIS, DIAG, [1, 0], SolveOptions(1e-10, 2000))
-zero = run_inexact(
-    X_AXIS, InexactProjector(DIAG, 0.0, direction_seed=42), [1, 0],
-    SolveOptions(1e-10, 2000),
-)
+zero = run_inexact(X_AXIS, DIAG, [1, 0], 0.0, seed=42, opts=SolveOptions(1e-10, 2000))
 identical = np.array_equal(exact.gaps, zero.gaps)
 print(f"\neps=0 trace identical to exact run: {identical}")

@@ -7,7 +7,6 @@ contraction rates and intersection angles from iteration traces.
 """
 
 from .alternating import (
-    InexactProjector,
     IterationTrace,
     SolveOptions,
     run_approximate,

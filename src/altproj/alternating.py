@@ -14,15 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, LeftChart, RankDeficient
+from .errors import DimensionMismatch, LeftChart, LinearizationInfeasible, RankDeficient
 from .sets import ProjectableSet
 
 CONVERGED = "Converged"
 MAX_ITERS = "MaxIters"
-LINEARIZATION_INFEASIBLE = "LinearizationInfeasible"
 DIVERGED = "Diverged"
-RANK_DEFICIENT = "RankDeficient"
-LEFT_CHART = "LeftChart"
+# a step that raises one of these cannot go on; the run ends with its class name as status
+STRUCTURAL = (RankDeficient, LeftChart, LinearizationInfeasible)
 
 DIVERGENCE_WINDOW = 20
 DIVERGENCE_FACTOR = 10.0
@@ -103,90 +102,68 @@ class IterationTrace:
         return IterationTrace(list(table[:, 4:]), None, gaps, dist_q, dist_m, status or MAX_ITERS)
 
 
-class InexactProjector:
-    """Wraps a set with a rule producing x with d_{P_M(z)}(x) <= eps d_M(z)."""
-
-    def __init__(self, set_m: ProjectableSet, eps=0.0, direction_seed=42):
-        if eps < 0:
-            raise ValueError("eps must be nonnegative")
-        self.set = set_m
-        self.eps = float(eps)
-        self.direction_seed = int(direction_seed)
-
-    def _perturb(self, z, exact, k):
-        """The eps-corrupted point for a checked z and its exact projection P_M(z)."""
-        if self.eps == 0.0:
-            return exact
-        d = linalg.norm(z - exact)
-        if d == 0.0:
-            return exact
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=self.direction_seed, spawn_key=(k,))
-        )
-        u = rng.standard_normal(exact.shape[0])
-        nu = np.linalg.norm(u)
-        while nu == 0.0:  # vanishing draw; essentially impossible
-            u = rng.standard_normal(exact.shape[0])
-            nu = np.linalg.norm(u)
-        return exact + (self.eps * d / nu) * u
-
-
 def iterate(rows, opts: SolveOptions) -> IterationTrace:
-    """The iteration loop shared by every driver, and its stopping rules.
+    """The iteration loop shared by every driver, and the one place a run ends.
 
     rows is the driver's step, a generator yielding one trace row
     (z, x, gap, dist_q, dist_m) per iterate k = 0, 1, ...; it computes
     iterate k + 1 only when asked for row k + 1, so no work is done past
-    the row that stops the run.  A step that cannot go on returns a
-    status instead of yielding, and the run ends with that status.  The
-    rows are collected as yielded and the trace is built once, on return.
+    the row that stops the run.  The rows are collected as yielded and
+    the trace is built once, on return.
 
     The run has Converged once gap <= gap_tol and dist_q <= gap_tol, is
     Diverged once gap[k] > DIVERGENCE_FACTOR * gap[k - DIVERGENCE_WINDOW],
     and ends in MaxIters after max_iters iterations (max_iters + 1 rows).
-    The steps work on unchecked arrays, so a row whose gap is NaN/Inf (an
-    overflow) raises DimensionMismatch.  The steps run inside this loop,
-    with numpy's invalid-value warning off, since that check reports the
-    NaN such a step computes; numpy's error state is restored when
-    iterate returns or raises.
+    A step that raises a STRUCTURAL error ends the run with that error's
+    class name as status; any other error propagates.  The steps work on
+    unchecked arrays, so a row whose gap is NaN/Inf (an overflow) raises
+    DimensionMismatch.  The steps run inside this loop, with numpy's
+    invalid-value warning off, since that check reports the NaN such a
+    step computes; numpy's error state is restored when iterate returns
+    or raises.
     """
-    table = []
+    table, status = [], None
     with np.errstate(invalid="ignore"):
-        while True:
-            try:
-                row = next(rows)
-            except StopIteration as stop:
-                status = stop.value
+        try:
+            for k, row in enumerate(rows):
+                gap, dq = row[2], row[3]
+                if not math.isfinite(gap):
+                    raise DimensionMismatch(f"iteration {k} has gap {gap}")
+                table.append(row)
+                if gap <= opts.gap_tol and dq <= opts.gap_tol:
+                    status = CONVERGED
+                elif k >= DIVERGENCE_WINDOW and gap > DIVERGENCE_FACTOR * table[k - DIVERGENCE_WINDOW][2]:
+                    status = DIVERGED
+                elif k == opts.max_iters:
+                    status = MAX_ITERS
+                else:
+                    continue
                 break
-            k, gap, dq = len(table), row[2], row[3]
-            if not math.isfinite(gap):
-                raise DimensionMismatch(f"iteration {k} has gap {gap}")
-            table.append(row)
-            if gap <= opts.gap_tol and dq <= opts.gap_tol:
-                status = CONVERGED
-            elif k >= DIVERGENCE_WINDOW and gap > DIVERGENCE_FACTOR * table[k - DIVERGENCE_WINDOW][2]:
-                status = DIVERGED
-            elif k == opts.max_iters:
-                status = MAX_ITERS
-            else:
-                continue
-            break
+        except STRUCTURAL as exc:
+            status = type(exc).__name__
     zs, xs, *scalars = zip(*table) if table else ((),) * 5
     return IterationTrace(list(zs), list(xs), *(np.array(c, dtype=float) for c in scalars), status)
 
 
 def run_exact(Q: ProjectableSet, M: ProjectableSet, z0, opts=None) -> IterationTrace:
     """Exact alternating projections: x <- P_M(z), z <- P_Q(x)."""
-    return run_inexact(Q, InexactProjector(M, 0.0), z0, opts)
+    return run_inexact(Q, M, z0, 0.0, opts=opts)
 
 
-def run_inexact(Q: ProjectableSet, M_inexact: InexactProjector, z0, opts=None):
-    """Inexact alternating projections with an eps-corrupted M step.
+def run_inexact(Q: ProjectableSet, M: ProjectableSet, z0, eps, seed=42, opts=None):
+    """Inexact alternating projections: x <- a point within eps d_M(z) of P_M(z), z <- P_Q(x).
 
-    With epsilon = 0 the trace is bit-identical to run_exact.
+    At iteration k the M step moves P_M(z) by eps d_M(z) in a direction
+    drawn from SeedSequence(seed, spawn_key=(k,)), so the seed fixes the
+    run.  eps must be a finite number >= 0 and seed an integer >= 0; a
+    bool is neither.  With eps = 0 the trace is bit-identical to run_exact.
     """
+    if type(eps) is bool or not isinstance(eps, (int, float, np.floating)) or not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
+    if type(seed) is bool or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     opts = opts or SolveOptions()
-    if Q.ambient_dim != M_inexact.set.ambient_dim:
+    if Q.ambient_dim != M.ambient_dim:
         raise DimensionMismatch("Q and M live in different ambient spaces")
     z = linalg.as_vector(z0, dim=Q.ambient_dim)
     project_q = Q._run_projection()
@@ -195,18 +172,33 @@ def run_inexact(Q: ProjectableSet, M_inexact: InexactProjector, z0, opts=None):
     projected = dq > 1e-12
     if projected:
         z, dq = pz, 0.0
-    trace = iterate(_inexact_rows(project_q, M_inexact, z, dq), opts)
+    trace = iterate(_inexact_rows(project_q, M._run_projection(), z, dq, float(eps), int(seed)), opts)
     trace.initial_projected = projected
     return trace
 
 
-def _inexact_rows(project_q, M_inexact, z, dq):
-    project_m = M_inexact.set._run_projection()
+def _perturb(exact, d, eps, seed, k):
+    """The M step's point, for exact = P_M(z) and d = d_M(z): exact moved by eps d (exact if 0).
+
+    The direction is a standard normal draw from SeedSequence(seed, spawn_key=(k,)).
+    """
+    if eps == 0.0 or d == 0.0:
+        return exact
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+    u = rng.standard_normal(exact.shape[0])
+    nu = np.linalg.norm(u)
+    while nu == 0.0:  # vanishing draw; essentially impossible
+        u = rng.standard_normal(exact.shape[0])
+        nu = np.linalg.norm(u)
+    return exact + (eps * d / nu) * u
+
+
+def _inexact_rows(project_q, project_m, z, dq, eps, seed):
     for k in itertools.count():
         exact = project_m(z)
-        x = M_inexact._perturb(z, exact, k)
-        gap = linalg.norm(z - x)
-        dm = gap if x is exact else linalg.norm(z - exact)
+        dm = linalg.norm(z - exact)
+        x = _perturb(exact, dm, eps, seed, k)
+        gap = dm if x is exact else linalg.norm(z - x)
         yield z, x, gap, dq, dm
         z, dq = project_q(x), 0.0
 
@@ -219,7 +211,7 @@ def run_approximate(M_approx, Q: ProjectableSet, z0, opts=None):
     start z0; step(y) returns the next iterate, a point of M approximating
     P_M(y).  Each iteration runs y <- P_Q(z), z <- step(y), so every row's
     dist_M is 0.0.  A step that raises RankDeficient or LeftChart ends the
-    run with that status, the first as in solve_inclusion.
+    run: iterate names the status, the first as in solve_inclusion.
     """
     opts = opts or SolveOptions()
     z = M_approx.start(linalg.as_vector(z0, dim=Q.ambient_dim))
@@ -231,9 +223,4 @@ def _approximate_rows(M_approx, project_q, z):
         y = project_q(z)
         gap = linalg.norm(z - y)
         yield z, y, gap, gap, 0.0
-        try:
-            z = M_approx.step(y)
-        except RankDeficient:
-            return RANK_DEFICIENT
-        except LeftChart:
-            return LEFT_CHART
+        z = M_approx.step(y)

@@ -24,12 +24,7 @@ from importlib import resources
 import numpy as np
 
 from . import alternating, diagnostics, inclusion, linconstr
-from .alternating import (
-    CONVERGED,
-    InexactProjector,
-    IterationTrace,
-    SolveOptions,
-)
+from .alternating import CONVERGED, STRUCTURAL, IterationTrace, SolveOptions
 from .errors import AltprojError, FieldError, InsufficientData
 from .inclusion import ChartApproximateProjector, InclusionProblem, ManifoldChart
 from .linalg import as_vector, integer, number, numbers, read_fields, string
@@ -90,6 +85,8 @@ def load_problem(path) -> ProblemFile:
         obj = json.loads(text)
     except RecursionError:  # json's parser recurses once per nesting level
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
     kind = read_fields(obj, {"kind": string}, "", "problem file")["kind"]
     if kind not in _FIELDS:
         raise FieldError(f"unknown kind '{kind}'; expected one of: {', '.join(_FIELDS)}")
@@ -119,15 +116,13 @@ def run_problem(prob: ProblemFile, scheme=None, seed=None) -> IterationTrace:
     scheme = scheme or _COMPATIBLE[prob.kind][0]
     if scheme not in _COMPATIBLE[prob.kind]:
         raise ValueError(f"scheme '{scheme}' is not valid for kind '{prob.kind}'")
-    if seed is None:
-        seed = int(os.environ.get("ALTPROJ_SEED", "42"))
     if prob.kind == "two_sets":
         Q, M = prob.payload
         if scheme == "exact":
             return alternating.run_exact(Q, M, prob.start, prob.options)
         if scheme == "inexact":
-            proj = InexactProjector(M, prob.epsilon, seed)
-            return alternating.run_inexact(Q, proj, prob.start, prob.options)
+            seed = _env_seed() if seed is None else seed
+            return alternating.run_inexact(Q, M, prob.start, prob.epsilon, seed, prob.options)
         # approximate on two sets: exact projections onto M keep the iterates
         # on M, so it is exact AP with Q and M exchanged, columns named back.
         trace = alternating.run_exact(M, Q, prob.start, prob.options)
@@ -144,11 +139,18 @@ def run_problem(prob: ProblemFile, scheme=None, seed=None) -> IterationTrace:
     return alternating.run_approximate(projector, prob.payload.Q, projector.fx, prob.options)
 
 
+def _env_seed():
+    """The inexact scheme's direction seed: ALTPROJ_SEED, 42 when it is unset."""
+    raw = os.environ.get("ALTPROJ_SEED", "42")
+    if not raw.isdecimal():  # digits only, so no sign
+        raise ValueError(f"ALTPROJ_SEED must be an integer >= 0, got {raw!r}")
+    return int(raw)
+
+
 def _status_exit(status):
     if status == CONVERGED:
         return EXIT_OK
-    if status in (alternating.LINEARIZATION_INFEASIBLE, alternating.RANK_DEFICIENT,
-                  alternating.LEFT_CHART):
+    if status in {exc.__name__ for exc in STRUCTURAL}:
         return EXIT_STRUCTURAL
     return EXIT_NOT_CONVERGED
 

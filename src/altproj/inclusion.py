@@ -13,13 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .alternating import (
-    RANK_DEFICIENT,
-    IterationTrace,
-    SolveOptions,
-    iterate,
-)
-from .errors import DimensionMismatch, FieldError, InsufficientData, LeftChart, RankDeficient
+from .alternating import IterationTrace, SolveOptions, iterate
+from .errors import DimensionMismatch, FieldError, InsufficientData, LeftChart
 from .linalg import Schema
 from .polymap import PolyMap
 from .sets import ProjectableSet, set_from_json
@@ -40,7 +35,7 @@ class InclusionProblem(Schema):
     def __post_init__(self):
         if self.F.output_dim != self.Q.ambient_dim:
             raise FieldError(f"inclusion problem Q: F maps into R^{self.F.output_dim},"
-                             f" Q lives in R^{self.Q.ambient_dim}")
+                             f" Q lives in R^{self.Q.ambient_dim}; F's outputs must match Q")
 
 
 @dataclass
@@ -70,7 +65,8 @@ def solve_inclusion(p: InclusionProblem, x0, opts=None) -> IterationTrace:
 
     Trace rows hold the X-space iterate, the Y-space target y, and
     gap = |F(x) - y|.  The M-distance column is NaN (the image manifold
-    admits no exact distance here).
+    admits no exact distance here).  A Jacobian without full column rank
+    ends the run with status RankDeficient.
     """
     opts = opts or SolveOptions()
     return iterate(_inclusion_rows(p, linalg.as_vector(x0, dim=p.F.input_dim)), opts)
@@ -83,10 +79,7 @@ def _inclusion_rows(p, x):
         y = project_q(fx)
         gap = linalg.norm(fx - y)
         yield x, y, gap, gap, float("nan")
-        try:
-            x = x + linalg.least_squares(J, y - fx)
-        except RankDeficient:
-            return RANK_DEFICIENT
+        x = x + linalg.least_squares(J, y - fx)
 
 
 def faithful_projection(chart: ManifoldChart, x, y):

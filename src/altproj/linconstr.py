@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, qp
-from .alternating import (
-    LINEARIZATION_INFEASIBLE,
-    IterationTrace,
-    SolveOptions,
-    iterate,
-)
+from .alternating import IterationTrace, SolveOptions, iterate
 from .errors import (
     DimensionMismatch,
     FieldError,
@@ -98,15 +93,24 @@ def linearized_projection(sys: ConstraintSystem, z):
     """
     z = linalg.as_vector(z, dim=sys.ambient_dim)
     rows, rhs, n_i, _ = _linearized_rows(sys, z)
+    cert = _linearized_qp(qp._solve, z, rows, rhs, n_i)
+    return cert.solution, cert
+
+
+def _linearized_qp(solve, z, rows, rhs, n_i):
+    """The QP solve(z, rows, rhs, n_i) of the linearization at z.
+
+    An empty linearization raises LinearizationInfeasible, which keeps the
+    QP's Farkas witness.
+    """
     try:
-        cert = qp._solve(z, rows, rhs, n_i)
+        return solve(z, rows, rhs, n_i)
     except Infeasible as exc:
         raise LinearizationInfeasible(
             "linearized constraints are infeasible at this point",
             exc.y_ineq,
             exc.y_eq,
         ) from exc
-    return cert.solution, cert
 
 
 def check_licq(sys: ConstraintSystem, x) -> LicqReport:
@@ -130,7 +134,8 @@ def solve_constraint_system(sys: ConstraintSystem, x0, opts=None) -> IterationTr
     """Linearize-and-project driver: s from the min-norm QP, then P_Q(x+s).
 
     Trace rows record the iterate x, the shifted point x + s, gap = |s|,
-    and the raw constraint violation as the M-distance proxy.
+    and the raw constraint violation as the M-distance proxy.  An empty
+    linearization ends the run with status LinearizationInfeasible.
     """
     opts = opts or SolveOptions()
     x = linalg.as_vector(x0, dim=sys.ambient_dim)
@@ -141,10 +146,7 @@ def _constraint_rows(sys, x, dq):
     project_q = sys.Q._run_projection()
     while True:
         rows, rhs, n_i, values = _linearized_rows(sys, x)
-        try:
-            s = qp._nearest_point(x, rows, rhs, n_i)[0] - x
-        except Infeasible:
-            return LINEARIZATION_INFEASIBLE
+        s = _linearized_qp(qp._nearest_point, x, rows, rhs, n_i)[0] - x
         shifted = x + s
         violation = max(values[:n_i].max(initial=0.0), np.abs(values[n_i:]).max(initial=0.0))
         yield x, shifted, linalg.norm(s), dq, float(violation)

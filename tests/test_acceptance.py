@@ -15,7 +15,6 @@ from altproj import (
     FinitePointSet,
     Hyperplane,
     InclusionProblem,
-    InexactProjector,
     ManifoldChart,
     Monomial,
     PolyMap,
@@ -100,12 +99,12 @@ def test_criterion_4_inexact_recovery_and_degradation():
     M = line_through_origin(np.pi / 4)
     opts = SolveOptions(1e-10, 500)
     exact = run_exact(X_AXIS, M, [1, 0], opts)
-    zero_eps = run_inexact(X_AXIS, InexactProjector(M, 0.0, 42), [1, 0], opts)
+    zero_eps = run_inexact(X_AXIS, M, [1, 0], 0.0, 42, opts)
     identical = np.array_equal(exact.gaps, zero_eps.gaps) and all(
         np.array_equal(a, b) for a, b in zip(exact.zs, zero_eps.zs)
     )
 
-    noisy = run_inexact(X_AXIS, InexactProjector(M, 0.05, 42), [1, 0], opts)
+    noisy = run_inexact(X_AXIS, M, [1, 0], 0.05, 42, opts)
     rate = fit_rate(noisy).rate
     ok = identical and noisy.status == "Converged" and rate <= 0.55 + 0.05
     report(

@@ -7,7 +7,6 @@ from altproj import (
     AffineSubspace,
     ConstraintSystem,
     Hyperplane,
-    InexactProjector,
     IterationTrace,
     Monomial,
     PolyMap,
@@ -17,9 +16,9 @@ from altproj import (
     run_inexact,
     solve_constraint_system,
 )
-from altproj.alternating import DIVERGENCE_FACTOR, DIVERGENCE_WINDOW, iterate
+from altproj.alternating import DIVERGENCE_FACTOR, DIVERGENCE_WINDOW, STRUCTURAL, _perturb, iterate
 from altproj.cli import _COMPATIBLE, ProblemFile, bundled_problem_path, load_problem, run_problem
-from altproj.errors import DimensionMismatch
+from altproj.errors import DimensionMismatch, Infeasible, MaxPivots
 
 from oracles import trace_csv_reference
 
@@ -68,7 +67,7 @@ class TestRunExact:
         assert tr.iterations == 0
 
     def test_options_take_no_epsilon(self):
-        # eps belongs to the InexactProjector, so an exact run cannot be handed one
+        # eps is run_inexact's own argument, so an exact run cannot be handed one
         with pytest.raises(TypeError):
             SolveOptions(epsilon=0.3)
 
@@ -107,12 +106,7 @@ class TestRunExact:
 class TestRunInexact:
     def test_eps_zero_bitwise_identical(self):
         exact = line_line_trace()
-        inexact = run_inexact(
-            X_AXIS,
-            InexactProjector(DIAGONAL, 0.0, 42),
-            [1, 0],
-            SolveOptions(max_iters=200),
-        )
+        inexact = run_inexact(X_AXIS, DIAGONAL, [1, 0], 0.0, 42, SolveOptions(max_iters=200))
         assert exact.status == inexact.status
         assert np.array_equal(exact.gaps, inexact.gaps)
         for a, b in zip(exact.zs, inexact.zs):
@@ -122,8 +116,7 @@ class TestRunInexact:
         # kappa = 1 for affine Q: per-cycle contraction <= tau + kappa*eps.
         # Individual ratios fluctuate with the random error direction, so
         # the bound is checked on the geometric mean.
-        proj = InexactProjector(DIAGONAL, 0.05, 42)
-        tr = run_inexact(X_AXIS, proj, [1, 0], SolveOptions(1e-10, 500))
+        tr = run_inexact(X_AXIS, DIAGONAL, [1, 0], 0.05, 42, SolveOptions(1e-10, 500))
         assert tr.status == "Converged"
         g = np.array(tr.gaps[:-1])
         ratios = g[1:] / g[:-1]
@@ -132,51 +125,47 @@ class TestRunInexact:
         assert np.max(ratios) <= 1.0
 
     def test_large_eps_recorded_not_asserted(self):
-        proj = InexactProjector(DIAGONAL, 0.9, 7)
-        tr = run_inexact(X_AXIS, proj, [1, 0], SolveOptions(1e-10, 100))
+        tr = run_inexact(X_AXIS, DIAGONAL, [1, 0], 0.9, 7, SolveOptions(1e-10, 100))
         assert tr.status in ("Converged", "MaxIters", "Diverged")
         assert len(tr.gaps) >= 2
 
 
-def perturbed(p, z, k):
+def perturbed(M, eps, seed, z, k):
     """The driver's M step at iteration k: the eps-corrupted exact projection of z."""
     z = np.asarray(z, dtype=float)
-    return p._perturb(z, p.set.project(z), k)
+    exact = M.project(z)
+    return _perturb(exact, np.linalg.norm(z - exact), eps, seed, k)
 
 
 class TestCorruptingProjector:
     def test_eps_zero_exact(self):
-        p = InexactProjector(DIAGONAL, 0.0, 42)
         z = np.array([1.0, 0.0])
-        np.testing.assert_array_equal(perturbed(p, z, 0), DIAGONAL.project(z))
+        np.testing.assert_array_equal(perturbed(DIAGONAL, 0.0, 42, z, 0), DIAGONAL.project(z))
 
     def test_perturbation_magnitude(self):
         sphere = Sphere([0, 0], 1.0)
-        p = InexactProjector(sphere, 0.1, 42)
         z = np.array([3.0, 0.0])  # d_M(z) = 2
-        x = perturbed(p, z, 0)
+        x = perturbed(sphere, 0.1, 42, z, 0)
         assert np.linalg.norm(x - sphere.project(z)) == pytest.approx(0.2)
 
     @pytest.mark.parametrize("z", [[1.0, 0.0, 0.0], [np.nan, 0.0], [0.0, np.inf]])
     def test_bad_point_raises_dimension_mismatch(self, z):
         # the driver checks the start before any M step
         with pytest.raises(DimensionMismatch):
-            run_inexact(X_AXIS, InexactProjector(DIAGONAL, 0.1, 42), z)
+            run_inexact(X_AXIS, DIAGONAL, z, 0.1, 42)
 
     def test_determinism(self):
-        p1 = InexactProjector(DIAGONAL, 0.3, 99)
-        p2 = InexactProjector(DIAGONAL, 0.3, 99)
         z = np.array([1.0, 0.0])
-        assert np.array_equal(perturbed(p1, z, 5), perturbed(p2, z, 5))
-        assert not np.array_equal(perturbed(p1, z, 5), perturbed(p1, z, 6))
+        x5 = perturbed(DIAGONAL, 0.3, 99, z, 5)
+        assert np.array_equal(x5, perturbed(DIAGONAL, 0.3, 99, z, 5))
+        assert not np.array_equal(x5, perturbed(DIAGONAL, 0.3, 99, z, 6))
 
     def test_bound_holds_by_construction(self):
         sphere = Sphere([0, 0], 1.0)
         rng = np.random.default_rng(2)
-        p = InexactProjector(sphere, 0.25, 11)
         for k in range(20):
             z = rng.standard_normal(2) * 3
-            x = perturbed(p, z, k)
+            x = perturbed(sphere, 0.25, 11, z, k)
             d = sphere.distance(z)
             assert np.linalg.norm(x - sphere.project(z)) <= 0.25 * d + 1e-12
 
@@ -253,7 +242,44 @@ def gap_rows(gaps):
     raise AssertionError("iterate asked for a row past the one that stops the run")
 
 
+class RaisingStep:
+    """A step yielding k rows that do not stop the run, then raising exc; counts the rows asked for."""
+
+    def __init__(self, k, exc):
+        self.k, self.exc, self.asked = k, exc, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.asked += 1
+        if self.asked == self.k + 1:
+            raise self.exc
+        if self.asked > self.k + 1:
+            raise AssertionError("iterate asked for a row after the step raised")
+        return np.zeros(1), np.zeros(1), 1.0, 1.0, 0.0
+
+
 class TestStoppingRules:
+    def test_structural_statuses_are_the_error_names(self):
+        assert [e.__name__ for e in STRUCTURAL] == ["RankDeficient", "LeftChart", "LinearizationInfeasible"]
+
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    @pytest.mark.parametrize("error", STRUCTURAL, ids=lambda e: e.__name__)
+    def test_structural_error_ends_the_run_with_its_name(self, error, k):
+        step = RaisingStep(k, error("the step cannot go on"))
+        tr = iterate(step, SolveOptions(max_iters=10))
+        assert tr.status == error.__name__
+        assert len(tr.gaps) == len(tr.zs) == len(tr.xs) == k
+        assert step.asked == k + 1
+
+    @pytest.mark.parametrize("error", [MaxPivots, ValueError, Infeasible], ids=lambda e: e.__name__)
+    def test_other_errors_propagate(self, error):
+        step = RaisingStep(2, error("not a status"))
+        with pytest.raises(error, match="not a status"):
+            iterate(step, SolveOptions(max_iters=10))
+        assert step.asked == 3
+
     def boundary_gaps(self, last):
         # slowly growing gaps, so a window one row off moves the boundary
         gaps = [0.3 + 0.01 * k for k in range(30)]

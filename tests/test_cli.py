@@ -90,6 +90,13 @@ class TestSolve:
         assert main(["solve", "--problem", str(path)]) == 1
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data", [b"{not json", b"\xff\xfe", b"\x80"], ids=["text", "bom", "not-utf8"])
+    def test_invalid_json_names_the_file(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert main(["solve", "--problem", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: not valid JSON: ")
+
     def test_deeply_nested_json_exit_one(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000)
@@ -203,6 +210,16 @@ class TestSolve:
         assert t1.read_bytes() == t2.read_bytes()
         assert t1.read_bytes() != t3.read_bytes()
 
+    @pytest.mark.parametrize("seed", ["abc", "-1", "1.5", ""])
+    def test_bad_env_seed_names_it(self, tmp_path, capsys, monkeypatch, seed):
+        path = write_problem(tmp_path, TWO_LINES)
+        monkeypatch.setenv("ALTPROJ_SEED", seed)
+        # only the inexact scheme reads the seed
+        assert main(["solve", "--problem", path, "--scheme", "exact"]) == 0
+        capsys.readouterr()
+        assert main(["solve", "--problem", path, "--scheme", "inexact", "--eps", "0.1"]) == 1
+        assert capsys.readouterr().err == f"error: ALTPROJ_SEED must be an integer >= 0, got {seed!r}\n"
+
     def test_non_finite_basis_names_it(self, tmp_path, capsys):
         prob = dict(TWO_LINES)
         prob["Q"] = {"type": "affine_subspace", "anchor": [0, 0], "basis": [[float("nan"), 0]]}
@@ -235,6 +252,15 @@ class TestSolve:
         path = write_problem(tmp_path, prob)
         assert main(["solve", "--problem", path]) == 1
         assert "F maps into R^2, Q lives in R^3" in capsys.readouterr().err
+
+    def test_inclusion_output_count_mismatch_names_outputs(self, tmp_path, capsys):
+        # the mutated field is F's outputs, so the message names them as well as Q
+        prob = json.loads(bundled_problem_path("parabola_inclusion").read_text())
+        prob["problem"]["F"]["outputs"] = prob["problem"]["F"]["outputs"][:1]
+        path = write_problem(tmp_path, prob)
+        assert main(["solve", "--problem", path]) == 1
+        assert capsys.readouterr().err == ("error: inclusion problem Q: F maps into R^1,"
+                                           " Q lives in R^2; F's outputs must match Q\n")
 
     @pytest.mark.parametrize(
         "name, field, value",

@@ -22,7 +22,6 @@ from altproj import (
     FixedRankMatrices,
     Halfspace,
     Hyperplane,
-    InexactProjector,
     Polyhedron,
     SolveOptions,
     Sphere,
@@ -164,7 +163,7 @@ class TestDrivers:
     def test_inexact_at_zero_eps_is_exact_bitwise(self, case, seed):
         Q, M, z0 = case
         a = run_exact(Q, M, z0, OPTS)
-        b = run_inexact(Q, InexactProjector(M, 0.0, seed), z0, OPTS)
+        b = run_inexact(Q, M, z0, 0.0, seed, OPTS)
         assert (a.status, a.initial_projected) == (b.status, b.initial_projected)
         for col in ("zs", "xs", "gaps", "dist_q", "dist_m"):
             bits_a, bits_b = (np.asarray(getattr(t, col)).view(np.int64) for t in (a, b))

@@ -22,7 +22,6 @@ from altproj import (
     FixedRankMatrices,
     Hyperplane,
     InclusionProblem,
-    InexactProjector,
     ManifoldChart,
     Monomial,
     PolyMap,
@@ -34,6 +33,7 @@ from altproj import (
     normal_space_basis,
     run_approximate,
     run_exact,
+    run_inexact,
     solve_constraint_system,
     solve_inclusion,
 )
@@ -207,9 +207,30 @@ def test_constraint_system_evaluates_each_block_once_per_iteration(table_builds)
     assert sys_.Q.calls <= tr.iterations + 1
 
 
+def rejected_before_projecting(eps, seed):
+    """run_inexact on counting sets with this eps and seed raises ValueError; returns the projections made."""
+    Q, M = (counting(AffineSubspace([0, 0], [basis]), "_project") for basis in ([1, 0], [0, 1]))
+    with pytest.raises(ValueError, match="eps" if seed == 42 else "seed"):
+        run_inexact(Q, M, [1.0, 0.0], eps, seed)
+    return Q.calls + M.calls
+
+
 def test_negative_eps_rejected():
-    with pytest.raises(ValueError):
-        InexactProjector(AffineSubspace([0, 0], [[1, 0]]), -0.1)
+    assert rejected_before_projecting(-0.1, 42) == 0
+
+
+@pytest.mark.parametrize("eps, seed", [(np.nan, 42), (np.inf, 42), (True, 42),
+                                       (0.1, -1), (0.1, True), (0.1, 1.5)])
+def test_bad_eps_or_seed_rejected_before_any_projection(eps, seed):
+    assert rejected_before_projecting(eps, seed) == 0
+
+
+def test_run_inexact_projects_once_per_iteration():
+    Q, M, z0, opts = bundled("two_lines_45deg")
+    tr = run_inexact(counting(Q, "_project"), counting(M, "_project"), z0, 0.3, 7, opts)
+    assert tr.iterations > 0
+    assert M.calls == tr.iterations + 1
+    assert Q.calls <= tr.iterations + 1
 
 
 # F(x) = (x0, x1, x0^2 + x1^2) on the box (-10, 10)^2, Q = {y2 = 1}
