@@ -191,8 +191,14 @@ def cmd_solve(args):
 
 
 def cmd_diagnose(args):
-    with open(args.trace) as fh:
-        trace = IterationTrace.from_csv(fh.read())
+    with open(args.trace, "rb") as fh:
+        data = fh.read()
+    try:
+        trace = IterationTrace.from_csv(data.decode())
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{args.trace}: not valid UTF-8: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{args.trace}: {exc}") from None
 
     out = {}
     try:

@@ -112,12 +112,14 @@ def fit_rate(trace: IterationTrace) -> RateReport:
     ratios = g[1:] / g[:-1]
     half = len(ratios) // 2
     rate = float(np.exp(np.mean(np.log(ratios[half:]))))
-    ks = np.arange(half, n, dtype=float)
+    # the least-squares line through (k, log g_k), centred: its slope is
+    # dk.total / dk.dk and its residuals total - slope * dk
     log_g = np.log(g[half:])
-    line = np.polyfit(ks, log_g, 1)
-    rate_reg = float(np.exp(line[0]))
-    resid = log_g - np.polyval(line, ks)
+    dk = np.arange(log_g.size) - (log_g.size - 1) / 2
     total = log_g - np.mean(log_g)
+    slope = float(dk @ total) / float(dk @ dk)
+    rate_reg = float(np.exp(slope))
+    resid = total - slope * dk
     denom = float(total @ total)
     r2 = 1.0 - float(resid @ resid) / denom if denom > 0 else 1.0
     quality = "good" if abs(rate_reg - rate) <= _GOOD_FIT_REL * rate else "poor"

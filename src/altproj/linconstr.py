@@ -12,6 +12,7 @@ surrogate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,12 +33,14 @@ LICQ_TOL = 1e-8
 ACTIVE_TOL = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstraintSystem(Schema):
     """G <= 0, P <= 0, H = 0 together with the easy set Q.
 
     The G/P split (active vs inactive near the solution) is declared by
-    the problem author; the QP always includes all rows of both.
+    the problem author; the QP always includes all rows of both.  The
+    fields are frozen, as the stacked map compiled from the blocks on
+    first use must stay theirs.
     """
 
     G: PolyMap
@@ -57,6 +60,16 @@ class ConstraintSystem(Schema):
             if dim != n:
                 raise FieldError(f"constraint system {name}: lives in R^{dim}, ambient_dim is {n}")
 
+    @cached_property
+    def _stacked(self):
+        """[G; P; H] as one PolyMap, so that one power table linearizes all three blocks.
+
+        Compiled at the first linearization, not with the system.  Its
+        values and Jacobian rows are the blocks' bit for bit: each bin sums
+        the same terms in the same order, from the same libm powers.
+        """
+        return PolyMap(self.ambient_dim, self.G.outputs + self.P.outputs + self.H.outputs)
+
 
 @dataclass
 class LicqReport:
@@ -70,19 +83,23 @@ def _linearized_rows(sys: ConstraintSystem, z):
     """The linearization at a checked z as the QP solver takes it: rows x (<=/=) rhs.
 
     rows = [J_G; J_P; J_H], the first n_i of them inequalities, stacked as
-    solve_projection_qp stacks [A_ineq; A_eq], and values = [G; P; H] at z.
-    rhs is J z - v block by block.  A NaN/Inf in the linearization (a
-    polynomial that overflows) raises DimensionMismatch.
+    solve_projection_qp stacks [A_ineq; A_eq], and values = [G; P; H] at z,
+    both from one linearization of the stacked map.  rhs is J z - v block
+    by block: one product of all rows with z can differ in the last bit,
+    as BLAS blocks a matrix-vector product by its number of rows.  A
+    NaN/Inf in the linearization (a polynomial that overflows) raises
+    DimensionMismatch.
     """
-    blocks = [m._linearize(z) for m in (sys.G, sys.P, sys.H) if m.output_dim] or [
-        (np.zeros(0), np.zeros((0, sys.ambient_dim)))
-    ]
-    rows = np.vstack([J for _, J in blocks])
-    rhs = np.concatenate([J @ z - v for v, J in blocks])
+    values, rows = sys._stacked._linearize(z)
+    n_g = sys.G.output_dim
+    n_i = n_g + sys.P.output_dim
+    rhs = np.empty(rows.shape[0])
+    for a, b in ((0, n_g), (n_g, n_i), (n_i, rows.shape[0])):
+        if b > a:
+            rhs[a:b] = rows[a:b] @ z - values[a:b]
     if not (np.isfinite(rows).all() and np.isfinite(rhs).all()):
         raise DimensionMismatch("linearized constraints contain NaN/Inf entries")
-    values = np.concatenate([v for v, _ in blocks])
-    return rows, rhs, sys.G.output_dim + sys.P.output_dim, values
+    return rows, rhs, n_i, values
 
 
 def linearized_projection(sys: ConstraintSystem, z):

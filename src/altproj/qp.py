@@ -162,7 +162,9 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
     else:
         x, u, work = warm
         equalities, skip = iter(hint.equalities), work[hint.ineq]
-    p, a_norms = _entering(x, A, b, equalities, skip, (), None)
+    p, a_norms = next(equalities, None), None
+    if p is None:
+        p, a_norms = _entering(x, A, b, skip, (), None)
     if p is None:
         if hint is not None and warm is None:
             hint.keep(work, None, None)
@@ -182,15 +184,14 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
         while True:
             # w = Q^T a splits a = N^T r + d with d = Q[:, q:] w[q:] orthogonal to the working rows.
             w = a @ Q
-            r = np.linalg.solve(R[:q, :q], w[:q]) if q else w[:0]
-            dd = float(w[q:] @ w[q:])   # |d|^2, zero when a depends on the working rows
-            if dd <= DEP_TOL * DEP_TOL * (1.0 + np.sqrt(w @ w)) ** 2:
+            r = _working_coefficients(R, w, q)
+            dd = float(w[q:].dot(w[q:]))   # |d|^2, zero when a depends on the working rows
+            if dd <= DEP_TOL * DEP_TOL * (1.0 + math.sqrt(w.dot(w))) ** 2:
                 dd = 0.0
             s = float(a @ x) - rhs[p]
             t = s / dd if dd else np.inf
             k = None
-            blocking = (work[:q] < n_i) & (r > DUAL_TOL)
-            if blocking.any():
+            if q and (blocking := (work[:q] < n_i) & (r > DUAL_TOL)).any():
                 # partial step: the first working multiplier to reach zero
                 ratios = np.full(q, np.inf)
                 ratios[blocking] = np.maximum(u[:q][blocking], 0.0) / r[blocking]
@@ -216,31 +217,46 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
             met.clear()         # x or the working set changes: recheck those rows
             if dd:
                 x = x - t * (Q[:, q:] @ w[q:])
-            u[:q] -= t * r
+            if q:
+                u[:q] -= t * r
             u_p += t
             if k is None:
                 q = _add(Q, R, u, work, q, w, p, u_p)
                 break
             q = _drop(Q, R, u, work, q, k)
-        p, a_norms = _entering(x, A, b, equalities, work[:q][work[:q] < n_i], met, a_norms)
+        p = next(equalities, None)
+        if p is None:
+            p, a_norms = _entering(x, A, b, work[:q][work[:q] < n_i], met, a_norms)
 
     if hint is not None and (warm is None or pivots):
         hint.keep(work[:q].copy(), Q, R)
     return x, u[:q], work[:q], pivots
 
 
-def _entering(x, A, b, equalities, skip, met, a_norms):
-    """(p, a_norms): the row to enter at x, None when none does, and the row norms of A.
+def _working_coefficients(R, w, q):
+    """r solving R[:q, :q] r = w[:q], as np.linalg.solve does.
 
-    Each equality row that equalities still holds enters in turn, then the
-    most-violated inequality row not in skip (the working ones) or met:
-    first any row violated by more than FEAS_TOL, else one violated beyond
-    VIOL_RTOL (|a||x| + |b|).  a_norms is None until that relative test
-    first needs the norms, and is passed back to be reused.
+    For q == 1 one division gives LAPACK's bits without the call's
+    overhead; a quotient that overflows to inf warns, as numpy division
+    does.  For q >= 2 a plain back substitution would not match LAPACK's
+    rounding, so np.linalg.solve stays.
     """
-    p = next(equalities, None)
-    if p is not None or not b.size:
-        return p, a_norms
+    if q == 1:
+        return w[:1] / R[0, 0]
+    return np.linalg.solve(R[:q, :q], w[:q]) if q else w[:0]
+
+
+def _entering(x, A, b, skip, met, a_norms):
+    """(p, a_norms): the inequality row to enter at x, None when none does, and the row norms of A.
+
+    Called once no equality row is left to enter, so the working rows skip
+    are formed only then.  The most-violated inequality row not in skip or
+    met enters: first any row violated by more than FEAS_TOL, else one
+    violated beyond VIOL_RTOL (|a||x| + |b|).  a_norms is None until that
+    relative test first needs the norms, and is passed back to be reused.
+    """
+    if not b.size:
+        return None, a_norms
     viol = A @ x - b
     viol[skip] = -np.inf            # working rows are met
     if met:
@@ -280,9 +296,9 @@ def _warm_start(z, rows, rhs, n_i, hint):
 def _add(Q, R, u, work, q, w, j, u_j):
     """Append row j (w = Q^T a_j) to the factors: one Householder on Q[:, q:]."""
     v = w[q:].copy()
-    alpha = -math.copysign(math.sqrt(v @ v), v[0])
+    alpha = -math.copysign(math.sqrt(v.dot(v)), v[0])
     v[0] -= alpha
-    Q[:, q:] -= np.outer(Q[:, q:] @ v, v * (2.0 / (v @ v)))
+    Q[:, q:] -= (Q[:, q:] @ v)[:, None] * (v * (2.0 / v.dot(v)))
     R[:q, q] = w[:q]
     R[q, q] = alpha
     u[q], work[q] = u_j, j

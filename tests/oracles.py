@@ -97,6 +97,16 @@ def angles_reference(trace):
     return separability, super_regularity, skipped
 
 
+def regression_reference(log_g):
+    """(exp(slope), r_squared) of the np.polyfit line through (k, log_g[k])."""
+    ks = np.arange(len(log_g), dtype=float)
+    line = np.polyfit(ks, log_g, 1)
+    resid = log_g - np.polyval(line, ks)
+    total = log_g - np.mean(log_g)
+    denom = float(total @ total)
+    return float(np.exp(line[0])), (1.0 - float(resid @ resid) / denom if denom > 0 else 1.0)
+
+
 def trace_csv_reference(trace):
     """The trace CSV, with every value formatted on its own."""
     if not len(trace.zs):

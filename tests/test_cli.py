@@ -344,6 +344,20 @@ class TestDiagnose:
         assert main(args) == 1
         assert "trace row 2 has 5 fields, header has 6" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            pytest.param(b"\xff\xfe", "not valid UTF-8: 'utf-8' codec can't decode byte 0xff", id="not-utf8"),
+            pytest.param(b"k,gap,dist_Q,dist_M,z_0\n0,abc,1,0,1\n",
+                         "could not convert string 'abc' to float64 at row 0, column 2", id="bad-gap"),
+        ],
+    )
+    def test_unreadable_trace_exit_one_naming_the_file(self, tmp_path, capsys, data, message):
+        tr = tmp_path / "bad.csv"
+        tr.write_bytes(data)
+        assert main(["diagnose", "--trace", str(tr)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {tr}: {message}")
+
     def test_trace_of_other_dimension_exit_one(self, tmp_path, capsys):
         tr = tmp_path / "one_d.csv"
         rows = "".join(f"{k},{0.5**k!r},0,{0.5**k!r},{0.5**k!r}\n" for k in range(10))

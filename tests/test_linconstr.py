@@ -22,7 +22,7 @@ from altproj.errors import (
     InsufficientData,
     LinearizationInfeasible,
 )
-from altproj.linconstr import geometric_path
+from altproj.linconstr import _linearized_rows, geometric_path
 
 from oracles import constraint_violation
 
@@ -126,6 +126,40 @@ class TestLinearizedProjection:
         with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
             with pytest.raises(DimensionMismatch):
                 run(sys_, [1e200, 0.0])
+
+
+def random_block(rng, rows, n):
+    """rows outputs of up to 4 random monomials each (possibly none), exponents up to 3."""
+    return PolyMap(n, [
+        [Monomial(rng.standard_normal() * 10.0 ** rng.integers(-3, 4), tuple(rng.integers(0, 4, n)))
+         for _ in range(rng.integers(0, 5))]
+        for _ in range(rows)
+    ])
+
+
+def per_block_rows(sys_, z):
+    """The reference linearization: each block's own table, J z - v per block, stacked."""
+    blocks = [m._linearize(z) for m in (sys_.G, sys_.P, sys_.H)]
+    rows = np.vstack([J for _, J in blocks])
+    rhs = np.concatenate([J @ z - v for v, J in blocks])
+    values = np.concatenate([v for v, _ in blocks])
+    return rows, rhs, sys_.G.output_dim + sys_.P.output_dim, values
+
+
+class TestStackedLinearization:
+    @given(n=st.integers(1, 6), sizes=st.tuples(*[st.integers(0, 3)] * 3), seed=st.integers(0, 2**32 - 1))
+    def test_one_table_gives_the_per_block_bits(self, n, sizes, seed):
+        # G, P and H, each possibly empty, linearized from one stacked table
+        rng = np.random.default_rng(seed)
+        G, P, H = (random_block(rng, rows, n) for rows in sizes)
+        sys_ = ConstraintSystem(G, P, H, AffineSubspace(np.zeros(n), np.eye(n)), n)
+        z = rng.standard_normal(n) * 10.0 ** rng.integers(-2, 3)
+        rows, rhs, n_i, values = _linearized_rows(sys_, z)
+        ref_rows, ref_rhs, ref_n_i, ref_values = per_block_rows(sys_, z)
+        assert n_i == ref_n_i
+        for got, ref in ((rows, ref_rows), (rhs, ref_rhs), (values, ref_values)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestLicq:

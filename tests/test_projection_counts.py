@@ -5,7 +5,8 @@ private _project the drivers call on iterates they hold checked; the iterates
 and gaps are compared bit for bit with a plain reference loop.  Each
 Jacobian is factored once per step: the rank test's SVD is the solve's.
 Each linearization point builds one PolyMap power table for F and its
-Jacobian together.  Input is checked once per solve, not once per iteration.
+Jacobian together, and a constraint system one for [G; P; H].  Input is
+checked once per solve, not once per iteration.
 """
 
 import sys
@@ -202,8 +203,8 @@ def test_constraint_system_evaluates_each_block_once_per_iteration(table_builds)
     tr = solve_constraint_system(sys_, [3.0, 1.0, 2.0], SolveOptions(1e-10, 200))
     assert tr.status == "Converged"
     assert tr.iterations >= 2
-    # one table per block and row, holding the block's values and Jacobian
-    assert table_builds == [sys_.G._sums, sys_.P._sums, sys_.H._sums] * (tr.iterations + 1)
+    # one table per row, holding the values and Jacobians of the three blocks stacked
+    assert table_builds == [sys_._stacked._sums] * (tr.iterations + 1)
     assert sys_.Q.calls <= tr.iterations + 1
 
 
@@ -322,7 +323,7 @@ def test_check_licq_factors_once(svd_calls, table_builds, G):
                             AffineSubspace([0, 0], np.eye(2)), 2)
     check_licq(sys_, [0.0, 0.0])
     assert len(svd_calls) == 1
-    assert table_builds == [m._sums for m in (sys_.G, sys_.H) if m.output_dim]
+    assert table_builds == [sys_._stacked._sums]
 
 
 # the unit circle H: |x|^2 = 1 in the plane, with no inequality blocks

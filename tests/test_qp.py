@@ -61,6 +61,17 @@ def random_feasible_qp(rng, n=None, m=None):
     return ProjectionQp(target, A, b, C, d)
 
 
+class TestWorkingCoefficients:
+    @given(r00=st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+           w=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4))
+    def test_one_row_division_is_lapacks_solve(self, r00, w):
+        # finite values of any size, subnormals included; a quotient may overflow to inf
+        R, w = np.array([[r00]]), np.array(w)
+        with np.errstate(over="ignore", under="ignore"):
+            r = qp._working_coefficients(R, w, 1)
+            assert r.tobytes() == np.linalg.solve(R, w[:1]).tobytes()
+
+
 class TestExamples:
     def test_symmetric_halfspace(self):
         cert = solve_projection_qp(
