@@ -176,6 +176,8 @@ def cmd_solve(args):
         prob.options, **{k: v for k, v in flags.items() if v is not None}
     )
     if args.eps is not None:
+        if (args.scheme or _COMPATIBLE[prob.kind][0]) != "inexact":
+            raise ValueError("--eps applies only to --scheme inexact")
         prob.epsilon = _epsilon(args.eps, "bad option")
     trace = run_problem(prob, args.scheme)
     if args.trace:
@@ -220,6 +222,8 @@ def cmd_diagnose(args):
                 out["angles"] = diagnostics.angles_from_trace(trace).to_json()
             except InsufficientData as exc:
                 out["angles"] = {"error": str(exc)}
+        else:
+            out["angles"] = {"error": f"angles need a two_sets problem, got kind '{prob.kind}'"}
     if args.predict_alpha is not None:
         out["comparison"] = diagnostics.compare_predicted(rate, args.predict_alpha)
 

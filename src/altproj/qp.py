@@ -32,17 +32,24 @@ polyhedron solve a sequence of QPs that mostly end on the same W (the
 online active-set idea of qpOASES, Ferreau et al., Math. Prog. Comp. 6,
 2014).  So _nearest_point can take a _Hint holding the previous solve's
 working rows in factor order and their factors.  With N^T = Q_1 R the
-multipliers of W at z solve R^T R u = N z - b_W.  Since N = R^T Q_1^T,
-v = R^{-T} (N z - b_W) = Q_1^T z - R^{-T} b_W and u = R^{-1} v; R^{-1}
-and R^{-T} b_W are formed once per working set, so a warm start costs
-three small matrix-vector products.  If every inequality multiplier in u
-is >= 0, then x = z - Q_1 v = z - N^T u is optimal for W.  That is a
-valid dual start, and the loop continues from it unchanged, so it
-terminates as before; the equality rows already in W are not entered
-again.  A negative or NaN multiplier falls back to the cold start at
-x = z.  The entering-row test runs once before the loop is set up: when
-no row enters, which is how most warm solves end, x is returned at once,
-with no pivot and nothing copied.  The loop updates factors in place, so
+multipliers of W at z are u = R^{-1} (Q_1^T z - R^{-T} b_W), the point
+optimal for W is x = z - N^T u = (I - Q_1 Q_1^T) z + Q_1 R^{-T} b_W, and
+the inequality rows are violated at x by A x - b.  All three are affine
+in z, so the first warm start from W stores them as one matrix T of
+q + n + m_i rows and one offset t (_fuse: an inverse of R and a few
+products, once per working set), and every warm start is one product
+y = T z + t, a sign test on u and one max over the violations.  If every
+inequality multiplier is >= 0 and every multiplier finite, x is optimal
+for W.  That is a valid dual start, and the loop continues from it
+unchanged, so it terminates as before; the equality rows already in W are
+not entered again.  A negative, NaN or infinite multiplier falls back to
+the cold start at x = z.  When every equality row is in W and no
+inequality row is violated, which is how most warm solves end, x is
+copied out of y and returned, with no pivot and no other copy; otherwise
+the entering-row test of the loop decides from x.  The stored product
+rounds differently from a cold solve, which ends on the same W: the two
+points agree to rounding amplified by cond(N), within 8.2e-16 (1 + |z|)
+on the benchmark workloads.  The loop updates factors in place, so
 the hint's are copied at the first pivot (when the first row enters); a
 hint's arrays are never changed, even by a solve that raises, and a
 solve that changes the working set leaves its own in the hint.
@@ -117,19 +124,19 @@ class _Hint:
     """A solve's working rows in factor order and their factors, to start the next one on the same rows.
 
     Q and R factor N^T = Q[:, :q] R[:q, :q] for the q rows in work.  The
-    first warm start from them adds R^{-1}, c = R^{-T} b_W, the mask ineq
-    of the inequality rows in work and the equality rows not in it, which
-    serve every later one until a solve changes the working set.  Solves
-    read these arrays and never change them in place.
+    first warm start from them adds the affine map T, t of the working set
+    (see _fuse), the floor of its sign test and the equality rows not in
+    work, which serve every later one until a solve changes the working
+    set.  Solves read these arrays and never change them in place.
     """
 
-    __slots__ = ("work", "Q", "R", "R_inv", "c", "ineq", "equalities")
+    __slots__ = ("work", "Q", "R", "T", "t", "floor", "equalities")
 
     def __init__(self):
         self.work = None
 
     def keep(self, work, Q, R):
-        self.work, self.Q, self.R, self.R_inv = work, Q, R, None
+        self.work, self.Q, self.R, self.T = work, Q, R, None
 
 
 def _solve(z, rows, rhs, n_i, hint=None):
@@ -154,24 +161,28 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
     arrays returned are not to be changed: work may be the hint's.
     """
     n, m = z.shape[0], rows.shape[0]
-    A, b = rows[:n_i], rhs[:n_i]
-    warm = _warm_start(z, rows, rhs, n_i, hint)
-    if warm is None:
+    y = _warm_start(z, rows, rhs, n_i, hint)
+    if y is None:
         x, u, work = z.copy(), np.zeros(0), np.zeros(0, dtype=int)
         equalities, skip = iter(range(n_i, m)), work
     else:
-        x, u, work = warm
-        equalities, skip = iter(hint.equalities), work[hint.ineq]
+        work = hint.work
+        q = work.size
+        x, u, viol = y[q:q + n].copy(), y[:q], y[q + n:]    # x copied: a trace keeps x, not all of y
+        if not hint.equalities and (not n_i or viol.max() <= 0.0):
+            return x, u, work, 0        # no row enters: how most warm solves end
+        equalities, skip = iter(hint.equalities), work[work < n_i]
+    A, b = rows[:n_i], rhs[:n_i]
     p, a_norms = next(equalities, None), None
     if p is None:
         p, a_norms = _entering(x, A, b, skip, (), None)
     if p is None:
-        if hint is not None and warm is None:
+        if hint is not None and y is None:
             hint.keep(work, None, None)
         return x, u, work, 0
     # a row enters: the loop pivots on arrays of its own, for a warm start copies of the hint's factors
     q, start = work.size, (u, work)
-    Q, R = (np.eye(n), np.zeros((n, n))) if warm is None else (hint.Q.copy(), hint.R.copy())
+    Q, R = (np.eye(n), np.zeros((n, n))) if y is None else (hint.Q.copy(), hint.R.copy())
     u = np.zeros(n)                     # multipliers of the working rows
     work = np.zeros(n, dtype=int)       # working row indices, in factor order
     u[:q], work[:q] = start
@@ -228,7 +239,7 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
         if p is None:
             p, a_norms = _entering(x, A, b, work[:q][work[:q] < n_i], met, a_norms)
 
-    if hint is not None and (warm is None or pivots):
+    if hint is not None and (y is None or pivots):
         hint.keep(work[:q].copy(), Q, R)
     return x, u[:q], work[:q], pivots
 
@@ -271,26 +282,46 @@ def _entering(x, A, b, skip, met, a_norms):
 
 
 def _warm_start(z, rows, rhs, n_i, hint):
-    """(x, u, W): the hint's working rows W, their multipliers u at z and the point x optimal for them.
+    """y = [u; x; viol]: the hint's working rows W's multipliers at z, the point x optimal for W, and A x - b.
 
-    None without a nonempty hint, or if an inequality multiplier is < 0 or
-    NaN.  The hint's factors are read, not copied.
+    viol is -inf on the inequality rows in W.  None without a nonempty
+    hint, or if a multiplier is NaN or infinite or an inequality
+    multiplier is < 0.  The hint's arrays are read, not copied.
     """
     if hint is None or hint.work is None or not hint.work.size:
         return None
+    if hint.T is None:
+        _fuse(hint, rows, rhs, n_i)
+    y = hint.T.dot(z) + hint.t
+    u = y[:hint.work.size]
+    if (u >= hint.floor).all() and u.max() < math.inf:
+        return y
+    return None
+
+
+def _fuse(hint, rows, rhs, n_i):
+    """Store the affine map z -> T z + t = [u; x; viol] of the hint's working rows W, and its sign test.
+
+    With N^T = Q_1 R the multipliers of W at z solve R^T R u = N z - b_W,
+    so u = R^{-1} (Q_1^T z - c) with c = R^{-T} b_W; x = z - N^T u =
+    (I - Q_1 Q_1^T) z + Q_1 c, and the inequality rows give viol = A x - b.
+    The offsets of viol on the inequality rows in W are -inf, so those
+    rows never enter.  floor is 0 for inequality rows and -DBL_MAX for
+    equality rows: u passes the sign test when u >= floor and max(u) < inf.
+    """
     W = hint.work
-    if hint.R_inv is None:
-        q, in_work = W.size, set(W.tolist())
-        hint.R_inv = np.linalg.inv(hint.R[:q, :q])
-        hint.c = rhs[W] @ hint.R_inv
-        hint.ineq = W < n_i
-        hint.equalities = [j for j in range(n_i, rows.shape[0]) if j not in in_work]
-    Q1 = hint.Q[:, :W.size]
-    v = z @ Q1 - hint.c             # R^{-T} (N z - b_W), as N = R^T Q1^T
-    u = hint.R_inv @ v
-    if not (np.isfinite(u).all() and (u[hint.ineq] >= 0.0).all()):
-        return None
-    return z - Q1 @ v, u, W
+    q, n, in_work = W.size, rows.shape[1], set(W.tolist())
+    Q1 = hint.Q[:, :q]
+    R_inv = np.linalg.inv(hint.R[:q, :q])
+    c = rhs[W] @ R_inv
+    P = np.eye(n) - Q1 @ Q1.T
+    x0 = Q1 @ c
+    A, b = rows[:n_i], rhs[:n_i]
+    t = np.concatenate([-(R_inv @ c), x0, A @ x0 - b])
+    t[q + n + W[W < n_i]] = -np.inf
+    hint.T, hint.t = np.vstack([R_inv @ Q1.T, P, A @ P]), t
+    hint.floor = np.where(W < n_i, 0.0, -np.finfo(float).max)
+    hint.equalities = [j for j in range(n_i, rows.shape[0]) if j not in in_work]
 
 
 def _add(Q, R, u, work, q, w, j, u_j):

@@ -174,6 +174,21 @@ class TestSolve:
         # eps = 0 makes the inexact run the exact one, bit for bit
         assert overridden == exact != from_file
 
+    @pytest.mark.parametrize("flags", [["--scheme", "exact"], [], ["--scheme", "approximate"]],
+                             ids=["exact", "default-scheme", "approximate"])
+    def test_eps_flag_without_inexact_scheme_exit_one(self, tmp_path, capsys, flags):
+        # the file's epsilon is the inexact scheme's default; the flag asks for that scheme
+        path = write_problem(tmp_path, dict(TWO_LINES, options={"epsilon": 0.05}))
+        assert main(["solve", "--problem", path, *flags]) == 0
+        capsys.readouterr()
+        assert main(["solve", "--problem", path, *flags, "--eps", "0.3"]) == 1
+        assert "--eps applies only to --scheme inexact" in capsys.readouterr().err
+
+    def test_eps_flag_on_a_constraint_system_exit_one(self, capsys):
+        with resources.as_file(bundled_problem_path("circle_system")) as path:
+            assert main(["solve", "--problem", str(path), "--eps", "0.1"]) == 1
+        assert "--eps applies only to --scheme inexact" in capsys.readouterr().err
+
     def test_trace_csv_deterministic(self, tmp_path, capsys):
         path = write_problem(tmp_path, TWO_LINES)
         t1 = tmp_path / "a.csv"
@@ -313,6 +328,14 @@ class TestDiagnose:
         assert out["angles"]["min_separability"] == pytest.approx(
             np.pi / 4, abs=1e-6
         )
+
+    def test_angles_need_a_two_sets_problem(self, tmp_path, capsys):
+        _, tr = self.make_trace(tmp_path, capsys)
+        with resources.as_file(bundled_problem_path("circle_system")) as prob:
+            assert main(["diagnose", "--trace", tr, "--problem", str(prob)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["angles"] == {"error": "angles need a two_sets problem, got kind 'constraint_system'"}
+        assert out["rate"]["rate"] == pytest.approx(0.5, abs=1e-6)
 
     def test_predict_alpha_block(self, tmp_path, capsys):
         _, tr = self.make_trace(tmp_path, capsys)

@@ -23,11 +23,13 @@ from altproj import (
     Halfspace,
     Hyperplane,
     Polyhedron,
+    ProjectionQp,
     SolveOptions,
     Sphere,
     run_exact,
     run_inexact,
     set_from_json,
+    solve_projection_qp,
 )
 
 CONVEX = ["box", "ball", "affine_subspace", "hyperplane", "halfspace", "polyhedron"]
@@ -168,3 +170,20 @@ class TestDrivers:
         for col in ("zs", "xs", "gaps", "dist_q", "dist_m"):
             bits_a, bits_b = (np.asarray(getattr(t, col)).view(np.int64) for t in (a, b))
             np.testing.assert_array_equal(bits_a, bits_b)
+
+
+class TestWarmPolyhedronRuns:
+    @given(case=pairs_and_starts(["ball"], ["polyhedron"]))
+    def test_run_points_are_the_cold_projections(self, case):
+        # A run's polyhedron QPs start warm from the last working set; Polyhedron.project starts
+        # cold.  Both end on the same working rows N, so they agree to rounding, which cond(N)
+        # amplifies: a point polyhedron with cond 1657 moves by 2e-14 (1 + |z|) from warm to cold.
+        B, P, z0 = case
+        trace = run_exact(B, P, z0, SolveOptions(gap_tol=1e-10, max_iters=30))
+        for z, x in zip(trace.zs, trace.xs):
+            cold = solve_projection_qp(ProjectionQp(z, P.A_ineq, P.b_ineq, P.A_eq, P.b_eq))
+            assert cold.solution.tobytes() == P.project(z).tobytes()
+            N = np.vstack([P.A_ineq[cold.active_set], P.A_eq])
+            kappa = np.linalg.cond(N) if N.size else 1.0
+            scale = (1.0 + np.linalg.norm(z)) * kappa
+            assert np.max(np.abs(x - cold.solution), initial=0.0) <= 1e-14 * scale

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -204,17 +205,19 @@ class TestOracleAgreement:
 
 
 @st.composite
-def qp_draws(draw, infeasible=False):
+def qp_draws(draw, infeasible=False, blocks="both"):
     """Random QPs with n <= 10, m <= 4n inequality rows and 0-2 equality rows.
 
     Slacks are zeroed on some rows (degenerate vertices) and one row may be
     a scaled copy of another.  With infeasible=True a last row is
     -(y . A[:k]) with y > 0 and a right-hand side below -(y . b[:k]), so
-    the rows certify their own emptiness.
+    the rows certify their own emptiness.  blocks="no inequality rows"
+    draws 1-2 equality rows alone, and blocks="no equality rows" none.
     """
     n = draw(st.integers(1, 10))
-    m = draw(st.integers(1 if infeasible else 0, 4 * n))
-    n_eq = draw(st.integers(0, min(2, n)))
+    m = 0 if blocks == "no inequality rows" else draw(st.integers(1 if infeasible else 0, 4 * n))
+    n_eq = 0 if blocks == "no equality rows" else draw(
+        st.integers(1 if blocks == "no inequality rows" else 0, min(2, n)))
     degenerate, duplicate = draw(st.booleans()), draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x_feas = rng.standard_normal(n)
@@ -344,6 +347,7 @@ def stacked(p):
 def hinted_qps(draw):
     """(p, hint, kind, earlier): a QP, and a hint left by an earlier solve on its rows.
 
+    p has both blocks of rows, or no inequality rows, or no equality rows.
     earlier is that solve's certificate.  Its target was
       right:    p's own;
       stale:    another random point;
@@ -352,7 +356,7 @@ def hinted_qps(draw):
                 multiplier they have at p's target is the negative of the
                 one at the earlier target.
     """
-    p = draw(qp_draws())
+    p = draw(qp_draws(blocks=draw(st.sampled_from(["both", "no inequality rows", "no equality rows"]))))
     kind = draw(st.sampled_from(["right", "stale", "negative"]))
     rows, rhs, n_i = stacked(p)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -384,6 +388,27 @@ class TestWarmStart:
         if kind == "negative" and np.any(earlier.ineq_multipliers > 1e-6):
             assert qp._warm_start(p.target, *stacked(p), hint) is None
 
+    @given(case=hinted_qps())
+    def test_fused_map_gives_the_point_optimal_for_the_working_rows(self, case):
+        # y = [u; x; viol]: x solves N x = b_W with x - z in the row space of N, and
+        # viol = A x - b, with -inf on the inequality rows in W
+        p, hint, _, _ = case
+        rows, rhs, n_i = stacked(p)
+        y = qp._warm_start(p.target, rows, rhs, n_i, hint)
+        if y is None:
+            return
+        W, n = hint.work, p.dim
+        _, x, viol = np.split(y, [W.size, W.size + n])
+        assert viol.shape == (n_i,) and np.all(viol[W[W < n_i]] == -np.inf)
+        Q1 = hint.Q[:, :W.size]
+        scale = 1.0 + np.linalg.norm(p.target) + np.linalg.norm(x)
+        row_norms = np.linalg.norm(rows, axis=1)
+        assert np.all(np.abs(rows[W] @ x - rhs[W]) <= 1e-13 * scale * row_norms[W])
+        d = x - p.target
+        assert np.linalg.norm(d - Q1 @ (Q1.T @ d)) <= 1e-13 * scale
+        rest = np.setdiff1d(np.arange(n_i), W)
+        assert np.all(np.abs(viol[rest] - (rows[rest] @ x - rhs[rest])) <= 1e-13 * scale * row_norms[rest])
+
     def test_right_hint_needs_no_pivot(self):
         # the box corner again: both rows of the answer are the hint's working set
         p = ProjectionQp([2, -1], [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], np.zeros((0, 2)), [])
@@ -414,6 +439,28 @@ class TestWarmStart:
         qp._solve(p.target, rows, rhs, n_i, hint)
         assert hint.work.size == 2
         assert qp._warm_start(np.array([np.nan, 0.0]), rows, rhs, n_i, hint) is None
+
+
+MULTIPLIERS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, -5e-324, 1.7e308])
+
+
+class TestSignTest:
+    """The warm start's test on u refuses what the per-row test refuses: u not finite, or < 0 on an inequality row."""
+
+    @given(u=st.lists(MULTIPLIERS, min_size=1, max_size=6), data=st.data())
+    def test_refuses_what_the_per_row_test_refuses(self, u, data):
+        u = np.array(u)
+        q = u.size
+        n_i = data.draw(st.integers(0, q))
+        # q unit rows of R^q, the first n_i inequalities, all in work in a drawn order
+        work = np.array(data.draw(st.permutations(range(q))))
+        rows, rhs = np.eye(q), np.zeros(q)
+        hint = qp._Hint()
+        hint.keep(work, np.eye(q), np.eye(q))
+        qp._fuse(hint, rows, rhs, n_i)
+        hint.T[:q], hint.t[:q] = 0.0, u     # the map gives u as multipliers at every target
+        refused = not (np.isfinite(u).all() and (u[work < n_i] >= 0.0).all())
+        assert (qp._warm_start(np.zeros(q), rows, rhs, n_i, hint) is None) == refused
 
 
 def held(hint):
