@@ -57,7 +57,7 @@ class ManifoldChart:
             raise ValueError("chart domain box must be nonempty and open")
 
     def _contains(self, x):
-        return bool(np.all(x > self.lower) and np.all(x < self.upper))
+        return bool((x > self.lower).all() and (x < self.upper).all())
 
 
 def solve_inclusion(p: InclusionProblem, x0, opts=None) -> IterationTrace:

@@ -188,13 +188,27 @@ class _TermSums:
         self.bins = bins
         self.size = size
 
+    def table(self, x):
+        """The power table at the point x: 1.0, then x[k]**d for each (k, d) in powers.
+
+        A Python float power calls libm pow, as numpy's scalar power does,
+        at a fraction of the cost; only a NaN base keeps its sign bit, which
+        numpy's may clear.  It raises OverflowError where numpy's gives inf
+        with a RuntimeWarning, so then the table takes numpy's.
+        """
+        xs = x.tolist()
+        try:
+            return np.array([1.0] + [xs[k] ** d for k, d in self.powers])
+        except OverflowError:
+            return np.array([1.0] + [x[k] ** d for k, d in self.powers])
+
     def at(self, x, terms=None, size=None):
-        """The (size,) sums at the point x; x[k]**d on a numpy scalar calls libm pow.
+        """The (size,) sums at the point x.
 
         Given terms and size, the sums of the first terms terms alone, into
         size bins; the bins of those terms must lie below size.
         """
-        table = np.array([1.0] + [x[k] ** d for k, d in self.powers])
+        table = self.table(x)
         first, *rest = self.index
         vals = self.coeff[:terms] * table.take(first[:terms])
         for columns in rest:

@@ -34,25 +34,34 @@ online active-set idea of qpOASES, Ferreau et al., Math. Prog. Comp. 6,
 working rows in factor order and their factors.  With N^T = Q_1 R the
 multipliers of W at z are u = R^{-1} (Q_1^T z - R^{-T} b_W), the point
 optimal for W is x = z - N^T u = (I - Q_1 Q_1^T) z + Q_1 R^{-T} b_W, and
-the inequality rows are violated at x by A x - b.  All three are affine
-in z, so the first warm start from W stores them as one matrix T of
-q + n + m_i rows and one offset t (_fuse: an inverse of R and a few
+the other inequality rows have slacks b - A x.  All three are affine in
+z, so the first warm start from W stores them as one matrix T of
+n + m_e(W) + m_i rows and one offset t (_fuse: an inverse of R and a few
 products, once per working set), and every warm start is one product
-y = T z + t, a sign test on u and one max over the violations.  If every
-inequality multiplier is >= 0 and every multiplier finite, x is optimal
-for W.  That is a valid dual start, and the loop continues from it
+y = T z + t = [x; e; s].  e holds the multipliers of W's equality rows;
+s holds those of W's inequality rows, then the slacks of the others.  If
+every inequality multiplier is >= 0 and every multiplier finite, x is
+optimal for W.  That is a valid dual start, and the loop continues from it
 unchanged, so it terminates as before; the equality rows already in W are
 not entered again.  A negative, NaN or infinite multiplier falls back to
-the cold start at x = z.  When every equality row is in W and no
-inequality row is violated, which is how most warm solves end, x is
-copied out of y and returned, with no pivot and no other copy; otherwise
+the cold start at x = z.  When also every equality row is in W and no
+slack is negative, which is how most warm solves end, x is copied out of
+y and returned, with no pivot and no other copy.  One max over s, read as
+unsigned integers, decides that case: s >= 0 and finite, with e finite.
+Anything else goes to a per-row test of the multipliers, and then
 the entering-row test of the loop decides from x.  The stored product
 rounds differently from a cold solve, which ends on the same W: the two
 points agree to rounding amplified by cond(N), within 8.2e-16 (1 + |z|)
-on the benchmark workloads.  The loop updates factors in place, so
-the hint's are copied at the first pivot (when the first row enters); a
-hint's arrays are never changed, even by a solve that raises, and a
-solve that changes the working set leaves its own in the hint.
+on the benchmark workloads.  Each row of T is a row of the map z ->
+[u; x; A x - b], or its negative for a slack, and a row of a product
+rounds alike wherever it sits, except in the last m mod 4 rows, which
+OpenBLAS's gemv rounds its own way.  So x and u have the bits of that
+map's product when at least three inequality rows lie outside W, as in
+every warm QP of the benchmark workloads, and may differ by an ulp
+otherwise.  The loop updates factors in place, so the hint's are copied
+at the first pivot (when the first row enters); a hint's arrays are
+never changed, even by a solve that raises, and a solve that changes
+the working set leaves its own in the hint.
 Hints are scoped to one run: Polyhedron._run_projection gives each run
 its own, so Polyhedron.project stays a pure function and two runs of the
 same problem give the same bits.
@@ -72,6 +81,7 @@ FEAS_TOL = 1e-9     # primal feasibility (two orders above linalg tolerances)
 DUAL_TOL = 1e-10    # a working inequality row blocks a step only if its r exceeds this
 DEP_TOL = 1e-10     # linear-dependence threshold when growing the working set
 VIOL_RTOL = 1e-13   # an inequality row enters once a.x - b exceeds this times |a||x| + |b|
+_INF_BITS = int(np.array(math.inf).view(np.uint64))
 
 
 @dataclass
@@ -125,12 +135,12 @@ class _Hint:
 
     Q and R factor N^T = Q[:, :q] R[:q, :q] for the q rows in work.  The
     first warm start from them adds the affine map T, t of the working set
-    (see _fuse), the floor of its sign test and the equality rows not in
-    work, which serve every later one until a solve changes the working
+    (see _fuse), where u_at finds its multipliers, and the equality rows not
+    in work, which serve every later one until a solve changes the working
     set.  Solves read these arrays and never change them in place.
     """
 
-    __slots__ = ("work", "Q", "R", "T", "t", "floor", "equalities")
+    __slots__ = ("work", "Q", "R", "T", "t", "u_at", "equalities")
 
     def __init__(self):
         self.work = None
@@ -161,15 +171,14 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
     arrays returned are not to be changed: work may be the hint's.
     """
     n, m = z.shape[0], rows.shape[0]
-    y = _warm_start(z, rows, rhs, n_i, hint)
-    if y is None:
+    warm = _warm_start(z, rows, rhs, n_i, hint)
+    if warm is None:
         x, u, work = z.copy(), np.zeros(0), np.zeros(0, dtype=int)
         equalities, skip = iter(range(n_i, m)), work
     else:
+        x, u, done = warm
         work = hint.work
-        q = work.size
-        x, u, viol = y[q:q + n].copy(), y[:q], y[q + n:]    # x copied: a trace keeps x, not all of y
-        if not hint.equalities and (not n_i or viol.max() <= 0.0):
+        if done:
             return x, u, work, 0        # no row enters: how most warm solves end
         equalities, skip = iter(hint.equalities), work[work < n_i]
     A, b = rows[:n_i], rhs[:n_i]
@@ -177,12 +186,12 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
     if p is None:
         p, a_norms = _entering(x, A, b, skip, (), None)
     if p is None:
-        if hint is not None and y is None:
+        if hint is not None and warm is None:
             hint.keep(work, None, None)
         return x, u, work, 0
     # a row enters: the loop pivots on arrays of its own, for a warm start copies of the hint's factors
     q, start = work.size, (u, work)
-    Q, R = (np.eye(n), np.zeros((n, n))) if y is None else (hint.Q.copy(), hint.R.copy())
+    Q, R = (np.eye(n), np.zeros((n, n))) if warm is None else (hint.Q.copy(), hint.R.copy())
     u = np.zeros(n)                     # multipliers of the working rows
     work = np.zeros(n, dtype=int)       # working row indices, in factor order
     u[:q], work[:q] = start
@@ -239,7 +248,7 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
         if p is None:
             p, a_norms = _entering(x, A, b, work[:q][work[:q] < n_i], met, a_norms)
 
-    if hint is not None and (y is None or pivots):
+    if hint is not None and (warm is None or pivots):
         hint.keep(work[:q].copy(), Q, R)
     return x, u[:q], work[:q], pivots
 
@@ -282,45 +291,63 @@ def _entering(x, A, b, skip, met, a_norms):
 
 
 def _warm_start(z, rows, rhs, n_i, hint):
-    """y = [u; x; viol]: the hint's working rows W's multipliers at z, the point x optimal for W, and A x - b.
+    """(x, u, done): the point x optimal for the hint's working rows W at z, W's multipliers u, and whether no row enters at x.
 
-    viol is -inf on the inequality rows in W.  None without a nonempty
-    hint, or if a multiplier is NaN or infinite or an inequality
-    multiplier is < 0.  The hint's arrays are read, not copied.
+    None without a nonempty hint, or if a multiplier is NaN or infinite or
+    an inequality multiplier is < 0.  The hint's arrays are read, not copied.
     """
     if hint is None or hint.work is None or not hint.work.size:
         return None
     if hint.T is None:
         _fuse(hint, rows, rhs, n_i)
     y = hint.T.dot(z) + hint.t
-    u = y[:hint.work.size]
-    if (u >= hint.floor).all() and u.max() < math.inf:
-        return y
-    return None
+    n, k = z.shape[0], y.size - n_i     # y = [x; e; s]: s from k on
+    x, u = y[:n].copy(), y[hint.u_at]   # x copied: a trace keeps x, not all of y
+    # Read as unsigned integers, +0.0 and the positive finite doubles are the bit
+    # patterns below +inf's, so one max tests s >= 0 and finite; -0.0 and NaN fail it.
+    if (not hint.equalities and (not n_i or y[k:].view(np.uint64).max() < _INF_BITS)
+            and (k == n or np.isfinite(y[n:k]).all())):
+        return x, u, True
+    # the per-row test: for -0.0 in s, a negative or infinite entry, a NaN, or equality rows to enter
+    ineq = hint.work < n_i
+    if not (np.isfinite(u).all() and (u[ineq] >= 0.0).all()):
+        return None
+    return x, u, not hint.equalities and y[k + np.count_nonzero(ineq):].min(initial=math.inf) >= 0.0
 
 
 def _fuse(hint, rows, rhs, n_i):
-    """Store the affine map z -> T z + t = [u; x; viol] of the hint's working rows W, and its sign test.
+    """Store the affine map z -> T z + t = [x; e; s] of the hint's working rows W, and where its multipliers are.
 
     With N^T = Q_1 R the multipliers of W at z solve R^T R u = N z - b_W,
-    so u = R^{-1} (Q_1^T z - c) with c = R^{-T} b_W; x = z - N^T u =
-    (I - Q_1 Q_1^T) z + Q_1 c, and the inequality rows give viol = A x - b.
-    The offsets of viol on the inequality rows in W are -inf, so those
-    rows never enter.  floor is 0 for inequality rows and -DBL_MAX for
-    equality rows: u passes the sign test when u >= floor and max(u) < inf.
+    so u = R^{-1} (Q_1^T z - c) with c = R^{-T} b_W, and x = z - N^T u =
+    (I - Q_1 Q_1^T) z + Q_1 c.  e holds u on W's equality rows, which are
+    only checked to be finite.  s holds u on W's inequality rows, then the
+    slacks b - A x of the other inequality rows: s >= 0 exactly when u is a
+    valid dual start and no inequality row is violated at x.  y[u_at] is u
+    in factor order: a slice, so a view, when W's equality rows come first
+    in it, as they do after a cold solve.  Each row of T and t is, bit for
+    bit, a row of the map z -> [u; x; A x - b] or, for a slack, its negative.
     """
     W = hint.work
     q, n, in_work = W.size, rows.shape[1], set(W.tolist())
+    ineq = W < n_i
     Q1 = hint.Q[:, :q]
     R_inv = np.linalg.inv(hint.R[:q, :q])
     c = rhs[W] @ R_inv
     P = np.eye(n) - Q1 @ Q1.T
     x0 = Q1 @ c
+    U, u0 = R_inv @ Q1.T, -(R_inv @ c)
+    out = np.ones(n_i, dtype=bool)
+    out[W[ineq]] = False
     A, b = rows[:n_i], rhs[:n_i]
-    t = np.concatenate([-(R_inv @ c), x0, A @ x0 - b])
-    t[q + n + W[W < n_i]] = -np.inf
-    hint.T, hint.t = np.vstack([R_inv @ Q1.T, P, A @ P]), t
-    hint.floor = np.where(W < n_i, 0.0, -np.finfo(float).max)
+    hint.T = np.vstack([P, U[~ineq], U[ineq], -(A @ P)[out]])
+    hint.t = np.concatenate([x0, u0[~ineq], u0[ineq], -(A @ x0 - b)[out]])
+    q_e = q - np.count_nonzero(ineq)
+    if ineq[:q_e].any():
+        hint.u_at = np.empty(q, dtype=int)
+        hint.u_at[~ineq], hint.u_at[ineq] = np.arange(n, n + q_e), np.arange(n + q_e, n + q)
+    else:
+        hint.u_at = slice(n, n + q)
     hint.equalities = [j for j in range(n_i, rows.shape[0]) if j not in in_work]
 
 

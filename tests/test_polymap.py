@@ -134,6 +134,28 @@ def test_power_table_matches_unique_rows(expo):
     assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(sums.index, index))
 
 
+POWER_BASES = st.floats(allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300,
+     1.7976931348623157e308, -1.7976931348623157e308])
+
+
+@given(expo=_exponent_arrays(), data=st.data())
+def test_power_table_has_the_bits_of_numpy_scalar_powers(expo, data):
+    # Python-float powers where they are finite, numpy's where one overflows to inf;
+    # a drawn point with extreme entries, then 50 random ones, where a route other
+    # than libm pow (x * x for d = 2, say) rounds differently once in a few thousand
+    n = expo.shape[1]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    points = [np.array(data.draw(st.lists(POWER_BASES, min_size=n, max_size=n)))]
+    points += list(rng.standard_normal((50, n)) * np.exp(rng.uniform(-5, 5, (50, 1))))
+    sums = _TermSums(np.ones(len(expo)), expo, np.zeros(len(expo), dtype=np.intp), 1)
+    for x in points:
+        with np.errstate(over="ignore"):
+            table = sums.table(x)
+            reference = np.array([1.0] + [x[k] ** d for k, d in sums.powers])
+        assert table.tobytes() == reference.tobytes()
+
+
 def test_exponent_too_large_for_the_arrays_is_rejected():
     with pytest.raises(ValueError, match="exponents must be at most"):
         PolyMap(1, [[Monomial(1.0, (2**70,))]])

@@ -390,16 +390,23 @@ class TestWarmStart:
 
     @given(case=hinted_qps())
     def test_fused_map_gives_the_point_optimal_for_the_working_rows(self, case):
-        # y = [u; x; viol]: x solves N x = b_W with x - z in the row space of N, and
-        # viol = A x - b, with -inf on the inequality rows in W
+        # y = [x; e; s]: x solves N x = b_W with x - z in the row space of N, e holds u
+        # on W's equality rows, and s holds u on W's inequality rows and then b - A x on
+        # the other inequality rows; the warm start returns x and y[u_at] = u
         p, hint, _, _ = case
         rows, rhs, n_i = stacked(p)
-        y = qp._warm_start(p.target, rows, rhs, n_i, hint)
-        if y is None:
+        warm = qp._warm_start(p.target, rows, rhs, n_i, hint)
+        if warm is None:
             return
         W, n = hint.work, p.dim
-        _, x, viol = np.split(y, [W.size, W.size + n])
-        assert viol.shape == (n_i,) and np.all(viol[W[W < n_i]] == -np.inf)
+        ineq = W < n_i
+        q_i = int(ineq.sum())
+        y = hint.T.dot(p.target) + hint.t
+        x, e, s = np.split(y, [n, n + W.size - q_i])
+        u = y[hint.u_at]
+        assert s.shape == (n_i,) and e.shape == (W.size - q_i,)
+        assert s[:q_i].tobytes() == u[ineq].tobytes() and e.tobytes() == u[~ineq].tobytes()
+        assert warm[0].tobytes() == x.tobytes() and warm[1].tobytes() == u.tobytes()
         Q1 = hint.Q[:, :W.size]
         scale = 1.0 + np.linalg.norm(p.target) + np.linalg.norm(x)
         row_norms = np.linalg.norm(rows, axis=1)
@@ -407,7 +414,8 @@ class TestWarmStart:
         d = x - p.target
         assert np.linalg.norm(d - Q1 @ (Q1.T @ d)) <= 1e-13 * scale
         rest = np.setdiff1d(np.arange(n_i), W)
-        assert np.all(np.abs(viol[rest] - (rows[rest] @ x - rhs[rest])) <= 1e-13 * scale * row_norms[rest])
+        slacks = s[q_i:]
+        assert np.all(np.abs(slacks - (rhs[rest] - rows[rest] @ x)) <= 1e-13 * scale * row_norms[rest])
 
     def test_right_hint_needs_no_pivot(self):
         # the box corner again: both rows of the answer are the hint's working set
@@ -442,25 +450,41 @@ class TestWarmStart:
 
 
 MULTIPLIERS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, -5e-324, 1.7e308])
+# an infinite slack sends the sign test to the per-row test, where a zero slack must still end the solve
+SLACKS = st.sampled_from([0.0, -0.0, math.inf, 1.0, -1.0, math.nan]) | MULTIPLIERS
 
 
 class TestSignTest:
-    """The warm start's test on u refuses what the per-row test refuses: u not finite, or < 0 on an inequality row."""
+    """The warm start's sign test on s refuses what the per-row test refuses, and ends the solve when no row enters.
 
-    @given(u=st.lists(MULTIPLIERS, min_size=1, max_size=6), data=st.data())
-    def test_refuses_what_the_per_row_test_refuses(self, u, data):
-        u = np.array(u)
-        q = u.size
-        n_i = data.draw(st.integers(0, q))
-        # q unit rows of R^q, the first n_i inequalities, all in work in a drawn order
-        work = np.array(data.draw(st.permutations(range(q))))
-        rows, rhs = np.eye(q), np.zeros(q)
+    Refused: u not finite, or < 0 on an inequality row.  Done: not refused, and
+    every slack of an inequality row outside W is >= 0.
+    """
+
+    @given(u=st.lists(MULTIPLIERS, min_size=1, max_size=6), slacks=st.lists(SLACKS, max_size=4), data=st.data())
+    def test_refuses_what_the_per_row_test_refuses(self, u, slacks, data):
+        u, slacks = np.array(u), np.array(slacks, dtype=float)
+        q, k = u.size, slacks.size
+        q_i = data.draw(st.integers(0, q))
+        # q unit rows of R^q in work in a drawn order, the first q_i inequalities;
+        # k more inequality rows outside work
+        E = np.eye(q)
+        rows = np.vstack([E[:q_i], np.ones((k, q)), E[q_i:]])
+        n_i = q_i + k
+        rhs = np.zeros(n_i + q - q_i)
+        work = np.array(data.draw(st.permutations([*range(q_i), *range(n_i, n_i + q - q_i)])))
         hint = qp._Hint()
         hint.keep(work, np.eye(q), np.eye(q))
         qp._fuse(hint, rows, rhs, n_i)
-        hint.T[:q], hint.t[:q] = 0.0, u     # the map gives u as multipliers at every target
+        # the map gives u as multipliers and these slacks at every target: y = [x; e; s], the slacks last
+        hint.T[hint.t.size - k:] = hint.T[hint.u_at] = 0.0
+        hint.t[hint.t.size - k:], hint.t[hint.u_at] = slacks, u
         refused = not (np.isfinite(u).all() and (u[work < n_i] >= 0.0).all())
-        assert (qp._warm_start(np.zeros(q), rows, rhs, n_i, hint) is None) == refused
+        warm = qp._warm_start(np.zeros(q), rows, rhs, n_i, hint)
+        assert (warm is None) == refused
+        if warm is not None:
+            np.testing.assert_array_equal(warm[1], u)
+            assert warm[2] == bool((slacks >= 0.0).all())
 
 
 def held(hint):
