@@ -209,8 +209,9 @@ def run_approximate(M_approx, Q: ProjectableSet, z0, opts=None):
     M_approx is a ChartApproximateProjector, or any object with its two
     methods: start(z0) returns the first iterate, on M, for the checked
     start z0; step(y) returns the next iterate, a point of M approximating
-    P_M(y).  Each iteration runs y <- P_Q(z), z <- step(y), so every row's
-    dist_M is 0.0.  A step that raises RankDeficient or LeftChart ends the
+    P_M(y).  start raises DimensionMismatch when z0, checked against Q,
+    is not in M's space.  Each iteration runs y <- P_Q(z), z <- step(y), so
+    every row's dist_M is 0.0.  A step that raises RankDeficient or LeftChart ends the
     run: iterate names the status, the first as in solve_inclusion.
     """
     opts = opts or SolveOptions()

@@ -119,6 +119,8 @@ class ChartApproximateProjector:
 
     def start(self, z0):
         z0 = np.asarray(z0, dtype=float)
+        if z0.shape != self.fx.shape:
+            raise DimensionMismatch(f"z0 has shape {z0.shape}, the chart maps into R^{self.fx.size}")
         if not np.linalg.norm(self.fx - z0) <= 1e-9:  # a NaN z0 fails too
             raise ValueError("z0 does not match the chart coordinates")
         return z0

@@ -188,6 +188,20 @@ def require_full_column_rank(A, message):
     return U, sigma, V
 
 
+def rank(sigma):
+    """The numerical rank for singular values sigma: the count of sigma > RANK_TOL * sigma_max.
+
+    require_full_column_rank's sigma_min test is the same rule on nonincreasing sigma.
+    """
+    return int(np.sum(sigma > RANK_TOL * sigma.max(initial=0.0)))
+
+
+def row_basis(L):
+    """Orthonormal rows spanning the rows of L, one per unit of its numerical rank."""
+    _, sigma, V = svd(L)
+    return V[:, : rank(sigma)].T
+
+
 def svd(A):
     """Full-matrix SVD: A = U diag(sigma) V^T, sigma nonincreasing >= 0."""
     A = as_matrix(A)

@@ -58,10 +58,11 @@ class PolyMap(Schema):
     np.bincount, which adds in term order; no bin mixes value and
     derivative terms.  jacobian is its second part; eval sums only the
     value terms, the first T into the first m bins, in the same order.
-    The table is built from numpy scalars, so each power is one libm pow
-    call (numpy's array power can differ in the last bit) and an overflow
-    gives inf with numpy's RuntimeWarning, not an OverflowError.  So every
-    value is bit-identical to a term-by-term loop over the monomials.
+    The table takes Python-float powers of x.tolist(), so each power is one
+    libm pow call, as numpy's scalar power is (numpy's array power can
+    differ in the last bit).  On OverflowError it takes numpy scalars'
+    powers instead, whose overflow gives inf with numpy's RuntimeWarning.
+    So every value is bit-identical to a term-by-term loop over the monomials.
     """
 
     kind = "polynomial map"

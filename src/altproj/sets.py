@@ -34,21 +34,18 @@ ACTIVE_TOL = 1e-9
 
 @dataclass
 class NormalCone:
-    """Finite description of a normal cone.
+    """Finite description of a normal cone: cone(rays) + span(lineality).
 
     rays:      (k, n) nonnegative-combination generators
     lineality: (m, n) free-sign directions (a subspace component)
-    full:      the cone is the whole ambient space
+
+    This is every cone's one form: {0} has no rows, and R^n (a finite point
+    set's) has lineality I_n.  Rows need not be independent.
     """
 
     dim: int
     rays: np.ndarray
     lineality: np.ndarray
-    full: bool = False
-
-    @property
-    def trivial(self):
-        return not self.full and self.rays.shape[0] == 0 and self.lineality.shape[0] == 0
 
 
 class ProjectableSet(Schema):
@@ -98,11 +95,10 @@ class ProjectableSet(Schema):
     def _normal_cone(self, p):
         raise UnsupportedVariant(f"{type(self).__name__} has no normal-cone description")
 
-    def _cone(self, rays=(), lineality=(), full=False):
+    def _cone(self, rays=(), lineality=()):
         """The NormalCone with these rows of rays and lineality; empty blocks by default."""
         n = self.ambient_dim
-        return NormalCone(n, np.array(rays, float).reshape(-1, n),
-                          np.array(lineality, float).reshape(-1, n), full)
+        return NormalCone(n, np.array(rays, float).reshape(-1, n), np.array(lineality, float).reshape(-1, n))
 
 
 class Box(ProjectableSet):
@@ -218,15 +214,9 @@ class AffineSubspace(ProjectableSet):
         return self.anchor + self.basis.T @ (self.basis @ (z - self.anchor))
 
     def _normal_cone(self, p):
-        # orthogonal complement of the direction space
-        U, sigma, _ = linalg.svd(self.basis.T) if self.basis.shape[0] else (
-            np.eye(self.ambient_dim),
-            np.zeros(0),
-            None,
-        )
-        r = int(np.sum(sigma > 1e-12))
-        comp = U[:, r:].T
-        return self._cone(lineality=comp)
+        # the orthogonal complement of the direction space: U's columns past the orthonormal basis
+        U, _, _ = linalg.require_full_column_rank(self.basis.T, "affine subspace basis is rank deficient")
+        return self._cone(lineality=U[:, self.basis.shape[0]:].T)
 
 
 def _free_coordinates(basis):
@@ -314,7 +304,7 @@ class FinitePointSet(ProjectableSet):
 
     def _normal_cone(self, p):
         # at an isolated point every direction is normal
-        return self._cone(full=True)
+        return self._cone(lineality=np.eye(self.ambient_dim))
 
 
 class FixedRankMatrices(ProjectableSet):
@@ -336,9 +326,7 @@ class FixedRankMatrices(ProjectableSet):
 
     def _normal_cone(self, p):
         U, sigma, V = linalg.svd(p.reshape(self.rows, self.cols))
-        if sigma.size < self.rank or sigma[self.rank - 1] <= 1e-9 * max(
-            sigma[0], 1e-300
-        ):
+        if linalg.rank(sigma) < self.rank:
             raise RankDrop(f"matrix rank below {self.rank} at probe point")
         # normal space = { U_perp N V_perp^T }, flattened
         Up = U[:, self.rank :]
@@ -406,9 +394,11 @@ def check_transversality(A: ProjectableSet, B: ProjectableSet, point) -> Transve
     """Decide whether N_A(p) intersects -N_B(p) only at the origin, at a point p of A and B.
 
     Sets of different dimensions raise DimensionMismatch, and a point
-    farther than ON_SET_TOL from either set ValueError.  Pure-subspace
-    cases are decided by rank; cones bring in small feasibility problems
-    over the generator descriptions, each decided by the nearest-point QP.
+    farther than ON_SET_TOL from either set ValueError.  Two cones without
+    rays are subspaces, decided by the rank of orthonormal bases of the
+    two; otherwise small feasibility problems over the generator
+    descriptions are each decided by the nearest-point QP.  The answer no
+    carries a nonzero witness direction in N_A(p) and in -N_B(p).
     """
     if A.ambient_dim != B.ambient_dim:
         raise DimensionMismatch("A and B live in different ambient spaces")
@@ -416,37 +406,22 @@ def check_transversality(A: ProjectableSet, B: ProjectableSet, point) -> Transve
     if A.distance(p) > ON_SET_TOL or B.distance(p) > ON_SET_TOL:
         raise ValueError("point does not lie on both sets")
     na, nb = A._normal_cone(p), B._normal_cone(p)
-    if na.trivial or nb.trivial:
-        return TransversalityResult(True)
-    if na.full:
-        w = _any_nonzero(nb)
-        return TransversalityResult(False, -w)
-    if nb.full:
-        return TransversalityResult(False, _any_nonzero(na))
-
     if na.rays.shape[0] == 0 and nb.rays.shape[0] == 0:
         return _subspace_intersection(na.lineality, nb.lineality)
     return _cone_intersection(na, nb)
 
 
-def _any_nonzero(cone: NormalCone):
-    if cone.rays.shape[0]:
-        return cone.rays[0]
-    if cone.lineality.shape[0]:
-        return cone.lineality[0]
-    return np.zeros(cone.dim)  # unreachable for nontrivial cones
-
-
 def _subspace_intersection(La, Lb):
-    stacked = np.hstack([La.T, -Lb.T])
-    _, sigma, V = linalg.svd(stacked)
-    tol = 1e-10 * max(1.0, sigma[0] if sigma.size else 0.0)
-    rank = int(np.sum(sigma > tol))
-    if rank == stacked.shape[1]:
+    """Whether [Qa^T, -Qb^T] has full column rank, Qa and Qb orthonormal rows spanning La's and Lb's.
+
+    If not, a unit null vector (ca, cb) gives the witness Qa^T ca = Qb^T cb, of norm |ca| = |cb| > 0.
+    """
+    Qa, Qb = linalg.row_basis(La), linalg.row_basis(Lb)
+    _, sigma, V = linalg.svd(np.hstack([Qa.T, -Qb.T]))
+    r = linalg.rank(sigma)
+    if r == V.shape[0]:
         return TransversalityResult(True)
-    coeffs = V[:, rank]
-    v = La.T @ coeffs[: La.shape[0]]
-    return TransversalityResult(False, v)
+    return TransversalityResult(False, Qa.T @ V[: Qa.shape[0], r])
 
 
 def _unit_rows(G):

@@ -236,6 +236,14 @@ class TestChartProjector:
         with pytest.raises(ValueError, match="does not match"):
             proj.start(np.array(z0))
 
+    @pytest.mark.parametrize("Q, z0", [(Hyperplane([0, 1, 0], 1.0), [2, 4, 0]), (Hyperplane([1.0], 1.0), [2])],
+                             ids=["wider", "narrower"])
+    def test_run_rejects_q_of_another_dimension(self, Q, z0):
+        # the parabola maps into R^2; the error names both dimensions
+        proj = ChartApproximateProjector(PARABOLA_CHART, [2])
+        with pytest.raises(DimensionMismatch, match=rf"shape \({len(z0)},\), the chart maps into R\^2$"):
+            run_approximate(proj, Q, z0)
+
 
 def assert_chart_run_is_gauss_newton(chart_trace, gn_trace, F):
     """The chart run is the Gauss-Newton run read in Y-space, bit for bit.

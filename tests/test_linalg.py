@@ -128,6 +128,24 @@ class TestSvd:
         assert np.max(np.abs(V.T @ V - np.eye(V.shape[1]))) <= 1e-9
 
 
+class TestRank:
+    def test_counts_above_rank_tol_of_the_largest(self):
+        sigma = np.array([2.0, 2.0 * linalg.RANK_TOL * 1.5, 2.0 * linalg.RANK_TOL, 0.0])
+        assert linalg.rank(sigma) == 2
+        assert linalg.rank(np.zeros(3)) == linalg.rank(np.zeros(0)) == 0
+
+    def test_row_basis_spans_dependent_rows_orthonormally(self):
+        # three rows spanning a plane of R^3, one of them a scaled copy
+        L = np.array([[1.0, 2.0, 0.0], [-3e5, -6e5, 0.0], [0.0, 1.0, 1.0]])
+        Q = linalg.row_basis(L)
+        assert Q.shape == (2, 3)
+        np.testing.assert_allclose(Q @ Q.T, np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(L - (L @ Q.T) @ Q, 0.0, atol=1e-9)
+
+    def test_row_basis_of_no_rows_is_empty(self):
+        assert linalg.row_basis(np.zeros((0, 4))).shape == (0, 4)
+
+
 def same_norm(v):
     """linalg.norm(v) is a float, the same float64 as np.linalg.norm(v) bit for bit or both NaN.
 

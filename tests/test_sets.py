@@ -34,6 +34,7 @@ from altproj import (
     solve_inclusion,
 )
 from altproj.errors import DimensionMismatch, RankDrop, UnsupportedVariant
+from altproj.linalg import RANK_TOL
 from altproj.qp import VIOL_RTOL
 from altproj.sets import NormalCone, _cone_intersection
 
@@ -90,6 +91,54 @@ class TestProjectionBasics:
     def test_polyhedron_empty_rejected(self):
         with pytest.raises(Exception):
             Polyhedron([[1.0], [-1.0]], [0.0, -1.0])
+
+
+# a tenth of the profile's examples, for properties added after the suite outgrew its time budget
+FEW = settings(max_examples=max(10, settings.default.max_examples // 10), deadline=None)
+
+
+class TestTieBreaks:
+    """Each documented tie-break of a nonconvex projection holds, and two calls give the same bits."""
+
+    @FEW
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_sphere_center_goes_to_first_basis_direction(self, n, seed):
+        rng = np.random.default_rng(seed)
+        center, r = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3)
+        s = Sphere(center, r)
+        p = s.project(center)
+        assert np.array_equal(p, center + r * np.eye(n)[0])
+        assert s.project(center).tobytes() == p.tobytes()
+
+    @FEW
+    @given(n=st.integers(1, 4), k=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+    def test_finite_point_ties_go_to_lowest_index(self, n, k, seed):
+        # small integer coordinates: squared distances are exact, so ties are exact and frequent
+        rng = np.random.default_rng(seed)
+        points, z = rng.integers(-2, 3, (k, n)), rng.integers(-2, 3, n)
+        squared = ((points - z) ** 2).sum(axis=1)
+        s = FinitePointSet(points)
+        p = s.project(z)
+        assert np.array_equal(p, points[np.flatnonzero(squared == squared.min())[0]])
+        assert s.project(z).tobytes() == p.tobytes()
+
+    @FEW
+    @given(rows=st.integers(2, 4), cols=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_fixed_rank_ties_keep_earlier_svd_columns(self, rows, cols, seed, data):
+        # sigma_r = sigma_(r+1): the truncation keeps the first r columns of the SVD's factors
+        r = data.draw(st.integers(1, min(rows, cols) - 1))
+        rng = np.random.default_rng(seed)
+        sigma = np.sort(rng.uniform(1.0, 3.0, min(rows, cols)))[::-1]
+        sigma[r] = sigma[r - 1]
+        U = np.linalg.qr(rng.standard_normal((rows, rows)))[0][:, : sigma.size]
+        V = np.linalg.qr(rng.standard_normal((cols, cols)))[0][:, : sigma.size]
+        z = ((U * sigma) @ V.T).reshape(-1)
+        s = FixedRankMatrices(rows, cols, r)
+        p = s.project(z)
+        Uz, sz, Vzt = np.linalg.svd(z.reshape(rows, cols))
+        np.testing.assert_allclose(p, ((Uz[:, :r] * sz[:r]) @ Vzt[:r]).reshape(-1), atol=1e-12)
+        assert np.linalg.matrix_rank(p.reshape(rows, cols)) == r
+        assert s.project(z).tobytes() == p.tobytes()
 
 
 class TestPublicBoundary:
@@ -465,13 +514,22 @@ class TestNormalCones:
         assert rays == [(0.0, 1.0), (1.0, 0.0)]
 
     def test_finite_point_full_space(self):
-        cone = FinitePointSet([[0, 0]]).normal_cone([0, 0])
-        assert cone.full
+        # all of R^n: no rays, and lineality of rank n
+        cone = FinitePointSet([[0, 0, 0]]).normal_cone([0, 0, 0])
+        assert cone.rays.shape == (0, 3)
+        assert np.linalg.matrix_rank(cone.lineality) == 3
 
     def test_fixed_rank_drop(self):
         s = FixedRankMatrices(2, 2, 2)
         with pytest.raises(RankDrop):
             s.normal_cone(np.diag([1.0, 0.0]).reshape(-1))
+
+    def test_fixed_rank_drop_is_linalg_rank_rule(self):
+        # sigma_r / sigma_1 at or below RANK_TOL is a drop; just above it the probe has rank r
+        s = FixedRankMatrices(2, 2, 2)
+        with pytest.raises(RankDrop):
+            s.normal_cone(np.diag([1.0, RANK_TOL]).reshape(-1))
+        assert s.normal_cone(np.diag([1.0, 5 * RANK_TOL]).reshape(-1)).lineality.shape == (0, 4)
 
     def test_fixed_rank_normal_space(self):
         s = FixedRankMatrices(3, 2, 1)
@@ -525,6 +583,64 @@ class TestTransversality:
     def test_sets_of_different_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
             check_transversality(Sphere([0, 0], 1.0), Sphere([0, 0, 0], 1.0), [1, 0])
+
+
+def _subspace_type_set(draw, rng, n, p):
+    """(S, d, S_dup): a set through p whose normal cone at p is a subspace of dimension d.
+
+    S_dup is S, or for an equality-only Polyhedron the same set with one of
+    its equality rows repeated at a random nonzero scale.
+    """
+    kind = draw(st.sampled_from(["affine_subspace", "hyperplane", "polyhedron", "finite_point_set"]))
+    if kind == "affine_subspace":
+        k = draw(st.integers(0, n))
+        S = AffineSubspace(p, np.linalg.qr(rng.standard_normal((n, n)))[0][:, :k].T)
+        return S, n - k, S
+    if kind == "hyperplane":
+        a = rng.standard_normal(n)
+        S = Hyperplane(a, a @ p)
+        return S, 1, S
+    if kind == "finite_point_set":
+        S = FinitePointSet([p + rng.standard_normal(n), p])
+        return S, n, S
+    A = rng.standard_normal((draw(st.integers(1, n)), n))
+    row = A[draw(st.integers(0, len(A) - 1))] * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+    A_dup = np.vstack([A, row])
+    return (Polyhedron(np.zeros((0, n)), [], A, A @ p), len(A),
+            Polyhedron(np.zeros((0, n)), [], A_dup, A_dup @ p))
+
+
+@st.composite
+def _subspace_type_pairs(draw):
+    """Sets A and B through a point p of R^n, 2 <= n <= 6, and the dimensions of N_A(p) and N_B(p)."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.standard_normal(n)
+    (A, da, A_dup), (B, db, B_dup) = (_subspace_type_set(draw, rng, n, p) for _ in range(2))
+    return A, B, A_dup, B_dup, da, db, p
+
+
+def _in_subspace(w, L):
+    """|w - P w| <= 1e-9 |w|, P the orthogonal projection onto the span of L's rows, by least squares."""
+    c = np.linalg.lstsq(L.T, w, rcond=None)[0]
+    return np.linalg.norm(L.T @ c - w) <= 1e-9 * np.linalg.norm(w)
+
+
+class TestSubspaceTransversality:
+    """Cones without rays are decided on the subspaces they span, whatever rows describe them."""
+
+    @FEW
+    @given(pair=_subspace_type_pairs())
+    def test_verdict_and_witness(self, pair):
+        # random subspaces are in general position: they meet only at 0 exactly when da + db <= n
+        A, B, A_dup, B_dup, da, db, p = pair
+        for S, T in ((A, B), (A_dup, B_dup)):
+            res = check_transversality(S, T, p)
+            assert res.transversal == (da + db <= p.size)
+            if not res.transversal:
+                assert np.linalg.norm(res.witness) > 0
+                assert _in_subspace(res.witness, S.normal_cone(p).lineality)
+                assert _in_subspace(-res.witness, T.normal_cone(p).lineality)
 
 
 def _linprog_transversal(linprog, na, nb):
