@@ -37,17 +37,23 @@ optimal for W is x = z - N^T u = (I - Q_1 Q_1^T) z + Q_1 R^{-T} b_W, and
 the other inequality rows have slacks b - A x.  All three are affine in
 z, so the first warm start from W stores them as one matrix T of
 n + m_e(W) + m_i rows and one offset t (_fuse: an inverse of R and a few
-products, once per working set), and every warm start is one product
-y = T z + t = [x; e; s].  e holds the multipliers of W's equality rows;
-s holds those of W's inequality rows, then the slacks of the others.  If
-every inequality multiplier is >= 0 and every multiplier finite, x is
-optimal for W.  That is a valid dual start, and the loop continues from it
-unchanged, so it terminates as before; the equality rows already in W are
-not entered again.  A negative, NaN or infinite multiplier falls back to
-the cold start at x = z.  When also every equality row is in W and no
-slack is negative, which is how most warm solves end, x is copied out of
-y and returned, with no pivot and no other copy.  One max over s, read as
-unsigned integers, decides that case: s >= 0 and finite, with e finite.
+products, once per working set, each block written into its slice of T
+and t), and every warm start is one product y = T z + t = [x; e; s].
+e holds the multipliers of W's equality rows; s holds those of W's
+inequality rows, then the slacks of the others.  If every inequality
+multiplier is >= 0 and every multiplier finite, x is optimal for W.  That
+is a valid dual start, and the loop continues from it unchanged, so it
+terminates as before; the equality rows already in W are not entered
+again.  A negative, NaN or infinite multiplier falls back to the cold
+start at x = z.  A stale hint mostly fails on its first warm start, so
+_fuse forms W's multiplier rows first and refuses the hint before the
+rest of the map when an inequality multiplier at z is negative beyond
+the rounding of that product; a multiplier closer to 0 builds the map,
+which decides, so both refuse the same hints.  When also every equality
+row is in W and no slack is negative, which is how most warm solves end,
+x is copied out of y and returned, with no pivot and no other copy.  One
+max over s, read as unsigned integers, decides that case: s >= 0 and
+finite, with e finite.
 Anything else goes to a per-row test of the multipliers, and then
 the entering-row test of the loop decides from x.  The stored product
 rounds differently from a cold solve, which ends on the same W: the two
@@ -82,6 +88,8 @@ DUAL_TOL = 1e-10    # a working inequality row blocks a step only if its r excee
 DEP_TOL = 1e-10     # linear-dependence threshold when growing the working set
 VIOL_RTOL = 1e-13   # an inequality row enters once a.x - b exceeds this times |a||x| + |b|
 _INF_BITS = int(np.array(math.inf).view(np.uint64))
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_TINY = np.finfo(float).tiny        # the smallest normal double
 
 
 @dataclass
@@ -134,10 +142,11 @@ class _Hint:
     """A solve's working rows in factor order and their factors, to start the next one on the same rows.
 
     Q and R factor N^T = Q[:, :q] R[:q, :q] for the q rows in work.  The
-    first warm start from them adds the affine map T, t of the working set
-    (see _fuse), where u_at finds its multipliers, and the equality rows not
-    in work, which serve every later one until a solve changes the working
-    set.  Solves read these arrays and never change them in place.
+    first warm start from them that is not refused adds the affine map T, t
+    of the working set (see _fuse), where u_at finds its multipliers, and
+    the equality rows not in work, which serve every later one until a solve
+    changes the working set.  Solves read these arrays and never change them
+    in place.
     """
 
     __slots__ = ("work", "Q", "R", "T", "t", "u_at", "equalities")
@@ -191,6 +200,7 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
         return x, u, work, 0
     # a row enters: the loop pivots on arrays of its own, for a warm start copies of the hint's factors
     q, start = work.size, (u, work)
+    q_i = skip.size                     # working inequality rows: only they block a step or are skipped
     Q, R = (np.eye(n), np.zeros((n, n))) if warm is None else (hint.Q.copy(), hint.R.copy())
     u = np.zeros(n)                     # multipliers of the working rows
     work = np.zeros(n, dtype=int)       # working row indices, in factor order
@@ -208,14 +218,14 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
             dd = float(w[q:].dot(w[q:]))   # |d|^2, zero when a depends on the working rows
             if dd <= DEP_TOL * DEP_TOL * (1.0 + math.sqrt(w.dot(w))) ** 2:
                 dd = 0.0
-            s = float(a @ x) - rhs[p]
+            s = float(a.dot(x)) - rhs[p]
             t = s / dd if dd else np.inf
             k = None
-            if q and (blocking := (work[:q] < n_i) & (r > DUAL_TOL)).any():
+            if q_i and (blocking := (work[:q] < n_i) & (r > DUAL_TOL)).any():
                 # partial step: the first working multiplier to reach zero
                 ratios = np.full(q, np.inf)
-                ratios[blocking] = np.maximum(u[:q][blocking], 0.0) / r[blocking]
-                k = int(np.argmin(ratios))
+                np.divide(np.maximum(u[:q], 0.0), r, out=ratios, where=blocking)
+                k = int(ratios.argmin())
                 if ratios[k] < t:
                     t = float(ratios[k])
                 else:
@@ -242,11 +252,14 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
             u_p += t
             if k is None:
                 q = _add(Q, R, u, work, q, w, p, u_p)
+                q_i += p < n_i
                 break
             q = _drop(Q, R, u, work, q, k)
+            q_i -= 1            # only inequality rows block, so only they drop
         p = next(equalities, None)
         if p is None:
-            p, a_norms = _entering(x, A, b, work[:q][work[:q] < n_i], met, a_norms)
+            skip = None if not q_i else work[:q] if q_i == q else work[:q][work[:q] < n_i]
+            p, a_norms = _entering(x, A, b, skip, met, a_norms)
 
     if hint is not None and (warm is None or pivots):
         hint.keep(work[:q].copy(), Q, R)
@@ -270,15 +283,17 @@ def _entering(x, A, b, skip, met, a_norms):
     """(p, a_norms): the inequality row to enter at x, None when none does, and the row norms of A.
 
     Called once no equality row is left to enter, so the working rows skip
-    are formed only then.  The most-violated inequality row not in skip or
-    met enters: first any row violated by more than FEAS_TOL, else one
-    violated beyond VIOL_RTOL (|a||x| + |b|).  a_norms is None until that
-    relative test first needs the norms, and is passed back to be reused.
+    are formed only then; skip is None when no inequality row is working.
+    The most-violated inequality row not in skip or met enters: first any
+    row violated by more than FEAS_TOL, else one violated beyond VIOL_RTOL
+    (|a||x| + |b|).  a_norms is None until that relative test first needs
+    the norms, and is passed back to be reused.
     """
     if not b.size:
         return None, a_norms
     viol = A @ x - b
-    viol[skip] = -np.inf            # working rows are met
+    if skip is not None:
+        viol[skip] = -np.inf        # working rows are met
     if met:
         viol[met] = -np.inf
     p = int(viol.argmax())
@@ -294,12 +309,15 @@ def _warm_start(z, rows, rhs, n_i, hint):
     """(x, u, done): the point x optimal for the hint's working rows W at z, W's multipliers u, and whether no row enters at x.
 
     None without a nonempty hint, or if a multiplier is NaN or infinite or
-    an inequality multiplier is < 0.  The hint's arrays are read, not copied.
+    an inequality multiplier is < 0.  The first warm start from W builds
+    W's map, unless _fuse refuses the hint from W's multiplier rows alone;
+    either way the same hints are refused.  The hint's arrays are read,
+    not copied.
     """
     if hint is None or hint.work is None or not hint.work.size:
         return None
-    if hint.T is None:
-        _fuse(hint, rows, rhs, n_i)
+    if hint.T is None and not _fuse(hint, z, rows, rhs, n_i):
+        return None
     y = hint.T.dot(z) + hint.t
     n, k = z.shape[0], y.size - n_i     # y = [x; e; s]: s from k on
     x, u = y[:n].copy(), y[hint.u_at]   # x copied: a trace keeps x, not all of y
@@ -315,40 +333,69 @@ def _warm_start(z, rows, rhs, n_i, hint):
     return x, u, not hint.equalities and y[k + np.count_nonzero(ineq):].min(initial=math.inf) >= 0.0
 
 
-def _fuse(hint, rows, rhs, n_i):
-    """Store the affine map z -> T z + t = [x; e; s] of the hint's working rows W, and where its multipliers are.
+def _fuse(hint, z, rows, rhs, n_i):
+    """Store the affine map z -> T z + t = [x; e; s] of the hint's working rows W and return True, or refuse W at z.
 
     With N^T = Q_1 R the multipliers of W at z solve R^T R u = N z - b_W,
-    so u = R^{-1} (Q_1^T z - c) with c = R^{-T} b_W, and x = z - N^T u =
-    (I - Q_1 Q_1^T) z + Q_1 c.  e holds u on W's equality rows, which are
-    only checked to be finite.  s holds u on W's inequality rows, then the
-    slacks b - A x of the other inequality rows: s >= 0 exactly when u is a
-    valid dual start and no inequality row is violated at x.  y[u_at] is u
-    in factor order: a slice, so a view, when W's equality rows come first
-    in it, as they do after a cold solve.  Each row of T and t is, bit for
-    bit, a row of the map z -> [u; x; A x - b] or, for a slack, its negative.
+    so u = U z + u0 with U = R^{-1} Q_1^T, u0 = -R^{-1} c and c = R^{-T} b_W,
+    and x = z - N^T u = (I - Q_1 Q_1^T) z + Q_1 c.  e holds u on W's
+    equality rows, which are only checked to be finite.  s holds u on W's
+    inequality rows, then the slacks b - A x of the other inequality rows:
+    s >= 0 exactly when u is a valid dual start and no inequality row is
+    violated at x.  y[u_at] is u in factor order: a slice, so a view, when
+    W's equality rows come first in it, as they do after a cold solve.
+    Each block is written into its slice of one array for T and one for t,
+    and each row of them is, bit for bit, a row of the map
+    z -> [u; x; A x - b] or, for a slack, its negative.
+
+    The rows of U and u0 come first, and u = U z + u0 is tested before the
+    rest: if an inequality multiplier is below -(2 g (|U_i| |z| + |u0_i|)
+    + tiny), nothing is stored and False is returned, so a stale hint is
+    refused without the other n + m_i rows.  Here g = k eps / (1 - k eps)
+    with k = n + 2, eps the unit roundoff and tiny the smallest normal
+    double.  A product of n terms plus an offset is within
+    gamma_{n+1} (|U_i| |z| + |u0_i|) of its exact value (Higham, Accuracy
+    and Stability of Numerical Algorithms, 3.1), so this product and the
+    row of T z + t differ by at most twice that, and that row is negative
+    too: the warm start would refuse the hint from the map.  k = n + 2
+    covers the rounding of the bound itself, and tiny any underflow.  A
+    closer, NaN or infinite multiplier builds the map, which decides.
     """
     W = hint.work
-    q, n, in_work = W.size, rows.shape[1], set(W.tolist())
+    q, n = W.size, z.shape[0]
     ineq = W < n_i
+    q_e = q - np.count_nonzero(ineq)
     Q1 = hint.Q[:, :q]
     R_inv = np.linalg.inv(hint.R[:q, :q])
     c = rhs[W] @ R_inv
-    P = np.eye(n) - Q1 @ Q1.T
-    x0 = Q1 @ c
-    U, u0 = R_inv @ Q1.T, -(R_inv @ c)
+    T, t = np.empty((n + q_e + n_i, n)), np.empty(n + q_e + n_i)
+    U, u0 = T[n:n + q], t[n:n + q]      # W's multiplier rows, its equality rows first
+    order = np.argsort(ineq, kind="stable")
+    U[:], u0[:] = (R_inv @ Q1.T)[order], -(R_inv @ c)[order]
+    if ineq[:q_e].any():                # a warm solve that pivoted may leave them later in W
+        u_at = np.empty(q, dtype=int)
+        u_at[~ineq], u_at[ineq] = np.arange(n, n + q_e), np.arange(n + q_e, n + q)
+    else:
+        u_at = slice(n, n + q)
+    if q_e < q:
+        u = U[q_e:].dot(z) + u0[q_e:]   # W's inequality multipliers at z
+        if u.min() < 0.0:
+            k_eps = (n + 2) * _UNIT_ROUNDOFF
+            bound = 2.0 * k_eps / (1.0 - k_eps) * (np.abs(U[q_e:]).dot(np.abs(z)) + np.abs(u0[q_e:])) + _TINY
+            if (u < -bound).any():
+                return False
+    P = T[:n]
+    np.subtract(np.eye(n), Q1 @ Q1.T, out=P)
+    np.matmul(Q1, c, out=t[:n])
+    A, b = rows[:n_i], rhs[:n_i]
     out = np.ones(n_i, dtype=bool)
     out[W[ineq]] = False
-    A, b = rows[:n_i], rhs[:n_i]
-    hint.T = np.vstack([P, U[~ineq], U[ineq], -(A @ P)[out]])
-    hint.t = np.concatenate([x0, u0[~ineq], u0[ineq], -(A @ x0 - b)[out]])
-    q_e = q - np.count_nonzero(ineq)
-    if ineq[:q_e].any():
-        hint.u_at = np.empty(q, dtype=int)
-        hint.u_at[~ineq], hint.u_at[ineq] = np.arange(n, n + q_e), np.arange(n + q_e, n + q)
-    else:
-        hint.u_at = slice(n, n + q)
+    np.negative((A @ P)[out], out=T[n + q:])
+    np.negative((A @ t[:n] - b)[out], out=t[n + q:])
+    in_work = set(W.tolist())
+    hint.T, hint.t, hint.u_at = T, t, u_at
     hint.equalities = [j for j in range(n_i, rows.shape[0]) if j not in in_work]
+    return True
 
 
 def _add(Q, R, u, work, q, w, j, u_j):

@@ -48,6 +48,16 @@ class NormalCone:
     lineality: np.ndarray
 
 
+def _on_set_tol(p):
+    """ON_SET_TOL (1 + |p|): how far from a set p may be and still count as a point of it.
+
+    Relative, because projecting p again moves it by the rounding of its
+    coordinates: a few ulps of |p|, which is more than ON_SET_TOL once |p|
+    is large (about 1.5e-8 on a sphere of radius 1e8).
+    """
+    return ON_SET_TOL * (1.0 + linalg.norm(p))
+
+
 class ProjectableSet(Schema):
     """Base class: a closed set with deterministic nearest-point projection."""
 
@@ -61,7 +71,13 @@ class ProjectableSet(Schema):
         return float(np.linalg.norm(z - self._project(z)))
 
     def normal_cone(self, point) -> NormalCone:
-        return self._normal_cone(self._check(point))
+        """The normal cone at a point p of the set; ValueError if p is farther than _on_set_tol(p) from it."""
+        p = self._check(point)
+        d, tol = self.distance(p), _on_set_tol(p)
+        if not d <= tol:
+            raise ValueError(f"{type(self).__name__} normal cone: the point is at distance {d:.6g} "
+                             f"from the set, beyond ON_SET_TOL (1 + |p|) = {tol:.6g}")
+        return self._normal_cone(p)
 
     def to_json(self):
         return {"type": self.kind, **super().to_json()}
@@ -394,7 +410,7 @@ def check_transversality(A: ProjectableSet, B: ProjectableSet, point) -> Transve
     """Decide whether N_A(p) intersects -N_B(p) only at the origin, at a point p of A and B.
 
     Sets of different dimensions raise DimensionMismatch, and a point
-    farther than ON_SET_TOL from either set ValueError.  Two cones without
+    farther than _on_set_tol(p) from either set ValueError.  Two cones without
     rays are subspaces, decided by the rank of orthonormal bases of the
     two; otherwise small feasibility problems over the generator
     descriptions are each decided by the nearest-point QP.  The answer no
@@ -403,7 +419,8 @@ def check_transversality(A: ProjectableSet, B: ProjectableSet, point) -> Transve
     if A.ambient_dim != B.ambient_dim:
         raise DimensionMismatch("A and B live in different ambient spaces")
     p = A._check(point)
-    if A.distance(p) > ON_SET_TOL or B.distance(p) > ON_SET_TOL:
+    tol = _on_set_tol(p)
+    if A.distance(p) > tol or B.distance(p) > tol:
         raise ValueError("point does not lie on both sets")
     na, nb = A._normal_cone(p), B._normal_cone(p)
     if na.rays.shape[0] == 0 and nb.rays.shape[0] == 0:

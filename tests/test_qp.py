@@ -5,14 +5,17 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from altproj import ProjectionQp, qp, solve_projection_qp
 from altproj.errors import DimensionMismatch, Infeasible, MaxPivots
 from altproj.qp import VIOL_RTOL
 
-from oracles import verify_certificate
+from oracles import fuse_reference, verify_certificate
+
+# a tenth of the profile's examples, for properties added after the suite outgrew its time budget
+FEW = settings(max_examples=max(10, settings.default.max_examples // 10), deadline=None)
 
 KEPT_INSTANCE = os.path.join(
     os.path.dirname(__file__), os.pardir, "perfbench", "data", "maxpivots_10x30.json"
@@ -475,7 +478,7 @@ class TestSignTest:
         work = np.array(data.draw(st.permutations([*range(q_i), *range(n_i, n_i + q - q_i)])))
         hint = qp._Hint()
         hint.keep(work, np.eye(q), np.eye(q))
-        qp._fuse(hint, rows, rhs, n_i)
+        assert qp._fuse(hint, np.zeros(q), rows, rhs, n_i)
         # the map gives u as multipliers and these slacks at every target: y = [x; e; s], the slacks last
         hint.T[hint.t.size - k:] = hint.T[hint.u_at] = 0.0
         hint.t[hint.t.size - k:], hint.t[hint.u_at] = slacks, u
@@ -485,6 +488,146 @@ class TestSignTest:
         if warm is not None:
             np.testing.assert_array_equal(warm[1], u)
             assert warm[2] == bool((slacks >= 0.0).all())
+
+
+@st.composite
+def working_sets(draw, multipliers):
+    """(rows, rhs, n_i, work, Q, R, z): a QP's stacked rows, a working set on them with its factors, and a target.
+
+    The rows are qp_draws' with both blocks, no inequality rows or no
+    equality rows.  work is a random set of independent rows in a random
+    order, its equality rows first or mixed in, and N^T = Q[:, :q] R[:q, :q]
+    factors them.  Either numpy's QR gives the factors, or work's rows are
+    replaced by signed powers of two times distinct unit rows, with small
+    integer right-hand sides, so that Q is a permutation and all the
+    arithmetic of the map is exact.  z = x + N^T lam for a point x on work's
+    rows, so lam is work's multipliers at z, up to rounding.  positive draws
+    lam in [0.5, 2] on inequality rows and in [-2, 2] on equality rows.
+    near zero then sets one inequality lam_i to 0 and maybe another to
+    [-2, 0], and moves each entry of z by up to 4 ulps.  With exact
+    arithmetic u_i is then exactly 0 before the move; otherwise lam_i is
+    first bisected to where the computed u_i changes sign.
+    """
+    p = draw(qp_draws(blocks=draw(st.sampled_from(["both", "no inequality rows", "no equality rows"]))))
+    rows, rhs, n_i = stacked(p)
+    n, m = p.dim, rows.shape[0]
+    assume(m > 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, exact = int(rng.integers(1, min(n, m) + 1)), draw(st.booleans())
+    if exact:
+        work = rng.permutation(m)[:q]
+    else:                               # independent rows, greedily, up to q of them
+        work = []
+        for j in rng.permutation(m):
+            if len(work) < q and np.linalg.matrix_rank(rows[work + [j]]) == len(work) + 1:
+                work.append(j)
+        work, q = np.array(work), len(work)
+    if draw(st.booleans()):
+        work = np.concatenate([work[work >= n_i], work[work < n_i]])   # equality rows first
+    if exact:                           # signed powers of two times unit rows
+        axes = rng.permutation(n)
+        d = rng.choice([-1.0, 1.0], q) * 2.0 ** rng.integers(-2, 3, q)
+        rows[work] = 0.0
+        rows[work, axes[:q]] = d
+        rhs[work] = rng.integers(-3, 4, q)
+        Q, R = np.eye(n)[:, axes], np.zeros((n, n))
+        R[range(q), range(q)] = d
+    else:
+        assume(np.linalg.cond(rows[work]) < 1e6)
+        Q, Rc = np.linalg.qr(rows[work].T, mode="complete")
+        R = np.zeros((n, n))
+        R[:, :q] = Rc
+    ineq = work < n_i
+    Q1 = Q[:, :q]
+    x = Q1 @ np.linalg.solve(R[:q, :q].T, rhs[work])
+    g = rng.standard_normal(n)
+    x += g - Q1 @ (Q1.T @ g)
+    lam = np.where(ineq, rng.uniform(0.5, 2.0, q), rng.uniform(-2.0, 2.0, q))
+    if multipliers == "near zero" and ineq.any():
+        if draw(st.booleans()):
+            lam[rng.choice(np.flatnonzero(ineq))] = rng.uniform(-2.0, 0.0)
+        i = rng.choice(np.flatnonzero(ineq))
+        lam[i] = 0.0
+        if not exact:
+            # bisect lam_i to where u_i changes sign, as the whole map computes it or
+            # as a product of the inequality multipliers' rows alone does: these two
+            # round differently, and near 0 one may be negative and the other not
+            T, t, u_at, _ = fuse_reference(work, Q, R, rows, rhs, n_i)
+            rows_i = slice(T.shape[0] - n_i, T.shape[0] - n_i + np.count_nonzero(ineq))
+            alone = draw(st.booleans())
+            lo, hi = -1e-8, 1e-8
+            for _ in range(60):
+                lam[i] = 0.5 * (lo + hi)
+                z = x + rows[work].T @ lam
+                u_i = ((T[rows_i].dot(z) + t[rows_i])[np.count_nonzero(ineq[:i])] if alone
+                       else (T.dot(z) + t)[u_at][i])
+                lo, hi = (lam[i], hi) if u_i < 0.0 else (lo, lam[i])
+            lam[i] = rng.choice([lo, hi])
+    z = x + rows[work].T @ lam
+    if multipliers == "near zero":
+        for j in range(n):
+            for _ in range(abs(k := int(rng.integers(-4, 5)))):
+                z[j] = np.nextafter(z[j], math.copysign(math.inf, k))
+    return rows, rhs, n_i, work, Q, R, z
+
+
+class TestFusedMap:
+    """The warm-start map has the bits of its blocks stacked, and a hint is refused before it only when the map refuses it."""
+
+    @FEW
+    @given(case=working_sets("positive"))
+    def test_map_has_the_bits_of_the_stacked_blocks(self, case):
+        rows, rhs, n_i, work, Q, R, z = case
+        hint = qp._Hint()
+        hint.keep(work, Q, R)
+        assert qp._fuse(hint, z, rows, rhs, n_i)
+        T, t, u_at, equalities = fuse_reference(work, Q, R, rows, rhs, n_i)
+        assert hint.T.shape == T.shape and hint.T.tobytes() == T.tobytes() and hint.t.tobytes() == t.tobytes()
+        positions = np.arange(t.size)
+        assert type(hint.u_at) is type(u_at) and positions[hint.u_at].tolist() == positions[u_at].tolist()
+        assert hint.equalities == equalities
+
+    @FEW
+    @given(case=working_sets("near zero"))
+    def test_refused_before_the_map_only_if_the_map_refuses(self, case):
+        rows, rhs, n_i, work, Q, R, z = case
+        T, t, u_at, _ = fuse_reference(work, Q, R, rows, rhs, n_i)
+        u = (T.dot(z) + t)[u_at]
+        accepted = bool(np.isfinite(u).all() and (u[work < n_i] >= 0.0).all())
+        hint = qp._Hint()
+        hint.keep(work, Q, R)
+        built = qp._fuse(hint, z, rows, rhs, n_i)
+        assert built or not accepted
+        assert (hint.T is not None) == built
+        hint = qp._Hint()
+        hint.keep(work, Q, R)
+        assert (qp._warm_start(z, rows, rhs, n_i, hint) is not None) == accepted
+
+    def test_multiplier_within_rounding_builds_the_map(self):
+        # one row a = (1/2)(1, 1, 1, 1), a Hadamard column: Q and R = 1 are exact, and at
+        # z = (1, 1, -1, -1 - 2^-51) the multiplier a.z = -2^-52 is exact too, but within
+        # the rounding of a product with |a| |z| = 2, so only the full map may refuse it
+        H = np.array([[1.0, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+        rows, rhs = H[:, :1].T.copy(), np.zeros(1)
+        hint = qp._Hint()
+        hint.keep(np.array([0]), H, np.eye(4))
+        assert qp._warm_start(np.array([1.0, 1.0, -1.0, -1.0 - 2.0**-51]), rows, rhs, 1, hint) is None
+        assert hint.T is not None
+        # at (1, 1, -1, -3) the multiplier is -1: refused before the map
+        hint.keep(np.array([0]), H, np.eye(4))
+        assert qp._warm_start(np.array([1.0, 1.0, -1.0, -3.0]), rows, rhs, 1, hint) is None
+        assert hint.T is None
+
+    def test_refused_hint_builds_no_map(self):
+        # BOX's corner (1, 0) from (2, -1) has multipliers 1 and 1; reflected through it, at (0, 1), both are -1
+        rows, rhs, n_i = stacked(BOX)
+        hint = qp._Hint()
+        qp._solve(BOX.target, rows, rhs, n_i, hint)
+        assert hint.work.tolist() == [0, 3] and hint.T is None
+        assert qp._warm_start(np.array([0.0, 1.0]), rows, rhs, n_i, hint) is None
+        assert hint.T is None
+        assert qp._warm_start(np.array([3.0, -2.0]), rows, rhs, n_i, hint) is not None
+        assert hint.T is not None
 
 
 def held(hint):

@@ -36,7 +36,7 @@ from altproj import (
 from altproj.errors import DimensionMismatch, RankDrop, UnsupportedVariant
 from altproj.linalg import RANK_TOL
 from altproj.qp import VIOL_RTOL
-from altproj.sets import NormalCone, _cone_intersection
+from altproj.sets import ON_SET_TOL, NormalCone, _cone_intersection
 
 RNG = np.random.default_rng(29)
 
@@ -518,6 +518,20 @@ class TestNormalCones:
         cone = FinitePointSet([[0, 0, 0]]).normal_cone([0, 0, 0])
         assert cone.rays.shape == (0, 3)
         assert np.linalg.matrix_rank(cone.lineality) == 3
+
+    @pytest.mark.parametrize("point, distance", [([0.0, 0.0], "1"), ([5.0, 0.0], "4")], ids=["centre", "outside"])
+    def test_point_off_the_set_raises(self, point, distance):
+        # at the centre the radial normal would divide by zero; outside it would be the normal of another point
+        with pytest.raises(ValueError, match=f"Sphere normal cone: the point is at distance {distance} from the set"):
+            Sphere([0, 0], 1.0).normal_cone(point)
+
+    def test_projected_point_at_large_scale_is_on_the_set(self):
+        # projecting p again moves it by a few ulps of 1e8, farther than ON_SET_TOL, but within ON_SET_TOL (1 + |p|)
+        s = Sphere([0, 0], 1e8)
+        p = s.project([-2.5e7, 9.1e7])
+        assert ON_SET_TOL < s.distance(p) < 1e-7
+        np.testing.assert_allclose(np.abs(s.normal_cone(p).lineality[0]), np.abs(p) / 1e8, rtol=1e-12)
+        assert not check_transversality(s, s, p).transversal
 
     def test_fixed_rank_drop(self):
         s = FixedRankMatrices(2, 2, 2)
