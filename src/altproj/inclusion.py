@@ -17,7 +17,7 @@ from .alternating import IterationTrace, SolveOptions, iterate
 from .errors import DimensionMismatch, FieldError, InsufficientData, LeftChart
 from .linalg import Schema
 from .polymap import PolyMap
-from .sets import ProjectableSet, set_from_json
+from .sets import ProjectableSet, _on_set_tol, set_from_json
 
 ANGLE_FLOOR = 0.1  # radians; verify_faithfulness drops pairs at smaller angles
 
@@ -121,7 +121,7 @@ class ChartApproximateProjector:
         z0 = np.asarray(z0, dtype=float)
         if z0.shape != self.fx.shape:
             raise DimensionMismatch(f"z0 has shape {z0.shape}, the chart maps into R^{self.fx.size}")
-        if not np.linalg.norm(self.fx - z0) <= 1e-9:  # a NaN z0 fails too
+        if not np.linalg.norm(self.fx - z0) < _on_set_tol(z0):  # normal_cone's bound, strict: NaN or Inf fails
             raise ValueError("z0 does not match the chart coordinates")
         return z0
 

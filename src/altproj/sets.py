@@ -8,6 +8,8 @@ to_json, set_from_json and the field names in errors come from these two.
 The drivers call the function _run_projection
 returns, once per run: _project itself, or for Polyhedron a projection
 that starts each QP from the previous one's working set.
+normal_cone takes a point p within _on_set_tol(p) of the set, and finds
+its active constraints by the same bound (_active), at any scale.
 Nonconvex projections use the documented tie-breaks so traces
 reproduce exactly:
 
@@ -29,7 +31,6 @@ from .errors import DimensionMismatch, FieldError, Infeasible, RankDrop, Unsuppo
 from .linalg import Schema, integer, list_of, number, numbers, read_fields, string
 
 ON_SET_TOL = 1e-9
-ACTIVE_TOL = 1e-9
 
 
 @dataclass
@@ -40,7 +41,10 @@ class NormalCone:
     lineality: (m, n) free-sign directions (a subspace component)
 
     This is every cone's one form: {0} has no rows, and R^n (a finite point
-    set's) has lineality I_n.  Rows need not be independent.
+    set's) has lineality I_n.  Rows need not be independent.  A ray is the
+    outward normal of an active constraint (a ball's boundary when
+    r - |p - c| <= _on_set_tol(p)).  At the centre, a point of a sphere when
+    r is within that bound, a ball has {0} and a sphere the tie-break's e_0.
     """
 
     dim: int
@@ -56,6 +60,11 @@ def _on_set_tol(p):
     is large (about 1.5e-8 on a sphere of radius 1e8).
     """
     return ON_SET_TOL * (1.0 + linalg.norm(p))
+
+
+def _active(A, b, p):
+    """Rows of A x <= b within _on_set_tol(p) of their boundary at p, or past it, as a mask."""
+    return b - A @ p <= _on_set_tol(p) * np.linalg.norm(A, axis=1)
 
 
 class ProjectableSet(Schema):
@@ -131,17 +140,12 @@ class Box(ProjectableSet):
         return np.clip(z, self.lower, self.upper)
 
     def _normal_cone(self, p):
-        rays = []
-        for i in range(self.ambient_dim):
-            if abs(p[i] - self.upper[i]) <= ACTIVE_TOL:
-                e = np.zeros(self.ambient_dim)
-                e[i] = 1.0
-                rays.append(e)
-            if abs(p[i] - self.lower[i]) <= ACTIVE_TOL:
-                e = np.zeros(self.ambient_dim)
-                e[i] = -1.0
-                rays.append(e)
-        return self._cone(rays)
+        # rows e_i x <= upper_i, -e_i x <= -lower_i, coordinate by coordinate
+        n = self.ambient_dim
+        rows = np.zeros((2 * n, n))
+        rows[np.arange(2 * n), np.arange(2 * n) // 2] = np.tile([1.0, -1.0], n)
+        bounds = np.column_stack([self.upper, -self.lower]).reshape(-1)
+        return self._cone(rows[_active(rows, bounds, p)])
 
 
 class _CenterRadius(ProjectableSet):
@@ -169,8 +173,8 @@ class Ball(_CenterRadius):
 
     def _normal_cone(self, p):
         d = p - self.center
-        n = np.linalg.norm(d)
-        if abs(n - self.radius) <= ACTIVE_TOL:
+        n = linalg.norm(d)
+        if n > 0 and self.radius - n <= _on_set_tol(p):
             return self._cone([d / n])
         return self._cone()
 
@@ -189,9 +193,10 @@ class Sphere(_CenterRadius):
         return self.center + (self.radius / r) * d
 
     def _normal_cone(self, p):
+        # at the centre, the tie-break's direction
         d = p - self.center
-        n = d / np.linalg.norm(d)
-        return self._cone(lineality=[n])
+        n = linalg.norm(d)
+        return self._cone(lineality=[d / n if n > 0 else np.eye(self.ambient_dim)[0]])
 
 
 class AffineSubspace(ProjectableSet):
@@ -296,11 +301,8 @@ class Halfspace(_NormalOffset):
         return z - (excess / (n @ n)) * n
 
     def _normal_cone(self, p):
-        if abs(self.normal @ p - self.offset) <= ACTIVE_TOL * (
-            1 + np.linalg.norm(self.normal)
-        ):
-            return self._cone([self.normal / np.linalg.norm(self.normal)])
-        return self._cone()
+        row = self.normal[None, :]
+        return self._cone(row[_active(row, self.offset, p)] / np.linalg.norm(self.normal))
 
 
 class FinitePointSet(ProjectableSet):
@@ -344,14 +346,10 @@ class FixedRankMatrices(ProjectableSet):
         U, sigma, V = linalg.svd(p.reshape(self.rows, self.cols))
         if linalg.rank(sigma) < self.rank:
             raise RankDrop(f"matrix rank below {self.rank} at probe point")
-        # normal space = { U_perp N V_perp^T }, flattened
-        Up = U[:, self.rank :]
-        Vp = V[:, self.rank :]
-        basis = []
-        for i in range(Up.shape[1]):
-            for j in range(Vp.shape[1]):
-                basis.append(np.outer(Up[:, i], Vp[:, j]).reshape(-1))
-        return self._cone(lineality=basis)
+        # normal space = { U_perp N V_perp^T }: entry (i, j, a, b) is Up[a, i] Vp[b, j], the
+        # flattened outer product of column pair (i, j) (one product each; einsum would lose -0.0)
+        Up, Vp = U[:, self.rank :].T, V[:, self.rank :].T
+        return self._cone(lineality=Up[:, None, :, None] * Vp[None, :, None, :])
 
 
 class Polyhedron(ProjectableSet):
@@ -391,13 +389,7 @@ class Polyhedron(ProjectableSet):
         return lambda z: qp._nearest_point(z, rows, rhs, n_i, hint)[0]
 
     def _normal_cone(self, p):
-        active = [
-            i
-            for i in range(self.A_ineq.shape[0])
-            if abs(self.A_ineq[i] @ p - self.b_ineq[i])
-            <= ACTIVE_TOL * (1 + np.linalg.norm(self.A_ineq[i]))
-        ]
-        return self._cone(self.A_ineq[active], self.A_eq)
+        return self._cone(self.A_ineq[_active(self.A_ineq, self.b_ineq, p)], self.A_eq)
 
 
 @dataclass
@@ -473,9 +465,8 @@ def _cone_intersection(na: NormalCone, nb: NormalCone):
             sol = qp._nearest_point(np.zeros(nv), np.vstack([fixed, norm_row]), rhs, ka + kb)[0]
         except Infeasible:
             continue
-        v = a_cols @ sol[: ka + ma]
-        if np.linalg.norm(v) > 1e-9:
-            return TransversalityResult(False, v)
+        # g v = 1 with |g| = 1, so v is nonzero
+        return TransversalityResult(False, a_cols @ sol[: ka + ma])
     return TransversalityResult(True)
 
 

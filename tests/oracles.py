@@ -8,9 +8,10 @@ columns.
 
 import numpy as np
 
-from altproj import ConstraintSystem, ManifoldChart, ProjectionQp
+from altproj import Box, ConstraintSystem, FixedRankMatrices, ManifoldChart, ProjectionQp, linalg
 from altproj.errors import DimensionMismatch
 from altproj.qp import KktCertificate
+from altproj.sets import ON_SET_TOL
 
 
 def verify_certificate(p: ProjectionQp, cert: KktCertificate):
@@ -94,6 +95,35 @@ def chart_projection_oracle(chart: ManifoldChart, y, samples=10_000, bisections=
                 lo, flo = mid, fm
         t_best = 0.5 * (lo + hi)
     return chart.F.eval([t_best])
+
+
+def normal_cone_reference(S, p):
+    """(rays, lineality) of a Box, Polyhedron or FixedRankMatrices at p, one row at a time.
+
+    A constraint A_i x <= b_i is active when b_i - A_i p <= ON_SET_TOL (1 + |p|) |A_i|;
+    a box's rows are e_i then -e_i, coordinate by coordinate, and the fixed-rank
+    normal space is spanned by the flattened np.outer of each pair of U and V
+    columns past the rank, in row-major pair order.
+    """
+    n, tol = S.ambient_dim, ON_SET_TOL * (1.0 + np.linalg.norm(p))
+    if isinstance(S, FixedRankMatrices):
+        U, _, V = linalg.svd(p.reshape(S.rows, S.cols))
+        pairs = [(i, j) for i in range(S.rank, S.rows) for j in range(S.rank, S.cols)]
+        basis = [np.outer(U[:, i], V[:, j]).reshape(-1) for i, j in pairs]
+        return np.zeros((0, n)), np.array(basis).reshape(-1, n)
+    if isinstance(S, Box):
+        rows, bounds = [], []
+        for i in range(n):
+            for sign, bound in ((1.0, S.upper[i]), (-1.0, -S.lower[i])):
+                e = np.zeros(n)
+                e[i] = sign
+                rows.append(e)
+                bounds.append(bound)
+        A, b, eq = np.array(rows), np.array(bounds), np.zeros((0, n))
+    else:
+        A, b, eq = S.A_ineq, S.b_ineq, S.A_eq
+    active = [A[i] for i in range(len(A)) if b[i] - A[i] @ p <= tol * np.linalg.norm(A[i])]
+    return np.array(active).reshape(-1, n), eq
 
 
 def constraint_violation(sys: ConstraintSystem, x):

@@ -22,6 +22,7 @@ from altproj import (
 )
 from altproj.cli import bundled_problem_path, load_problem, run_problem
 from altproj.errors import DimensionMismatch, InsufficientData, LeftChart
+from altproj.sets import ON_SET_TOL
 
 from oracles import chart_projection_oracle
 
@@ -235,6 +236,25 @@ class TestChartProjector:
         proj = ChartApproximateProjector(PARABOLA_CHART, [2])
         with pytest.raises(ValueError, match="does not match"):
             proj.start(np.array(z0))
+
+    def test_start_at_large_scale_uses_the_on_set_bound(self):
+        # F(x) = (x, 3e8 x + 7e8 x^2 + 2e8 x^3): summed in reverse, F(1.1) moves by 2.4e-7, farther than
+        # ON_SET_TOL but within ON_SET_TOL (1 + |z0|); twice that bound away is still no match
+        F = PolyMap(1, [[Monomial(1, (1,))], [Monomial(3e8, (1,)), Monomial(7e8, (2,)), Monomial(2e8, (3,))]])
+        proj = ChartApproximateProjector(ManifoldChart(F, [-10], [10]), [1.1])
+        z0 = np.array([1.1, 2e8 * 1.1**3 + 7e8 * 1.1**2 + 3e8 * 1.1])
+        assert ON_SET_TOL < np.linalg.norm(z0 - F.eval([1.1])) < 1e-6
+        assert np.array_equal(proj.start(z0), z0)
+        with pytest.raises(ValueError, match="does not match"):
+            proj.start(z0 + [0.0, 2 * ON_SET_TOL * (1 + np.linalg.norm(z0))])
+
+    def test_start_refuses_every_z0_at_an_overflowed_point(self):
+        # F(1e10) = (inf, 1e10): a bound taken at that point would be infinite and accept this z0
+        F = PolyMap(1, [[Monomial(1, (200,))], [Monomial(1, (1,))]])
+        with np.errstate(over="ignore"):
+            proj = ChartApproximateProjector(ManifoldChart(F, [-1e11], [1e11]), [1e10])
+        with pytest.raises(ValueError, match="does not match"):
+            proj.start(np.array([1.0, 1e10]))
 
     @pytest.mark.parametrize("Q, z0", [(Hyperplane([0, 1, 0], 1.0), [2, 4, 0]), (Hyperplane([1.0], 1.0), [2])],
                              ids=["wider", "narrower"])

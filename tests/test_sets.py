@@ -38,6 +38,8 @@ from altproj.linalg import RANK_TOL
 from altproj.qp import VIOL_RTOL
 from altproj.sets import ON_SET_TOL, NormalCone, _cone_intersection
 
+from oracles import normal_cone_reference
+
 RNG = np.random.default_rng(29)
 
 CONVEX_SETS = [
@@ -533,6 +535,46 @@ class TestNormalCones:
         np.testing.assert_allclose(np.abs(s.normal_cone(p).lineality[0]), np.abs(p) / 1e8, rtol=1e-12)
         assert not check_transversality(s, s, p).transversal
 
+    def test_sphere_centre_within_the_bound_is_the_tie_break_line(self):
+        # the centre is on a sphere of radius 1e-12; its cone is the line of e_0, where project sends it
+        cone = Sphere([0, 0], 1e-12).normal_cone([0, 0])
+        assert cone.rays.shape == (0, 2)
+        assert np.array_equal(cone.lineality, [[1.0, 0.0]])
+
+    def test_ball_centre_within_the_bound_is_interior(self):
+        # the centre of a ball of radius 1e-12 is an interior point, whose cone is {0}
+        cone = Ball([0, 0], 1e-12).normal_cone([0, 0])
+        assert cone.rays.shape == (0, 2) and cone.lineality.shape == (0, 2)
+
+    @FEW
+    @pytest.mark.parametrize("kind", ["box", "polyhedron", "fixed_rank"])
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_array_cones_have_the_bits_of_the_row_loops(self, kind, seed):
+        # small integer data: points on faces and corners, and singular vectors with signed zeros
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        if kind == "box":
+            lower = rng.integers(-2, 1, n).astype(float)
+            S = Box(lower, lower + rng.integers(0, 3, n))
+            p = S.project(rng.integers(-3, 4, n).astype(float))
+        elif kind == "polyhedron":
+            A = rng.integers(-2, 3, (int(rng.integers(0, 6)), n)).astype(float)
+            S = Polyhedron(A, A @ rng.integers(-1, 2, n) + rng.integers(0, 2, len(A)))
+            p = S.project(rng.integers(-3, 4, n).astype(float))
+        else:
+            rows = int(rng.integers(1, 5))
+            r = int(rng.integers(1, min(rows, n) + 1))
+            S = FixedRankMatrices(rows, n, r)
+            # a product of rank at most r, with zero rows and columns
+            p = (rng.integers(-1, 2, (rows, r)) @ rng.integers(-1, 2, (r, n))).reshape(-1).astype(float)
+        try:
+            cone = S.normal_cone(p)
+        except RankDrop:
+            return
+        rays, lineality = normal_cone_reference(S, p)
+        assert cone.rays.tobytes() == rays.tobytes() and cone.rays.shape == rays.shape
+        assert cone.lineality.tobytes() == lineality.tobytes() and cone.lineality.shape == lineality.shape
+
     def test_fixed_rank_drop(self):
         s = FixedRankMatrices(2, 2, 2)
         with pytest.raises(RankDrop):
@@ -597,6 +639,86 @@ class TestTransversality:
     def test_sets_of_different_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
             check_transversality(Sphere([0, 0], 1.0), Sphere([0, 0, 0], 1.0), [1, 0])
+
+
+def _has_row(G, g):
+    return bool((G == g).all(axis=1).any())
+
+
+def _outside_points(kind, n, scale, rng):
+    """A set of this kind in R^n whose data are about scale in size, and 5 points, most outside it."""
+    if kind == "box":
+        lower = rng.standard_normal(n) * scale
+        upper = lower + rng.uniform(0.1, 2.0, n) * scale
+        return Box(lower, upper), lower + (upper - lower) * rng.uniform(-1.0, 2.0, (5, n))
+    if kind == "ball":
+        center, r = rng.standard_normal(n) * scale, rng.uniform(0.1, 2.0) * scale
+        u = rng.standard_normal((5, n))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        return Ball(center, r), center + u * r * rng.uniform(1.01, 4.0, (5, 1))
+    if kind == "halfspace":
+        a, offset = rng.standard_normal(n), rng.standard_normal() * scale
+        w = rng.standard_normal((5, n)) * scale
+        # w moved onto the boundary, then a distance s * scale out along a
+        t = (offset - w @ a) / (a @ a) + rng.uniform(0.01, 3.0, 5) * scale / np.linalg.norm(a)
+        return Halfspace(a, offset), w + t[:, None] * a
+    A = rng.standard_normal((int(rng.integers(1, 7)), n))
+    x0 = rng.standard_normal(n) * scale
+    b = A @ x0 + rng.uniform(0.0, 1.0, len(A)) * scale
+    return Polyhedron(A, b), x0 + rng.standard_normal((5, n)) * 3.0 * scale
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+class TestProjectionNormals:
+    """z - P_C(z) lies in N_C(P_C(z)) for a closed convex set C, at any scale of its data.
+
+    The cone's rays are checked in closed form: the clipped coordinates of a
+    box, the radial ray of a ball, the unit normal of a halfspace, and for a
+    polyhedron every row with a positive multiplier in the projection QP's
+    certificate.  An absolute activity bound gives a ball, a halfspace or a
+    polyhedron the cone {0} at many such points of size 1e8.
+    """
+
+    @FEW
+    @pytest.mark.parametrize("kind", ["box", "ball", "halfspace", "polyhedron"])
+    @given(n=st.integers(1, 5), e=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+    def test_residual_is_in_the_reported_cone(self, kind, n, e, seed):
+        S, zs = _outside_points(kind, n, 10.0**e, np.random.default_rng(seed))
+        for z in zs:
+            p = S.project(z)
+            if np.array_equal(p, z):
+                continue
+            rays = S.normal_cone(p).rays
+            if kind == "box":
+                for i in np.flatnonzero(z != p):
+                    assert _has_row(rays, np.sign(z[i] - p[i]) * np.eye(n)[i])
+            elif kind in ("ball", "halfspace"):
+                assert rays.shape[0] == 1
+                np.testing.assert_allclose(rays[0], _unit(z - p), atol=1e-9)
+            else:
+                cert = qp.solve_projection_qp(qp.ProjectionQp(z, S.A_ineq, S.b_ineq, S.A_eq, S.b_eq))
+                assert np.array_equal(cert.solution, p)
+                for i in np.flatnonzero(cert.ineq_multipliers > 0):
+                    assert _has_row(rays, S.A_ineq[i])
+
+    @FEW
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_tangent_line_at_large_radius_is_not_transversal(self, seed):
+        # as at radius 1: N_B(p) = cone{u} and N_H(p) = span{u} share the ray u
+        rng = np.random.default_rng(seed)
+        center, u = rng.standard_normal(2) * 1e8, _unit(rng.standard_normal(2))
+        B = Ball(center, 1e8)
+        p = B.project(center + u * 1e8 * rng.uniform(1.01, 4.0))
+        d = _unit(p - center)
+        assert not check_transversality(B, Hyperplane(d, d @ p), p).transversal
+
+    def test_point_just_outside_a_large_ball_gets_its_ray(self):
+        # 0.05 outside, within ON_SET_TOL (1 + |p|) = 0.1: on the boundary, so the cone is not {0}
+        cone = Ball([0, 0], 1e8).normal_cone([1e8 + 0.05, 0])
+        assert np.array_equal(cone.rays, [[1.0, 0.0]])
 
 
 def _subspace_type_set(draw, rng, n, p):
