@@ -31,7 +31,7 @@ from .linconstr import (
     solve_constraint_system,
 )
 from .polymap import Monomial, PolyMap
-from .qp import KktCertificate, ProjectionQp, solve_projection_qp
+from .qp import KktCertificate
 from .sets import (
     AffineSubspace,
     Ball,

@@ -102,7 +102,7 @@ class IterationTrace:
         return IterationTrace(list(table[:, 4:]), None, gaps, dist_q, dist_m, status or MAX_ITERS)
 
 
-def iterate(rows, opts: SolveOptions) -> IterationTrace:
+def iterate(rows, opts: SolveOptions | None = None) -> IterationTrace:
     """The iteration loop shared by every driver, and the one place a run ends.
 
     rows is the driver's step, a generator yielding one trace row
@@ -111,9 +111,10 @@ def iterate(rows, opts: SolveOptions) -> IterationTrace:
     the row that stops the run.  The rows are collected as yielded and
     the trace is built once, on return.
 
-    The run has Converged once gap <= gap_tol and dist_q <= gap_tol, is
-    Diverged once gap[k] > DIVERGENCE_FACTOR * gap[k - DIVERGENCE_WINDOW],
-    and ends in MaxIters after max_iters iterations (max_iters + 1 rows).
+    With the tolerances of opts, SolveOptions() when None, the run has
+    Converged once gap <= gap_tol and dist_q <= gap_tol, is Diverged once
+    gap[k] > DIVERGENCE_FACTOR * gap[k - DIVERGENCE_WINDOW], and ends in
+    MaxIters after max_iters iterations (max_iters + 1 rows).
     A step that raises a STRUCTURAL error ends the run with that error's
     class name as status; any other error propagates.  The steps work on
     unchecked arrays, so a row whose gap is NaN/Inf (an overflow) raises
@@ -122,6 +123,7 @@ def iterate(rows, opts: SolveOptions) -> IterationTrace:
     step computes; numpy's error state is restored when iterate returns
     or raises.
     """
+    opts = opts or SolveOptions()
     table, status = [], None
     with np.errstate(invalid="ignore"):
         try:
@@ -162,7 +164,6 @@ def run_inexact(Q: ProjectableSet, M: ProjectableSet, z0, eps, seed=42, opts=Non
         raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
     if type(seed) is bool or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    opts = opts or SolveOptions()
     if Q.ambient_dim != M.ambient_dim:
         raise DimensionMismatch("Q and M live in different ambient spaces")
     z = linalg.as_vector(z0, dim=Q.ambient_dim)
@@ -214,7 +215,6 @@ def run_approximate(M_approx, Q: ProjectableSet, z0, opts=None):
     every row's dist_M is 0.0.  A step that raises RankDeficient or LeftChart ends the
     run: iterate names the status, the first as in solve_inclusion.
     """
-    opts = opts or SolveOptions()
     z = M_approx.start(linalg.as_vector(z0, dim=Q.ambient_dim))
     return iterate(_approximate_rows(M_approx, Q._run_projection(), z), opts)
 

@@ -10,7 +10,7 @@ pre-asymptotic iterations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,15 +55,7 @@ class RateReport:
     predicted: float | None = None
 
     def to_json(self):
-        return {
-            "ratios": self.ratios,
-            "rate": self.rate,
-            "rate_regression": self.rate_regression,
-            "r_squared": self.r_squared,
-            "quality": self.quality,
-            "contracting": self.contracting,
-            "predicted": self.predicted,
-        }
+        return asdict(self)
 
 
 def _rowdot(u, v):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .alternating import IterationTrace, SolveOptions, iterate
+from .alternating import IterationTrace, iterate
 from .errors import DimensionMismatch, FieldError, InsufficientData, LeftChart
 from .linalg import Schema
 from .polymap import PolyMap
@@ -68,7 +68,6 @@ def solve_inclusion(p: InclusionProblem, x0, opts=None) -> IterationTrace:
     admits no exact distance here).  A Jacobian without full column rank
     ends the run with status RankDeficient.
     """
-    opts = opts or SolveOptions()
     return iterate(_inclusion_rows(p, linalg.as_vector(x0, dim=p.F.input_dim)), opts)
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg, qp
-from .alternating import IterationTrace, SolveOptions, iterate
+from .alternating import IterationTrace, iterate
 from .errors import (
     DimensionMismatch,
     FieldError,
@@ -154,7 +154,6 @@ def solve_constraint_system(sys: ConstraintSystem, x0, opts=None) -> IterationTr
     and the raw constraint violation as the M-distance proxy.  An empty
     linearization ends the run with status LinearizationInfeasible.
     """
-    opts = opts or SolveOptions()
     x = linalg.as_vector(x0, dim=sys.ambient_dim)
     return iterate(_constraint_rows(sys, x, sys.Q.distance(x)), opts)
 

@@ -23,8 +23,14 @@ guards against numerical cycling.
 
 Inequality rows enter until none is violated beyond rounding: first any
 row violated by more than FEAS_TOL, then one violated by more than
-VIOL_RTOL (|a||x| + |b|), which for |x| > 1e4 exceeds FEAS_TOL.  A
-dependent row met to FEAS_TOL is skipped until the next pivot.
+VIOL_RTOL (|a||x| + |b|), which for |x| > 1e4 exceeds FEAS_TOL.  A row
+that depends on the working rows is redundant if met to the larger of
+the two, as a.x - b carries rounding of about eps (|a||x| + |b|); a
+redundant inequality row is skipped until the next pivot.  The equality
+rows enter first, in row order, and only inequality rows drop, so every
+working set W holds its equality rows first, in row order.  An equality
+row outside W was found redundant, which depends on the rows and
+right-hand sides alone, so no solve on these rows enters it.
 
 Warm start.  For a fixed working set W the factors Q, R depend only on
 the rows, not on the target, and alternating projections onto one
@@ -43,19 +49,18 @@ e holds the multipliers of W's equality rows; s holds those of W's
 inequality rows, then the slacks of the others.  If every inequality
 multiplier is >= 0 and every multiplier finite, x is optimal for W.  That
 is a valid dual start, and the loop continues from it unchanged, so it
-terminates as before; the equality rows already in W are not entered
-again.  A negative, NaN or infinite multiplier falls back to the cold
-start at x = z.  A stale hint mostly fails on its first warm start, so
-_fuse forms W's multiplier rows first and refuses the hint before the
-rest of the map when an inequality multiplier at z is negative beyond
-the rounding of that product; a multiplier closer to 0 builds the map,
-which decides, so both refuse the same hints.  When also every equality
-row is in W and no slack is negative, which is how most warm solves end,
-x is copied out of y and returned, with no pivot and no other copy.  One
-max over s, read as unsigned integers, decides that case: s >= 0 and
-finite, with e finite.
-Anything else goes to a per-row test of the multipliers, and then
-the entering-row test of the loop decides from x.  The stored product
+terminates as before, entering inequality rows only.  A negative, NaN
+or infinite multiplier falls back to the cold start at x = z.  A stale
+hint mostly fails on its first warm start, so _fuse forms W's
+multiplier rows first and refuses the hint before the rest of the map
+when an inequality multiplier at z is negative beyond the rounding of
+that product; a multiplier closer to 0 builds the map, which decides,
+so both refuse the same hints.  When also no slack is negative, which
+is how most warm solves end, x is copied out of y and returned, with no
+pivot and no other copy.  One max over s, read as unsigned integers,
+decides that case: s >= 0 and finite, with e finite.  Anything else
+goes to a per-row test of the multipliers, and then the entering-row
+test of the loop decides from x.  The stored product
 rounds differently from a cold solve, which ends on the same W: the two
 points agree to rounding amplified by cond(N), within 8.2e-16 (1 + |z|)
 on the benchmark workloads.  Each row of T is a row of the map z ->
@@ -141,15 +146,15 @@ def solve_projection_qp(p: ProjectionQp) -> KktCertificate:
 class _Hint:
     """A solve's working rows in factor order and their factors, to start the next one on the same rows.
 
-    Q and R factor N^T = Q[:, :q] R[:q, :q] for the q rows in work.  The
+    work holds its equality rows first, in row order, as every solve leaves
+    it, and Q and R factor N^T = Q[:, :q] R[:q, :q] for its q rows.  The
     first warm start from them that is not refused adds the affine map T, t
-    of the working set (see _fuse), where u_at finds its multipliers, and
-    the equality rows not in work, which serve every later one until a solve
-    changes the working set.  Solves read these arrays and never change them
-    in place.
+    of the working set (see _fuse), which serves every later one until a
+    solve changes the working set.  Solves read these arrays and never
+    change them in place.
     """
 
-    __slots__ = ("work", "Q", "R", "T", "t", "u_at", "equalities")
+    __slots__ = ("work", "Q", "R", "T", "t")
 
     def __init__(self):
         self.work = None
@@ -189,7 +194,7 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
         work = hint.work
         if done:
             return x, u, work, 0        # no row enters: how most warm solves end
-        equalities, skip = iter(hint.equalities), work[work < n_i]
+        equalities, skip = iter(()), work[work < n_i]     # an equality row outside W is redundant
     A, b = rows[:n_i], rhs[:n_i]
     p, a_norms = next(equalities, None), None
     if p is None:
@@ -231,10 +236,10 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
                 else:
                     k = None
             elif not dd:
-                if abs(s) <= FEAS_TOL:
+                if abs(s) <= max(FEAS_TOL, VIOL_RTOL * (linalg.norm(a) * linalg.norm(x) + abs(rhs[p]))):
                     if p < n_i:
                         met.append(p)
-                    break       # a dependent row consistent to FEAS_TOL is redundant
+                    break       # a dependent row consistent to rounding is redundant
                 # Farkas witness e_p - r: A^T y = 0 and b^T y = -|s| < 0.
                 y = np.eye(1, m, p)[0]
                 y[work[:q]] -= r
@@ -311,26 +316,25 @@ def _warm_start(z, rows, rhs, n_i, hint):
     None without a nonempty hint, or if a multiplier is NaN or infinite or
     an inequality multiplier is < 0.  The first warm start from W builds
     W's map, unless _fuse refuses the hint from W's multiplier rows alone;
-    either way the same hints are refused.  The hint's arrays are read,
-    not copied.
+    either way the same hints are refused.  u = y[n:n + q] is a view, in
+    W's order: its equality rows first.  The hint's arrays are read, not
+    copied.
     """
     if hint is None or hint.work is None or not hint.work.size:
         return None
     if hint.T is None and not _fuse(hint, z, rows, rhs, n_i):
         return None
     y = hint.T.dot(z) + hint.t
-    n, k = z.shape[0], y.size - n_i     # y = [x; e; s]: s from k on
-    x, u = y[:n].copy(), y[hint.u_at]   # x copied: a trace keeps x, not all of y
+    n, q, k = z.shape[0], hint.work.size, y.size - n_i     # y = [x; e; s]: s from k on
+    x, u = y[:n].copy(), y[n:n + q]     # x copied: a trace keeps x, not all of y
     # Read as unsigned integers, +0.0 and the positive finite doubles are the bit
     # patterns below +inf's, so one max tests s >= 0 and finite; -0.0 and NaN fail it.
-    if (not hint.equalities and (not n_i or y[k:].view(np.uint64).max() < _INF_BITS)
-            and (k == n or np.isfinite(y[n:k]).all())):
+    if (not n_i or y[k:].view(np.uint64).max() < _INF_BITS) and (k == n or np.isfinite(y[n:k]).all()):
         return x, u, True
-    # the per-row test: for -0.0 in s, a negative or infinite entry, a NaN, or equality rows to enter
-    ineq = hint.work < n_i
-    if not (np.isfinite(u).all() and (u[ineq] >= 0.0).all()):
+    # the per-row test: for -0.0 in s, a negative or infinite entry, or a NaN
+    if not (np.isfinite(u).all() and (u[k - n:] >= 0.0).all()):
         return None
-    return x, u, not hint.equalities and y[k + np.count_nonzero(ineq):].min(initial=math.inf) >= 0.0
+    return x, u, y[n + q:].min(initial=math.inf) >= 0.0
 
 
 def _fuse(hint, z, rows, rhs, n_i):
@@ -338,14 +342,13 @@ def _fuse(hint, z, rows, rhs, n_i):
 
     With N^T = Q_1 R the multipliers of W at z solve R^T R u = N z - b_W,
     so u = U z + u0 with U = R^{-1} Q_1^T, u0 = -R^{-1} c and c = R^{-T} b_W,
-    and x = z - N^T u = (I - Q_1 Q_1^T) z + Q_1 c.  e holds u on W's
-    equality rows, which are only checked to be finite.  s holds u on W's
+    and x = z - N^T u = (I - Q_1 Q_1^T) z + Q_1 c.  W's equality rows
+    come first, so the rows of U in W's order are e's, which are only
+    checked to be finite, then the first of s's.  s holds u on W's
     inequality rows, then the slacks b - A x of the other inequality rows:
     s >= 0 exactly when u is a valid dual start and no inequality row is
-    violated at x.  y[u_at] is u in factor order: a slice, so a view, when
-    W's equality rows come first in it, as they do after a cold solve.
-    Each block is written into its slice of one array for T and one for t,
-    and each row of them is, bit for bit, a row of the map
+    violated at x.  Each block is written into its slice of one array for
+    T and one for t, and each row of them is, bit for bit, a row of the map
     z -> [u; x; A x - b] or, for a slack, its negative.
 
     The rows of U and u0 come first, and u = U z + u0 is tested before the
@@ -363,20 +366,13 @@ def _fuse(hint, z, rows, rhs, n_i):
     """
     W = hint.work
     q, n = W.size, z.shape[0]
-    ineq = W < n_i
-    q_e = q - np.count_nonzero(ineq)
+    q_e = q - np.count_nonzero(W < n_i)
     Q1 = hint.Q[:, :q]
     R_inv = np.linalg.inv(hint.R[:q, :q])
     c = rhs[W] @ R_inv
     T, t = np.empty((n + q_e + n_i, n)), np.empty(n + q_e + n_i)
     U, u0 = T[n:n + q], t[n:n + q]      # W's multiplier rows, its equality rows first
-    order = np.argsort(ineq, kind="stable")
-    U[:], u0[:] = (R_inv @ Q1.T)[order], -(R_inv @ c)[order]
-    if ineq[:q_e].any():                # a warm solve that pivoted may leave them later in W
-        u_at = np.empty(q, dtype=int)
-        u_at[~ineq], u_at[ineq] = np.arange(n, n + q_e), np.arange(n + q_e, n + q)
-    else:
-        u_at = slice(n, n + q)
+    U[:], u0[:] = R_inv @ Q1.T, -(R_inv @ c)
     if q_e < q:
         u = U[q_e:].dot(z) + u0[q_e:]   # W's inequality multipliers at z
         if u.min() < 0.0:
@@ -389,12 +385,10 @@ def _fuse(hint, z, rows, rhs, n_i):
     np.matmul(Q1, c, out=t[:n])
     A, b = rows[:n_i], rhs[:n_i]
     out = np.ones(n_i, dtype=bool)
-    out[W[ineq]] = False
+    out[W[q_e:]] = False
     np.negative((A @ P)[out], out=T[n + q:])
     np.negative((A @ t[:n] - b)[out], out=t[n + q:])
-    in_work = set(W.tolist())
-    hint.T, hint.t, hint.u_at = T, t, u_at
-    hint.equalities = [j for j in range(n_i, rows.shape[0]) if j not in in_work]
+    hint.T, hint.t = T, t
     return True
 
 

@@ -8,9 +8,9 @@ columns.
 
 import numpy as np
 
-from altproj import Box, ConstraintSystem, FixedRankMatrices, ManifoldChart, ProjectionQp, linalg
+from altproj import Box, ConstraintSystem, FixedRankMatrices, ManifoldChart, linalg
 from altproj.errors import DimensionMismatch
-from altproj.qp import KktCertificate
+from altproj.qp import KktCertificate, ProjectionQp
 from altproj.sets import ON_SET_TOL
 
 
@@ -30,34 +30,27 @@ def verify_certificate(p: ProjectionQp, cert: KktCertificate):
 
 
 def fuse_reference(work, Q, R, rows, rhs, n_i):
-    """(T, t, u_at, equalities): the warm-start map of the working rows work, built block by block.
+    """(T, t): the warm-start map of the working rows work, built block by block.
 
-    The stored map of qp._fuse as one vstack and one concatenate of its
-    blocks: rows [I - Q_1 Q_1^T; U on work's equality rows; U on its
-    inequality rows; -(A (I - Q_1 Q_1^T)) on the other inequality rows],
-    with U = R^{-1} Q_1^T, N^T = Q_1 R the factors of work's rows, and the
-    matching offsets.  y[u_at] of y = T z + t is u in work's order.
+    work holds its equality rows first, as a solve leaves it.  The stored
+    map of qp._fuse as one vstack and one concatenate of its blocks: rows
+    [I - Q_1 Q_1^T; U; -(A (I - Q_1 Q_1^T)) on the inequality rows outside
+    work], with U = R^{-1} Q_1^T in work's order, its equality rows first,
+    N^T = Q_1 R the factors of work's rows, and the matching offsets.
+    y[n:n + q] of y = T z + t is u in work's order.
     """
-    q, n, in_work = work.size, rows.shape[1], set(work.tolist())
-    ineq = work < n_i
+    q, n = work.size, rows.shape[1]
     Q1 = Q[:, :q]
     R_inv = np.linalg.inv(R[:q, :q])
     c = rhs[work] @ R_inv
     P = np.eye(n) - Q1 @ Q1.T
     x0 = Q1 @ c
-    U, u0 = R_inv @ Q1.T, -(R_inv @ c)
     out = np.ones(n_i, dtype=bool)
-    out[work[ineq]] = False
+    out[work[work < n_i]] = False
     A, b = rows[:n_i], rhs[:n_i]
-    T = np.vstack([P, U[~ineq], U[ineq], -(A @ P)[out]])
-    t = np.concatenate([x0, u0[~ineq], u0[ineq], -(A @ x0 - b)[out]])
-    q_e = q - np.count_nonzero(ineq)
-    if ineq[:q_e].any():
-        u_at = np.empty(q, dtype=int)
-        u_at[~ineq], u_at[ineq] = np.arange(n, n + q_e), np.arange(n + q_e, n + q)
-    else:
-        u_at = slice(n, n + q)
-    return T, t, u_at, [j for j in range(n_i, rows.shape[0]) if j not in in_work]
+    T = np.vstack([P, R_inv @ Q1.T, -(A @ P)[out]])
+    t = np.concatenate([x0, -(R_inv @ c), -(A @ x0 - b)[out]])
+    return T, t
 
 
 def chart_projection_oracle(chart: ManifoldChart, y, samples=10_000, bisections=50):

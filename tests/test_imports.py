@@ -2,13 +2,27 @@
 
 Each .py file under src/, tests/ and demos/ is parsed with ast, and a name
 bound by an import statement must be read somewhere in the same file.
-Package __init__.py files import names to re-export them and are exempt.
+Package __init__.py files import names to re-export them and are exempt;
+the names altproj exports are pinned, so that a new export is a
+deliberate edit of EXPORTED.
 """
 
 import ast
+import types
 from pathlib import Path
 
+import altproj
+
 ROOT = Path(__file__).resolve().parent.parent
+EXPORTED = [
+    "AffineSubspace", "Ball", "Box", "ChartApproximateProjector", "ConstraintSystem", "FinitePointSet",
+    "FixedRankMatrices", "Halfspace", "Hyperplane", "InclusionProblem", "IterationTrace", "KktCertificate",
+    "ManifoldChart", "Monomial", "PolyMap", "Polyhedron", "ProjectableSet", "SolveOptions", "Sphere",
+    "angles_from_trace", "check_licq", "check_transversality", "compare_predicted", "faithful_projection",
+    "fit_rate", "linearized_projection", "measure_quadratic_decay", "normal_space_basis", "run_approximate",
+    "run_exact", "run_inexact", "set_from_json", "solve_constraint_system", "solve_inclusion",
+    "verify_faithfulness",
+]
 
 
 def unused_imports(source):
@@ -40,3 +54,9 @@ def test_every_import_is_used():
         for line, name in unused_imports(path.read_text())
     ]
     assert unused == []
+
+
+def test_exported_names_are_pinned():
+    exported = sorted(name for name, value in vars(altproj).items()
+                      if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert exported == EXPORTED

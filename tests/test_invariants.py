@@ -23,14 +23,13 @@ from altproj import (
     Halfspace,
     Hyperplane,
     Polyhedron,
-    ProjectionQp,
     SolveOptions,
     Sphere,
     run_exact,
     run_inexact,
     set_from_json,
-    solve_projection_qp,
 )
+from altproj.qp import ProjectionQp, solve_projection_qp
 
 CONVEX = ["box", "ball", "affine_subspace", "hyperplane", "halfspace", "polyhedron"]
 NONCONVEX = ["sphere", "finite_point_set", "fixed_rank_matrices"]

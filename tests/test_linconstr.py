@@ -9,13 +9,11 @@ from altproj import (
     ConstraintSystem,
     Monomial,
     PolyMap,
-    ProjectionQp,
     SolveOptions,
     check_licq,
     linearized_projection,
     measure_quadratic_decay,
     solve_constraint_system,
-    solve_projection_qp,
 )
 from altproj.errors import (
     DimensionMismatch,
@@ -23,6 +21,7 @@ from altproj.errors import (
     LinearizationInfeasible,
 )
 from altproj.linconstr import _linearized_rows, geometric_path
+from altproj.qp import ProjectionQp, solve_projection_qp
 
 from oracles import constraint_violation
 

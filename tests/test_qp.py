@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from altproj import ProjectionQp, qp, solve_projection_qp
+from altproj import Polyhedron, qp
 from altproj.errors import DimensionMismatch, Infeasible, MaxPivots
-from altproj.qp import VIOL_RTOL
+from altproj.qp import FEAS_TOL, VIOL_RTOL, ProjectionQp, solve_projection_qp
 
 from oracles import fuse_reference, verify_certificate
 
@@ -319,6 +319,26 @@ class TestRoundingLevelRows:
         scale = np.linalg.norm(p.A_ineq, axis=1) * np.linalg.norm(x) + np.abs(p.b_ineq)
         assert np.all(p.A_ineq @ x - p.b_ineq <= VIOL_RTOL * scale)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8, 1e12])
+    @pytest.mark.parametrize("m", [0, 2], ids=["no-inequalities", "inequalities"])
+    def test_redundant_equality_copy_at_scale(self, scale, m):
+        # a.x = a.c and its copy scaled by w, for a point c of size scale: a.x - b of the
+        # copy carries rounding of about eps (|a||x| + |b|), beyond FEAS_TOL at 1e8, so
+        # the polyhedron is built and projects, cold or in a run's warm starts, only
+        # with the relative bound
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            a, c, w = rng.standard_normal(3), rng.standard_normal(3) * scale, rng.standard_normal()
+            G = rng.standard_normal((m, 3))
+            P = Polyhedron(G, G @ c + rng.uniform(0.0, scale, m), [a, w * a], [a @ c, w * (a @ c)], dim=3)
+            run = P._run_projection()
+            for z in rng.standard_normal((3, 3)) * scale:
+                for x in (P.project(z), run(z)):
+                    rounding = VIOL_RTOL * (np.linalg.norm(P._rows, axis=1) * (np.linalg.norm(x) + np.linalg.norm(z))
+                                            + np.abs(P._rhs))
+                    assert np.all(np.abs(P.A_eq @ x - P.b_eq) <= rounding[m:])
+                    assert np.all(G @ x - P.b_ineq <= np.maximum(FEAS_TOL, rounding[:m]))
+
 
 class TestMaxPivotsRegressions:
     """Feasible QPs on which the primal active-set loop hit its pivot cap."""
@@ -395,21 +415,20 @@ class TestWarmStart:
     def test_fused_map_gives_the_point_optimal_for_the_working_rows(self, case):
         # y = [x; e; s]: x solves N x = b_W with x - z in the row space of N, e holds u
         # on W's equality rows, and s holds u on W's inequality rows and then b - A x on
-        # the other inequality rows; the warm start returns x and y[u_at] = u
+        # the other inequality rows; W's equality rows come first, so the warm start
+        # returns x and u = [e; s[:q_i]]
         p, hint, _, _ = case
         rows, rhs, n_i = stacked(p)
         warm = qp._warm_start(p.target, rows, rhs, n_i, hint)
         if warm is None:
             return
         W, n = hint.work, p.dim
-        ineq = W < n_i
-        q_i = int(ineq.sum())
+        q_i = int(np.count_nonzero(W < n_i))
         y = hint.T.dot(p.target) + hint.t
         x, e, s = np.split(y, [n, n + W.size - q_i])
-        u = y[hint.u_at]
         assert s.shape == (n_i,) and e.shape == (W.size - q_i,)
-        assert s[:q_i].tobytes() == u[ineq].tobytes() and e.tobytes() == u[~ineq].tobytes()
-        assert warm[0].tobytes() == x.tobytes() and warm[1].tobytes() == u.tobytes()
+        assert (W[:e.size] >= n_i).all()
+        assert warm[0].tobytes() == x.tobytes() and warm[1].tobytes() == np.concatenate([e, s[:q_i]]).tobytes()
         Q1 = hint.Q[:, :W.size]
         scale = 1.0 + np.linalg.norm(p.target) + np.linalg.norm(x)
         row_norms = np.linalg.norm(rows, axis=1)
@@ -452,6 +471,46 @@ class TestWarmStart:
         assert qp._warm_start(np.array([np.nan, 0.0]), rows, rhs, n_i, hint) is None
 
 
+@st.composite
+def hinted_runs(draw):
+    """(rows, rhs, n_i, targets): a QP's stacked rows and three targets to solve in turn with one hint.
+
+    The rows are qp_draws' with both blocks or no inequality rows.  Half the
+    time a copy of one equality row, scaled by w in [-4, 4], is inserted
+    among the equality rows, so that one of the two is redundant.
+    """
+    p = draw(qp_draws(blocks=draw(st.sampled_from(["both", "no inequality rows"]))))
+    rows, rhs, n_i = stacked(p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rows.shape[0]
+    if m > n_i and draw(st.booleans()):
+        j, k, w = rng.integers(n_i, m), rng.integers(n_i, m + 1), rng.uniform(-4.0, 4.0)
+        rows, rhs = np.insert(rows, k, w * rows[j], axis=0), np.insert(rhs, k, w * rhs[j])
+    return rows, rhs, n_i, [p.target, rng.standard_normal(p.dim) * 2, rng.standard_normal(p.dim) * 2]
+
+
+class TestWorkingSetLayout:
+    """Every solve leaves W with its equality rows first, in row order, and out of W only redundant ones."""
+
+    @given(case=hinted_runs())
+    def test_hint_holds_equality_rows_first_and_every_one_not_redundant(self, case):
+        rows, rhs, n_i, targets = case
+        hint = qp._Hint()
+        for z in targets:               # a cold solve, then warm ones
+            x = qp._nearest_point(z, rows, rhs, n_i, hint)[0]
+            W = hint.work
+            eq = W[W >= n_i]
+            assert W[:eq.size].tolist() == sorted(eq.tolist())
+            basis = np.linalg.qr(rows[eq].T)[0]
+            for j in np.setdiff1d(np.arange(n_i, rows.shape[0]), eq):
+                # dependent on W's equality rows, and met to the redundancy bound; a warm
+                # start's x meets W's rows only to rounding of about eps |z|, so |z| counts too
+                a, a_norm = rows[j], np.linalg.norm(rows[j])
+                assert np.linalg.norm(a - basis @ (basis.T @ a)) <= 1e-9 * (1.0 + a_norm)
+                bound = max(FEAS_TOL, VIOL_RTOL * (a_norm * (np.linalg.norm(x) + np.linalg.norm(z)) + abs(rhs[j])))
+                assert abs(a @ x - rhs[j]) <= bound
+
+
 MULTIPLIERS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, -5e-324, 1.7e308])
 # an infinite slack sends the sign test to the per-row test, where a zero slack must still end the solve
 SLACKS = st.sampled_from([0.0, -0.0, math.inf, 1.0, -1.0, math.nan]) | MULTIPLIERS
@@ -469,19 +528,21 @@ class TestSignTest:
         u, slacks = np.array(u), np.array(slacks, dtype=float)
         q, k = u.size, slacks.size
         q_i = data.draw(st.integers(0, q))
-        # q unit rows of R^q in work in a drawn order, the first q_i inequalities;
+        # q unit rows of R^q in work, laid out as a solve leaves them: its q - q_i equality
+        # rows first, in row order, then its q_i inequality rows in a drawn order;
         # k more inequality rows outside work
         E = np.eye(q)
         rows = np.vstack([E[:q_i], np.ones((k, q)), E[q_i:]])
         n_i = q_i + k
         rhs = np.zeros(n_i + q - q_i)
-        work = np.array(data.draw(st.permutations([*range(q_i), *range(n_i, n_i + q - q_i)])))
+        work = np.array([*range(n_i, n_i + q - q_i), *data.draw(st.permutations(range(q_i)))])
         hint = qp._Hint()
         hint.keep(work, np.eye(q), np.eye(q))
         assert qp._fuse(hint, np.zeros(q), rows, rhs, n_i)
-        # the map gives u as multipliers and these slacks at every target: y = [x; e; s], the slacks last
-        hint.T[hint.t.size - k:] = hint.T[hint.u_at] = 0.0
-        hint.t[hint.t.size - k:], hint.t[hint.u_at] = slacks, u
+        # the map gives u as multipliers and these slacks at every target: y = [x; e; s]
+        # with u = y[q:2q], the slacks last
+        hint.T[hint.t.size - k:] = hint.T[q:2 * q] = 0.0
+        hint.t[hint.t.size - k:], hint.t[q:2 * q] = slacks, u
         refused = not (np.isfinite(u).all() and (u[work < n_i] >= 0.0).all())
         warm = qp._warm_start(np.zeros(q), rows, rhs, n_i, hint)
         assert (warm is None) == refused
@@ -495,9 +556,10 @@ def working_sets(draw, multipliers):
     """(rows, rhs, n_i, work, Q, R, z): a QP's stacked rows, a working set on them with its factors, and a target.
 
     The rows are qp_draws' with both blocks, no inequality rows or no
-    equality rows.  work is a random set of independent rows in a random
-    order, its equality rows first or mixed in, and N^T = Q[:, :q] R[:q, :q]
-    factors them.  Either numpy's QR gives the factors, or work's rows are
+    equality rows.  work is a random set of independent rows laid out as a
+    solve leaves them: its equality rows first, in row order, then its
+    inequality rows in a random order.  N^T = Q[:, :q] R[:q, :q] factors
+    them.  Either numpy's QR gives the factors, or work's rows are
     replaced by signed powers of two times distinct unit rows, with small
     integer right-hand sides, so that Q is a permutation and all the
     arithmetic of the map is exact.  z = x + N^T lam for a point x on work's
@@ -522,8 +584,7 @@ def working_sets(draw, multipliers):
             if len(work) < q and np.linalg.matrix_rank(rows[work + [j]]) == len(work) + 1:
                 work.append(j)
         work, q = np.array(work), len(work)
-    if draw(st.booleans()):
-        work = np.concatenate([work[work >= n_i], work[work < n_i]])   # equality rows first
+    work = np.concatenate([np.sort(work[work >= n_i]), work[work < n_i]])
     if exact:                           # signed powers of two times unit rows
         axes = rng.permutation(n)
         d = rng.choice([-1.0, 1.0], q) * 2.0 ** rng.integers(-2, 3, q)
@@ -552,7 +613,7 @@ def working_sets(draw, multipliers):
             # bisect lam_i to where u_i changes sign, as the whole map computes it or
             # as a product of the inequality multipliers' rows alone does: these two
             # round differently, and near 0 one may be negative and the other not
-            T, t, u_at, _ = fuse_reference(work, Q, R, rows, rhs, n_i)
+            T, t = fuse_reference(work, Q, R, rows, rhs, n_i)
             rows_i = slice(T.shape[0] - n_i, T.shape[0] - n_i + np.count_nonzero(ineq))
             alone = draw(st.booleans())
             lo, hi = -1e-8, 1e-8
@@ -560,7 +621,7 @@ def working_sets(draw, multipliers):
                 lam[i] = 0.5 * (lo + hi)
                 z = x + rows[work].T @ lam
                 u_i = ((T[rows_i].dot(z) + t[rows_i])[np.count_nonzero(ineq[:i])] if alone
-                       else (T.dot(z) + t)[u_at][i])
+                       else (T.dot(z) + t)[n + i])
                 lo, hi = (lam[i], hi) if u_i < 0.0 else (lo, lam[i])
             lam[i] = rng.choice([lo, hi])
     z = x + rows[work].T @ lam
@@ -581,18 +642,15 @@ class TestFusedMap:
         hint = qp._Hint()
         hint.keep(work, Q, R)
         assert qp._fuse(hint, z, rows, rhs, n_i)
-        T, t, u_at, equalities = fuse_reference(work, Q, R, rows, rhs, n_i)
+        T, t = fuse_reference(work, Q, R, rows, rhs, n_i)
         assert hint.T.shape == T.shape and hint.T.tobytes() == T.tobytes() and hint.t.tobytes() == t.tobytes()
-        positions = np.arange(t.size)
-        assert type(hint.u_at) is type(u_at) and positions[hint.u_at].tolist() == positions[u_at].tolist()
-        assert hint.equalities == equalities
 
     @FEW
     @given(case=working_sets("near zero"))
     def test_refused_before_the_map_only_if_the_map_refuses(self, case):
         rows, rhs, n_i, work, Q, R, z = case
-        T, t, u_at, _ = fuse_reference(work, Q, R, rows, rhs, n_i)
-        u = (T.dot(z) + t)[u_at]
+        T, t = fuse_reference(work, Q, R, rows, rhs, n_i)
+        u = (T.dot(z) + t)[z.size:z.size + work.size]
         accepted = bool(np.isfinite(u).all() and (u[work < n_i] >= 0.0).all())
         hint = qp._Hint()
         hint.keep(work, Q, R)
@@ -668,6 +726,21 @@ class TestHintArrays:
         assert (x.tolist(), u.tolist(), work.tolist(), pivots) == ([1.0, 0.0], [2.0, 2.0], [0, 3], 0)
         assert work is hint.work and all(a is b for (a, _), b in zip(before, (hint.work, hint.Q, hint.R)))
         assert unchanged(before)
+
+    def test_redundant_equality_row_warm_starts_before_the_loop(self, monkeypatch):
+        # x_1 <= 0 with x_0 = 1 and its copy 2 x_0 = 2: the cold solve finds the copy
+        # redundant, and a warm solve returns with no row to enter, the copy included
+        p = ProjectionQp([0.0, 2.0], [[0.0, 1.0]], [0.0], [[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
+        rows, rhs, n_i = stacked(p)
+        hint = qp._Hint()
+        assert qp._solve(p.target, rows, rhs, n_i, hint).pivots == 2
+        assert hint.work.tolist() == [1, 0]
+        before = held(hint)
+        monkeypatch.setattr(qp, "_add", None)   # the loop would fail at its first pivot
+        monkeypatch.setattr(qp, "_drop", None)
+        x, u, work, pivots = qp._nearest_point(np.array([5.0, 3.0]), rows, rhs, n_i, hint)
+        assert (x.tolist(), u.tolist(), work.tolist(), pivots) == ([1.0, 0.0], [4.0, 3.0], [1, 0], 0)
+        assert work is hint.work and unchanged(before)
 
     def test_infeasible_hinted_solve_leaves_the_hint(self):
         # the hint's rows x <= 1 and -y <= 0 with y >= 2 instead: a valid start at

@@ -220,8 +220,8 @@ class TestPolyhedron:
             "import sys\n"
             "sys.modules['scipy'] = None\n"
             "import numpy as np\n"
-            "from altproj import (Box, Halfspace, Polyhedron, ProjectionQp, check_transversality,\n"
-            "                     solve_projection_qp)\n"
+            "from altproj import Box, Halfspace, Polyhedron, check_transversality\n"
+            "from altproj.qp import ProjectionQp, solve_projection_qp\n"
             "P = Polyhedron([[1, 0], [0, 1], [1, 1]], [1, 1, 1.5], [[1, -1]], [0])\n"
             "P.project([3, 2])\n"
             "solve_projection_qp(ProjectionQp([3, 2], [[1, 1]], [1], np.zeros((0, 2)), []))\n"
