@@ -83,21 +83,19 @@ class IterationTrace:
         table = np.column_stack(
             (np.arange(n), self.gaps, self.dist_q, self.dist_m, np.reshape(self.zs, (n, d)))
         )
-        row = "%d" + ",%.17g" * (3 + d)
-        return "\n".join([header] + [row % tuple(r) for r in table.tolist()]) + "\n"
+        rows = ("\n%d" + ",%.17g" * (3 + d)) * n
+        return header + rows % tuple(table.ravel().tolist()) + "\n"
 
     @staticmethod
     def from_csv(text, status=None):
         lines = [ln for ln in text.strip().splitlines() if ln]
         if not lines or not lines[0].startswith("k,gap,dist_Q,dist_M"):
             raise ValueError("trace CSV missing header row")
-        widths = np.array([ln.count(",") + 1 for ln in lines])
-        (ragged,) = np.nonzero(widths != widths[0])
-        if ragged.size:
-            k = ragged[0]
-            raise ValueError(f"trace row {k - 1} has {widths[k]} fields, header has {widths[0]}")
-        rows = lines[1:]
-        table = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, widths[0]))
+        width, rows = lines[0].count(",") + 1, lines[1:]
+        for k, row in enumerate(rows):
+            if row.count(",") + 1 != width:
+                raise ValueError(f"trace row {k} has {row.count(',') + 1} fields, header has {width}")
+        table = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, width))
         gaps, dist_q, dist_m = np.ascontiguousarray(table[:, 1:4].T)
         return IterationTrace(list(table[:, 4:]), None, gaps, dist_q, dist_m, status or MAX_ITERS)
 
@@ -187,10 +185,10 @@ def _perturb(exact, d, eps, seed, k):
         return exact
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
     u = rng.standard_normal(exact.shape[0])
-    nu = np.linalg.norm(u)
+    nu = linalg.norm(u)
     while nu == 0.0:  # vanishing draw; essentially impossible
         u = rng.standard_normal(exact.shape[0])
-        nu = np.linalg.norm(u)
+        nu = linalg.norm(u)
     return exact + (eps * d / nu) * u
 
 

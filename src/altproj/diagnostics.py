@@ -73,20 +73,23 @@ def angles_from_trace(trace: IterationTrace) -> AngleReport:
         raise InsufficientData("need at least 2 iterations with projected points")
     if np.shape(trace.xs[0]) != np.shape(trace.zs[0]):
         raise InsufficientData("trace points live in different spaces; no angles")
-    zs = np.stack(trace.zs)
-    z, z1, x = zs[:-1], zs[1:], np.stack(trace.xs[:-1])
+    zs = np.array(trace.zs)
+    z, z1, x = zs[:-1], zs[1:], np.array(trace.xs[:-1])
     segs = (z - x, z1 - x, z - z1)
     norms = np.sqrt([_rowdot(s, s) for s in segs])
     floor = 100 * np.finfo(float).eps * np.max(trace.gaps)
     keep = ~(norms <= floor).any(axis=0)
-    if not keep.any():
+    kept = int(keep.sum())
+    if not kept:
         raise InsufficientData("all triples were degenerate")
-    u, v, w = (s[keep] for s in segs)
-    nu, nv, nw = norms[:, keep]
+    if kept < keep.size:
+        segs, norms = [s[keep] for s in segs], norms[:, keep]
+    u, v, w = segs
+    nu, nv, nw = norms
     # the angle at x between z - x and z1 - x; at z1 between z - z1 and x - z1
-    sep = np.arccos(np.clip(_rowdot(u, v) / (nu * nv), -1.0, 1.0))
-    sup = np.arccos(np.clip(_rowdot(w, -v) / (nw * nv), -1.0, 1.0))
-    return AngleReport(sep.tolist(), sup.tolist(), int(len(keep) - keep.sum()))
+    sep = np.arccos((_rowdot(u, v) / (nu * nv)).clip(-1.0, 1.0))
+    sup = np.arccos((_rowdot(w, -v) / (nw * nv)).clip(-1.0, 1.0))
+    return AngleReport(sep.tolist(), sup.tolist(), keep.size - kept)
 
 
 def fit_rate(trace: IterationTrace) -> RateReport:
@@ -103,12 +106,12 @@ def fit_rate(trace: IterationTrace) -> RateReport:
         raise InsufficientData(f"only {n} gaps above the noise floor, need 6")
     ratios = g[1:] / g[:-1]
     half = len(ratios) // 2
-    rate = float(np.exp(np.mean(np.log(ratios[half:]))))
+    rate = float(np.exp(np.log(ratios[half:]).mean()))
     # the least-squares line through (k, log g_k), centred: its slope is
     # dk.total / dk.dk and its residuals total - slope * dk
     log_g = np.log(g[half:])
     dk = np.arange(log_g.size) - (log_g.size - 1) / 2
-    total = log_g - np.mean(log_g)
+    total = log_g - log_g.mean()
     slope = float(dk @ total) / float(dk @ dk)
     rate_reg = float(np.exp(slope))
     resid = total - slope * dk

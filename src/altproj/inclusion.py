@@ -120,7 +120,7 @@ class ChartApproximateProjector:
         z0 = np.asarray(z0, dtype=float)
         if z0.shape != self.fx.shape:
             raise DimensionMismatch(f"z0 has shape {z0.shape}, the chart maps into R^{self.fx.size}")
-        if not np.linalg.norm(self.fx - z0) < _on_set_tol(z0):  # normal_cone's bound, strict: NaN or Inf fails
+        if not linalg.norm(self.fx - z0) < _on_set_tol(z0):  # normal_cone's bound, strict: NaN or Inf fails
             raise ValueError("z0 does not match the chart coordinates")
         return z0
 
@@ -147,7 +147,7 @@ def verify_faithfulness(chart: ManifoldChart, base_coords, queries, exact_projec
         raise DimensionMismatch("sequences must have equal length")
     bases = [ChartApproximateProjector(chart, x) for x in base_coords]
     queries = [linalg.as_vector(y, dim=chart.F.output_dim) for y in queries]
-    gaps = [float(np.linalg.norm(y - base.fx)) for base, y in zip(bases, queries)]
+    gaps = [linalg.norm(y - base.fx) for base, y in zip(bases, queries)]
     if len(gaps) >= 2 and gaps[-1] > 0.5 * gaps[0]:
         raise ValueError(
             "query sequence does not approach the base points: |y-z| is not shrinking"
@@ -157,7 +157,7 @@ def verify_faithfulness(chart: ManifoldChart, base_coords, queries, exact_projec
         zhat = linalg.as_vector(zhat, dim=chart.F.output_dim)
         u = base.fx - y
         v = zhat - y
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+        nu, nv = linalg.norm(u), linalg.norm(v)
         if nu == 0.0 or nv == 0.0:
             ratios.append(0.0 if nu == 0.0 else None)
             continue
@@ -166,7 +166,7 @@ def verify_faithfulness(chart: ManifoldChart, base_coords, queries, exact_projec
             ratios.append(None)
             continue
         phi = base.step(y)
-        ratios.append(float(np.linalg.norm(zhat - phi) / nu))
+        ratios.append(linalg.norm(zhat - phi) / nu)
     kept = [r for r in ratios if r is not None]
     if not kept:
         raise InsufficientData("every pair was filtered by the angle floor")

@@ -196,8 +196,8 @@ def measure_quadratic_decay(
         z = linalg.as_vector(z, dim=sys.ambient_dim)
         x_z, _ = linearized_projection(sys, z)
         pm = oracle_m.project(z)
-        errors.append(float(np.linalg.norm(x_z - pm)))
-        dists.append(float(np.linalg.norm(z - pm)))
+        errors.append(linalg.norm(x_z - pm))
+        dists.append(linalg.norm(z - pm))
     errors = np.array(errors)
     dists = np.array(dists)
 

@@ -77,7 +77,7 @@ class ProjectableSet(Schema):
 
     def distance(self, z):
         z = self._check(z)
-        return float(np.linalg.norm(z - self._project(z)))
+        return linalg.norm(z - self._project(z))
 
     def normal_cone(self, point) -> NormalCone:
         """The normal cone at a point p of the set; ValueError if p is farther than _on_set_tol(p) from it."""
@@ -137,7 +137,7 @@ class Box(ProjectableSet):
         self.ambient_dim = self.lower.shape[0]
 
     def _project(self, z):
-        return np.clip(z, self.lower, self.upper)
+        return z.clip(self.lower, self.upper)
 
     def _normal_cone(self, p):
         # rows e_i x <= upper_i, -e_i x <= -lower_i, coordinate by coordinate
@@ -268,7 +268,8 @@ class _NormalOffset(ProjectableSet):
 
     def __init__(self, normal, offset):
         self.normal = linalg.as_vector(normal, field=self._field("normal"))
-        if np.linalg.norm(self.normal) == 0:
+        self._normal_sq = self.normal @ self.normal  # |normal|^2, the divisor of every projection
+        if self._normal_sq == 0:
             raise ValueError(f"{self._field('normal')} must be nonzero")
         self.offset = self._scalar("offset", offset)
         self.ambient_dim = self.normal.shape[0]
@@ -281,7 +282,7 @@ class Hyperplane(_NormalOffset):
 
     def _project(self, z):
         n = self.normal
-        return z - ((n @ z - self.offset) / (n @ n)) * n
+        return z - ((n @ z - self.offset) / self._normal_sq) * n
 
     def _normal_cone(self, p):
         n = self.normal / np.linalg.norm(self.normal)
@@ -298,7 +299,7 @@ class Halfspace(_NormalOffset):
         excess = n @ z - self.offset
         if excess <= 0:
             return z.copy()
-        return z - (excess / (n @ n)) * n
+        return z - (excess / self._normal_sq) * n
 
     def _normal_cone(self, p):
         row = self.normal[None, :]

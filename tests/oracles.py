@@ -3,7 +3,9 @@
 Each one recomputes what it checks from the problem data with public calls
 only, so a test that uses it does not trust the code under test.  The trace
 references compute, one row at a time, what the package computes on whole
-columns.
+columns; the column references keep those whole-column formulas as first
+written, through numpy's Python wrappers, so that a test can pin a faster
+spelling of them to the same bits.
 """
 
 import numpy as np
@@ -171,3 +173,48 @@ def trace_csv_reference(trace):
         nums = [trace.gaps[k], trace.dist_q[k], trace.dist_m[k]] + list(trace.zs[k])
         lines.append(str(k) + "," + ",".join(f"{v:.17g}" for v in nums))
     return "\n".join(lines) + "\n"
+
+
+def _rowdot(u, v):
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def angles_columns_reference(trace):
+    """angles_from_trace's whole-column formulas through numpy's wrappers: np.stack, np.clip, every keep gather.
+
+    Returns (separability, super_regularity, skipped) as arrays and an int,
+    or None when every triple is degenerate.
+    """
+    zs = np.stack(trace.zs)
+    z, z1, x = zs[:-1], zs[1:], np.stack(trace.xs[:-1])
+    segs = (z - x, z1 - x, z - z1)
+    norms = np.sqrt([_rowdot(s, s) for s in segs])
+    floor = 100 * np.finfo(float).eps * np.max(trace.gaps)
+    keep = ~(norms <= floor).any(axis=0)
+    if not keep.any():
+        return None
+    u, v, w = (s[keep] for s in segs)
+    nu, nv, nw = norms[:, keep]
+    sep = np.arccos(np.clip(_rowdot(u, v) / (nu * nv), -1.0, 1.0))
+    sup = np.arccos(np.clip(_rowdot(w, -v) / (nw * nv), -1.0, 1.0))
+    return sep, sup, int(len(keep) - keep.sum())
+
+
+def rate_columns_reference(gaps):
+    """fit_rate's (ratios, rate, rate_regression, r_squared) through np.mean, or None below 6 usable gaps."""
+    gaps = np.asarray(gaps, dtype=float)
+    n = int(np.argmin(np.append(gaps > 100 * np.finfo(float).eps, False)))
+    if n < 6:
+        return None
+    g = gaps[:n]
+    ratios = g[1:] / g[:-1]
+    half = len(ratios) // 2
+    rate = float(np.exp(np.mean(np.log(ratios[half:]))))
+    log_g = np.log(g[half:])
+    dk = np.arange(log_g.size) - (log_g.size - 1) / 2
+    total = log_g - np.mean(log_g)
+    slope = float(dk @ total) / float(dk @ dk)
+    resid = total - slope * dk
+    denom = float(total @ total)
+    r_squared = 1.0 - float(resid @ resid) / denom if denom > 0 else 1.0
+    return ratios, rate, float(np.exp(slope)), r_squared

@@ -2,6 +2,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from altproj import (
     AffineSubspace,
@@ -388,3 +390,55 @@ class TestTrace:
     def test_gaps_nonnegative(self):
         tr = line_line_trace()
         assert all(g >= 0 for g in tr.gaps)
+
+
+# signed zeros, the smallest and largest subnormals, and magnitudes near the ends of the range
+EXTREME_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310,
+                  1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308]
+
+
+@st.composite
+def csv_traces(draw):
+    """A trace read from CSV: n = 0-30 rows of any finite values in R^1-R^6; dist_M may be NaN."""
+    n, d = draw(st.integers(0, 30)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a third each: values of a run, any finite bit pattern, and the extremes
+    table = rng.standard_normal((n, 3 + d)) * 10.0 ** rng.integers(-8, 9, (n, 3 + d))
+    raw = rng.integers(0, 2**64, (n, 3 + d), dtype=np.uint64, endpoint=False).view(float)
+    pick = rng.integers(0, 3, (n, 3 + d))
+    table = np.where(pick == 1, np.where(np.isfinite(raw), raw, 0.0), table)
+    table = np.where(pick == 2, rng.choice(EXTREME_VALUES, (n, 3 + d)), table)
+    nan_rows = draw(st.sampled_from(["none", "all", "some"]))
+    if nan_rows == "all":  # as an inclusion run records dist_M
+        table[:, 2] = np.nan
+    elif nan_rows == "some":
+        table[rng.random(n) < 0.5, 2] = np.nan
+    gaps, dist_q, dist_m = (table[:, j].copy() for j in range(3))
+    return IterationTrace([row.copy() for row in table[:, 3:]], None, gaps, dist_q, dist_m)
+
+
+class TestTraceCsvProperties:
+    @given(csv_traces())
+    def test_csv_is_the_per_value_reference_and_reads_back_bit_for_bit(self, tr):
+        text = tr.to_csv()
+        assert text == trace_csv_reference(tr)
+        back = IterationTrace.from_csv(text, status=tr.status)
+        for col in ("gaps", "dist_q", "dist_m"):
+            assert np.array_equal(bits(getattr(back, col)), bits(getattr(tr, col)))
+        assert len(back.zs) == len(tr.zs)
+        for a, b in zip(back.zs, tr.zs):
+            assert np.array_equal(bits(a), bits(b))
+
+    @given(csv_traces(), st.data())
+    def test_a_row_missing_a_field_is_rejected(self, tr, data):
+        n = len(tr.gaps)
+        if n == 0:
+            return
+        d = len(tr.zs[0])
+        lines = tr.to_csv().splitlines()
+        k = data.draw(st.integers(0, n - 1))
+        fields = lines[k + 1].split(",")
+        del fields[data.draw(st.integers(0, 3 + d))]
+        lines[k + 1] = ",".join(fields)
+        with pytest.raises(ValueError, match=f"^trace row {k} has {3 + d} fields, header has {4 + d}$"):
+            IterationTrace.from_csv("\n".join(lines))

@@ -15,7 +15,7 @@ from altproj import (
 )
 from altproj.errors import InsufficientData
 
-from oracles import angles_reference, regression_reference
+from oracles import angles_columns_reference, angles_reference, rate_columns_reference, regression_reference
 
 X_AXIS = AffineSubspace([0, 0], [[1, 0]])
 DIAGONAL = AffineSubspace([0, 0], [[2**-0.5, 2**-0.5]])
@@ -123,6 +123,57 @@ class TestAnglesAgainstReference:
         assert back.xs is None
         with pytest.raises(InsufficientData, match="projected points"):
             angles_from_trace(back)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@st.composite
+def gap_sequences(draw):
+    """Positive gap runs of any shape, often ending in a tail under the noise floor.
+
+    The tail holds zeros, subnormals and values one ulp either side of
+    100 eps, and may be followed by gaps above the floor again.
+    """
+    n = draw(st.integers(0, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start = 10.0 ** rng.uniform(-12, 12)
+    gaps = start * np.exp(np.cumsum(rng.normal(np.log(rng.uniform(0.05, 1.2)), 10.0 ** rng.uniform(-6, 0), n)))
+    floor = 100 * np.finfo(float).eps
+    tail = [0.0, 5e-324, 1e-300, 1e-17, np.nextafter(floor, 0), floor, np.nextafter(floor, 1)]
+    gaps = list(gaps) + draw(st.lists(st.sampled_from(tail), max_size=6))
+    return gaps + draw(st.lists(st.floats(1e-6, 1e6), max_size=3))
+
+
+class TestColumnBits:
+    """angles_from_trace and fit_rate give the bits of their formulas through numpy's wrappers."""
+
+    @given(two_set_traces())
+    def test_angles(self, tr):
+        ref = angles_columns_reference(tr)
+        if ref is None:
+            with pytest.raises(InsufficientData, match="degenerate"):
+                angles_from_trace(tr)
+            return
+        rep = angles_from_trace(tr)
+        sep, sup, skipped = ref
+        assert np.array_equal(bits(rep.separability), bits(sep))
+        assert np.array_equal(bits(rep.super_regularity), bits(sup))
+        assert rep.skipped == skipped and type(rep.skipped) is int
+
+    @given(gap_sequences())
+    def test_fit_rate(self, gaps):
+        ref = rate_columns_reference(gaps)
+        if ref is None:
+            with pytest.raises(InsufficientData, match="noise floor"):
+                fit_rate(synthetic_trace(gaps))
+            return
+        rep = fit_rate(synthetic_trace(gaps))
+        ratios, rate, rate_regression, r_squared = ref
+        assert np.array_equal(bits(rep.ratios), bits(ratios))
+        assert bits([rep.rate, rep.rate_regression, rep.r_squared]).tolist() == bits(
+            [rate, rate_regression, r_squared]).tolist()
 
 
 class TestFitRate:
