@@ -83,7 +83,7 @@ def _linearized_rows(sys: ConstraintSystem, z):
     """The linearization at a checked z as the QP solver takes it: rows x (<=/=) rhs.
 
     rows = [J_G; J_P; J_H], the first n_i of them inequalities, stacked as
-    solve_projection_qp stacks [A_ineq; A_eq], and values = [G; P; H] at z,
+    qp._solve takes its rows [A_ineq; A_eq], and values = [G; P; H] at z,
     both from one linearization of the stacked map.  rhs is J z - v block
     by block: one product of all rows with z can differ in the last bit,
     as BLAS blocks a matrix-vector product by its number of rows.  A
@@ -131,7 +131,11 @@ def _linearized_qp(solve, z, rows, rhs, n_i):
 
 
 def check_licq(sys: ConstraintSystem, x) -> LicqReport:
-    """LICQ at x: G rows with |G| <= ACTIVE_TOL plus all H rows must be linearly independent."""
+    """LICQ at x: G rows with |G| <= ACTIVE_TOL plus all H rows must be linearly independent.
+
+    ACTIVE_TOL is an absolute test on |G(x)|, not one relative to the size
+    of G's terms or of x, unlike the QP's row decisions.
+    """
     x = linalg.as_vector(x, dim=sys.ambient_dim)
     rows, _, n_i, values = _linearized_rows(sys, x)
     n_g = sys.G.output_dim

@@ -21,13 +21,20 @@ N^T = Q[:, :q] R, updated in place: a Householder reflection on Q[:, q:]
 appends a row, Givens rotations restore R after a drop.  A pivot cap
 guards against numerical cycling.
 
-Inequality rows enter until none is violated beyond rounding: first any
-row violated by more than FEAS_TOL, then one violated by more than
-VIOL_RTOL (|a||x| + |b|), which for |x| > 1e4 exceeds FEAS_TOL.  A row
-that depends on the working rows is redundant if met to the larger of
-the two, as a.x - b carries rounding of about eps (|a||x| + |b|); a
-redundant inequality row is skipped until the next pivot.  The equality
-rows enter first, in row order, and only inequality rows drop, so every
+Every row decision reads one rounding model: a.x - b is off by about
+eps (|a||x| + |b|), |a| from one vector of row norms per solve.  A row
+enters only if violated beyond VIOL_RTOL (|a||x| + |b|), so a scaled copy
+of a met row does not enter on its rounding and cycle.  A row a = N^T r
+that depends on the working rows is redundant if met to FEAS_TOL or to
+VIOL_RTOL (|a||x| + |b| + sum_j |r_j| (|a_j||x| + |b_j|)), which carries
+the working rows' rounding through r (Higham, Accuracy and Stability,
+3.1); a redundant inequality row is skipped until the next pivot.  The
+absolute floor decides emptiness on small data, but the empty slab
+c + w <= x_0 <= c is found empty only for w beyond about 4e-13 c: not at
+c = 1e12, w = 0.1.  A certificate sets to 0 each negative slack within
+max(FEAS_TOL, entry bound).  DUAL_TOL and DEP_TOL stay absolute: they
+test r and Q^T a, which do not scale with x or b.  The equality rows
+enter first, in row order, and only inequality rows drop, so every
 working set W holds its equality rows first, in row order.  An equality
 row outside W was found redundant, which depends on the rows and
 right-hand sides alone, so no solve on these rows enters it.
@@ -115,10 +122,6 @@ class ProjectionQp:
         self.A_eq = linalg.as_matrix(self.A_eq, cols=n)
         self.b_eq = linalg.as_vector(self.b_eq, dim=self.A_eq.shape[0])
 
-    @property
-    def dim(self):
-        return self.target.shape[0]
-
 
 @dataclass
 class KktCertificate:
@@ -172,7 +175,8 @@ def _solve(z, rows, rhs, n_i, hint=None):
     y = np.zeros(rows.shape[0])
     y[work] = u
     slacks = rhs[:n_i] - rows[:n_i] @ x
-    slacks = np.where(np.abs(slacks) < FEAS_TOL, np.maximum(slacks, 0.0), slacks)
+    bound = VIOL_RTOL * (np.linalg.norm(rows[:n_i], axis=1) * linalg.norm(x) + np.abs(rhs[:n_i]))
+    slacks = np.where(np.abs(slacks) <= np.maximum(FEAS_TOL, bound), np.maximum(slacks, 0.0), slacks)
     return KktCertificate(x, np.maximum(y[:n_i], 0.0), slacks, y[n_i:],
                           sorted(int(j) for j in work if j < n_i), pivots)
 
@@ -195,10 +199,11 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
         if done:
             return x, u, work, 0        # no row enters: how most warm solves end
         equalities, skip = iter(()), work[work < n_i]     # an equality row outside W is redundant
-    A, b = rows[:n_i], rhs[:n_i]
-    p, a_norms = next(equalities, None), None
+    norms = np.linalg.norm(rows, axis=1)       # |a| of every row: the scale of its rounding
+    A, b, a_norms = rows[:n_i], rhs[:n_i], norms[:n_i]
+    p = next(equalities, None)
     if p is None:
-        p, a_norms = _entering(x, A, b, skip, (), None)
+        p = _entering(x, A, b, a_norms, skip, ())
     if p is None:
         if hint is not None and warm is None:
             hint.keep(work, None, None)
@@ -210,7 +215,7 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
     u = np.zeros(n)                     # multipliers of the working rows
     work = np.zeros(n, dtype=int)       # working row indices, in factor order
     u[:q], work[:q] = start
-    met = []                            # dependent rows met to FEAS_TOL since the last pivot
+    met = []                            # dependent rows met to the redundancy bound since the last pivot
     pivots = 0
     max_pivots = 100 * max(1, m)
     while p is not None:
@@ -236,7 +241,8 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
                 else:
                     k = None
             elif not dd:
-                if abs(s) <= max(FEAS_TOL, VIOL_RTOL * (linalg.norm(a) * linalg.norm(x) + abs(rhs[p]))):
+                e = norms * linalg.norm(x) + np.abs(rhs)      # each row's rounding scale
+                if abs(s) <= max(FEAS_TOL, VIOL_RTOL * (e[p] + np.abs(r).dot(e[work[:q]]))):
                     if p < n_i:
                         met.append(p)
                     break       # a dependent row consistent to rounding is redundant
@@ -264,7 +270,7 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
         p = next(equalities, None)
         if p is None:
             skip = None if not q_i else work[:q] if q_i == q else work[:q][work[:q] < n_i]
-            p, a_norms = _entering(x, A, b, skip, met, a_norms)
+            p = _entering(x, A, b, a_norms, skip, met)
 
     if hint is not None and (warm is None or pivots):
         hint.keep(work[:q].copy(), Q, R)
@@ -284,30 +290,24 @@ def _working_coefficients(R, w, q):
     return np.linalg.solve(R[:q, :q], w[:q]) if q else w[:0]
 
 
-def _entering(x, A, b, skip, met, a_norms):
-    """(p, a_norms): the inequality row to enter at x, None when none does, and the row norms of A.
+def _entering(x, A, b, a_norms, skip, met):
+    """The inequality row to enter at x, or None when none does; a_norms holds the row norms of A.
 
     Called once no equality row is left to enter, so the working rows skip
     are formed only then; skip is None when no inequality row is working.
-    The most-violated inequality row not in skip or met enters: first any
-    row violated by more than FEAS_TOL, else one violated beyond VIOL_RTOL
-    (|a||x| + |b|).  a_norms is None until that relative test first needs
-    the norms, and is passed back to be reused.
+    The most-violated row violated beyond rounding, viol > VIOL_RTOL
+    (|a||x| + |b|), and not in skip or met enters.
     """
     if not b.size:
-        return None, a_norms
+        return None
     viol = A @ x - b
+    viol[viol <= VIOL_RTOL * (a_norms * linalg.norm(x) + np.abs(b))] = -np.inf
     if skip is not None:
         viol[skip] = -np.inf        # working rows are met
     if met:
         viol[met] = -np.inf
     p = int(viol.argmax())
-    if 0.0 < viol[p] <= FEAS_TOL:   # enter only rows violated beyond rounding
-        if a_norms is None:
-            a_norms = np.linalg.norm(A, axis=1)
-        viol[viol <= VIOL_RTOL * (a_norms * linalg.norm(x) + np.abs(b))] = -np.inf
-        p = int(viol.argmax())
-    return (None if viol[p] <= 0.0 else p), a_norms
+    return None if viol[p] <= 0.0 else p
 
 
 def _warm_start(z, rows, rhs, n_i, hint):

@@ -8,8 +8,9 @@ to_json, set_from_json and the field names in errors come from these two.
 The drivers call the function _run_projection
 returns, once per run: _project itself, or for Polyhedron a projection
 that starts each QP from the previous one's working set.
-normal_cone takes a point p within _on_set_tol(p) of the set, and finds
-its active constraints by the same bound (_active), at any scale.
+normal_cone takes a point p within _on_set_tol(p, scale) of the set, scale
+the size of its own data (_scale), and finds its active constraints by
+the bound _on_set_tol(p) (_active), at any scale.
 Nonconvex projections use the documented tie-breaks so traces
 reproduce exactly:
 
@@ -43,8 +44,9 @@ class NormalCone:
     This is every cone's one form: {0} has no rows, and R^n (a finite point
     set's) has lineality I_n.  Rows need not be independent.  A ray is the
     outward normal of an active constraint (a ball's boundary when
-    r - |p - c| <= _on_set_tol(p)).  At the centre, a point of a sphere when
-    r is within that bound, a ball has {0} and a sphere the tie-break's e_0.
+    r - |p - c| <= _on_set_tol(p, |c| + r)).  At the centre, a point of a
+    sphere when r is within that bound, a ball has {0} and a sphere the
+    tie-break's e_0.
     """
 
     dim: int
@@ -52,14 +54,17 @@ class NormalCone:
     lineality: np.ndarray
 
 
-def _on_set_tol(p):
-    """ON_SET_TOL (1 + |p|): how far from a set p may be and still count as a point of it.
+def _on_set_tol(p, scale=0.0):
+    """ON_SET_TOL (1 + |p| + scale): how far from a set of that scale p may be and still count as a point of it.
 
     Relative, because projecting p again moves it by the rounding of its
-    coordinates: a few ulps of |p|, which is more than ON_SET_TOL once |p|
-    is large (about 1.5e-8 on a sphere of radius 1e8).
+    coordinates and of the set's data: a few ulps of |p|, which is more
+    than ON_SET_TOL once |p| is large (about 1.5e-8 on a sphere of radius
+    1e8), or of the set's own scale (ProjectableSet._scale), which is
+    |c| + r for a ball or sphere: a point near 0 projected onto
+    Ball([1e8, 0], 1e8) inherits the rounding of c + (r/|d|) d.
     """
-    return ON_SET_TOL * (1.0 + linalg.norm(p))
+    return ON_SET_TOL * (1.0 + linalg.norm(p) + scale)
 
 
 def _active(A, b, p):
@@ -71,6 +76,7 @@ class ProjectableSet(Schema):
     """Base class: a closed set with deterministic nearest-point projection."""
 
     ambient_dim: int
+    _scale = 0.0        # the size of the set's own data, which its projections round at
 
     def project(self, z):
         return self._project(self._check(z))
@@ -80,12 +86,12 @@ class ProjectableSet(Schema):
         return linalg.norm(z - self._project(z))
 
     def normal_cone(self, point) -> NormalCone:
-        """The normal cone at a point p of the set; ValueError if p is farther than _on_set_tol(p) from it."""
+        """The normal cone at a point p of the set; ValueError if p is farther than _on_set_tol(p, _scale) from it."""
         p = self._check(point)
-        d, tol = self.distance(p), _on_set_tol(p)
+        d, tol = self.distance(p), _on_set_tol(p, self._scale)
         if not d <= tol:
             raise ValueError(f"{type(self).__name__} normal cone: the point is at distance {d:.6g} "
-                             f"from the set, beyond ON_SET_TOL (1 + |p|) = {tol:.6g}")
+                             f"from the set, beyond ON_SET_TOL (1 + |p| + scale) = {tol:.6g}")
         return self._normal_cone(p)
 
     def to_json(self):
@@ -159,6 +165,7 @@ class _CenterRadius(ProjectableSet):
         if self.radius <= 0:
             raise ValueError(f"{self._field('radius')} must be positive")
         self.ambient_dim = self.center.shape[0]
+        self._scale = linalg.norm(self.center) + self.radius
 
 
 class Ball(_CenterRadius):
@@ -174,7 +181,7 @@ class Ball(_CenterRadius):
     def _normal_cone(self, p):
         d = p - self.center
         n = linalg.norm(d)
-        if n > 0 and self.radius - n <= _on_set_tol(p):
+        if n > 0 and self.radius - n <= _on_set_tol(p, self._scale):
             return self._cone([d / n])
         return self._cone()
 
@@ -403,17 +410,17 @@ def check_transversality(A: ProjectableSet, B: ProjectableSet, point) -> Transve
     """Decide whether N_A(p) intersects -N_B(p) only at the origin, at a point p of A and B.
 
     Sets of different dimensions raise DimensionMismatch, and a point
-    farther than _on_set_tol(p) from either set ValueError.  Two cones without
-    rays are subspaces, decided by the rank of orthonormal bases of the
-    two; otherwise small feasibility problems over the generator
-    descriptions are each decided by the nearest-point QP.  The answer no
-    carries a nonzero witness direction in N_A(p) and in -N_B(p).
+    farther than _on_set_tol(p, scale) from either set, scale that set's
+    _scale, ValueError.  Two cones without rays are subspaces, decided by
+    the rank of orthonormal bases of the two; otherwise small feasibility
+    problems over the generator descriptions are each decided by the
+    nearest-point QP.  The answer no carries a nonzero witness direction
+    in N_A(p) and in -N_B(p).
     """
     if A.ambient_dim != B.ambient_dim:
         raise DimensionMismatch("A and B live in different ambient spaces")
     p = A._check(point)
-    tol = _on_set_tol(p)
-    if A.distance(p) > tol or B.distance(p) > tol:
+    if A.distance(p) > _on_set_tol(p, A._scale) or B.distance(p) > _on_set_tol(p, B._scale):
         raise ValueError("point does not lie on both sets")
     na, nb = A._normal_cone(p), B._normal_cone(p)
     if na.rays.shape[0] == 0 and nb.rays.shape[0] == 0:

@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from altproj import Polyhedron, qp
@@ -20,6 +20,7 @@ FEW = settings(max_examples=max(10, settings.default.max_examples // 10), deadli
 KEPT_INSTANCE = os.path.join(
     os.path.dirname(__file__), os.pardir, "perfbench", "data", "maxpivots_10x30.json"
 )
+SCALE_EXAMPLES = os.path.join(os.path.dirname(__file__), "data", "qp_scale_examples.json")
 
 
 def enumeration_oracle(p: ProjectionQp):
@@ -361,6 +362,93 @@ class TestMaxPivotsRegressions:
         assert cert.pivots < pivot_cap(p)
 
 
+@st.composite
+def stress_draws(draw):
+    """(p, targets): a QP of qp_draws and three targets to project onto it in turn, p.target first."""
+    p = draw(qp_draws())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return p, [p.target, *rng.standard_normal((2, p.target.size)) * 2]
+
+
+def stress_example(name):
+    """A case of stress_draws stored bit for bit: feasible, but refused as empty or cycling at scale 1e8.
+
+    The first two by an absolute entry test, the third by a redundancy
+    bound that leaves out the rounding the working rows carry into a
+    dependent row.
+    """
+    with open(SCALE_EXAMPLES) as fh:
+        d = json.load(fh)[name]
+    n = len(d["targets"][0])
+    A, C = (np.array(d[k], dtype=float).reshape(-1, n) for k in ("A_ineq", "A_eq"))
+    targets = [np.array(t) for t in d["targets"]]
+    return ProjectionQp(targets[0], A, d["b_ineq"], C, d["b_eq"]), targets
+
+
+def descaled(cert, scale):
+    """The certificate of a QP whose right-hand sides and target were multiplied by scale, for the QP before."""
+    return qp.KktCertificate(cert.solution / scale, cert.ineq_multipliers / scale, cert.slacks / scale,
+                             cert.eq_multipliers / scale)
+
+
+class TestScaleStress:
+    """No feasible QP ends in Infeasible or MaxPivots at any scale, and every certificate verifies relative to it.
+
+    A working row's slack is its rounding, which the certificate clamps to 0
+    at any scale: at 1e8 half the certificates had one below 0 under an
+    absolute clamp.
+    """
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8, 1e12])
+    @FEW
+    @given(case=stress_draws())
+    @example(case=stress_example("cold MaxPivots at 1e8"))
+    @example(case=stress_example("cold Infeasible at 1e8"))
+    @example(case=stress_example("cold Infeasible at 1e8 without the working rows' rounding"))
+    def test_scaled_polyhedron_builds_and_projects(self, scale, case):
+        # b, b_eq and the targets times scale: construction, a cold solve of each target, and
+        # the warm solves of one run, whose points have the bits of solves with one hint
+        p, targets = case
+        P = Polyhedron(p.A_ineq, p.b_ineq * scale, p.A_eq, p.b_eq * scale, dim=p.target.size)
+        rows, rhs, n_i = P._rows, P._rhs, p.A_ineq.shape[0]
+        run, hint = P._run_projection(), qp._Hint()
+        for z in targets:
+            cold = qp._solve(z * scale, rows, rhs, n_i)
+            warm = qp._solve(z * scale, rows, rhs, n_i, hint)
+            assert P.project(z * scale).tobytes() == cold.solution.tobytes()
+            assert run(z * scale).tobytes() == warm.solution.tobytes()
+            for cert in (cold, warm):
+                assert verify_certificate(ProjectionQp(z, p.A_ineq, p.b_ineq, p.A_eq, p.b_eq),
+                                          descaled(cert, scale)) <= 1e-8
+                assert (cert.slacks[cert.active_set] >= 0.0).all()
+
+
+SLAB = np.array([[1.0, 0.0], [-1.0, 0.0]])
+
+
+def slab_rhs(c, w):
+    """x_0 <= c and -x_0 <= -(c + w): SLAB's rows bound an empty slab of width -w."""
+    return np.array([c, -(c + w)])
+
+
+class TestEmptySlab:
+    """An empty slab is found empty wherever its gap w exceeds the rounding of its rows, about 4e-13 c."""
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, 1e4, 1e8, 1e10])
+    def test_gap_of_a_tenth(self, c):
+        with pytest.raises(Infeasible):
+            Polyhedron(SLAB, slab_rhs(c, 0.1))
+
+    @given(c=st.floats(0.0, 1e12), t=st.floats(-2.0, 2.0))
+    def test_relative_gap_at_every_scale(self, c, t):
+        # construction projects 0; then cold solves from the x_0 axis, at and around the gap
+        b = slab_rhs(c, 1e-3 * max(c, 1.0))
+        with pytest.raises(Infeasible):
+            Polyhedron(SLAB, b)
+        with pytest.raises(Infeasible):
+            qp._solve(np.array([t * max(c, 1.0), 0.0]), SLAB, b, 2)
+
+
 def stacked(p):
     """p's rows and right-hand sides as the solver core takes them."""
     return np.vstack([p.A_ineq, p.A_eq]), np.concatenate([p.b_ineq, p.b_eq]), p.A_ineq.shape[0]
@@ -383,7 +471,7 @@ def hinted_qps(draw):
     kind = draw(st.sampled_from(["right", "stale", "negative"]))
     rows, rhs, n_i = stacked(p)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    earlier = {"right": p.target, "stale": rng.standard_normal(p.dim) * 2, "negative": p.target}[kind]
+    earlier = {"right": p.target, "stale": rng.standard_normal(p.target.size) * 2, "negative": p.target}[kind]
     hint = qp._Hint()
     cert = qp._solve(earlier, rows, rhs, n_i, hint)
     if kind == "negative":
@@ -422,7 +510,7 @@ class TestWarmStart:
         warm = qp._warm_start(p.target, rows, rhs, n_i, hint)
         if warm is None:
             return
-        W, n = hint.work, p.dim
+        W, n = hint.work, p.target.size
         q_i = int(np.count_nonzero(W < n_i))
         y = hint.T.dot(p.target) + hint.t
         x, e, s = np.split(y, [n, n + W.size - q_i])
@@ -486,7 +574,7 @@ def hinted_runs(draw):
     if m > n_i and draw(st.booleans()):
         j, k, w = rng.integers(n_i, m), rng.integers(n_i, m + 1), rng.uniform(-4.0, 4.0)
         rows, rhs = np.insert(rows, k, w * rows[j], axis=0), np.insert(rhs, k, w * rhs[j])
-    return rows, rhs, n_i, [p.target, rng.standard_normal(p.dim) * 2, rng.standard_normal(p.dim) * 2]
+    return rows, rhs, n_i, [p.target, rng.standard_normal(p.target.size) * 2, rng.standard_normal(p.target.size) * 2]
 
 
 class TestWorkingSetLayout:
@@ -572,7 +660,7 @@ def working_sets(draw, multipliers):
     """
     p = draw(qp_draws(blocks=draw(st.sampled_from(["both", "no inequality rows", "no equality rows"]))))
     rows, rhs, n_i = stacked(p)
-    n, m = p.dim, rows.shape[0]
+    n, m = p.target.size, rows.shape[0]
     assume(m > 0)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     q, exact = int(rng.integers(1, min(n, m) + 1)), draw(st.booleans())

@@ -535,6 +535,15 @@ class TestNormalCones:
         np.testing.assert_allclose(np.abs(s.normal_cone(p).lineality[0]), np.abs(p) / 1e8, rtol=1e-12)
         assert not check_transversality(s, s, p).transversal
 
+    @pytest.mark.parametrize("cls", [Ball, Sphere])
+    def test_projected_point_near_the_origin_of_a_large_set_is_on_it(self, cls):
+        # p near 0 inherits the rounding of c + (r/|d|) d at |c| = r = 1e8, up to about 1.5e-8:
+        # beyond ON_SET_TOL (1 + |p|) when |p| < 14, always within ON_SET_TOL (1 + |p| + |c| + r)
+        S, rng = cls([1e8, 0.0], 1e8), np.random.default_rng(0)
+        z = rng.uniform(-1.0, 1.0, (2000, 2)) * 60.0
+        for p in map(S.project, z[np.linalg.norm(z, axis=1) <= 60.0]):
+            S.normal_cone(p)
+
     def test_sphere_centre_within_the_bound_is_the_tie_break_line(self):
         # the centre is on a sphere of radius 1e-12; its cone is the line of e_0, where project sends it
         cone = Sphere([0, 0], 1e-12).normal_cone([0, 0])
