@@ -13,7 +13,7 @@ from .alternating import (
     run_exact,
     run_inexact,
 )
-from .diagnostics import angles_from_trace, compare_predicted, fit_rate
+from .diagnostics import angles_from_trace, fit_rate
 from .inclusion import (
     ChartApproximateProjector,
     InclusionProblem,

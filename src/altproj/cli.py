@@ -1,12 +1,14 @@
 """Command-line entry point.
 
     altproj solve    --problem file.json [--scheme ...] [--trace out.csv] ...
-    altproj diagnose --trace out.csv [--problem file.json] [--predict-alpha a]
+    altproj diagnose --trace out.csv [--problem file.json] [--out out.json]
     altproj bench    [--filter substr] [--json]
 
 Problem files carry {"kind": ..., payload, "start": [...], "options": {...}}
 with the payload schemas owned by the sets/linconstr/inclusion modules;
 linalg.read_fields reads every object in them.
+diagnose prints the fitted rate and, for a two_sets problem, the angles and
+the rate c^2 predicted at the last iterate (diagnostics.predicted_rate).
 Exit codes: 0 Converged, 1 input error, 2 MaxIters/Diverged,
 3 LinearizationInfeasible/RankDeficient/LeftChart.
 """
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import alternating, diagnostics, inclusion, linconstr
 from .alternating import CONVERGED, STRUCTURAL, IterationTrace, SolveOptions
-from .errors import AltprojError, FieldError, InsufficientData
+from .errors import AltprojError, FieldError, InsufficientData, RankDrop
 from .inclusion import ChartApproximateProjector, InclusionProblem, ManifoldChart
 from .linalg import as_vector, integer, number, numbers, read_fields, string
 from .linconstr import ConstraintSystem
@@ -213,7 +215,7 @@ def cmd_diagnose(args):
     if args.problem:
         prob = load_problem(args.problem)
         if prob.kind == "two_sets":
-            _, M = prob.payload
+            Q, M = prob.payload
             if len(trace.zs[0]) != M.ambient_dim:
                 raise ValueError(f"trace points have dimension {len(trace.zs[0])},"
                                  f" the problem's sets have dimension {M.ambient_dim}")
@@ -222,10 +224,14 @@ def cmd_diagnose(args):
                 out["angles"] = diagnostics.angles_from_trace(trace).to_json()
             except InsufficientData as exc:
                 out["angles"] = {"error": str(exc)}
+            try:  # at the last iterate, which the file holds without loss
+                out["predicted"] = diagnostics.predicted_rate(Q, M, trace.zs[-1])
+            except (ValueError, InsufficientData, RankDrop) as exc:
+                out["predicted"] = {"error": str(exc)}
         else:
-            out["angles"] = {"error": f"angles need a two_sets problem, got kind '{prob.kind}'"}
-    if args.predict_alpha is not None:
-        out["comparison"] = diagnostics.compare_predicted(rate, args.predict_alpha)
+            need = f"a two_sets problem, got kind '{prob.kind}'"
+            out["angles"] = {"error": f"angles need {need}"}
+            out["predicted"] = {"error": f"predicted rate needs {need}"}
 
     text = json.dumps(out, indent=2)
     if args.out:
@@ -320,8 +326,7 @@ def build_parser():
 
     p_diag = sub.add_parser("diagnose", help="diagnostics from a trace CSV")
     p_diag.add_argument("--trace", required=True)
-    p_diag.add_argument("--problem", default=None, help="problem file for angle context")
-    p_diag.add_argument("--predict-alpha", type=float, default=None)
+    p_diag.add_argument("--problem", default=None, help="problem file for the angles and predicted rate")
     p_diag.add_argument("--out", default=None)
     p_diag.set_defaults(func=cmd_diagnose)
 

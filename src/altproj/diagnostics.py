@@ -5,7 +5,7 @@ Angles come in two families measured on consecutive triples
 super-regularity angle at the next Q-point z_{k+1}.  Rates are measured
 on the gap sequence |z_k - x_k|, the quantity the local contraction
 argument actually bounds; the trailing-half window discards
-pre-asymptotic iterations.
+pre-asymptotic iterations.  predicted_rate gives the theory's rate.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .alternating import IterationTrace
 from .errors import InsufficientData
+from .sets import check_transversality
 
 _GOOD_FIT_REL = 0.05
 
@@ -52,7 +54,6 @@ class RateReport:
     r_squared: float
     quality: str                # "good" when both estimates agree within 5%
     contracting: bool
-    predicted: float | None = None
 
     def to_json(self):
         return asdict(self)
@@ -128,27 +129,20 @@ def fit_rate(trace: IterationTrace) -> RateReport:
     )
 
 
-def compare_predicted(report: RateReport, alpha_hat):
-    """Measured full-cycle rate against the cos(alpha) upper envelope.
+def predicted_rate(Q, M, z):
+    """c^2, the rate of exact AP near a transversal point z of Q and M (Lewis, Luke & Malick, 2009).
 
-    No pass/fail: the bound is asymptotic and one-sided.  Flags the
-    degenerate orthogonal case and rates clearly above the bound.
+    c is the largest cosine between N_Q(z) and -N_M(z): sigma_max(Qa Qb^T) for
+    orthonormal bases Qa and Qb of two subspace cones.  A point off a set raises
+    ValueError; a cone with rays, a cone that is all of R^n and a pair that
+    check_transversality finds not transversal, InsufficientData, in that order.
     """
-    alpha_hat = float(alpha_hat)
-    if not (0.0 < alpha_hat <= np.pi / 2):
-        raise ValueError("alpha_hat must lie in (0, pi/2]")
-    predicted = float(np.cos(alpha_hat))
-    flags = []
-    if predicted < 1e-12:
-        flags.append("OrthogonalBoundZero")
-        ratio = float("inf") if report.rate > 0 else float("nan")
-    else:
-        ratio = report.rate / predicted
-    if report.rate > predicted + 0.1:
-        flags.append("BoundViolation")
-    return {
-        "measured": report.rate,
-        "predicted": predicted,
-        "ratio": ratio,
-        "flags": flags,
-    }
+    cones = Q.normal_cone(z), M.normal_cone(z)
+    if any(c.rays.shape[0] for c in cones):
+        raise InsufficientData("a normal cone at the point has rays; c needs two subspace cones")
+    Qa, Qb = (linalg.row_basis(c.lineality) for c in cones)
+    if Q.ambient_dim in (Qa.shape[0], Qb.shape[0]):
+        raise InsufficientData("a normal cone at the point is all of R^n, as at a finite set's point")
+    if not check_transversality(Q, M, z).transversal:
+        raise InsufficientData("the sets are not transversal at the point")
+    return float(linalg.svd(Qa @ Qb.T)[1].max(initial=0.0)) ** 2

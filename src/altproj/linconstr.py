@@ -205,7 +205,7 @@ def measure_quadratic_decay(
     errors = np.array(errors)
     dists = np.array(dists)
 
-    if np.all(errors <= 1e-12):
+    if errors.size and np.all(errors <= 1e-12):  # an empty path moves on to the count below
         return QuadraticDecayReport(None, None, True, errors, dists)
     floor = 100 * np.finfo(float).eps
     keep = errors > floor

@@ -140,8 +140,8 @@ class PolyMap(Schema):
 
     def check_jacobian(self, x, h=1e-5):
         """Max entrywise |analytic - central finite difference| at x."""
-        if h <= 0:
-            raise ValueError("h must be positive")
+        if not 0 < h < np.inf:
+            raise ValueError(f"h must be a finite positive number, got {h!r}")
         x = as_vector(x, dim=self.input_dim)
         J = self._linearize(x)[1]
         fd = np.zeros_like(J)

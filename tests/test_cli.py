@@ -335,16 +335,50 @@ class TestDiagnose:
             assert main(["diagnose", "--trace", tr, "--problem", str(prob)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["angles"] == {"error": "angles need a two_sets problem, got kind 'constraint_system'"}
+        assert out["predicted"] == {
+            "error": "predicted rate needs a two_sets problem, got kind 'constraint_system'"
+        }
         assert out["rate"]["rate"] == pytest.approx(0.5, abs=1e-6)
 
-    def test_predict_alpha_block(self, tmp_path, capsys):
-        _, tr = self.make_trace(tmp_path, capsys)
-        assert main(["diagnose", "--trace", tr, "--predict-alpha",
-                     str(np.pi / 4)]) == 0
+    @pytest.mark.parametrize("scheme", ["exact", "inexact", "approximate"])
+    @pytest.mark.parametrize("name, predicted, tol", [
+        ("two_lines_45deg", 0.5, 1e-12), ("two_lines_60deg", 0.25, 1e-12), ("circle_line", 0.25, 1e-9),
+    ])
+    def test_predicted_rate_of_a_two_sets_problem(self, tmp_path, capsys, name, predicted, tol, scheme):
+        tr = str(tmp_path / "t.csv")
+        with resources.as_file(bundled_problem_path(name)) as prob:
+            assert main(["solve", "--problem", str(prob), "--scheme", scheme, "--trace", tr]) == 0
+            capsys.readouterr()
+            assert main(["diagnose", "--trace", tr, "--problem", str(prob)]) == 0
         out = json.loads(capsys.readouterr().out)
-        cmp = out["comparison"]
-        assert cmp["predicted"] == pytest.approx(np.cos(np.pi / 4), abs=1e-9)
-        assert cmp["measured"] <= cmp["predicted"] + 1e-6
+        assert out["predicted"] == pytest.approx(predicted, abs=tol)
+
+    def test_predicted_rate_off_the_sets_is_an_error(self, tmp_path, capsys):
+        tr = str(tmp_path / "t.csv")
+        with resources.as_file(bundled_problem_path("parallel_lines")) as prob:
+            assert main(["solve", "--problem", str(prob), "--trace", tr]) == 2
+            capsys.readouterr()
+            assert main(["diagnose", "--trace", tr, "--problem", str(prob)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["predicted"] == {
+            "error": "AffineSubspace normal cone: the point is at distance 1 from the set, "
+                     "beyond ON_SET_TOL (1 + |p| + scale) = 2e-09"
+        }
+        assert "angles" in out
+
+    def test_predicted_rate_at_a_rank_drop_is_an_error(self, tmp_path, capsys):
+        # the last iterate, the zero matrix, has rank 0 < 1
+        prob = write_problem(tmp_path, {
+            "kind": "two_sets", "start": [1, 0, 0, 0],
+            "Q": {"type": "affine_subspace", "anchor": [0, 0, 0, 0], "basis": [[1, 0, 0, 0]]},
+            "M": {"type": "fixed_rank_matrices", "rows": 2, "cols": 2, "rank": 1},
+        })
+        tr = tmp_path / "t.csv"
+        rows = [f"{k},{2.0**-k},0,{2.0**-k},{2.0**-k},0,0,0" for k in range(8)] + ["8,0,0,0,0,0,0,0"]
+        tr.write_text("\n".join(["k,gap,dist_Q,dist_M,z_0,z_1,z_2,z_3", *rows]) + "\n")
+        assert main(["diagnose", "--trace", str(tr), "--problem", prob]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["predicted"] == {"error": "matrix rank below 1 at probe point"}
 
     def test_short_trace_exit_one(self, tmp_path, capsys):
         tr = tmp_path / "short.csv"

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,13 +8,17 @@ from hypothesis import strategies as st
 from altproj import (
     AffineSubspace,
     Ball,
+    Box,
+    FinitePointSet,
     IterationTrace,
     SolveOptions,
     angles_from_trace,
-    compare_predicted,
+    check_transversality,
     fit_rate,
     run_exact,
 )
+from altproj.cli import bundled_problem_path, load_problem, run_problem
+from altproj.diagnostics import predicted_rate
 from altproj.errors import InsufficientData
 
 from oracles import angles_columns_reference, angles_reference, rate_columns_reference, regression_reference
@@ -236,28 +242,63 @@ class TestFitRate:
             fit_rate(synthetic_trace([1.0, 0.5, 0.25]))
 
 
-class TestComparePredicted:
-    def test_two_lines_within_bound(self):
-        tr = run_exact(DIAGONAL, X_AXIS, [1, 0], SolveOptions(1e-12, 200))
-        rate = fit_rate(tr)
-        alpha = angles_from_trace(tr).min_separability
-        cmp = compare_predicted(rate, alpha)
-        assert cmp["predicted"] == pytest.approx(np.cos(np.pi / 4), abs=1e-9)
-        assert cmp["measured"] <= cmp["predicted"] + 1e-9
-        assert cmp["flags"] == []
+BUNDLED_TWO_SETS = {"two_lines_45deg": 0.5, "two_lines_60deg": 0.25, "circle_line": 0.25}
 
-    def test_bound_violation_flag(self):
-        rep = fit_rate(synthetic_trace([0.95**k for k in range(20)]))
-        cmp = compare_predicted(rep, np.pi / 3)  # predicted cos = 0.5
-        assert "BoundViolation" in cmp["flags"]
 
-    def test_orthogonal_case(self):
-        rep = fit_rate(synthetic_trace([2.0**-k for k in range(10)]))
-        cmp = compare_predicted(rep, np.pi / 2)
-        assert "OrthogonalBoundZero" in cmp["flags"]
-        assert cmp["ratio"] == float("inf")
+def bundled_run(name, scheme):
+    """(Q, M, trace) of a bundled two_sets problem run under a scheme."""
+    with resources.as_file(bundled_problem_path(name)) as path:
+        prob = load_problem(path)
+    return (*prob.payload, run_problem(prob, scheme))
 
-    def test_invalid_alpha(self):
-        rep = fit_rate(synthetic_trace([2.0**-k for k in range(10)]))
-        with pytest.raises(ValueError):
-            compare_predicted(rep, 0.0)
+
+class TestPredictedRate:
+    @pytest.mark.parametrize("theta", [np.pi / 4, np.pi / 3], ids=["45deg", "60deg"])
+    def test_two_lines_give_the_squared_cosine(self, theta):
+        line = AffineSubspace([0, 0], [[np.cos(theta), np.sin(theta)]])
+        assert predicted_rate(X_AXIS, line, [0, 0]) == pytest.approx(np.cos(theta) ** 2, abs=1e-12)
+
+    def test_an_interior_point_gives_zero(self):
+        # N = {0} inside a ball: one projection lands on the other set
+        assert predicted_rate(Ball([0, 0], 2.0), X_AXIS, [0, 0]) == 0.0
+
+    @pytest.mark.parametrize("scheme", ["exact", "inexact", "approximate"])
+    @pytest.mark.parametrize("name", BUNDLED_TWO_SETS)
+    def test_bundled_limits_give_the_closed_form_and_the_fitted_rate(self, name, scheme):
+        # the lines' cones do not move along them; the circle's normal at the
+        # last iterate is within the gap tolerance of its normal at the limit
+        Q, M, trace = bundled_run(name, scheme)
+        assert trace.status == "Converged"
+        predicted = predicted_rate(Q, M, trace.zs[-1])
+        assert predicted == pytest.approx(BUNDLED_TWO_SETS[name], abs=1e-12 if "lines" in name else 1e-9)
+        # fit_rate's noise floor is absolute, so its last ratios carry rounding of up to about 1e-6
+        assert abs(fit_rate(trace).rate - predicted) <= 1e-6
+
+    def test_a_point_off_a_set_raises_value_error(self):
+        Q, M, trace = bundled_run("parallel_lines", "exact")
+        with pytest.raises(ValueError, match="at distance 1 from the set"):
+            predicted_rate(Q, M, trace.zs[-1])
+
+    @pytest.mark.parametrize("Q, z", [
+        (Ball([0, 1], 1.0), [0, 0]),                # the ray -e_1 of the ball's boundary
+        (Box([-1, 0], [1, 1]), [0.5, 0]),           # the ray -e_1 of the box's face
+    ], ids=["ball", "box"])
+    def test_a_cone_with_rays_raises(self, Q, z):
+        with pytest.raises(InsufficientData, match="has rays"):
+            predicted_rate(Q, X_AXIS, z)
+
+    def test_a_full_cone_is_named_before_transversality(self):
+        # N = R^2 at a point of a finite set meets the x-axis' normal line, so the
+        # pair is not transversal either; the full cone is the reason given
+        points = FinitePointSet([[0, 0], [3, 1]])
+        assert not check_transversality(points, X_AXIS, [0, 0]).transversal
+        for Q, M in ((points, X_AXIS), (X_AXIS, points)):
+            with pytest.raises(InsufficientData, match="all of R\\^n"):
+                predicted_rate(Q, M, [0, 0])
+
+    def test_two_lines_in_r3_are_not_transversal(self):
+        # their normal planes share the direction e_2
+        a = AffineSubspace([0, 0, 0], [[1, 0, 0]])
+        b = AffineSubspace([0, 0, 0], [[2**-0.5, 2**-0.5, 0]])
+        with pytest.raises(InsufficientData, match="not transversal"):
+            predicted_rate(a, b, [0, 0, 0])

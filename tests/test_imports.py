@@ -18,10 +18,9 @@ EXPORTED = [
     "AffineSubspace", "Ball", "Box", "ChartApproximateProjector", "ConstraintSystem", "FinitePointSet",
     "FixedRankMatrices", "Halfspace", "Hyperplane", "InclusionProblem", "IterationTrace", "KktCertificate",
     "ManifoldChart", "Monomial", "PolyMap", "Polyhedron", "ProjectableSet", "SolveOptions", "Sphere",
-    "angles_from_trace", "check_licq", "check_transversality", "compare_predicted", "faithful_projection",
-    "fit_rate", "linearized_projection", "measure_quadratic_decay", "normal_space_basis", "run_approximate",
-    "run_exact", "run_inexact", "set_from_json", "solve_constraint_system", "solve_inclusion",
-    "verify_faithfulness",
+    "angles_from_trace", "check_licq", "check_transversality", "faithful_projection", "fit_rate",
+    "linearized_projection", "measure_quadratic_decay", "normal_space_basis", "run_approximate", "run_exact",
+    "run_inexact", "set_from_json", "solve_constraint_system", "solve_inclusion", "verify_faithfulness",
 ]
 
 

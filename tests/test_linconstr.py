@@ -300,6 +300,11 @@ class TestQuadraticDecay:
                 geometric_path([1, 0], [1, 0], range(1, 4)),
             )
 
+    def test_empty_path_insufficient(self):
+        # no point at all is not an exact linearization
+        with pytest.raises(InsufficientData, match="only 0 path points"):
+            measure_quadratic_decay(circle_system(), Ball([0, 0], 1.0), [])
+
     def test_inexact_projection_ratio_vanishes(self):
         # |Phi(z) - P_M(z)| / d_M(z) decreases along the approach path
         rep = measure_quadratic_decay(

@@ -225,6 +225,12 @@ def test_check_jacobian_constant():
     assert PolyMap.constant(2, [4.0]).check_jacobian([1.0, 2.0], h=1e-4) <= 1e-12
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-5, np.nan, np.inf, -np.inf])
+def test_check_jacobian_needs_a_finite_positive_step(h):
+    with pytest.raises(ValueError, match="finite positive"):
+        PolyMap.identity(2).check_jacobian([0.3, -0.2], h=h)
+
+
 def test_check_jacobian_random_points():
     rng = np.random.default_rng(23)
     cubic = PolyMap(

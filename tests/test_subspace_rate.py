@@ -13,18 +13,27 @@ is rounded relative to its own size.  From a z0 with a component in U ∩ V
 they converge to a point of norm about 1, and the last gaps before the
 default gap_tol of 1e-10 carry about 1e-6 of relative rounding: the measured
 rate then exceeds c_F^2 by up to about 1e-6.
+
+The rate the package predicts from the normal cones at a common point,
+diagnostics.predicted_rate, is c_F^2 too: the normal spaces U^perp and
+V^perp have the same nonzero principal angles as U and V, and the pair is
+transversal exactly when U^perp ∩ V^perp = 0, that is k_U + k_V >= n for
+subspaces in general position.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from altproj import AffineSubspace, fit_rate, run_exact
+from altproj.diagnostics import predicted_rate
 from altproj.errors import InsufficientData
 
 C_F_MAX = 0.995     # closer to 1 a run needs more than a few thousand iterations
 SLACK = 1e-12       # rounding: the largest excess over 2789 draws was 2.6e-15
 NOISE_FLOOR = 100 * np.finfo(float).eps     # fit_rate's: smaller gaps are rounding
+FEW = settings(max_examples=max(10, settings.default.max_examples // 10), deadline=None)
 
 
 @st.composite
@@ -49,7 +58,7 @@ def friedrichs(B_u, B_v):
     return cosines[d], (B_u.T @ left[:, :d]).T
 
 
-@settings(max_examples=max(10, settings.default.max_examples // 10), deadline=None)
+@FEW
 @given(pair=subspace_pairs())
 def test_exact_rate_is_at_most_the_squared_friedrichs_cosine(pair):
     B_u, B_v, z0 = pair
@@ -66,3 +75,16 @@ def test_exact_rate_is_at_most_the_squared_friedrichs_cosine(pair):
     except InsufficientData:
         return      # fewer than 6 gaps above the floor: the ratios above are all there is
     assert rate <= c_f**2 + SLACK
+
+
+@FEW
+@given(pair=subspace_pairs())
+def test_predicted_rate_is_the_squared_friedrichs_cosine(pair):
+    B_u, B_v, _ = pair
+    n = B_u.shape[1]
+    U, V = AffineSubspace(np.zeros(n), B_u), AffineSubspace(np.zeros(n), B_v)
+    if B_u.shape[0] + B_v.shape[0] < n:
+        with pytest.raises(InsufficientData, match="not transversal"):
+            predicted_rate(U, V, np.zeros(n))
+    else:
+        assert abs(predicted_rate(U, V, np.zeros(n)) - friedrichs(B_u, B_v)[0] ** 2) <= SLACK
