@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .alternating import IterationTrace
 from .errors import InsufficientData
-from .sets import check_transversality
+from .sets import _subspace_intersection
 
 _GOOD_FIT_REL = 0.05
 
@@ -132,10 +132,10 @@ def fit_rate(trace: IterationTrace) -> RateReport:
 def predicted_rate(Q, M, z):
     """c^2, the rate of exact AP near a transversal point z of Q and M (Lewis, Luke & Malick, 2009).
 
-    c is the largest cosine between N_Q(z) and -N_M(z): sigma_max(Qa Qb^T) for
-    orthonormal bases Qa and Qb of two subspace cones.  A point off a set raises
-    ValueError; a cone with rays, a cone that is all of R^n and a pair that
-    check_transversality finds not transversal, InsufficientData, in that order.
+    c is sigma_max(Qa Qb^T), Qa and Qb orthonormal bases of two subspace cones, each
+    built once and decided transversal by check_transversality's rank test.  A point
+    off a set raises ValueError; a cone with rays, a cone that is all of R^n and a
+    pair not transversal, InsufficientData, in that order.
     """
     cones = Q.normal_cone(z), M.normal_cone(z)
     if any(c.rays.shape[0] for c in cones):
@@ -143,6 +143,6 @@ def predicted_rate(Q, M, z):
     Qa, Qb = (linalg.row_basis(c.lineality) for c in cones)
     if Q.ambient_dim in (Qa.shape[0], Qb.shape[0]):
         raise InsufficientData("a normal cone at the point is all of R^n, as at a finite set's point")
-    if not check_transversality(Q, M, z).transversal:
+    if not _subspace_intersection(Qa, Qb).transversal:
         raise InsufficientData("the sets are not transversal at the point")
     return float(linalg.svd(Qa @ Qb.T)[1].max(initial=0.0)) ** 2

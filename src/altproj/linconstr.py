@@ -29,7 +29,6 @@ from .linalg import Schema, integer
 from .polymap import PolyMap
 from .sets import ProjectableSet, set_from_json
 
-LICQ_TOL = 1e-8
 ACTIVE_TOL = 1e-6
 
 
@@ -133,8 +132,9 @@ def _linearized_qp(solve, z, rows, rhs, n_i):
 def check_licq(sys: ConstraintSystem, x) -> LicqReport:
     """LICQ at x: G rows with |G| <= ACTIVE_TOL plus all H rows must be linearly independent.
 
-    ACTIVE_TOL is an absolute test on |G(x)|, not one relative to the size
-    of G's terms or of x, unlike the QP's row decisions.
+    Independent means linalg.rank counts one singular value per row, a rule
+    relative to sigma_max that scaling cannot change.  ACTIVE_TOL is an absolute
+    test on |G(x)|, not one relative to the size of G's terms or of x.
     """
     x = linalg.as_vector(x, dim=sys.ambient_dim)
     rows, _, n_i, values = _linearized_rows(sys, x)
@@ -144,7 +144,7 @@ def check_licq(sys: ConstraintSystem, x) -> LicqReport:
         return LicqReport(x, float("inf"), True)
     U, sigma, _ = linalg.svd(K)
     smin = float(sigma[-1]) if K.shape[0] <= K.shape[1] else 0.0
-    if smin > LICQ_TOL:
+    if linalg.rank(sigma) == K.shape[0]:
         return LicqReport(x, smin, True)
     # witness: multipliers v with K^T v ~ 0; with more rows than dimensions
     # U[:, -1] lies in the null space of K^T

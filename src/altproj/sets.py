@@ -409,31 +409,26 @@ class TransversalityResult:
 def check_transversality(A: ProjectableSet, B: ProjectableSet, point) -> TransversalityResult:
     """Decide whether N_A(p) intersects -N_B(p) only at the origin, at a point p of A and B.
 
-    Sets of different dimensions raise DimensionMismatch, and a point
-    farther than _on_set_tol(p, scale) from either set, scale that set's
-    _scale, ValueError.  Two cones without rays are subspaces, decided by
-    the rank of orthonormal bases of the two; otherwise small feasibility
-    problems over the generator descriptions are each decided by the
-    nearest-point QP.  The answer no carries a nonzero witness direction
-    in N_A(p) and in -N_B(p).
+    Sets of different dimensions raise DimensionMismatch, and a point off
+    either set normal_cone's ValueError, naming the set and the distance.
+    Two cones without rays are subspaces, decided by the rank of orthonormal
+    bases of the two; otherwise small feasibility problems over the generator
+    descriptions are each decided by the nearest-point QP.  The answer no
+    carries a nonzero witness direction in N_A(p) and in -N_B(p).
     """
     if A.ambient_dim != B.ambient_dim:
         raise DimensionMismatch("A and B live in different ambient spaces")
-    p = A._check(point)
-    if A.distance(p) > _on_set_tol(p, A._scale) or B.distance(p) > _on_set_tol(p, B._scale):
-        raise ValueError("point does not lie on both sets")
-    na, nb = A._normal_cone(p), B._normal_cone(p)
+    na, nb = A.normal_cone(point), B.normal_cone(point)
     if na.rays.shape[0] == 0 and nb.rays.shape[0] == 0:
-        return _subspace_intersection(na.lineality, nb.lineality)
+        return _subspace_intersection(linalg.row_basis(na.lineality), linalg.row_basis(nb.lineality))
     return _cone_intersection(na, nb)
 
 
-def _subspace_intersection(La, Lb):
-    """Whether [Qa^T, -Qb^T] has full column rank, Qa and Qb orthonormal rows spanning La's and Lb's.
+def _subspace_intersection(Qa, Qb):
+    """Whether [Qa^T, -Qb^T] has full column rank, for orthonormal rows Qa and Qb.
 
     If not, a unit null vector (ca, cb) gives the witness Qa^T ca = Qb^T cb, of norm |ca| = |cb| > 0.
     """
-    Qa, Qb = linalg.row_basis(La), linalg.row_basis(Lb)
     _, sigma, V = linalg.svd(np.hstack([Qa.T, -Qb.T]))
     r = linalg.rank(sigma)
     if r == V.shape[0]:

@@ -375,6 +375,12 @@ class TestTrace:
         with pytest.raises(ValueError, match="trace row 2 has 5 fields, header has 6"):
             IterationTrace.from_csv("\n".join(text))
 
+    @pytest.mark.parametrize("text", ["", "0,1,1,0,1\n", "gap,k,dist_Q,dist_M,z_0\n0,1,1,0,1\n"],
+                             ids=["empty", "rows-only", "other-header"])
+    def test_csv_without_header_rejected(self, text):
+        with pytest.raises(ValueError, match="trace CSV missing header row"):
+            IterationTrace.from_csv(text)
+
     def test_csv_round_trip(self):
         tr = line_line_trace()
         text = tr.to_csv()

@@ -294,6 +294,14 @@ class TestSolve:
         assert main(["solve", "--problem", path]) == 1
         assert f"'{field}' contains NaN/Inf" in capsys.readouterr().err
 
+    def test_approximate_inclusion_needs_chart_bounds(self, tmp_path, capsys):
+        prob = json.loads(bundled_problem_path("parabola_inclusion").read_text())
+        del prob["U_lower"], prob["U_upper"]
+        path = write_problem(tmp_path, prob)
+        assert main(["solve", "--problem", path, "--scheme", "approximate"]) == 1
+        assert capsys.readouterr().err == (
+            "error: approximate scheme on an inclusion problem needs U_lower/U_upper\n")
+
     def test_incompatible_scheme(self, tmp_path, capsys):
         path = write_problem(tmp_path, TWO_LINES)
         assert main(["solve", "--problem", path, "--scheme", "linconstr"]) == 1
@@ -320,6 +328,12 @@ class TestDiagnose:
         out = json.loads(capsys.readouterr().out)
         assert out["rate"]["rate"] == pytest.approx(0.5, abs=1e-6)
         assert out["rate"]["quality"] == "good"
+
+    def test_out_file_holds_the_printed_bytes(self, tmp_path, capsys):
+        prob, tr = self.make_trace(tmp_path, capsys)
+        out = tmp_path / "f.json"
+        assert main(["diagnose", "--trace", tr, "--problem", prob, "--out", str(out)]) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode()
 
     def test_angles_with_problem_context(self, tmp_path, capsys):
         prob, tr = self.make_trace(tmp_path, capsys)

@@ -69,6 +69,13 @@ class TestAngles:
         with pytest.raises(InsufficientData):
             angles_from_trace(tr)
 
+    def test_inclusion_trace_has_no_angles(self):
+        # solve_inclusion's zs are chart coordinates in R^1, its xs points of R^2
+        with resources.as_file(bundled_problem_path("parabola_inclusion")) as path:
+            tr = run_problem(load_problem(path), "inclusion")
+        with pytest.raises(InsufficientData, match="different spaces"):
+            angles_from_trace(tr)
+
     def test_degenerate_triples_skipped(self):
         tr = run_exact(DIAGONAL, X_AXIS, [1, 0], SolveOptions(1e-14, 500))
         rep = angles_from_trace(tr)

@@ -374,6 +374,34 @@ class TestVerifyFaithfulness:
         with pytest.raises(ValueError):
             verify_faithfulness(PARABOLA_CHART, base, queries, exact)
 
+    def test_unequal_lengths_rejected(self):
+        base = [[0.5], [0.25]]
+        with pytest.raises(DimensionMismatch, match="equal length"):
+            verify_faithfulness(PARABOLA_CHART, base, [[0.5, 0.35]], [[0.5, 0.25]])
+
+    def test_query_on_its_base_point_gives_zero(self):
+        # the second query is F(0.25) itself: |y - z| = 0, a ratio of 0
+        base = [[0.5], [0.25]]
+        queries = [np.array([0.5, 0.35]), np.array([0.25, 0.0625])]
+        exact = [chart_projection_oracle(PARABOLA_CHART, y) for y in queries]
+        ratios = verify_faithfulness(PARABOLA_CHART, base, queries, exact)
+        assert len(ratios) == 2 and 0 < ratios[0] and ratios[1] == 0.0
+
+    def test_pairs_below_the_angle_floor_are_dropped(self):
+        # the second pair's exact projection is given as its base point F(0.25),
+        # so z - y and z_hat - y meet at angle 0
+        base = [[0.5], [0.25]]
+        queries = [np.array([0.5, 0.35]), np.array([0.25, 0.0725])]
+        exact = [chart_projection_oracle(PARABOLA_CHART, queries[0]), [0.25, 0.0625]]
+        kept = verify_faithfulness(PARABOLA_CHART, base, queries, exact)
+        assert kept == verify_faithfulness(PARABOLA_CHART, base[:1], queries[:1], exact[:1])
+
+    def test_every_pair_below_the_angle_floor_is_insufficient(self):
+        base = [[0.5], [0.25]]
+        queries = [np.array([0.5, 0.35]), np.array([0.25, 0.0725])]
+        with pytest.raises(InsufficientData, match="every pair was filtered by the angle floor"):
+            verify_faithfulness(PARABOLA_CHART, base, queries, [[0.5, 0.25], [0.25, 0.0625]])
+
     def test_all_filtered_raises(self):
         # queries on the manifold at the base points: zero gap, angle 0
         base = [[0.5], [0.25], [0.125], [0.0625]]

@@ -48,6 +48,11 @@ def quadratic_block(rng, rows, n, x0=None):
     ])
 
 
+def scaled(block, s):
+    """The PolyMap s * block, each coefficient multiplied by s."""
+    return PolyMap(block.input_dim, [[Monomial(s * m.coeff, m.exponents) for m in row] for row in block.outputs])
+
+
 def affine_eq_system():
     # H(x) = x1 - x2
     H = PolyMap(2, [[Monomial(1, (1, 0)), Monomial(-1, (0, 1))]])
@@ -179,6 +184,36 @@ class TestLicq:
         rep = check_licq(circle_system(), [1, 0])
         assert rep.holds
         assert rep.smallest_singular_value == pytest.approx(2.0)
+
+    def test_circle_scaled_by_1e_9_holds(self):
+        # sigma_min = 2e-9: independence does not depend on the size of the rows
+        tiny = scaled(CIRCLE, 1e-9)
+        rep = check_licq(ConstraintSystem(tiny, PolyMap.empty(2), PolyMap.empty(2), FULL_PLANE, 2), [1, 0])
+        assert rep.holds
+        assert rep.smallest_singular_value == pytest.approx(2e-9)
+
+    @given(n=st.integers(2, 4), g=st.integers(0, 3), h=st.integers(0, 3), repeat=st.booleans(),
+           exponent=st.floats(-12, 12), seed=st.integers(0, 2**32 - 1))
+    def test_scaling_the_system_keeps_the_answer(self, n, g, h, repeat, exponent, seed):
+        # every block vanishes at the origin, so each G row stays active at any
+        # scale (ACTIVE_TOL is absolute); repeat copies G's first row into H
+        rng = np.random.default_rng(seed)
+        G, H = quadratic_block(rng, g, n), quadratic_block(rng, h, n)
+        if repeat and g:
+            H = PolyMap(n, H.outputs + G.outputs[:1])
+        x = np.zeros(n)
+
+        def holds(s):
+            return check_licq(ConstraintSystem(scaled(G, s), PolyMap.empty(n), scaled(H, s),
+                                               AffineSubspace(x, np.eye(n)), n), x).holds
+
+        assert holds(10.0**exponent) == holds(1.0)
+
+    def test_no_active_row_holds(self):
+        # |x|^2 - 1 = 3 at (2, 0) is inactive, and there are no H rows
+        rep = check_licq(circle_system(), [2, 0])
+        assert rep.holds and rep.witness is None
+        assert rep.smallest_singular_value == float("inf")
 
     def test_duplicated_rows_fail(self):
         g = [Monomial(1, (2, 0)), Monomial(1, (0, 2)), Monomial(-1, (0, 0))]

@@ -28,6 +28,7 @@ from altproj import (
     PolyMap,
     SolveOptions,
     check_licq,
+    check_transversality,
     faithful_projection,
     linalg,
     measure_quadratic_decay,
@@ -39,6 +40,7 @@ from altproj import (
     solve_inclusion,
 )
 from altproj.cli import ProblemFile, bundled_problem_path, load_problem, run_problem
+from altproj.diagnostics import predicted_rate
 from altproj.linconstr import geometric_path
 from altproj.polymap import _TermSums
 
@@ -341,6 +343,29 @@ def test_quadratic_decay_projects_each_path_point_once():
     assert ball.calls == len(path)
     # the distance is the one the set reports, bit for bit
     assert rep.distances.tolist() == [Ball([0, 0], 1.0).distance(z) for z in path]
+
+
+def lines_45deg():
+    """The x-axis and the diagonal through 0, each counting its projections."""
+    return (counting(AffineSubspace([0, 0], [[1, 0]]), "_project"),
+            counting(AffineSubspace([0, 0], [[2**-0.5, 2**-0.5]]), "_project"))
+
+
+def test_predicted_rate_builds_each_cone_once(svd_calls):
+    # one projection per on-set test; an SVD per cone, per basis, for the rank
+    # test and for c, the rank test reusing the two bases
+    Q, M = lines_45deg()
+    assert predicted_rate(Q, M, [0.0, 0.0]) == pytest.approx(0.5, abs=1e-12)
+    assert (Q.calls, M.calls) == (1, 1)
+    assert len(svd_calls) == 6
+
+
+def test_check_transversality_projects_once_per_set(svd_calls):
+    # the same pass without c: two cones, two bases and the rank test
+    Q, M = lines_45deg()
+    assert check_transversality(Q, M, [0.0, 0.0]).transversal
+    assert (Q.calls, M.calls) == (1, 1)
+    assert len(svd_calls) == 5
 
 
 @pytest.fixture

@@ -642,7 +642,7 @@ class TestTransversality:
     def test_point_off_either_set_rejected(self):
         S, h = Sphere([0, 0], 1.0), Hyperplane([0.0, 1.0], 0.0)
         for A, B in ((S, h), (h, S)):
-            with pytest.raises(ValueError, match="does not lie on both sets"):
+            with pytest.raises(ValueError, match="Sphere normal cone: the point is at distance 1 from the set"):
                 check_transversality(A, B, [2, 0])
 
     def test_sets_of_different_dimensions_rejected(self):
