@@ -24,7 +24,10 @@ guards against numerical cycling.
 Every row decision reads one rounding model: a.x - b is off by about
 eps (|a||x| + |b|), |a| from one vector of row norms per solve.  A row
 enters only if violated beyond VIOL_RTOL (|a||x| + |b|), so a scaled copy
-of a met row does not enter on its rounding and cycle.  A row a = N^T r
+of a met row does not enter on its rounding and cycle.  The entry test
+tries the most-violated row against its own bound first, and forms the
+bound of every row only when that row is violated within its own, or NaN:
+it picks the row that the whole vector of bounds would.  A row a = N^T r
 that depends on the working rows is redundant if met to FEAS_TOL or to
 VIOL_RTOL (|a||x| + |b| + sum_j |r_j| (|a_j||x| + |b_j|)), which carries
 the working rows' rounding through r (Higham, Accuracy and Stability,
@@ -64,8 +67,9 @@ when an inequality multiplier at z is negative beyond the rounding of
 that product; a multiplier closer to 0 builds the map, which decides,
 so both refuse the same hints.  When also no slack is negative, which
 is how most warm solves end, x is copied out of y and returned, with no
-pivot and no other copy.  One max over s, read as unsigned integers,
-decides that case: s >= 0 and finite, with e finite.  Anything else
+pivot and no other copy.  The largest entry of s, read as unsigned
+integers and found by one argmax, decides that case: s >= 0 and finite,
+with e finite.  Anything else
 goes to a per-row test of the multipliers, and then the entering-row
 test of the loop decides from x.  The stored product
 rounds differently from a cold solve, which ends on the same W: the two
@@ -296,16 +300,27 @@ def _entering(x, A, b, a_norms, skip, met):
     Called once no equality row is left to enter, so the working rows skip
     are formed only then; skip is None when no inequality row is working.
     The most-violated row violated beyond rounding, viol > VIOL_RTOL
-    (|a||x| + |b|), and not in skip or met enters.
+    (|a||x| + |b|), and not in skip or met enters, the lowest index on ties
+    and a NaN violation before any number.  The most-violated row p, the
+    first of the largest violations, is tested first: beyond its own bound
+    it is also the first of the largest beyond theirs, and enters.  Only
+    when p is violated but within its bound, or NaN, is every row's bound
+    formed and applied.
     """
     if not b.size:
         return None
     viol = A @ x - b
-    viol[viol <= VIOL_RTOL * (a_norms * linalg.norm(x) + np.abs(b))] = -np.inf
     if skip is not None:
         viol[skip] = -np.inf        # working rows are met
     if met:
         viol[met] = -np.inf
+    p = int(viol.argmax())
+    top = viol[p]
+    if top <= 0.0:
+        return None     # no row is violated
+    if top > VIOL_RTOL * (a_norms[p] * linalg.norm(x) + abs(b[p])):
+        return p        # beyond its own bound: the whole vector of bounds picks it too
+    viol[viol <= VIOL_RTOL * (a_norms * linalg.norm(x) + np.abs(b))] = -np.inf
     p = int(viol.argmax())
     return None if viol[p] <= 0.0 else p
 
@@ -324,12 +339,15 @@ def _warm_start(z, rows, rhs, n_i, hint):
         return None
     if hint.T is None and not _fuse(hint, z, rows, rhs, n_i):
         return None
-    y = hint.T.dot(z) + hint.t
+    y = hint.T.dot(z)
+    y += hint.t
     n, q, k = z.shape[0], hint.work.size, y.size - n_i     # y = [x; e; s]: s from k on
     x, u = y[:n].copy(), y[n:n + q]     # x copied: a trace keeps x, not all of y
     # Read as unsigned integers, +0.0 and the positive finite doubles are the bit
-    # patterns below +inf's, so one max tests s >= 0 and finite; -0.0 and NaN fail it.
-    if (not n_i or y[k:].view(np.uint64).max() < _INF_BITS) and (k == n or np.isfinite(y[n:k]).all()):
+    # patterns below +inf's, so the largest tests s >= 0 and finite; -0.0 and NaN fail
+    # it.  s[s.argmax()] is that largest, without ndarray.max's Python wrapper.
+    s = y[k:].view(np.uint64)
+    if (not n_i or s[s.argmax()] < _INF_BITS) and (k == n or np.isfinite(y[n:k]).all()):
         return x, u, True
     # the per-row test: for -0.0 in s, a negative or infinite entry, or a NaN
     if not (np.isfinite(u).all() and (u[k - n:] >= 0.0).all()):

@@ -4,15 +4,16 @@ Each one recomputes what it checks from the problem data with public calls
 only, so a test that uses it does not trust the code under test.  The trace
 references compute, one row at a time, what the package computes on whole
 columns; the column references keep those whole-column formulas as first
-written, through numpy's Python wrappers, so that a test can pin a faster
-spelling of them to the same bits.
+written, through numpy's Python wrappers, and the solver references keep
+two QP steps as first written (the warm-start map, the entry test), so that
+a test can pin a faster spelling of them to the same bits.
 """
 
 import numpy as np
 
 from altproj import Box, ConstraintSystem, FixedRankMatrices, ManifoldChart, linalg
 from altproj.errors import DimensionMismatch
-from altproj.qp import KktCertificate, ProjectionQp
+from altproj.qp import VIOL_RTOL, KktCertificate, ProjectionQp
 from altproj.sets import ON_SET_TOL
 
 
@@ -53,6 +54,26 @@ def fuse_reference(work, Q, R, rows, rhs, n_i):
     T = np.vstack([P, R_inv @ Q1.T, -(A @ P)[out]])
     t = np.concatenate([x0, -(R_inv @ c), -(A @ x0 - b)[out]])
     return T, t
+
+
+def entering_reference(x, A, b, a_norms, skip, met):
+    """The inequality row to enter at x, or None: qp._entering's rule on the whole threshold vector.
+
+    Every row's bound VIOL_RTOL (|a||x| + |b|) is formed and applied before
+    the working rows skip and the met rows are masked, and the most-violated
+    row left enters, the lowest index on ties and the first NaN before any
+    number.  The body is the solver's entry test as first written.
+    """
+    if not b.size:
+        return None
+    viol = A @ x - b
+    viol[viol <= VIOL_RTOL * (a_norms * linalg.norm(x) + np.abs(b))] = -np.inf
+    if skip is not None:
+        viol[skip] = -np.inf        # working rows are met
+    if met:
+        viol[met] = -np.inf
+    p = int(viol.argmax())
+    return None if viol[p] <= 0.0 else p
 
 
 def chart_projection_oracle(chart: ManifoldChart, y, samples=10_000, bisections=50):

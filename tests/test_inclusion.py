@@ -402,9 +402,10 @@ class TestVerifyFaithfulness:
         with pytest.raises(InsufficientData, match="every pair was filtered by the angle floor"):
             verify_faithfulness(PARABOLA_CHART, base, queries, [[0.5, 0.25], [0.25, 0.0625]])
 
-    def test_all_filtered_raises(self):
-        # queries on the manifold at the base points: zero gap, angle 0
+    def test_gaps_that_do_not_shrink_raise(self):
+        # queries 1e-15 off the base points: every gap is about 1e-15, so the last is not
+        # below half the first, and the check refuses the sequence before it forms an angle
         base = [[0.5], [0.25], [0.125], [0.0625]]
         queries = [PARABOLA.eval(np.array(x)) + [0, 1e-15] for x in base]
-        with pytest.raises((InsufficientData, ValueError)):
+        with pytest.raises(ValueError, match="does not approach the base points"):
             verify_faithfulness(PARABOLA_CHART, base, queries, queries)

@@ -12,7 +12,7 @@ from altproj import Polyhedron, qp
 from altproj.errors import DimensionMismatch, Infeasible, MaxPivots
 from altproj.qp import FEAS_TOL, VIOL_RTOL, ProjectionQp, solve_projection_qp
 
-from oracles import fuse_reference, verify_certificate
+from oracles import entering_reference, fuse_reference, verify_certificate
 
 # a tenth of the profile's examples, for properties added after the suite outgrew its time budget
 FEW = settings(max_examples=max(10, settings.default.max_examples // 10), deadline=None)
@@ -612,10 +612,19 @@ class TestSignTest:
     """
 
     @given(u=st.lists(MULTIPLIERS, min_size=1, max_size=6), slacks=st.lists(SLACKS, max_size=4), data=st.data())
+    # one value in the last place of s, behind a valid multiplier: the sign test must
+    # read the largest entry, not the first or the smallest
+    @example(u=[2.0, -0.0], slacks=[], data=None)
+    @example(u=[2.0, math.inf], slacks=[], data=None)
+    @example(u=[2.0, math.nan], slacks=[], data=None)
+    @example(u=[2.0, np.finfo(float).max], slacks=[], data=None)
+    @example(u=[2.0, 5e-324], slacks=[], data=None)
     def test_refuses_what_the_per_row_test_refuses(self, u, slacks, data):
         u, slacks = np.array(u), np.array(slacks, dtype=float)
         q, k = u.size, slacks.size
-        q_i = data.draw(st.integers(0, q))
+        # an explicit example has only inequality rows, in row order
+        q_i = q if data is None else data.draw(st.integers(0, q))
+        order = range(q_i) if data is None else data.draw(st.permutations(range(q_i)))
         # q unit rows of R^q in work, laid out as a solve leaves them: its q - q_i equality
         # rows first, in row order, then its q_i inequality rows in a drawn order;
         # k more inequality rows outside work
@@ -623,7 +632,7 @@ class TestSignTest:
         rows = np.vstack([E[:q_i], np.ones((k, q)), E[q_i:]])
         n_i = q_i + k
         rhs = np.zeros(n_i + q - q_i)
-        work = np.array([*range(n_i, n_i + q - q_i), *data.draw(st.permutations(range(q_i)))])
+        work = np.array([*range(n_i, n_i + q - q_i), *order])
         hint = qp._Hint()
         hint.keep(work, np.eye(q), np.eye(q))
         assert qp._fuse(hint, np.zeros(q), rows, rhs, n_i)
@@ -637,6 +646,81 @@ class TestSignTest:
         if warm is not None:
             np.testing.assert_array_equal(warm[1], u)
             assert warm[2] == bool((slacks >= 0.0).all())
+
+
+ENTRY_RATIOS = (-1.0, 0.0, 0.5, 0.999, 1.001, 2.0, 1e3)     # a row's violation over its own bound
+
+
+@st.composite
+def entry_tests(draw):
+    """(x, A, b, a_norms, skip, met): the entry test's arguments, each row violated near its own bound.
+
+    x is drawn at a scale of 1 to 1e12.  Each row's violation is a drawn
+    multiple of its bound VIOL_RTOL (|a||x| + |b|), within it or beyond it,
+    and the row (a, b) is then scaled by 1, 1e3 or 1e6, so a row within its
+    bound can be the most violated while a lower one is beyond its own.
+    Some rows are exact copies of others (ties), about a fifth of the draws
+    hold a NaN b, and skip and met hold drawn rows.  m = 0 gives an empty b.
+    """
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    scale = draw(st.sampled_from([1.0, 1e4, 1e8, 1e12]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = scale * rng.standard_normal(n)
+    A = rng.standard_normal((m, n))
+    ax = A @ x
+    ratios = np.array(draw(st.lists(st.sampled_from(ENTRY_RATIOS), min_size=m, max_size=m)))
+    b = ax - ratios * VIOL_RTOL * (np.linalg.norm(A, axis=1) * np.linalg.norm(x) + np.abs(ax))
+    row_scales = np.array(draw(st.lists(st.sampled_from([1.0, 1e3, 1e6]), min_size=m, max_size=m)))
+    A, b = A * row_scales[:, None], b * row_scales
+    rows = st.integers(0, max(m - 1, 0))
+    for i, j in draw(st.lists(st.tuples(rows, rows), max_size=2)) if m else ():
+        A[i], b[i] = A[j], b[j]
+    if m and draw(st.integers(0, 4)) == 4:
+        b[draw(rows)] = math.nan
+    skip = draw(st.none() | st.lists(rows, unique=True, max_size=m).map(lambda r: np.array(r, dtype=int)))
+    met = draw(st.lists(rows, unique=True, max_size=min(m, 2))) if m else []
+    return x, A, b, np.linalg.norm(A, axis=1), skip, met
+
+
+def entry_case(x, A, b, skip=None, met=()):
+    """The entry test's arguments from lists, with a_norms as the solver forms them."""
+    x, b = np.array(x, dtype=float), np.array(b, dtype=float)
+    A = np.array(A, dtype=float).reshape(b.size, x.size)
+    return x, A, b, np.linalg.norm(A, axis=1), skip, met
+
+
+ENTRY_EXAMPLES = {  # name: (arguments, the row that enters)
+    # row 0 is the most violated, by about 1e-8, but within its bound of about 2e-7;
+    # row 1, violated by about 1e-9, is beyond its bound of about 2e-13 and enters
+    "top row within its bound": (entry_case([1.0], [[1e6], [1.0]], [1e6 - 1e-8, 1.0 - 1e-9]), 1),
+    "top row within its bound at 1e12": (entry_case([1e12], [[1e6], [1.0]], [1e18 - 1e4, 1e12 - 1e3]), 1),
+    # every row violated by exactly 1; bounds 3.5, 1e-13 and 1e-13: rows 1 and 2 tie
+    "exact tie": (entry_case([1.0, 0.0], [[2.0**44, 0.0], [1.0, 0.0], [1.0, 0.0]], [2.0**44 - 1.0, 0.0, 0.0]), 1),
+    "skip and met": (entry_case([1.0, 1.0, 1.0], np.eye(3), [0.0, 0.0, 0.5], np.array([0]), [1]), 2),
+    "NaN violation": (entry_case([1.0], [[1.0], [1.0], [1.0]], [0.0, math.nan, -1.0]), 1),
+    "NaN row met": (entry_case([1.0], [[1.0], [1.0], [1.0]], [0.0, math.nan, -1.0], None, [1]), 2),
+    "empty b": (entry_case([1.0, 2.0], [], []), None),
+    "no row violated": (entry_case([1.0, 0.0], np.eye(2), [2.0, 0.0], np.zeros(0, dtype=int)), None),
+}
+
+
+class TestEnteringRow:
+    """The entry test tries the most-violated row against its own bound first and picks the row the full-vector rule picks.
+
+    The rule, as first written in tests/oracles.py entering_reference: every
+    row's bound VIOL_RTOL (|a||x| + |b|) applied at once, the working and met
+    rows masked, the most-violated row left entering, the lowest index on
+    ties and a NaN before any number.
+    """
+
+    @given(case=entry_tests())
+    def test_picks_the_row_of_the_full_vector_rule(self, case):
+        assert qp._entering(*case) == entering_reference(*case)
+
+    @pytest.mark.parametrize("name", ENTRY_EXAMPLES)
+    def test_examples(self, name):
+        case, row = ENTRY_EXAMPLES[name]
+        assert qp._entering(*case) == entering_reference(*case) == row
 
 
 @st.composite
