@@ -113,14 +113,14 @@ def linearized_projection(sys: ConstraintSystem, z):
     return cert.solution, cert
 
 
-def _linearized_qp(solve, z, rows, rhs, n_i):
-    """The QP solve(z, rows, rhs, n_i) of the linearization at z.
+def _linearized_qp(solve, z, rows, rhs, n_i, hint=None):
+    """The QP solve(z, rows, rhs, n_i, hint) of the linearization at z.
 
     An empty linearization raises LinearizationInfeasible, which keeps the
     QP's Farkas witness.
     """
     try:
-        return solve(z, rows, rhs, n_i)
+        return solve(z, rows, rhs, n_i, hint)
     except Infeasible as exc:
         raise LinearizationInfeasible(
             "linearized constraints are infeasible at this point",
@@ -130,16 +130,20 @@ def _linearized_qp(solve, z, rows, rhs, n_i):
 
 
 def check_licq(sys: ConstraintSystem, x) -> LicqReport:
-    """LICQ at x: G rows with |G| <= ACTIVE_TOL plus all H rows must be linearly independent.
+    """LICQ at x: the active G rows plus all H rows must be linearly independent.
 
-    Independent means linalg.rank counts one singular value per row, a rule
-    relative to sigma_max that scaling cannot change.  ACTIVE_TOL is an absolute
-    test on |G(x)|, not one relative to the size of G's terms or of x.
+    A G row is active when |G_i(x)| <= ACTIVE_TOL |grad G_i(x)|, its
+    first-order distance to the zero set within ACTIVE_TOL, a rule that
+    scaling a row cannot change; a row with a zero gradient is active only
+    where it vanishes.  Independent means linalg.rank counts one singular
+    value per row, a rule relative to sigma_max that scaling cannot change
+    either.
     """
     x = linalg.as_vector(x, dim=sys.ambient_dim)
     rows, _, n_i, values = _linearized_rows(sys, x)
     n_g = sys.G.output_dim
-    K = np.vstack([rows[:n_g][np.abs(values[:n_g]) <= ACTIVE_TOL], rows[n_i:]])
+    active = np.abs(values[:n_g]) <= ACTIVE_TOL * np.linalg.norm(rows[:n_g], axis=1)
+    K = np.vstack([rows[:n_g][active], rows[n_i:]])
     if not K.shape[0]:
         return LicqReport(x, float("inf"), True)
     U, sigma, _ = linalg.svd(K)
@@ -156,7 +160,18 @@ def solve_constraint_system(sys: ConstraintSystem, x0, opts=None) -> IterationTr
 
     Trace rows record the iterate x, the shifted point x + s, gap = |s|,
     and the raw constraint violation as the M-distance proxy.  An empty
-    linearization ends the run with status LinearizationInfeasible.
+    linearization ends the run with status LinearizationInfeasible.  Each
+    QP after the first starts from the last one's working set, which near a
+    solution is mostly its own (see qp, "Renewed rows").
+
+    The QP's absolute floors limit how far the constraints may be scaled
+    down.  A linearized row shorter than about qp.DEP_TOL = 1e-10 counts as
+    a zero row, and a zero row is met when its residual is within
+    qp.FEAS_TOL = 1e-9.  So with every constraint of G: the unit disc,
+    H: y = x^2 and Q: the line y = 0.25 scaled by 1e-12, the first QP finds
+    every row met, and the run from (2, 2) reports Converged after one step,
+    at (2, 0.25), 1.5 from the answer.  Scales from 1e-9 to 1e12 give the
+    unscaled answer.
     """
     x = linalg.as_vector(x0, dim=sys.ambient_dim)
     return iterate(_constraint_rows(sys, x, sys.Q.distance(x)), opts)
@@ -164,9 +179,11 @@ def solve_constraint_system(sys: ConstraintSystem, x0, opts=None) -> IterationTr
 
 def _constraint_rows(sys, x, dq):
     project_q = sys.Q._run_projection()
+    hint = qp._Hint()
     while True:
         rows, rhs, n_i, values = _linearized_rows(sys, x)
-        s = _linearized_qp(qp._nearest_point, x, rows, rhs, n_i)[0] - x
+        hint.renew()
+        s = _linearized_qp(qp._nearest_point, x, rows, rhs, n_i, hint)[0] - x
         shifted = x + s
         violation = max(values[:n_i].max(initial=0.0), np.abs(values[n_i:]).max(initial=0.0))
         yield x, shifted, linalg.norm(s), dq, float(violation)

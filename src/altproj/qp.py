@@ -84,9 +84,34 @@ otherwise.  The loop updates factors in place, so the hint's are copied
 at the first pivot (when the first row enters); a hint's arrays are
 never changed, even by a solve that raises, and a solve that changes
 the working set leaves its own in the hint.
-Hints are scoped to one run: Polyhedron._run_projection gives each run
-its own, so Polyhedron.project stays a pure function and two runs of the
-same problem give the same bits.
+
+Renewed rows.  The linearized driver solves a QP on new rows at every
+iterate, and near a solution they mostly end on the last iterate's
+working set (under LICQ the active set of the linearization is locally
+constant: Wright, "Identifiable surfaces in constrained optimization",
+SIAM J. Control Optim. 31, 1993).  _Hint.renew keeps work and drops Q, R
+and T, which belong to the old rows, and the next warm start takes the
+one-shot start of _renewed_start: a thin Gram-Schmidt factorisation of
+W's rows and substitutions in Python floats, which store nothing.  A map
+pays for itself only when the rows repeat: on new rows a full QR and
+_fuse cost more than the cold solve they would replace.  Two of its refusals are new.  An
+equality row missing from W refuses it, since the skip of such rows
+above holds on the rows where they were found redundant, not on new
+ones.  A row of W that the loop's DEP_TOL test would find dependent
+refuses it, so that a tiny diagonal entry of R never becomes a huge
+finite multiplier that the sign test accepts.  And it is taken only when
+every row decision is clear of the entry bound VIOL_RTOL (|a||x| + |b|):
+each of W's inequality rows would enter, and each other row is met with
+that margin.  A cold solve then ends on W too, and the two points agree
+to rounding amplified by cond(N); without those margins they differed by
+up to 5e-14 (1 + |z|) cond(N) on rows within their entry bound, which
+the cold loop leaves out.  Anything refused, or a valid start from which
+a row would enter, goes to the cold start, and the loop leaves its
+working set in the hint.
+Hints are scoped to one run: Polyhedron._run_projection and
+linconstr's driver give each run its own, so Polyhedron.project and
+linearized_projection stay pure functions that start cold, and two runs
+of the same problem give the same bits.
 """
 
 from __future__ import annotations
@@ -151,14 +176,15 @@ def solve_projection_qp(p: ProjectionQp) -> KktCertificate:
 
 
 class _Hint:
-    """A solve's working rows in factor order and their factors, to start the next one on the same rows.
+    """A solve's working rows in factor order and their factors, to start the next one from.
 
     work holds its equality rows first, in row order, as every solve leaves
     it, and Q and R factor N^T = Q[:, :q] R[:q, :q] for its q rows.  The
     first warm start from them that is not refused adds the affine map T, t
     of the working set (see _fuse), which serves every later one until a
-    solve changes the working set.  Solves read these arrays and never
-    change them in place.
+    solve changes the working set.  renew() drops Q, R and T when the rows
+    change, and warm starts on the new rows take the one-shot start of
+    _renewed_start.  Solves read these arrays and never change them in place.
     """
 
     __slots__ = ("work", "Q", "R", "T", "t")
@@ -168,6 +194,10 @@ class _Hint:
 
     def keep(self, work, Q, R):
         self.work, self.Q, self.R, self.T = work, Q, R, None
+
+    def renew(self):
+        """Keep work for a solve on new rows of the same layout; drop the old rows' factors and map."""
+        self.Q = self.R = self.T = None
 
 
 def _solve(z, rows, rhs, n_i, hint=None):
@@ -329,7 +359,8 @@ def _warm_start(z, rows, rhs, n_i, hint):
     """(x, u, done): the point x optimal for the hint's working rows W at z, W's multipliers u, and whether no row enters at x.
 
     None without a nonempty hint, or if a multiplier is NaN or infinite or
-    an inequality multiplier is < 0.  The first warm start from W builds
+    an inequality multiplier is < 0.  A renewed hint, with no factors,
+    takes _renewed_start.  The first warm start from W builds
     W's map, unless _fuse refuses the hint from W's multiplier rows alone;
     either way the same hints are refused.  u = y[n:n + q] is a view, in
     W's order: its equality rows first.  The hint's arrays are read, not
@@ -337,8 +368,11 @@ def _warm_start(z, rows, rhs, n_i, hint):
     """
     if hint is None or hint.work is None or not hint.work.size:
         return None
-    if hint.T is None and not _fuse(hint, z, rows, rhs, n_i):
-        return None
+    if hint.T is None:
+        if hint.Q is None:
+            return _renewed_start(z, rows, rhs, n_i, hint.work)
+        if not _fuse(hint, z, rows, rhs, n_i):
+            return None
     y = hint.T.dot(z)
     y += hint.t
     n, q, k = z.shape[0], hint.work.size, y.size - n_i     # y = [x; e; s]: s from k on
@@ -408,6 +442,87 @@ def _fuse(hint, z, rows, rhs, n_i):
     np.negative((A @ t[:n] - b)[out], out=t[n + q:])
     hint.T, hint.t = T, t
     return True
+
+
+def _renewed_start(z, rows, rhs, n_i, W):
+    """(x, u, True): the point x optimal at z for working rows W of renewed rows, and W's multipliers u; or None.
+
+    The rows changed since W was found, so nothing is stored: one pass
+    factors N = rows[W] thinly, N^T = B^T R with orthonormal rows B, by
+    Gram-Schmidt with one reorthogonalisation, and substitutes in Python
+    floats, since W holds a few rows and a numpy call costs more than that
+    arithmetic.  With c = R^{-T} b_W and h = B z - c, u = R^{-1} h and
+    x = z - B^T h.  x is returned only when every row decision is clear of
+    the cold loop's entry bound e = VIOL_RTOL (|a||x| + |b|), so that a
+    cold solve takes the same decisions and the two points agree to
+    rounding; otherwise (None) the cold solve decides.  Refused:
+      - W misses an equality row.  On rows that stay, a solve leaves out
+        only redundant ones, but these rows are new;
+      - a row of W that the loop's DEP_TOL test would find dependent on
+        the ones before it: its tiny R_kk would give a huge finite
+        multiplier;
+      - a NaN or infinite multiplier;
+      - an inequality row of W violated by no more than e at the point
+        optimal for W's other rows, where its violation is
+        u_k / ((N N^T)^{-1})_kk: the cold loop might not enter it;
+      - no inequality row of W violated beyond e at the point optimal for
+        W's equality rows alone, z when there are none, where the cold
+        loop tests its first inequality row: it might stop there;
+      - any other inequality row not met with a margin of e at x, which
+        also refuses a valid start from which a row would enter.
+    """
+    q, q_e = W.size, rows.shape[0] - n_i
+    if q_e and (q < q_e or W[q_e - 1] < n_i):   # W holds its equality rows first, in row order
+        return None
+    B, R, a_norms = np.empty((q, z.shape[0])), [], []   # R[k]: column k of R, its diagonal entry last
+    for k, j in enumerate(W.tolist()):
+        a = v = rows[j]
+        col = []
+        if k:
+            P = B[:k]
+            r = P.dot(v)
+            v = v - r.dot(P)
+            s = P.dot(v)
+            v = v - s.dot(P)
+            col = (r + s).tolist()
+        dd, a_norm = float(v.dot(v)), linalg.norm(a)
+        if dd <= DEP_TOL * DEP_TOL * (1.0 + a_norm) ** 2:
+            return None
+        col.append(math.sqrt(dd))
+        np.divide(v, col[k], out=B[k])
+        R.append(col)
+        a_norms.append(a_norm)
+    b_W, c = rhs[W].tolist(), []
+    for col, b in zip(R, b_W):          # R^T c = b_W
+        k = len(c)
+        c.append((b - sum(col[i] * c[i] for i in range(k))) / col[k])
+    h = (B.dot(z) - c).tolist()         # R^T h = N z - b_W: W's violations at z
+    u = [0.0] * q
+    for k in range(q - 1, -1, -1):      # R u = h
+        u[k] = (h[k] - sum(R[i][k] * u[i] for i in range(k + 1, q))) / R[k][k]
+    if not all(map(math.isfinite, u)):
+        return None
+    x = z - B.T.dot(h)
+    x_norm, entered = linalg.norm(x), q_e == q
+    for k in range(q_e, q):
+        bound = VIOL_RTOL * (a_norms[k] * x_norm + abs(b_W[k]))
+        col, y = R[k], [1.0 / R[k][k]]  # R^T y = e_k: (N N^T)^{-1}_kk = |y|^2
+        for j in range(k + 1, q):
+            y.append(-sum(R[j][i] * y[i - k] for i in range(k, j)) / R[j][j])
+        if not u[k] > bound * sum(t * t for t in y):
+            return None
+        # a_k x_E - b_k, with x_E = z - B[:q_e]^T h[:q_e] optimal for W's equality rows
+        entered = entered or sum(col[i] * h[i] for i in range(q_e, k + 1)) > bound
+    if not entered:
+        return None
+    if n_i:
+        A, b = rows[:n_i], rhs[:n_i]
+        viol = A.dot(x) - b
+        viol += VIOL_RTOL * (np.sqrt(np.einsum("ij,ij->i", A, A)) * x_norm + np.abs(b))
+        viol[W[q_e:]] = -math.inf       # W's rows are met
+        if not viol[viol.argmax()] <= 0.0:
+            return None
+    return x, np.array(u), True
 
 
 def _add(Q, R, u, work, q, w, j, u_j):

@@ -21,9 +21,12 @@ from altproj.errors import (
     LinearizationInfeasible,
 )
 from altproj.linconstr import _linearized_rows, geometric_path
-from altproj.qp import ProjectionQp, solve_projection_qp
+from altproj.qp import FEAS_TOL, ProjectionQp, solve_projection_qp
 
 from oracles import constraint_violation
+
+# a tenth of the profile's examples: 20 in the suite, 200 in the thorough profile
+FEW = settings(max_examples=max(10, settings.default.max_examples // 10), deadline=None)
 
 CIRCLE = PolyMap(2, [[Monomial(1, (2, 0)), Monomial(1, (0, 2)), Monomial(-1, (0, 0))]])
 FULL_PLANE = AffineSubspace([0, 0], [[1, 0], [0, 1]])
@@ -193,21 +196,32 @@ class TestLicq:
         assert rep.smallest_singular_value == pytest.approx(2e-9)
 
     @given(n=st.integers(2, 4), g=st.integers(0, 3), h=st.integers(0, 3), repeat=st.booleans(),
-           exponent=st.floats(-12, 12), seed=st.integers(0, 2**32 - 1))
-    def test_scaling_the_system_keeps_the_answer(self, n, g, h, repeat, exponent, seed):
-        # every block vanishes at the origin, so each G row stays active at any
-        # scale (ACTIVE_TOL is absolute); repeat copies G's first row into H
+           origin=st.booleans(), exponent=st.floats(-12, 12), seed=st.integers(0, 2**32 - 1))
+    def test_scaling_the_system_keeps_the_answer(self, n, g, h, repeat, origin, exponent, seed):
+        # every block vanishes at x: exactly at the origin, to rounding (|G| ~ 1e-16) at a
+        # random x, where a row stays active at any scale only by the scale-invariant rule
+        # |G_i| <= ACTIVE_TOL |grad G_i|; repeat copies G's first row into H
         rng = np.random.default_rng(seed)
-        G, H = quadratic_block(rng, g, n), quadratic_block(rng, h, n)
+        x = np.zeros(n) if origin else rng.standard_normal(n)
+        G, H = quadratic_block(rng, g, n, x), quadratic_block(rng, h, n, x)
         if repeat and g:
             H = PolyMap(n, H.outputs + G.outputs[:1])
-        x = np.zeros(n)
 
         def holds(s):
             return check_licq(ConstraintSystem(scaled(G, s), PolyMap.empty(n), scaled(H, s),
                                                AffineSubspace(x, np.eye(n)), n), x).holds
 
         assert holds(10.0**exponent) == holds(1.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e12])
+    def test_rows_active_to_rounding_stay_active_when_scaled(self, scale):
+        # three rows in the plane that vanish at a random x up to rounding: LICQ fails at
+        # any scale, also when |G| reads about 1e-4 after scaling by 1e12
+        rng = np.random.default_rng(29)
+        x = rng.standard_normal(2)
+        G = scaled(quadratic_block(rng, 3, 2, x), scale)
+        rep = check_licq(ConstraintSystem(G, PolyMap.empty(2), PolyMap.empty(2), FULL_PLANE, 2), x)
+        assert not rep.holds
 
     def test_no_active_row_holds(self):
         # |x|^2 - 1 = 3 at (2, 0) is inactive, and there are no H rows
@@ -299,6 +313,67 @@ class TestSolveConstraintSystem:
         sys_ = circle_system(DIAG_LINE)
         x = tr.zs[-1]
         assert max(constraint_violation(sys_, x), sys_.Q.distance(x)) <= opts.gap_tol * 10
+
+
+def disc_parabola_line(s):
+    """G: the unit disc, H: y = x^2 and Q: the line y = 0.25, with G and H scaled by s."""
+    G = PolyMap(2, [[Monomial(s, (2, 0)), Monomial(s, (0, 2)), Monomial(-s, (0, 0))]])
+    H = PolyMap(2, [[Monomial(s, (0, 1)), Monomial(-s, (2, 0))]])
+    return ConstraintSystem(G, PolyMap.empty(2), H, AffineSubspace([0.0, 0.25], [[1.0, 0.0]]), 2)
+
+
+class TestScaledConstraints:
+    """Where the QP's absolute floors limit solve_constraint_system: a scale of every constraint down to 1e-9."""
+
+    @pytest.mark.parametrize("exponent", range(-9, 13))
+    def test_scales_from_1e_9_to_1e12_give_the_unscaled_answer(self, exponent):
+        tr = solve_constraint_system(disc_parabola_line(10.0**exponent), [2.0, 2.0])
+        assert tr.status == "Converged"
+        np.testing.assert_allclose(tr.zs[-1], [0.5, 0.25], atol=1e-8)
+
+    def test_at_1e_12_the_first_qp_finds_every_row_met(self):
+        # the limit, pinned: each linearized row is shorter than DEP_TOL, so it counts as
+        # a zero row, met since its residual is within FEAS_TOL; the run stops on Q at
+        # (2, 0.25), 1.5 from the answer, with a false Converged
+        tr = solve_constraint_system(disc_parabola_line(1e-12), [2.0, 2.0])
+        assert tr.status == "Converged" and len(tr.zs) == 2
+        np.testing.assert_array_equal(tr.zs[-1], [2.0, 0.25])
+        assert np.abs(disc_parabola_line(1e-12).H.eval(tr.zs[-1])).max() <= FEAS_TOL
+
+
+@st.composite
+def constraint_systems(draw):
+    """(sys, x0): G and H vanishing at a point x_s, P = a block vanishing there minus 0.5, Q an affine set through x_s.
+
+    n from 2 to 6; up to 2 rows in each block; Q of a random dimension from
+    max(1, n - #G - #H) to n; x0 is x_s moved by 0.3 times a normal draw.
+    """
+    n, g, p, h = draw(st.integers(2, 6)), draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    k = draw(st.integers(max(1, n - g - h), n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.standard_normal(n)
+    G, H = quadratic_block(rng, g, n, xs), quadratic_block(rng, h, n, xs)
+    P = PolyMap(n, [list(row) + [Monomial(-0.5, (0,) * n)] for row in quadratic_block(rng, p, n, xs).outputs])
+    Q = AffineSubspace(xs, np.linalg.qr(rng.standard_normal((n, k)))[0].T)
+    return ConstraintSystem(G, P, H, Q, n), xs + 0.3 * rng.standard_normal(n)
+
+
+class TestWarmLinearizedRuns:
+    @FEW
+    @given(case=constraint_systems())
+    def test_shifted_points_are_the_cold_projections(self, case):
+        # A run starts each linearized QP from the last working set; linearized_projection
+        # starts cold.  Both end on the same working rows N to rounding, which cond(N)
+        # amplifies, as the one-shot start is taken only when every row decision is clear
+        # of the cold loop's entry bound.
+        sys_, x0 = case
+        trace = solve_constraint_system(sys_, x0, SolveOptions(gap_tol=1e-10, max_iters=30))
+        for z, shifted in zip(trace.zs, trace.xs):
+            x, cert = linearized_projection(sys_, z)
+            rows, _, n_i, _ = _linearized_rows(sys_, z)
+            N = np.vstack([rows[cert.active_set], rows[n_i:]])
+            kappa = np.linalg.cond(N) if N.size else 1.0
+            assert np.max(np.abs(shifted - x), initial=0.0) <= 1e-14 * (1.0 + np.linalg.norm(z)) * kappa
 
 
 class TestQuadraticDecay:

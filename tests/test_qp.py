@@ -479,6 +479,65 @@ def hinted_qps(draw):
     return p, hint, kind, cert
 
 
+@st.composite
+def general_position_qps(draw):
+    """A QP with random rows and target, each inequality row with a positive slack at a feasible point.
+
+    Unlike qp_draws, no slack is zeroed and no row repeated, so every
+    multiplier and every slack at the answer is clear of 0 but by chance.
+    """
+    n = draw(st.integers(1, 10))
+    m, n_eq = draw(st.integers(0, 4 * n)), draw(st.integers(0, min(2, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x_feas = rng.standard_normal(n)
+    A, C = rng.standard_normal((m, n)), rng.standard_normal((n_eq, n))
+    return ProjectionQp(rng.standard_normal(n) * 2, A, A @ x_feas + rng.uniform(0.0, 1.0, m), C, C @ x_feas)
+
+
+def outcome(solve):
+    """solve()'s (x, u, work, pivots) as bits, or the class and message of the error it raised."""
+    try:
+        x, u, work, pivots = solve()
+    except (Infeasible, MaxPivots) as exc:
+        return type(exc).__name__, str(exc)
+    return x.tobytes(), u.tobytes(), work.tobytes(), pivots
+
+
+def renewed(work):
+    """A hint holding the working rows work alone, as a solve on new rows finds it."""
+    hint = qp._Hint()
+    hint.keep(np.array(work), None, None)
+    hint.renew()
+    return hint
+
+
+BOX_ROWS, BOX_RHS = [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0]
+WEDGE_ROWS = [[1.0, 0.2], [-1.0, 0.2]]      # below both rows: a wedge with its vertex at (0, 5)
+# (rows, rhs, n_i, work, z): a hint that the one-shot start on renewed rows refuses
+REFUSED_RENEWALS = {
+    # x_0 <= 0 and x_1 = 1: W's point (0, 0) has u = 1 and meets every inequality row
+    "an equality row missing from W": ([[1, 0], [0, 1]], [0, 1], 1, [0], [1, 0]),
+    # x_0 = 0 and x_0 + 1e-14 x_1 = 0: a cold solve finds the second row redundant and
+    # ends at (0, 1); W's point would be (0, 0), with a multiplier of -1e14
+    "a hinted row dependent on the one before": ([[1, 0], [1, 1e-14]], [0, 0], 0, [0, 1], [1, 1]),
+    "a negative multiplier": (BOX_ROWS, BOX_RHS, 4, [0], [0.5, 0.5]),
+    "a NaN multiplier": (BOX_ROWS, BOX_RHS, 4, [0], [math.nan, 0.0]),
+    # c = R^{-T} b_W = 1e300 / 1e-9 overflows to inf
+    "an infinite multiplier": ([[1e-9, 0]], [1e300], 1, [0], [1, 0]),
+    "another inequality row violated at the warm point": (BOX_ROWS, BOX_RHS, 4, [0], [3, 3]),
+    # violated by 2e-15, within its entry bound of about 2e-13: the cold loop leaves x at z
+    "a working row within its entry bound at z": (BOX_ROWS, BOX_RHS, 4, [0], [1 + 2e-15, 0.5]),
+    # row 0 enters at z, and then row 2 is violated by 2e-15, within its entry bound
+    "a working row within its entry bound once another is in": (BOX_ROWS, BOX_RHS, 4, [0, 2], [3, 1 + 2e-15]),
+    # at W's point (1, 1 - 1e-15) row 2 is met by 1e-15, within its entry bound
+    "another row met within its entry bound": (BOX_ROWS, BOX_RHS, 4, [0], [2, 1 - 1e-15]),
+    # z violates both rows by 4e-13, within their entry bounds of 6e-13, so the cold loop
+    # leaves x at z; either row is violated by about 8e-13 at the point optimal for the other
+    "no working row violated beyond its entry bound where the cold loop starts":
+        (WEDGE_ROWS, np.dot(WEDGE_ROWS, [0, 5]), 2, [0, 1], [0, 5 + 2e-12]),
+}
+
+
 class TestWarmStart:
     @given(case=hinted_qps())
     def test_warm_and_cold_agree(self, case):
@@ -549,6 +608,52 @@ class TestWarmStart:
         assert hint.work.tolist() == [1, 0]
         np.testing.assert_allclose(cert.solution, [1.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(cert.eq_multipliers, [-1.0], atol=1e-15)
+
+    @FEW
+    @given(p=general_position_qps())
+    def test_renewed_hint_with_the_right_rows_needs_no_pivot(self, p):
+        # a solve on new rows keeps the working rows W and drops their factors: the one-shot
+        # start from the W of a cold solve at the same target takes no pivot and lands on
+        # the cold point to rounding, which cond(N) of W's rows N amplifies
+        rows, rhs, n_i = stacked(p)
+        hint = qp._Hint()
+        cold = qp._nearest_point(p.target, rows, rhs, n_i, hint)[0]
+        W = hint.work
+        hint.renew()
+        before = held(hint)
+        x, _, work, pivots = qp._nearest_point(p.target, rows, rhs, n_i, hint)
+        assert pivots == 0 and work.tolist() == W.tolist() and unchanged(before)
+        kappa = np.linalg.cond(rows[W]) if W.size else 1.0
+        assert np.max(np.abs(x - cold), initial=0.0) <= 1e-14 * (1.0 + np.linalg.norm(p.target)) * kappa
+
+    @pytest.mark.parametrize("name", REFUSED_RENEWALS)
+    def test_refused_renewal_gives_the_cold_bits(self, name):
+        rows, rhs, n_i, work, z = REFUSED_RENEWALS[name]
+        rows, rhs, z = np.array(rows, dtype=float), np.array(rhs, dtype=float), np.array(z, dtype=float)
+        hint = renewed(work)
+        before = held(hint)
+        assert qp._warm_start(z, rows, rhs, n_i, hint) is None
+        got = outcome(lambda: qp._nearest_point(z, rows, rhs, n_i, hint))
+        assert got == outcome(lambda: qp._nearest_point(z, rows, rhs, n_i))
+        assert unchanged(before)
+
+    @FEW
+    @given(case=hinted_qps())
+    def test_renewed_hint_starts_in_one_shot_or_gives_the_cold_bits(self, case):
+        p, hint, _, _ = case
+        rows, rhs, n_i = stacked(p)
+        hint.renew()
+        before = held(hint)
+        start = qp._warm_start(p.target, rows, rhs, n_i, hint)
+        got = outcome(lambda: qp._nearest_point(p.target, rows, rhs, n_i, hint))
+        assert unchanged(before)
+        if start is None:
+            assert got == outcome(lambda: qp._nearest_point(p.target, rows, rhs, n_i))
+        else:
+            assert got[3] == 0 and got[0] == start[0].tobytes()
+            cold = qp._solve(p.target, rows, rhs, n_i)
+            scale = 1.0 + np.linalg.norm(p.target)
+            assert np.max(np.abs(start[0] - cold.solution), initial=0.0) <= 1e-12 * scale
 
     def test_nan_target_falls_back_to_cold_start(self):
         p = ProjectionQp([2, -1], [[1, 0], [0, -1]], [1, 0], np.zeros((0, 2)), [])
