@@ -162,16 +162,9 @@ def solve_constraint_system(sys: ConstraintSystem, x0, opts=None) -> IterationTr
     and the raw constraint violation as the M-distance proxy.  An empty
     linearization ends the run with status LinearizationInfeasible.  Each
     QP after the first starts from the last one's working set, which near a
-    solution is mostly its own (see qp, "Renewed rows").
-
-    The QP's absolute floors limit how far the constraints may be scaled
-    down.  A linearized row shorter than about qp.DEP_TOL = 1e-10 counts as
-    a zero row, and a zero row is met when its residual is within
-    qp.FEAS_TOL = 1e-9.  So with every constraint of G: the unit disc,
-    H: y = x^2 and Q: the line y = 0.25 scaled by 1e-12, the first QP finds
-    every row met, and the run from (2, 2) reports Converged after one step,
-    at (2, 0.25), 1.5 from the answer.  Scales from 1e-9 to 1e12 give the
-    unscaled answer.
+    solution is mostly its own (see qp, "Renewed rows").  Each linearized
+    row is made unit-length before its QP, so scaling a constraint leaves
+    the QP's decisions as they are.
     """
     x = linalg.as_vector(x0, dim=sys.ambient_dim)
     return iterate(_constraint_rows(sys, x, sys.Q.distance(x)), opts)
@@ -182,6 +175,7 @@ def _constraint_rows(sys, x, dq):
     hint = qp._Hint()
     while True:
         rows, rhs, n_i, values = _linearized_rows(sys, x)
+        rows, rhs, _ = qp._unit_rows(rows, rhs)
         hint.renew()
         s = _linearized_qp(qp._nearest_point, x, rows, rhs, n_i, hint)[0] - x
         shifted = x + s

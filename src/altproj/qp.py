@@ -21,26 +21,35 @@ N^T = Q[:, :q] R, updated in place: a Householder reflection on Q[:, q:]
 appends a row, Givens rotations restore R after a drop.  A pivot cap
 guards against numerical cycling.
 
-Every row decision reads one rounding model: a.x - b is off by about
-eps (|a||x| + |b|), |a| from one vector of row norms per solve.  A row
-enters only if violated beyond VIOL_RTOL (|a||x| + |b|), so a scaled copy
-of a met row does not enter on its rounding and cycle.  The entry test
-tries the most-violated row against its own bound first, and forms the
-bound of every row only when that row is violated within its own, or NaN:
-it picks the row that the whole vector of bounds would.  A row a = N^T r
-that depends on the working rows is redundant if met to FEAS_TOL or to
-VIOL_RTOL (|a||x| + |b| + sum_j |r_j| (|a_j||x| + |b_j|)), which carries
-the working rows' rounding through r (Higham, Accuracy and Stability,
-3.1); a redundant inequality row is skipped until the next pivot.  The
-absolute floor decides emptiness on small data, but the empty slab
-c + w <= x_0 <= c is found empty only for w beyond about 4e-13 c: not at
-c = 1e12, w = 0.1.  A certificate sets to 0 each negative slack within
-max(FEAS_TOL, entry bound).  DUAL_TOL and DEP_TOL stay absolute: they
-test r and Q^T a, which do not scale with x or b.  The equality rows
-enter first, in row order, and only inequality rows drop, so every
-working set W holds its equality rows first, in row order.  An equality
-row outside W was found redundant, which depends on the rows and
-right-hand sides alone, so no solve on these rows enters it.
+Every row decision reads one rounding model on one row scale.  The rows
+are unit-length or zero, which _unit_rows makes them where they are built
+(a Polyhedron once, a linearization once, _solve once per call), so
+scaling a row and its right-hand side changes nothing but the rounding
+of that division.  On a unit row a.x - b is the distance to its
+hyperplane, off by about eps (|x| + |b|).  A row enters only if violated
+beyond VIOL_RTOL (|x| + |b|), so a scaled copy of a met row does not
+enter on its rounding and cycle.  The entry test tries the most-violated
+row against its own bound first, and forms the bound of every row only
+when that row is violated within its own, or NaN: it picks the row that
+the whole vector of bounds would.  A row a = N^T r + d is dependent on
+the working rows N when |d| <= DEP_TOL, and then redundant if met to
+FEAS_TOL or to VIOL_RTOL (|x| + |b| + sum_j |r_j| (|x| + |b_j|)), which
+carries the working rows' rounding through r (Higham, Accuracy and
+Stability, 3.1); a redundant inequality row is skipped until the next
+pivot.  The floor FEAS_TOL decides emptiness on small data, but the empty
+slab c + w <= x_0 <= c is found empty only for w beyond about 4e-13 c:
+not at c = 1e12, w = 0.1.  A certificate sets to 0 each negative slack
+within max(FEAS_TOL, entry bound).  DUAL_TOL, DEP_TOL and FEAS_TOL bound
+r, |d| and a distance: on unit rows the first two depend on the rows'
+directions alone, and none of them on how a row was scaled.  |x| is
+linalg.norm's, unless x.dot(x) overflows (|x| beyond about 1.3e154), when
+it comes from np.hypot.  A target with a NaN or infinite entry raises
+DimensionMismatch where the loop would declare the polyhedron empty, so
+that its NaN violations are not read as emptiness; no other path tests
+it.  The equality rows enter first, in row order, and only inequality
+rows drop, so every working set W holds its equality rows first, in row
+order.  An equality row outside W was found redundant, which depends on
+the rows and right-hand sides alone, so no solve on these rows enters it.
 
 Warm start.  For a fixed working set W the factors Q, R depend only on
 the rows, not on the target, and alternating projections onto one
@@ -100,7 +109,7 @@ above holds on the rows where they were found redundant, not on new
 ones.  A row of W that the loop's DEP_TOL test would find dependent
 refuses it, so that a tiny diagonal entry of R never becomes a huge
 finite multiplier that the sign test accepts.  And it is taken only when
-every row decision is clear of the entry bound VIOL_RTOL (|a||x| + |b|):
+every row decision is clear of the entry bound VIOL_RTOL (|x| + |b|):
 each of W's inequality rows would enter, and each other row is met with
 that margin.  A cold solve then ends on W too, and the two points agree
 to rounding amplified by cond(N); without those margins they differed by
@@ -122,12 +131,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import Infeasible, MaxPivots
+from .errors import DimensionMismatch, Infeasible, MaxPivots
 
 FEAS_TOL = 1e-9     # primal feasibility (two orders above linalg tolerances)
 DUAL_TOL = 1e-10    # a working inequality row blocks a step only if its r exceeds this
 DEP_TOL = 1e-10     # linear-dependence threshold when growing the working set
-VIOL_RTOL = 1e-13   # an inequality row enters once a.x - b exceeds this times |a||x| + |b|
+VIOL_RTOL = 1e-13   # an inequality row enters once a.x - b exceeds this times |x| + |b|
 _INF_BITS = int(np.array(math.inf).view(np.uint64))
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _TINY = np.finfo(float).tiny        # the smallest normal double
@@ -203,16 +212,44 @@ class _Hint:
 def _solve(z, rows, rhs, n_i, hint=None):
     """The dual method on checked data: rows = [A_ineq; A_eq], the first n_i inequalities.
 
-    Returns the KktCertificate of _nearest_point's solution.
+    Returns the KktCertificate of _nearest_point's solution on the rows made
+    unit by _unit_rows, with its multipliers, its slacks and any Farkas
+    witness scaled back to the rows given.  A hint must come from solves
+    on the same rows, which make the same unit rows.
     """
-    x, u, work, pivots = _nearest_point(z, rows, rhs, n_i, hint)
+    rows, rhs, scale = _unit_rows(rows, rhs)
+    try:
+        x, u, work, pivots = _nearest_point(z, rows, rhs, n_i, hint)
+    except Infeasible as exc:
+        exc.y_ineq /= scale[:n_i]
+        exc.y_eq /= scale[n_i:]
+        raise
     y = np.zeros(rows.shape[0])
     y[work] = u
+    y /= scale
     slacks = rhs[:n_i] - rows[:n_i] @ x
-    bound = VIOL_RTOL * (np.linalg.norm(rows[:n_i], axis=1) * linalg.norm(x) + np.abs(rhs[:n_i]))
+    bound = VIOL_RTOL * (_norm(x) + np.abs(rhs[:n_i]))
     slacks = np.where(np.abs(slacks) <= np.maximum(FEAS_TOL, bound), np.maximum(slacks, 0.0), slacks)
-    return KktCertificate(x, np.maximum(y[:n_i], 0.0), slacks, y[n_i:],
+    return KktCertificate(x, np.maximum(y[:n_i], 0.0), slacks * scale[:n_i], y[n_i:],
                           sorted(int(j) for j in work if j < n_i), pivots)
+
+
+def _unit_rows(rows, rhs):
+    """(rows, rhs, scale): each row a and its right-hand side b divided by |a|, a zero row left as it is.
+
+    _nearest_point takes rows of length 1 or 0, so this runs where rows
+    are built.  scale holds |a|, or 1 for a zero row: the multipliers of the
+    unit rows divided by it, and their slacks times it, are the given rows'.
+    """
+    scale = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    scale[scale == 0.0] = 1.0
+    return rows / scale[:, None], rhs / scale, scale
+
+
+def _norm(x):
+    """|x|: linalg.norm(x) bit for bit, or np.hypot's when x.dot(x) overflows."""
+    sq = x.dot(x)
+    return math.sqrt(sq) if sq != math.inf else float(np.hypot.reduce(x))
 
 
 def _nearest_point(z, rows, rhs, n_i, hint=None):
@@ -220,7 +257,9 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
 
     With a _Hint for these rows, start from its working set when that is a
     valid dual start at z, and leave this solve's working set in it.  The
-    arrays returned are not to be changed: work may be the hint's.
+    arrays returned are not to be changed: work may be the hint's.  Each
+    row is unit-length or zero, as _unit_rows leaves it: every row decision
+    reads that one scale.
     """
     n, m = z.shape[0], rows.shape[0]
     warm = _warm_start(z, rows, rhs, n_i, hint)
@@ -233,11 +272,10 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
         if done:
             return x, u, work, 0        # no row enters: how most warm solves end
         equalities, skip = iter(()), work[work < n_i]     # an equality row outside W is redundant
-    norms = np.linalg.norm(rows, axis=1)       # |a| of every row: the scale of its rounding
-    A, b, a_norms = rows[:n_i], rhs[:n_i], norms[:n_i]
+    A, b = rows[:n_i], rhs[:n_i]
     p = next(equalities, None)
     if p is None:
-        p = _entering(x, A, b, a_norms, skip, ())
+        p = _entering(x, A, b, skip, ())
     if p is None:
         if hint is not None and warm is None:
             hint.keep(work, None, None)
@@ -260,7 +298,7 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
             w = a @ Q
             r = _working_coefficients(R, w, q)
             dd = float(w[q:].dot(w[q:]))   # |d|^2, zero when a depends on the working rows
-            if dd <= DEP_TOL * DEP_TOL * (1.0 + math.sqrt(w.dot(w))) ** 2:
+            if dd <= DEP_TOL * DEP_TOL:
                 dd = 0.0
             s = float(a.dot(x)) - rhs[p]
             t = s / dd if dd else np.inf
@@ -275,11 +313,13 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
                 else:
                     k = None
             elif not dd:
-                e = norms * linalg.norm(x) + np.abs(rhs)      # each row's rounding scale
+                e = _norm(x) + np.abs(rhs)      # each row's rounding scale
                 if abs(s) <= max(FEAS_TOL, VIOL_RTOL * (e[p] + np.abs(r).dot(e[work[:q]]))):
                     if p < n_i:
                         met.append(p)
                     break       # a dependent row consistent to rounding is redundant
+                if not np.isfinite(z).all():
+                    raise DimensionMismatch("target contains NaN/Inf entries")
                 # Farkas witness e_p - r: A^T y = 0 and b^T y = -|s| < 0.
                 y = np.eye(1, m, p)[0]
                 y[work[:q]] -= r
@@ -304,7 +344,7 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
         p = next(equalities, None)
         if p is None:
             skip = None if not q_i else work[:q] if q_i == q else work[:q][work[:q] < n_i]
-            p = _entering(x, A, b, a_norms, skip, met)
+            p = _entering(x, A, b, skip, met)
 
     if hint is not None and (warm is None or pivots):
         hint.keep(work[:q].copy(), Q, R)
@@ -324,13 +364,13 @@ def _working_coefficients(R, w, q):
     return np.linalg.solve(R[:q, :q], w[:q]) if q else w[:0]
 
 
-def _entering(x, A, b, a_norms, skip, met):
-    """The inequality row to enter at x, or None when none does; a_norms holds the row norms of A.
+def _entering(x, A, b, skip, met):
+    """The inequality row to enter at x, or None when none does; A's rows are unit-length or zero.
 
     Called once no equality row is left to enter, so the working rows skip
     are formed only then; skip is None when no inequality row is working.
     The most-violated row violated beyond rounding, viol > VIOL_RTOL
-    (|a||x| + |b|), and not in skip or met enters, the lowest index on ties
+    (|x| + |b|), and not in skip or met enters, the lowest index on ties
     and a NaN violation before any number.  The most-violated row p, the
     first of the largest violations, is tested first: beyond its own bound
     it is also the first of the largest beyond theirs, and enters.  Only
@@ -348,9 +388,10 @@ def _entering(x, A, b, a_norms, skip, met):
     top = viol[p]
     if top <= 0.0:
         return None     # no row is violated
-    if top > VIOL_RTOL * (a_norms[p] * linalg.norm(x) + abs(b[p])):
+    x_norm = _norm(x)
+    if top > VIOL_RTOL * (x_norm + abs(b[p])):
         return p        # beyond its own bound: the whole vector of bounds picks it too
-    viol[viol <= VIOL_RTOL * (a_norms * linalg.norm(x) + np.abs(b))] = -np.inf
+    viol[viol <= VIOL_RTOL * (x_norm + np.abs(b))] = -np.inf
     p = int(viol.argmax())
     return None if viol[p] <= 0.0 else p
 
@@ -453,7 +494,7 @@ def _renewed_start(z, rows, rhs, n_i, W):
     floats, since W holds a few rows and a numpy call costs more than that
     arithmetic.  With c = R^{-T} b_W and h = B z - c, u = R^{-1} h and
     x = z - B^T h.  x is returned only when every row decision is clear of
-    the cold loop's entry bound e = VIOL_RTOL (|a||x| + |b|), so that a
+    the cold loop's entry bound e = VIOL_RTOL (|x| + |b|), so that a
     cold solve takes the same decisions and the two points agree to
     rounding; otherwise (None) the cold solve decides.  Refused:
       - W misses an equality row.  On rows that stay, a solve leaves out
@@ -474,9 +515,9 @@ def _renewed_start(z, rows, rhs, n_i, W):
     q, q_e = W.size, rows.shape[0] - n_i
     if q_e and (q < q_e or W[q_e - 1] < n_i):   # W holds its equality rows first, in row order
         return None
-    B, R, a_norms = np.empty((q, z.shape[0])), [], []   # R[k]: column k of R, its diagonal entry last
+    B, R = np.empty((q, z.shape[0])), []   # R[k]: column k of R, its diagonal entry last
     for k, j in enumerate(W.tolist()):
-        a = v = rows[j]
+        v = rows[j]
         col = []
         if k:
             P = B[:k]
@@ -485,13 +526,12 @@ def _renewed_start(z, rows, rhs, n_i, W):
             s = P.dot(v)
             v = v - s.dot(P)
             col = (r + s).tolist()
-        dd, a_norm = float(v.dot(v)), linalg.norm(a)
-        if dd <= DEP_TOL * DEP_TOL * (1.0 + a_norm) ** 2:
+        dd = float(v.dot(v))
+        if dd <= DEP_TOL * DEP_TOL:
             return None
         col.append(math.sqrt(dd))
         np.divide(v, col[k], out=B[k])
         R.append(col)
-        a_norms.append(a_norm)
     b_W, c = rhs[W].tolist(), []
     for col, b in zip(R, b_W):          # R^T c = b_W
         k = len(c)
@@ -503,9 +543,9 @@ def _renewed_start(z, rows, rhs, n_i, W):
     if not all(map(math.isfinite, u)):
         return None
     x = z - B.T.dot(h)
-    x_norm, entered = linalg.norm(x), q_e == q
+    x_norm, entered = _norm(x), q_e == q
     for k in range(q_e, q):
-        bound = VIOL_RTOL * (a_norms[k] * x_norm + abs(b_W[k]))
+        bound = VIOL_RTOL * (x_norm + abs(b_W[k]))
         col, y = R[k], [1.0 / R[k][k]]  # R^T y = e_k: (N N^T)^{-1}_kk = |y|^2
         for j in range(k + 1, q):
             y.append(-sum(R[j][i] * y[i - k] for i in range(k, j)) / R[j][j])
@@ -518,7 +558,7 @@ def _renewed_start(z, rows, rhs, n_i, W):
     if n_i:
         A, b = rows[:n_i], rhs[:n_i]
         viol = A.dot(x) - b
-        viol += VIOL_RTOL * (np.sqrt(np.einsum("ij,ij->i", A, A)) * x_norm + np.abs(b))
+        viol += VIOL_RTOL * (x_norm + np.abs(b))
         viol[W[q_e:]] = -math.inf       # W's rows are met
         if not viol[viol.argmax()] <= 0.0:
             return None

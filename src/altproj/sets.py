@@ -382,9 +382,9 @@ class Polyhedron(ProjectableSet):
         self.A_eq = linalg.as_matrix(A_eq, n, self._field("A_eq"))
         self.b_eq = linalg.as_vector(b_eq, len(self.A_eq), self._field("b_eq"))
         self.dim = None if len(self.A_ineq) or len(self.A_eq) else n
-        # checked once here; _project hands the stacked rows to the solver core
-        self._rows = np.vstack([self.A_ineq, self.A_eq])
-        self._rhs = np.concatenate([self.b_ineq, self.b_eq])
+        # checked and made unit-length once here; _project hands the stacked rows to the solver core
+        self._rows, self._rhs, _ = qp._unit_rows(np.vstack([self.A_ineq, self.A_eq]),
+                                                 np.concatenate([self.b_ineq, self.b_eq]))
         # one QP feasibility solve certifies nonemptiness
         qp._nearest_point(np.zeros(n), self._rows, self._rhs, self.A_ineq.shape[0])
 
@@ -465,7 +465,7 @@ def _cone_intersection(na: NormalCone, nb: NormalCone):
         # {lambda : fixed rows, norm_row lambda = 1} is nonempty exactly when
         # its min-norm point exists; Infeasible rules g out
         try:
-            sol = qp._nearest_point(np.zeros(nv), np.vstack([fixed, norm_row]), rhs, ka + kb)[0]
+            sol = qp._solve(np.zeros(nv), np.vstack([fixed, norm_row]), rhs, ka + kb).solution
         except Infeasible:
             continue
         # g v = 1 with |g| = 1, so v is nonzero

@@ -56,10 +56,11 @@ def fuse_reference(work, Q, R, rows, rhs, n_i):
     return T, t
 
 
-def entering_reference(x, A, b, a_norms, skip, met):
+def entering_reference(x, A, b, skip, met):
     """The inequality row to enter at x, or None: qp._entering's rule on the whole threshold vector.
 
-    Every row's bound VIOL_RTOL (|a||x| + |b|) is formed and applied before
+    A's rows are unit-length, as the solver takes them, and every row's
+    bound VIOL_RTOL (|x| + |b|) is formed and applied before
     the working rows skip and the met rows are masked, and the most-violated
     row left enters, the lowest index on ties and the first NaN before any
     number.  The body is the solver's entry test as first written.
@@ -67,7 +68,7 @@ def entering_reference(x, A, b, a_norms, skip, met):
     if not b.size:
         return None
     viol = A @ x - b
-    viol[viol <= VIOL_RTOL * (a_norms * linalg.norm(x) + np.abs(b))] = -np.inf
+    viol[viol <= VIOL_RTOL * (linalg.norm(x) + np.abs(b))] = -np.inf
     if skip is not None:
         viol[skip] = -np.inf        # working rows are met
     if met:

@@ -21,7 +21,7 @@ from altproj.errors import (
     LinearizationInfeasible,
 )
 from altproj.linconstr import _linearized_rows, geometric_path
-from altproj.qp import FEAS_TOL, ProjectionQp, solve_projection_qp
+from altproj.qp import ProjectionQp, solve_projection_qp
 
 from oracles import constraint_violation
 
@@ -323,7 +323,7 @@ def disc_parabola_line(s):
 
 
 class TestScaledConstraints:
-    """Where the QP's absolute floors limit solve_constraint_system: a scale of every constraint down to 1e-9."""
+    """Scaling every constraint leaves solve_constraint_system's answer as it is: each linearized row is made unit-length."""
 
     @pytest.mark.parametrize("exponent", range(-9, 13))
     def test_scales_from_1e_9_to_1e12_give_the_unscaled_answer(self, exponent):
@@ -331,14 +331,13 @@ class TestScaledConstraints:
         assert tr.status == "Converged"
         np.testing.assert_allclose(tr.zs[-1], [0.5, 0.25], atol=1e-8)
 
-    def test_at_1e_12_the_first_qp_finds_every_row_met(self):
-        # the limit, pinned: each linearized row is shorter than DEP_TOL, so it counts as
-        # a zero row, met since its residual is within FEAS_TOL; the run stops on Q at
-        # (2, 0.25), 1.5 from the answer, with a false Converged
-        tr = solve_constraint_system(disc_parabola_line(1e-12), [2.0, 2.0])
-        assert tr.status == "Converged" and len(tr.zs) == 2
-        np.testing.assert_array_equal(tr.zs[-1], [2.0, 0.25])
-        assert np.abs(disc_parabola_line(1e-12).H.eval(tr.zs[-1])).max() <= FEAS_TOL
+    def test_at_1e_12_the_run_is_the_unscaled_run(self):
+        # each linearized row is shorter than DEP_TOL here; made unit-length, it is the
+        # unscaled row to rounding, so the run takes the unscaled run's steps
+        scaled, unscaled = (solve_constraint_system(disc_parabola_line(s), [2.0, 2.0]) for s in (1e-12, 1.0))
+        assert (scaled.status, len(scaled.zs)) == (unscaled.status, len(unscaled.zs)) == ("Converged", 34)
+        np.testing.assert_allclose(scaled.zs, unscaled.zs, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(scaled.zs[-1], [0.5, 0.25], atol=1e-8)
 
 
 @st.composite

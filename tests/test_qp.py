@@ -324,7 +324,7 @@ class TestRoundingLevelRows:
     @pytest.mark.parametrize("m", [0, 2], ids=["no-inequalities", "inequalities"])
     def test_redundant_equality_copy_at_scale(self, scale, m):
         # a.x = a.c and its copy scaled by w, for a point c of size scale: a.x - b of the
-        # copy carries rounding of about eps (|a||x| + |b|), beyond FEAS_TOL at 1e8, so
+        # unit copy carries rounding of about eps (|x| + |b|), beyond FEAS_TOL at 1e8, so
         # the polyhedron is built and projects, cold or in a run's warm starts, only
         # with the relative bound
         rng = np.random.default_rng(1)
@@ -335,10 +335,11 @@ class TestRoundingLevelRows:
             run = P._run_projection()
             for z in rng.standard_normal((3, 3)) * scale:
                 for x in (P.project(z), run(z)):
-                    rounding = VIOL_RTOL * (np.linalg.norm(P._rows, axis=1) * (np.linalg.norm(x) + np.linalg.norm(z))
-                                            + np.abs(P._rhs))
-                    assert np.all(np.abs(P.A_eq @ x - P.b_eq) <= rounding[m:])
-                    assert np.all(G @ x - P.b_ineq <= np.maximum(FEAS_TOL, rounding[:m]))
+                    # P's rows are unit-length: the bounds are on their residuals
+                    rounding = VIOL_RTOL * (np.linalg.norm(x) + np.linalg.norm(z) + np.abs(P._rhs))
+                    residual = P._rows @ x - P._rhs
+                    assert np.all(np.abs(residual[m:]) <= rounding[m:])
+                    assert np.all(residual[:m] <= np.maximum(FEAS_TOL, rounding[:m]))
 
 
 class TestMaxPivotsRegressions:
@@ -410,7 +411,8 @@ class TestScaleStress:
         # the warm solves of one run, whose points have the bits of solves with one hint
         p, targets = case
         P = Polyhedron(p.A_ineq, p.b_ineq * scale, p.A_eq, p.b_eq * scale, dim=p.target.size)
-        rows, rhs, n_i = P._rows, P._rhs, p.A_ineq.shape[0]
+        rows, rhs, n_i = stacked(p)
+        rhs = rhs * scale
         run, hint = P._run_projection(), qp._Hint()
         for z in targets:
             cold = qp._solve(z * scale, rows, rhs, n_i)
@@ -421,6 +423,87 @@ class TestScaleStress:
                 assert verify_certificate(ProjectionQp(z, p.A_ineq, p.b_ineq, p.A_eq, p.b_eq),
                                           descaled(cert, scale)) <= 1e-8
                 assert (cert.slacks[cert.active_set] >= 0.0).all()
+
+
+@st.composite
+def row_scaled_draws(draw):
+    """(p, targets, u): a case of stress_draws and an exponent u in [-1, 1] for each of p's rows, inequality rows first."""
+    p, targets = draw(stress_draws())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return p, targets, rng.uniform(-1.0, 1.0, p.A_ineq.shape[0] + p.A_eq.shape[0])
+
+
+def row_scaled(p, c):
+    """p with each row and its right-hand side times c, inequality rows first."""
+    c_i, c_e = c[:p.A_ineq.shape[0]], c[p.A_ineq.shape[0]:]
+    return ProjectionQp(p.target, p.A_ineq * c_i[:, None], p.b_ineq * c_i, p.A_eq * c_e[:, None], p.b_eq * c_e)
+
+
+def row_relative_error(p, cert):
+    """The largest violation of cert's KKT conditions on p, each row's terms divided by the row's norm.
+
+    Stationarity, which no row scale changes, is checked on p's rows as they
+    are; the other conditions on p's rows at unit length, with the
+    multipliers times the norms and the slacks over them.
+    """
+    c_i, c_e = np.linalg.norm(p.A_ineq, axis=1), np.linalg.norm(p.A_eq, axis=1)
+    stat = cert.solution - p.target + p.A_ineq.T @ cert.ineq_multipliers + p.A_eq.T @ cert.eq_multipliers
+    unit_cert = qp.KktCertificate(cert.solution, cert.ineq_multipliers * c_i, cert.slacks / c_i,
+                                  cert.eq_multipliers * c_e)
+    return max(float(np.linalg.norm(stat)), verify_certificate(row_scaled(p, 1.0 / np.append(c_i, c_e)), unit_cert))
+
+
+class TestRowScaleStress:
+    """Scaling each row and its right-hand side by 10^(E u), u in [-1, 1], changes neither the projection nor its certificate.
+
+    Before the rows were made unit-length, E = 6 gave 154 wrong projections
+    in 6,000, all silent, 7 Infeasible and 177 certificates failing
+    stationarity: an absolute DUAL_TOL let a working row of large scale go
+    negative instead of blocking a step.
+    """
+
+    @pytest.mark.parametrize("E", [2, 4, 6, 8])
+    @FEW
+    @given(case=row_scaled_draws())
+    def test_scaled_rows_give_the_unscaled_projection(self, E, case):
+        # construction, a cold solve of each target, and the warm solves of one run, whose
+        # points have the bits of solves with one hint, each against the unscaled solve
+        p, targets, u = case
+        s = row_scaled(p, 10.0 ** (E * u))
+        P = Polyhedron(s.A_ineq, s.b_ineq, s.A_eq, s.b_eq, dim=p.target.size)
+        rows, rhs, n_i = stacked(s)
+        run, hint = P._run_projection(), qp._Hint()
+        for z in targets:
+            x = solve_projection_qp(ProjectionQp(z, p.A_ineq, p.b_ineq, p.A_eq, p.b_eq)).solution
+            cold = qp._solve(z, rows, rhs, n_i)
+            warm = qp._solve(z, rows, rhs, n_i, hint)
+            assert P.project(z).tobytes() == cold.solution.tobytes()
+            assert run(z).tobytes() == warm.solution.tobytes()
+            for cert in (cold, warm):
+                assert np.max(np.abs(cert.solution - x)) <= 1e-8 * (1.0 + np.linalg.norm(x))
+                assert row_relative_error(ProjectionQp(z, s.A_ineq, s.b_ineq, s.A_eq, s.b_eq), cert) \
+                    <= 1e-8 * (1.0 + np.linalg.norm(z))
+
+
+class TestTargetRange:
+    """A target whose x.dot(x) overflows still projects; a NaN or infinite one raises DimensionMismatch, not Infeasible."""
+
+    def test_huge_target_projects(self):
+        # |x| beyond 1.3e154 comes from np.hypot: with an infinite |x| every entry bound was
+        # infinite, no row entered, and the target came back 1e290 beyond the row
+        rows, rhs = unit([[1e-9, 0.0]], [0.0])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            x = qp._nearest_point(np.array([1e299, 0.0]), rows, rhs, 1)[0]
+        assert x.tolist() == [0.0, 0.0]
+
+    def test_nan_target_is_not_an_empty_polyhedron(self):
+        with pytest.raises(DimensionMismatch, match="NaN/Inf"):
+            qp._nearest_point(np.array([math.nan, 0.0]), *unit(BOX_ROWS, BOX_RHS), 4)
+
+    def test_infinite_target_in_a_run_is_not_an_empty_polyhedron(self):
+        run = Polyhedron(BOX_ROWS, BOX_RHS)._run_projection()
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(DimensionMismatch, match="NaN/Inf"):
+            run(np.array([math.inf, 0.0]))
 
 
 SLAB = np.array([[1.0, 0.0], [-1.0, 0.0]])
@@ -450,8 +533,14 @@ class TestEmptySlab:
 
 
 def stacked(p):
-    """p's rows and right-hand sides as the solver core takes them."""
+    """p's rows and right-hand sides stacked as _solve takes them."""
     return np.vstack([p.A_ineq, p.A_eq]), np.concatenate([p.b_ineq, p.b_eq]), p.A_ineq.shape[0]
+
+
+def unit(rows, rhs, n_i=None):
+    """rows and rhs made unit-length as _nearest_point takes them, with n_i when given: the rows _solve solves on."""
+    rows, rhs, _ = qp._unit_rows(np.asarray(rows, dtype=float), np.asarray(rhs, dtype=float))
+    return (rows, rhs) if n_i is None else (rows, rhs, n_i)
 
 
 @st.composite
@@ -498,7 +587,7 @@ def outcome(solve):
     """solve()'s (x, u, work, pivots) as bits, or the class and message of the error it raised."""
     try:
         x, u, work, pivots = solve()
-    except (Infeasible, MaxPivots) as exc:
+    except (DimensionMismatch, Infeasible, MaxPivots) as exc:
         return type(exc).__name__, str(exc)
     return x.tobytes(), u.tobytes(), work.tobytes(), pivots
 
@@ -522,8 +611,8 @@ REFUSED_RENEWALS = {
     "a hinted row dependent on the one before": ([[1, 0], [1, 1e-14]], [0, 0], 0, [0, 1], [1, 1]),
     "a negative multiplier": (BOX_ROWS, BOX_RHS, 4, [0], [0.5, 0.5]),
     "a NaN multiplier": (BOX_ROWS, BOX_RHS, 4, [0], [math.nan, 0.0]),
-    # c = R^{-T} b_W = 1e300 / 1e-9 overflows to inf
-    "an infinite multiplier": ([[1e-9, 0]], [1e300], 1, [0], [1, 0]),
+    # c = R^{-T} b_W = (1e300, 1e300 / 1e-9): the second overflows to inf
+    "an infinite multiplier": ([[1, 0], [1, 1e-9]], [0, 1e300], 2, [0, 1], [1, 0]),
     "another inequality row violated at the warm point": (BOX_ROWS, BOX_RHS, 4, [0], [3, 3]),
     # violated by 2e-15, within its entry bound of about 2e-13: the cold loop leaves x at z
     "a working row within its entry bound at z": (BOX_ROWS, BOX_RHS, 4, [0], [1 + 2e-15, 0.5]),
@@ -556,7 +645,7 @@ class TestWarmStart:
     def test_hint_with_a_negative_multiplier_is_refused(self, case):
         p, hint, kind, earlier = case
         if kind == "negative" and np.any(earlier.ineq_multipliers > 1e-6):
-            assert qp._warm_start(p.target, *stacked(p), hint) is None
+            assert qp._warm_start(p.target, *unit(*stacked(p)), hint) is None
 
     @given(case=hinted_qps())
     def test_fused_map_gives_the_point_optimal_for_the_working_rows(self, case):
@@ -565,7 +654,7 @@ class TestWarmStart:
         # the other inequality rows; W's equality rows come first, so the warm start
         # returns x and u = [e; s[:q_i]]
         p, hint, _, _ = case
-        rows, rhs, n_i = stacked(p)
+        rows, rhs, n_i = unit(*stacked(p))
         warm = qp._warm_start(p.target, rows, rhs, n_i, hint)
         if warm is None:
             return
@@ -615,7 +704,7 @@ class TestWarmStart:
         # a solve on new rows keeps the working rows W and drops their factors: the one-shot
         # start from the W of a cold solve at the same target takes no pivot and lands on
         # the cold point to rounding, which cond(N) of W's rows N amplifies
-        rows, rhs, n_i = stacked(p)
+        rows, rhs, n_i = unit(*stacked(p))
         hint = qp._Hint()
         cold = qp._nearest_point(p.target, rows, rhs, n_i, hint)[0]
         W = hint.work
@@ -629,7 +718,7 @@ class TestWarmStart:
     @pytest.mark.parametrize("name", REFUSED_RENEWALS)
     def test_refused_renewal_gives_the_cold_bits(self, name):
         rows, rhs, n_i, work, z = REFUSED_RENEWALS[name]
-        rows, rhs, z = np.array(rows, dtype=float), np.array(rhs, dtype=float), np.array(z, dtype=float)
+        (rows, rhs), z = unit(rows, rhs), np.array(z, dtype=float)
         hint = renewed(work)
         before = held(hint)
         assert qp._warm_start(z, rows, rhs, n_i, hint) is None
@@ -641,7 +730,7 @@ class TestWarmStart:
     @given(case=hinted_qps())
     def test_renewed_hint_starts_in_one_shot_or_gives_the_cold_bits(self, case):
         p, hint, _, _ = case
-        rows, rhs, n_i = stacked(p)
+        rows, rhs, n_i = unit(*stacked(p))
         hint.renew()
         before = held(hint)
         start = qp._warm_start(p.target, rows, rhs, n_i, hint)
@@ -651,26 +740,26 @@ class TestWarmStart:
             assert got == outcome(lambda: qp._nearest_point(p.target, rows, rhs, n_i))
         else:
             assert got[3] == 0 and got[0] == start[0].tobytes()
-            cold = qp._solve(p.target, rows, rhs, n_i)
+            cold = qp._solve(p.target, *stacked(p))
             scale = 1.0 + np.linalg.norm(p.target)
             assert np.max(np.abs(start[0] - cold.solution), initial=0.0) <= 1e-12 * scale
 
     def test_nan_target_falls_back_to_cold_start(self):
         p = ProjectionQp([2, -1], [[1, 0], [0, -1]], [1, 0], np.zeros((0, 2)), [])
-        rows, rhs, n_i = stacked(p)
         hint = qp._Hint()
-        qp._solve(p.target, rows, rhs, n_i, hint)
+        qp._solve(p.target, *stacked(p), hint)
         assert hint.work.size == 2
-        assert qp._warm_start(np.array([np.nan, 0.0]), rows, rhs, n_i, hint) is None
+        assert qp._warm_start(np.array([np.nan, 0.0]), *unit(*stacked(p)), hint) is None
 
 
 @st.composite
 def hinted_runs(draw):
-    """(rows, rhs, n_i, targets): a QP's stacked rows and three targets to solve in turn with one hint.
+    """(rows, rhs, n_i, targets): a QP's stacked unit rows and three targets to solve in turn with one hint.
 
     The rows are qp_draws' with both blocks or no inequality rows.  Half the
     time a copy of one equality row, scaled by w in [-4, 4], is inserted
-    among the equality rows, so that one of the two is redundant.
+    among the equality rows, so that one of the two is redundant.  The rows
+    are then made unit-length, as the solver core takes them.
     """
     p = draw(qp_draws(blocks=draw(st.sampled_from(["both", "no inequality rows"]))))
     rows, rhs, n_i = stacked(p)
@@ -679,7 +768,7 @@ def hinted_runs(draw):
     if m > n_i and draw(st.booleans()):
         j, k, w = rng.integers(n_i, m), rng.integers(n_i, m + 1), rng.uniform(-4.0, 4.0)
         rows, rhs = np.insert(rows, k, w * rows[j], axis=0), np.insert(rhs, k, w * rhs[j])
-    return rows, rhs, n_i, [p.target, rng.standard_normal(p.target.size) * 2, rng.standard_normal(p.target.size) * 2]
+    return *unit(rows, rhs), n_i, [p.target, rng.standard_normal(p.target.size) * 2, rng.standard_normal(p.target.size) * 2]
 
 
 class TestWorkingSetLayout:
@@ -732,9 +821,9 @@ class TestSignTest:
         order = range(q_i) if data is None else data.draw(st.permutations(range(q_i)))
         # q unit rows of R^q in work, laid out as a solve leaves them: its q - q_i equality
         # rows first, in row order, then its q_i inequality rows in a drawn order;
-        # k more inequality rows outside work
+        # k more unit inequality rows outside work
         E = np.eye(q)
-        rows = np.vstack([E[:q_i], np.ones((k, q)), E[q_i:]])
+        rows = np.vstack([E[:q_i], np.full((k, q), q ** -0.5), E[q_i:]])
         n_i = q_i + k
         rhs = np.zeros(n_i + q - q_i)
         work = np.array([*range(n_i, n_i + q - q_i), *order])
@@ -758,25 +847,24 @@ ENTRY_RATIOS = (-1.0, 0.0, 0.5, 0.999, 1.001, 2.0, 1e3)     # a row's violation 
 
 @st.composite
 def entry_tests(draw):
-    """(x, A, b, a_norms, skip, met): the entry test's arguments, each row violated near its own bound.
+    """(x, A, b, skip, met): the entry test's arguments, each row violated near its own bound.
 
-    x is drawn at a scale of 1 to 1e12.  Each row's violation is a drawn
-    multiple of its bound VIOL_RTOL (|a||x| + |b|), within it or beyond it,
-    and the row (a, b) is then scaled by 1, 1e3 or 1e6, so a row within its
-    bound can be the most violated while a lower one is beyond its own.
-    Some rows are exact copies of others (ties), about a fifth of the draws
-    hold a NaN b, and skip and met hold drawn rows.  m = 0 gives an empty b.
+    x is drawn at a scale of 1 to 1e12, and the rows a at unit length, as
+    the solver takes them.  Each row's violation is a drawn multiple of its
+    bound VIOL_RTOL (|x| + |b|), within it or beyond it.  The bounds differ
+    with |b|, by up to twice, so a row within its bound can be the most
+    violated while a lower one is beyond its own.  Some rows are exact
+    copies of others (ties), about a fifth of the draws hold a NaN b, and
+    skip and met hold drawn rows.  m = 0 gives an empty b.
     """
     n, m = draw(st.integers(1, 4)), draw(st.integers(0, 6))
     scale = draw(st.sampled_from([1.0, 1e4, 1e8, 1e12]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = scale * rng.standard_normal(n)
-    A = rng.standard_normal((m, n))
+    A = unit(rng.standard_normal((m, n)), np.zeros(m))[0]
     ax = A @ x
     ratios = np.array(draw(st.lists(st.sampled_from(ENTRY_RATIOS), min_size=m, max_size=m)))
-    b = ax - ratios * VIOL_RTOL * (np.linalg.norm(A, axis=1) * np.linalg.norm(x) + np.abs(ax))
-    row_scales = np.array(draw(st.lists(st.sampled_from([1.0, 1e3, 1e6]), min_size=m, max_size=m)))
-    A, b = A * row_scales[:, None], b * row_scales
+    b = ax - ratios * VIOL_RTOL * (np.linalg.norm(x) + np.abs(ax))
     rows = st.integers(0, max(m - 1, 0))
     for i, j in draw(st.lists(st.tuples(rows, rows), max_size=2)) if m else ():
         A[i], b[i] = A[j], b[j]
@@ -784,23 +872,24 @@ def entry_tests(draw):
         b[draw(rows)] = math.nan
     skip = draw(st.none() | st.lists(rows, unique=True, max_size=m).map(lambda r: np.array(r, dtype=int)))
     met = draw(st.lists(rows, unique=True, max_size=min(m, 2))) if m else []
-    return x, A, b, np.linalg.norm(A, axis=1), skip, met
+    return x, A, b, skip, met
 
 
 def entry_case(x, A, b, skip=None, met=()):
-    """The entry test's arguments from lists, with a_norms as the solver forms them."""
+    """The entry test's arguments from lists of unit rows."""
     x, b = np.array(x, dtype=float), np.array(b, dtype=float)
-    A = np.array(A, dtype=float).reshape(b.size, x.size)
-    return x, A, b, np.linalg.norm(A, axis=1), skip, met
+    return x, np.array(A, dtype=float).reshape(b.size, x.size), b, skip, met
 
 
 ENTRY_EXAMPLES = {  # name: (arguments, the row that enters)
-    # row 0 is the most violated, by about 1e-8, but within its bound of about 2e-7;
-    # row 1, violated by about 1e-9, is beyond its bound of about 2e-13 and enters
-    "top row within its bound": (entry_case([1.0], [[1e6], [1.0]], [1e6 - 1e-8, 1.0 - 1e-9]), 1),
-    "top row within its bound at 1e12": (entry_case([1e12], [[1e6], [1.0]], [1e18 - 1e4, 1e12 - 1e3]), 1),
-    # every row violated by exactly 1; bounds 3.5, 1e-13 and 1e-13: rows 1 and 2 tie
-    "exact tie": (entry_case([1.0, 0.0], [[2.0**44, 0.0], [1.0, 0.0], [1.0, 0.0]], [2.0**44 - 1.0, 0.0, 0.0]), 1),
+    # row 0 is the most violated, by about 1.5e-13, but within its bound of about 2e-13;
+    # row 1, violated by 1.2e-13, is beyond its bound of about 1e-13 and enters
+    "top row within its bound": (entry_case([1.0, 0.0], np.eye(2), [1.0 - 1.5e-13, -1.2e-13]), 1),
+    "top row within its bound at 1e12": (entry_case([1e12, 0.0], np.eye(2), [1e12 - 0.15, -0.12]), 1),
+    # every row violated by exactly 2^-43, about 1.14e-13; bounds 2e-13, 1e-13 and 1e-13:
+    # rows 1 and 2 tie
+    "exact tie": (entry_case([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
+                             [1.0 - 2.0**-43, -(2.0**-43), -(2.0**-43)]), 1),
     "skip and met": (entry_case([1.0, 1.0, 1.0], np.eye(3), [0.0, 0.0, 0.5], np.array([0]), [1]), 2),
     "NaN violation": (entry_case([1.0], [[1.0], [1.0], [1.0]], [0.0, math.nan, -1.0]), 1),
     "NaN row met": (entry_case([1.0], [[1.0], [1.0], [1.0]], [0.0, math.nan, -1.0], None, [1]), 2),
@@ -813,7 +902,7 @@ class TestEnteringRow:
     """The entry test tries the most-violated row against its own bound first and picks the row the full-vector rule picks.
 
     The rule, as first written in tests/oracles.py entering_reference: every
-    row's bound VIOL_RTOL (|a||x| + |b|) applied at once, the working and met
+    unit row's bound VIOL_RTOL (|x| + |b|) applied at once, the working and met
     rows masked, the most-violated row left entering, the lowest index on
     ties and a NaN before any number.
     """
@@ -983,10 +1072,9 @@ class TestHintArrays:
     @given(case=hinted_qps())
     def test_solve_leaves_the_arrays_it_was_given(self, case):
         p, hint, _, _ = case
-        rows, rhs, n_i = stacked(p)
-        warm = qp._warm_start(p.target, rows, rhs, n_i, hint) is not None
+        warm = qp._warm_start(p.target, *unit(*stacked(p)), hint) is not None
         before = held(hint)
-        cert = qp._solve(p.target, rows, rhs, n_i, hint)
+        cert = qp._solve(p.target, *stacked(p), hint)
         assert unchanged(before)
         if warm and cert.pivots == 0:
             # returned before the loop: the hint keeps the very same arrays
@@ -1008,9 +1096,9 @@ class TestHintArrays:
         # x_1 <= 0 with x_0 = 1 and its copy 2 x_0 = 2: the cold solve finds the copy
         # redundant, and a warm solve returns with no row to enter, the copy included
         p = ProjectionQp([0.0, 2.0], [[0.0, 1.0]], [0.0], [[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
-        rows, rhs, n_i = stacked(p)
         hint = qp._Hint()
-        assert qp._solve(p.target, rows, rhs, n_i, hint).pivots == 2
+        assert qp._solve(p.target, *stacked(p), hint).pivots == 2
+        rows, rhs, n_i = unit(*stacked(p))
         assert hint.work.tolist() == [1, 0]
         before = held(hint)
         monkeypatch.setattr(qp, "_add", None)   # the loop would fail at its first pivot

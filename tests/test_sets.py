@@ -306,7 +306,9 @@ class TestPolyhedronRuns:
     def test_project_is_the_same_before_and_after_a_run(self):
         P, B, z0 = thin_lens()
         points = [z0, B.center, 3 * z0, z0[::-1]]
-        cold = [qp._solve(z, P._rows, P._rhs, P.A_ineq.shape[0]).solution.tobytes() for z in points]
+        # _solve makes P's given rows unit-length as P does
+        rows, rhs = np.vstack([P.A_ineq, P.A_eq]), np.concatenate([P.b_ineq, P.b_eq])
+        cold = [qp._solve(z, rows, rhs, P.A_ineq.shape[0]).solution.tobytes() for z in points]
         assert [P.project(z).tobytes() for z in points] == cold
         assert run_exact(B, P, z0, LENS_OPTS).status == "Converged"
         assert [P.project(z).tobytes() for z in points] == cold
