@@ -156,9 +156,10 @@ def norm(v):
     with the same overflow warning, but without its ~0.5-1 us of argument
     handling.  np.linalg.norm copies a strided view first, and a dot over a
     stride can round differently, so pass contiguous vectors: a difference
-    of two vectors is one.  It is the package's one vector norm in every
-    loop: the drivers' steps, ProjectableSet.distance, the inexact step's
-    draw and the faithfulness and decay checks.
+    of two vectors is one.  It is the vector norm of the drivers' steps,
+    ProjectableSet.distance, the inexact step's draw and the faithfulness
+    and decay checks.  The QP's row decisions read a second one, qp._norm:
+    these bits, or np.hypot's where x.dot(x) overflows.
     """
     return math.sqrt(v.dot(v))
 

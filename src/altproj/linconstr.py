@@ -132,17 +132,22 @@ def _linearized_qp(solve, z, rows, rhs, n_i, hint=None):
 def check_licq(sys: ConstraintSystem, x) -> LicqReport:
     """LICQ at x: the active G rows plus all H rows must be linearly independent.
 
-    A G row is active when |G_i(x)| <= ACTIVE_TOL |grad G_i(x)|, its
-    first-order distance to the zero set within ACTIVE_TOL, a rule that
-    scaling a row cannot change; a row with a zero gradient is active only
-    where it vanishes.  Independent means linalg.rank counts one singular
-    value per row, a rule relative to sigma_max that scaling cannot change
-    either.
+    The test reads the rows made unit by qp._unit_rows, the package's one
+    row scale, so that scaling any row, or all of them, cannot change the
+    answer.  A G row is active when |G_i(x)| <= ACTIVE_TOL |grad G_i(x)|,
+    its first-order distance to the zero set within ACTIVE_TOL, with
+    |grad G_i(x)| the unit scale's; a row with a zero gradient is active
+    only where it vanishes.  Independent means linalg.rank counts one
+    singular value per unit row, and smallest_singular_value is the unit
+    rows'.  A witness is a unit null vector of the unit rows scaled back to
+    the given ones, and made unit again.
     """
     x = linalg.as_vector(x, dim=sys.ambient_dim)
     rows, _, n_i, values = _linearized_rows(sys, x)
     n_g = sys.G.output_dim
-    active = np.abs(values[:n_g]) <= ACTIVE_TOL * np.linalg.norm(rows[:n_g], axis=1)
+    rows, _, scale = qp._unit_rows(rows, values)
+    g = np.abs(values[:n_g])
+    active = (g <= ACTIVE_TOL * scale[:n_g]) & (rows[:n_g].any(axis=1) | (g == 0.0))
     K = np.vstack([rows[:n_g][active], rows[n_i:]])
     if not K.shape[0]:
         return LicqReport(x, float("inf"), True)
@@ -151,8 +156,9 @@ def check_licq(sys: ConstraintSystem, x) -> LicqReport:
     if linalg.rank(sigma) == K.shape[0]:
         return LicqReport(x, smin, True)
     # witness: multipliers v with K^T v ~ 0; with more rows than dimensions
-    # U[:, -1] lies in the null space of K^T
-    return LicqReport(x, smin, False, U[:, -1])
+    # U[:, -1] lies in the null space of K^T.  v / scale serves the given rows.
+    w = U[:, -1] / np.concatenate([scale[:n_g][active], scale[n_i:]])
+    return LicqReport(x, smin, False, w / np.hypot.reduce(w))
 
 
 def solve_constraint_system(sys: ConstraintSystem, x0, opts=None) -> IterationTrace:

@@ -65,34 +65,27 @@ n + m_e(W) + m_i rows and one offset t (_fuse: an inverse of R and a few
 products, once per working set, each block written into its slice of T
 and t), and every warm start is one product y = T z + t = [x; e; s].
 e holds the multipliers of W's equality rows; s holds those of W's
-inequality rows, then the slacks of the others.  If every inequality
-multiplier is >= 0 and every multiplier finite, x is optimal for W.  That
-is a valid dual start, and the loop continues from it unchanged, so it
-terminates as before, entering inequality rows only.  A negative, NaN
-or infinite multiplier falls back to the cold start at x = z.  A stale
-hint mostly fails on its first warm start, so _fuse forms W's
-multiplier rows first and refuses the hint before the rest of the map
-when an inequality multiplier at z is negative beyond the rounding of
-that product; a multiplier closer to 0 builds the map, which decides,
-so both refuse the same hints.  When also no slack is negative, which
-is how most warm solves end, x is copied out of y and returned, with no
-pivot and no other copy.  The largest entry of s, read as unsigned
-integers and found by one argmax, decides that case: s >= 0 and finite,
-with e finite.  Anything else
-goes to a per-row test of the multipliers, and then the entering-row
-test of the loop decides from x.  The stored product
-rounds differently from a cold solve, which ends on the same W: the two
-points agree to rounding amplified by cond(N), within 8.2e-16 (1 + |z|)
-on the benchmark workloads.  Each row of T is a row of the map z ->
-[u; x; A x - b], or its negative for a slack, and a row of a product
-rounds alike wherever it sits, except in the last m mod 4 rows, which
-OpenBLAS's gemv rounds its own way.  So x and u have the bits of that
-map's product when at least three inequality rows lie outside W, as in
-every warm QP of the benchmark workloads, and may differ by an ulp
-otherwise.  The loop updates factors in place, so the hint's are copied
-at the first pivot (when the first row enters); a hint's arrays are
-never changed, even by a solve that raises, and a solve that changes
-the working set leaves its own in the hint.
+inequality rows, then the slacks of the others.  A warm start is the
+answer or it is not taken.  When every inequality multiplier is >= 0 and
+every slack too, all of them finite and e finite, x is optimal for W and
+meets every inequality row, and every equality row outside W is redundant
+(above): x is the answer, copied out of y and returned, with no pivot
+and no other copy, which is how most warm solves end.  The largest entry
+of s, read as unsigned integers and found by one argmax, decides: s >= +0
+and finite, so that -0.0, like a negative or NaN entry, refuses.  Anything
+else, a stale hint included, goes to the cold start at x = z, and the
+loop leaves its working set and factors in the hint.  The loop never
+reads a hint's factors, so a solve that pivots has the bits of the cold
+solve.  The stored product rounds differently from a cold solve, which
+ends on the same W: the two points agree to rounding amplified by
+cond(N), within 8.2e-16 (1 + |z|) on the benchmark workloads.  Each row
+of T is a row of the map z -> [u; x; A x - b], or its negative for a
+slack, and a row of a product rounds alike wherever it sits, except in
+the last m mod 4 rows, which OpenBLAS's gemv rounds its own way.  So x
+and u have the bits of that map's product when at least three inequality
+rows lie outside W, as in every warm QP of the benchmark workloads, and
+may differ by an ulp otherwise.  A hint's arrays are never changed, even
+by a solve that raises.
 
 Renewed rows.  The linearized driver solves a QP on new rows at every
 iterate, and near a solution they mostly end on the last iterate's
@@ -111,12 +104,11 @@ refuses it, so that a tiny diagonal entry of R never becomes a huge
 finite multiplier that the sign test accepts.  And it is taken only when
 every row decision is clear of the entry bound VIOL_RTOL (|x| + |b|):
 each of W's inequality rows would enter, and each other row is met with
-that margin.  A cold solve then ends on W too, and the two points agree
-to rounding amplified by cond(N); without those margins they differed by
-up to 5e-14 (1 + |z|) cond(N) on rows within their entry bound, which
-the cold loop leaves out.  Anything refused, or a valid start from which
-a row would enter, goes to the cold start, and the loop leaves its
-working set in the hint.
+that margin, so x is the answer.  A cold solve then ends on W too, and
+the two points agree to rounding amplified by cond(N); without those
+margins they differed by up to 5e-14 (1 + |z|) cond(N) on rows within
+their entry bound, which the cold loop leaves out.  Anything refused goes
+to the cold start, as above.
 Hints are scoped to one run: Polyhedron._run_projection and
 linconstr's driver give each run its own, so Polyhedron.project and
 linearized_projection stay pure functions that start cold, and two runs
@@ -138,7 +130,6 @@ DUAL_TOL = 1e-10    # a working inequality row blocks a step only if its r excee
 DEP_TOL = 1e-10     # linear-dependence threshold when growing the working set
 VIOL_RTOL = 1e-13   # an inequality row enters once a.x - b exceeds this times |x| + |b|
 _INF_BITS = int(np.array(math.inf).view(np.uint64))
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _TINY = np.finfo(float).tiny        # the smallest normal double
 
 
@@ -189,9 +180,9 @@ class _Hint:
 
     work holds its equality rows first, in row order, as every solve leaves
     it, and Q and R factor N^T = Q[:, :q] R[:q, :q] for its q rows.  The
-    first warm start from them that is not refused adds the affine map T, t
-    of the working set (see _fuse), which serves every later one until a
-    solve changes the working set.  renew() drops Q, R and T when the rows
+    first warm start from them adds the affine map T, t of the working set
+    (see _fuse), which serves every later one until a cold solve keeps its
+    own working set and factors.  renew() drops Q, R and T when the rows
     change, and warm starts on the new rows take the one-shot start of
     _renewed_start.  Solves read these arrays and never change them in place.
     """
@@ -240,9 +231,16 @@ def _unit_rows(rows, rhs):
     _nearest_point takes rows of length 1 or 0, so this runs where rows
     are built.  scale holds |a|, or 1 for a zero row: the multipliers of the
     unit rows divided by it, and their slacks times it, are the given rows'.
+    |a| is sqrt(a.a), or np.hypot's where a.a overflows or falls below the
+    smallest normal double, so that no row of any size is lost.
     """
-    scale = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    scale[scale == 0.0] = 1.0
+    sq = np.einsum("ij,ij->i", rows, rows)
+    scale = np.sqrt(sq)
+    # every a.a normal and finite, as in most calls: no row is lost or zero
+    if sq.size and not (sq[sq.argmin()] >= _TINY and sq[sq.argmax()] < math.inf):
+        lost = (sq == math.inf) | (sq < _TINY)      # zero rows too: np.hypot gives them 0.0 as well
+        scale[lost] = np.hypot.reduce(rows[lost], axis=1)
+        scale[scale == 0.0] = 1.0
     return rows / scale[:, None], rhs / scale, scale
 
 
@@ -255,38 +253,30 @@ def _norm(x):
 def _nearest_point(z, rows, rhs, n_i, hint=None):
     """(x, u, work, pivots): the solution, the multipliers u of the working rows work, and the pivots.
 
-    With a _Hint for these rows, start from its working set when that is a
-    valid dual start at z, and leave this solve's working set in it.  The
-    arrays returned are not to be changed: work may be the hint's.  Each
-    row is unit-length or zero, as _unit_rows leaves it: every row decision
-    reads that one scale.
+    With a _Hint for these rows, return its warm start when that is the
+    answer, with no pivot; otherwise solve cold and leave this solve's
+    working set in it.  The arrays returned are not to be changed: work may
+    be the hint's.  Each row is unit-length or zero, as _unit_rows leaves
+    it: every row decision reads that one scale.
     """
-    n, m = z.shape[0], rows.shape[0]
     warm = _warm_start(z, rows, rhs, n_i, hint)
-    if warm is None:
-        x, u, work = z.copy(), np.zeros(0), np.zeros(0, dtype=int)
-        equalities, skip = iter(range(n_i, m)), work
-    else:
-        x, u, done = warm
-        work = hint.work
-        if done:
-            return x, u, work, 0        # no row enters: how most warm solves end
-        equalities, skip = iter(()), work[work < n_i]     # an equality row outside W is redundant
-    A, b = rows[:n_i], rhs[:n_i]
+    if warm is not None:
+        return *warm, hint.work, 0
+    n, m = z.shape[0], rows.shape[0]
+    x, A, b = z.copy(), rows[:n_i], rhs[:n_i]
+    equalities = iter(range(n_i, m))
     p = next(equalities, None)
     if p is None:
-        p = _entering(x, A, b, skip, ())
+        p = _entering(x, A, b, None, ())
     if p is None:
-        if hint is not None and warm is None:
+        work = np.zeros(0, dtype=int)
+        if hint is not None:
             hint.keep(work, None, None)
-        return x, u, work, 0
-    # a row enters: the loop pivots on arrays of its own, for a warm start copies of the hint's factors
-    q, start = work.size, (u, work)
-    q_i = skip.size                     # working inequality rows: only they block a step or are skipped
-    Q, R = (np.eye(n), np.zeros((n, n))) if warm is None else (hint.Q.copy(), hint.R.copy())
+        return x, np.zeros(0), work, 0
+    q = q_i = 0                         # working rows, and working inequality rows: only they block or are skipped
+    Q, R = np.eye(n), np.zeros((n, n))
     u = np.zeros(n)                     # multipliers of the working rows
     work = np.zeros(n, dtype=int)       # working row indices, in factor order
-    u[:q], work[:q] = start
     met = []                            # dependent rows met to the redundancy bound since the last pivot
     pivots = 0
     max_pivots = 100 * max(1, m)
@@ -346,7 +336,7 @@ def _nearest_point(z, rows, rhs, n_i, hint=None):
             skip = None if not q_i else work[:q] if q_i == q else work[:q][work[:q] < n_i]
             p = _entering(x, A, b, skip, met)
 
-    if hint is not None and (warm is None or pivots):
+    if hint is not None:
         hint.keep(work[:q].copy(), Q, R)
     return x, u[:q], work[:q], pivots
 
@@ -397,41 +387,35 @@ def _entering(x, A, b, skip, met):
 
 
 def _warm_start(z, rows, rhs, n_i, hint):
-    """(x, u, done): the point x optimal for the hint's working rows W at z, W's multipliers u, and whether no row enters at x.
+    """(x, u): the point x optimal for the hint's working rows W at z and W's multipliers u, when x is the answer; or None.
 
-    None without a nonempty hint, or if a multiplier is NaN or infinite or
-    an inequality multiplier is < 0.  A renewed hint, with no factors,
-    takes _renewed_start.  The first warm start from W builds
-    W's map, unless _fuse refuses the hint from W's multiplier rows alone;
-    either way the same hints are refused.  u = y[n:n + q] is a view, in
-    W's order: its equality rows first.  The hint's arrays are read, not
-    copied.
+    None without a nonempty hint, and whenever x might not be the answer:
+    the cold loop then decides.  A renewed hint, with no factors, takes
+    _renewed_start.  Otherwise the first warm start from W builds W's map
+    (_fuse), and x is the answer exactly when s >= +0 and finite, with e
+    finite: one sign test.  u = y[n:n + q] is a view, in W's order: its
+    equality rows first.  The hint's arrays are read, not copied.
     """
     if hint is None or hint.work is None or not hint.work.size:
         return None
     if hint.T is None:
         if hint.Q is None:
             return _renewed_start(z, rows, rhs, n_i, hint.work)
-        if not _fuse(hint, z, rows, rhs, n_i):
-            return None
+        _fuse(hint, rows, rhs, n_i)
     y = hint.T.dot(z)
     y += hint.t
-    n, q, k = z.shape[0], hint.work.size, y.size - n_i     # y = [x; e; s]: s from k on
-    x, u = y[:n].copy(), y[n:n + q]     # x copied: a trace keeps x, not all of y
+    n, k = z.shape[0], y.size - n_i     # y = [x; e; s]: s from k on
     # Read as unsigned integers, +0.0 and the positive finite doubles are the bit
-    # patterns below +inf's, so the largest tests s >= 0 and finite; -0.0 and NaN fail
+    # patterns below +inf's, so the largest tests s >= +0 and finite; -0.0 and NaN fail
     # it.  s[s.argmax()] is that largest, without ndarray.max's Python wrapper.
     s = y[k:].view(np.uint64)
     if (not n_i or s[s.argmax()] < _INF_BITS) and (k == n or np.isfinite(y[n:k]).all()):
-        return x, u, True
-    # the per-row test: for -0.0 in s, a negative or infinite entry, or a NaN
-    if not (np.isfinite(u).all() and (u[k - n:] >= 0.0).all()):
-        return None
-    return x, u, y[n + q:].min(initial=math.inf) >= 0.0
+        return y[:n].copy(), y[n:n + hint.work.size]    # x copied: a trace keeps x, not all of y
+    return None
 
 
-def _fuse(hint, z, rows, rhs, n_i):
-    """Store the affine map z -> T z + t = [x; e; s] of the hint's working rows W and return True, or refuse W at z.
+def _fuse(hint, rows, rhs, n_i):
+    """Store the affine map z -> T z + t = [x; e; s] of the hint's working rows W in the hint.
 
     With N^T = Q_1 R the multipliers of W at z solve R^T R u = N z - b_W,
     so u = U z + u0 with U = R^{-1} Q_1^T, u0 = -R^{-1} c and c = R^{-T} b_W,
@@ -443,36 +427,15 @@ def _fuse(hint, z, rows, rhs, n_i):
     violated at x.  Each block is written into its slice of one array for
     T and one for t, and each row of them is, bit for bit, a row of the map
     z -> [u; x; A x - b] or, for a slack, its negative.
-
-    The rows of U and u0 come first, and u = U z + u0 is tested before the
-    rest: if an inequality multiplier is below -(2 g (|U_i| |z| + |u0_i|)
-    + tiny), nothing is stored and False is returned, so a stale hint is
-    refused without the other n + m_i rows.  Here g = k eps / (1 - k eps)
-    with k = n + 2, eps the unit roundoff and tiny the smallest normal
-    double.  A product of n terms plus an offset is within
-    gamma_{n+1} (|U_i| |z| + |u0_i|) of its exact value (Higham, Accuracy
-    and Stability of Numerical Algorithms, 3.1), so this product and the
-    row of T z + t differ by at most twice that, and that row is negative
-    too: the warm start would refuse the hint from the map.  k = n + 2
-    covers the rounding of the bound itself, and tiny any underflow.  A
-    closer, NaN or infinite multiplier builds the map, which decides.
     """
     W = hint.work
-    q, n = W.size, z.shape[0]
+    q, n = W.size, hint.Q.shape[0]
     q_e = q - np.count_nonzero(W < n_i)
     Q1 = hint.Q[:, :q]
     R_inv = np.linalg.inv(hint.R[:q, :q])
     c = rhs[W] @ R_inv
     T, t = np.empty((n + q_e + n_i, n)), np.empty(n + q_e + n_i)
-    U, u0 = T[n:n + q], t[n:n + q]      # W's multiplier rows, its equality rows first
-    U[:], u0[:] = R_inv @ Q1.T, -(R_inv @ c)
-    if q_e < q:
-        u = U[q_e:].dot(z) + u0[q_e:]   # W's inequality multipliers at z
-        if u.min() < 0.0:
-            k_eps = (n + 2) * _UNIT_ROUNDOFF
-            bound = 2.0 * k_eps / (1.0 - k_eps) * (np.abs(U[q_e:]).dot(np.abs(z)) + np.abs(u0[q_e:])) + _TINY
-            if (u < -bound).any():
-                return False
+    T[n:n + q], t[n:n + q] = R_inv @ Q1.T, -(R_inv @ c)     # W's multiplier rows, its equality rows first
     P = T[:n]
     np.subtract(np.eye(n), Q1 @ Q1.T, out=P)
     np.matmul(Q1, c, out=t[:n])
@@ -482,21 +445,21 @@ def _fuse(hint, z, rows, rhs, n_i):
     np.negative((A @ P)[out], out=T[n + q:])
     np.negative((A @ t[:n] - b)[out], out=t[n + q:])
     hint.T, hint.t = T, t
-    return True
 
 
 def _renewed_start(z, rows, rhs, n_i, W):
-    """(x, u, True): the point x optimal at z for working rows W of renewed rows, and W's multipliers u; or None.
+    """(x, u): the point x optimal at z for working rows W of renewed rows, and W's multipliers u; or None.
 
     The rows changed since W was found, so nothing is stored: one pass
     factors N = rows[W] thinly, N^T = B^T R with orthonormal rows B, by
     Gram-Schmidt with one reorthogonalisation, and substitutes in Python
     floats, since W holds a few rows and a numpy call costs more than that
     arithmetic.  With c = R^{-T} b_W and h = B z - c, u = R^{-1} h and
-    x = z - B^T h.  x is returned only when every row decision is clear of
-    the cold loop's entry bound e = VIOL_RTOL (|x| + |b|), so that a
-    cold solve takes the same decisions and the two points agree to
-    rounding; otherwise (None) the cold solve decides.  Refused:
+    x = z - B^T h.  x is returned only when it is the answer and every row
+    decision is clear of the cold loop's entry bound e = VIOL_RTOL
+    (|x| + |b|), so that a cold solve takes the same decisions and the two
+    points agree to rounding; otherwise (None) the cold solve decides.
+    Refused:
       - W misses an equality row.  On rows that stay, a solve leaves out
         only redundant ones, but these rows are new;
       - a row of W that the loop's DEP_TOL test would find dependent on
@@ -509,8 +472,8 @@ def _renewed_start(z, rows, rhs, n_i, W):
       - no inequality row of W violated beyond e at the point optimal for
         W's equality rows alone, z when there are none, where the cold
         loop tests its first inequality row: it might stop there;
-      - any other inequality row not met with a margin of e at x, which
-        also refuses a valid start from which a row would enter.
+      - any other inequality row not met with a margin of e at x: one
+        violated at x would enter.
     """
     q, q_e = W.size, rows.shape[0] - n_i
     if q_e and (q < q_e or W[q_e - 1] < n_i):   # W holds its equality rows first, in row order
@@ -562,7 +525,7 @@ def _renewed_start(z, rows, rhs, n_i, W):
         viol[W[q_e:]] = -math.inf       # W's rows are met
         if not viol[viol.argmax()] <= 0.0:
             return None
-    return x, np.array(u), True
+    return x, np.array(u)
 
 
 def _add(Q, R, u, work, q, w, j, u_j):

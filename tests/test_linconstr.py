@@ -184,16 +184,37 @@ class TestLicq:
         assert np.linalg.norm(K.T @ rep.witness) <= 1e-9 * np.linalg.norm(K)
 
     def test_circle_boundary_holds(self):
+        # the gradient (2, 0) is read as its unit row (1, 0), with sigma_min = 1
         rep = check_licq(circle_system(), [1, 0])
         assert rep.holds
-        assert rep.smallest_singular_value == pytest.approx(2.0)
+        assert rep.smallest_singular_value == pytest.approx(1.0)
 
     def test_circle_scaled_by_1e_9_holds(self):
-        # sigma_min = 2e-9: independence does not depend on the size of the rows
+        # the gradient (2e-9, 0) has the same unit row: sigma_min = 1 again, as the test
+        # does not depend on the size of the rows
         tiny = scaled(CIRCLE, 1e-9)
         rep = check_licq(ConstraintSystem(tiny, PolyMap.empty(2), PolyMap.empty(2), FULL_PLANE, 2), [1, 0])
         assert rep.holds
-        assert rep.smallest_singular_value == pytest.approx(2e-9)
+        assert rep.smallest_singular_value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_scaling_one_row_keeps_the_answer(self, c):
+        # G_1 = x_0 and G_2 = c (x_0 + 1e-6 x_1), both active at the origin: independent at
+        # every c, with the sigma_min of the unit rows; on the given rows c = 1e-6 and 1e6
+        # read as dependent
+        G = PolyMap(2, [[Monomial(1, (1, 0))], [Monomial(c, (1, 0)), Monomial(c * 1e-6, (0, 1))]])
+        rep = check_licq(ConstraintSystem(G, PolyMap.empty(2), PolyMap.empty(2), FULL_PLANE, 2), [0, 0])
+        assert rep.holds
+        unit = np.array([[1.0, 0.0], [1.0, 1e-6]]) / [[1.0], [np.hypot(1.0, 1e-6)]]
+        assert rep.smallest_singular_value == pytest.approx(np.linalg.svd(unit)[1][-1], rel=1e-6)
+
+    def test_witness_serves_the_given_rows(self):
+        # G_1 = x_0 and G_2 = 1e6 x_0 are dependent: the witness v has G_1' v_1 + G_2' v_2 = 0
+        G = PolyMap(2, [[Monomial(1, (1, 0))], [Monomial(1e6, (1, 0))]])
+        rep = check_licq(ConstraintSystem(G, PolyMap.empty(2), PolyMap.empty(2), FULL_PLANE, 2), [0, 0])
+        assert not rep.holds
+        assert np.linalg.norm(rep.witness) == pytest.approx(1.0, abs=1e-12)
+        assert abs(rep.witness[0] + 1e6 * rep.witness[1]) <= 1e-9 * abs(rep.witness[0])
 
     @given(n=st.integers(2, 4), g=st.integers(0, 3), h=st.integers(0, 3), repeat=st.booleans(),
            origin=st.booleans(), exponent=st.floats(-12, 12), seed=st.integers(0, 2**32 - 1))

@@ -484,6 +484,15 @@ class TestRowScaleStress:
                 assert row_relative_error(ProjectionQp(z, s.A_ineq, s.b_ineq, s.A_eq, s.b_eq), cert) \
                     <= 1e-8 * (1.0 + np.linalg.norm(z))
 
+    # a.a overflows to inf, or underflows below the smallest normal double (1e-340 to 0):
+    # sqrt(a.a) would drop the row, and P(5, 0) would be (5, 0)
+    @pytest.mark.parametrize("c", [1e200, 1e-170, 1e-160])
+    def test_row_whose_squared_norm_leaves_the_normal_range(self, c):
+        np.testing.assert_array_equal(Polyhedron([[c, 0.0]], [c]).project([5.0, 0.0]), [1.0, 0.0])
+        rows, rhs, scale = qp._unit_rows(np.array([[c, 0.0], [0.0, 0.0], [3.0, 4.0]]), np.array([c, 0.0, 5.0]))
+        assert rows.tolist() == [[1.0, 0.0], [0.0, 0.0], [0.6, 0.8]] and rhs.tolist() == [1.0, 0.0, 1.0]
+        assert scale.tolist() == [c, 1.0, 5.0]
+
 
 class TestTargetRange:
     """A target whose x.dot(x) overflows still projects; a NaN or infinite one raises DimensionMismatch, not Infeasible."""
@@ -583,6 +592,12 @@ def general_position_qps(draw):
     return ProjectionQp(rng.standard_normal(n) * 2, A, A @ x_feas + rng.uniform(0.0, 1.0, m), C, C @ x_feas)
 
 
+def certificate_bits(cert):
+    """cert's solution, multipliers and slacks as bits, with its active set and pivots."""
+    arrays = (cert.solution, cert.ineq_multipliers, cert.eq_multipliers, cert.slacks)
+    return [a.tobytes() for a in arrays] + [cert.active_set, cert.pivots]
+
+
 def outcome(solve):
     """solve()'s (x, u, work, pivots) as bits, or the class and message of the error it raised."""
     try:
@@ -638,6 +653,8 @@ class TestWarmStart:
         assert verify_certificate(p, warm) <= 1e-8
         scale = 1.0 + np.linalg.norm(p.target)
         assert np.max(np.abs(warm.solution - cold.solution), initial=0.0) <= 1e-12 * scale
+        # a warm start is the answer, with no pivot, or the solve is the cold one, bit for bit
+        assert warm.pivots == 0 or certificate_bits(warm) == certificate_bits(cold)
         # the hint now holds this solve's working set
         assert sorted(int(j) for j in hint.work if j < n_i) == warm.active_set
 
@@ -686,14 +703,15 @@ class TestWarmStart:
         np.testing.assert_array_equal(cert.solution, [1.0, 0.0])
 
     def test_hint_with_an_equality_row(self):
-        # the hint holds x_0 = 1 alone; from there only x_1 <= 0 enters
+        # the hint holds x_0 = 1 alone; its point (1, 2) violates x_1 <= 0, so the solve
+        # goes cold: x_0 = 1 enters, then x_1 <= 0
         p = ProjectionQp([0.0, 2.0], [[0.0, 1.0]], [0.0], [[1.0, 0.0]], [1.0])
         rows, rhs, n_i = stacked(p)
         hint = qp._Hint()
         assert qp._solve(np.array([5.0, -1.0]), rows, rhs, n_i, hint).pivots == 1
         assert hint.work.tolist() == [1]
         cert = qp._solve(p.target, rows, rhs, n_i, hint)
-        assert cert.pivots == 1
+        assert cert.pivots == 2
         assert hint.work.tolist() == [1, 0]
         np.testing.assert_allclose(cert.solution, [1.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(cert.eq_multipliers, [-1.0], atol=1e-15)
@@ -794,15 +812,28 @@ class TestWorkingSetLayout:
 
 
 MULTIPLIERS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, -5e-324, 1.7e308])
-# an infinite slack sends the sign test to the per-row test, where a zero slack must still end the solve
 SLACKS = st.sampled_from([0.0, -0.0, math.inf, 1.0, -1.0, math.nan]) | MULTIPLIERS
 
 
-class TestSignTest:
-    """The warm start's sign test on s refuses what the per-row test refuses, and ends the solve when no row enters.
+class NegativeZeroMap:
+    """A stand-in for a warm-start map T whose T z is -0.0 in every row.
 
-    Refused: u not finite, or < 0 on an inequality row.  Done: not refused, and
-    every slack of an inequality row outside W is >= 0.
+    -0.0 is IEEE's additive identity, so T z + t has the bits of t, where
+    a product of zeros would give +0.0 and turn a -0.0 in t into +0.0.
+    """
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def dot(self, z):
+        return np.full(self.rows, -0.0)
+
+
+class TestSignTest:
+    """The warm start's one sign test on s accepts exactly the warm starts that are the answer.
+
+    Accepted: u finite, u >= +0 on W's inequality rows, and every slack of an
+    inequality row outside W finite and >= +0.  -0.0 refuses, as NaN does.
     """
 
     @given(u=st.lists(MULTIPLIERS, min_size=1, max_size=6), slacks=st.lists(SLACKS, max_size=4), data=st.data())
@@ -813,7 +844,7 @@ class TestSignTest:
     @example(u=[2.0, math.nan], slacks=[], data=None)
     @example(u=[2.0, np.finfo(float).max], slacks=[], data=None)
     @example(u=[2.0, 5e-324], slacks=[], data=None)
-    def test_refuses_what_the_per_row_test_refuses(self, u, slacks, data):
+    def test_accepts_exactly_the_answer(self, u, slacks, data):
         u, slacks = np.array(u), np.array(slacks, dtype=float)
         q, k = u.size, slacks.size
         # an explicit example has only inequality rows, in row order
@@ -829,17 +860,17 @@ class TestSignTest:
         work = np.array([*range(n_i, n_i + q - q_i), *order])
         hint = qp._Hint()
         hint.keep(work, np.eye(q), np.eye(q))
-        assert qp._fuse(hint, np.zeros(q), rows, rhs, n_i)
-        # the map gives u as multipliers and these slacks at every target: y = [x; e; s]
-        # with u = y[q:2q], the slacks last
-        hint.T[hint.t.size - k:] = hint.T[q:2 * q] = 0.0
+        qp._fuse(hint, rows, rhs, n_i)
+        # the map gives u as multipliers and these slacks at every target, -0.0 included:
+        # y = [x; e; s] = T z + t with u = y[q:2q], the slacks last
+        hint.T = NegativeZeroMap(hint.t.size)
         hint.t[hint.t.size - k:], hint.t[q:2 * q] = slacks, u
-        refused = not (np.isfinite(u).all() and (u[work < n_i] >= 0.0).all())
+        s = np.concatenate([u[work < n_i], slacks])
+        accepted = np.isfinite(u).all() and (np.isfinite(s) & ~np.signbit(s)).all()
         warm = qp._warm_start(np.zeros(q), rows, rhs, n_i, hint)
-        assert (warm is None) == refused
+        assert (warm is not None) == accepted
         if warm is not None:
             np.testing.assert_array_equal(warm[1], u)
-            assert warm[2] == bool((slacks >= 0.0).all())
 
 
 ENTRY_RATIOS = (-1.0, 0.0, 0.5, 0.999, 1.001, 2.0, 1e3)     # a row's violation over its own bound
@@ -918,8 +949,8 @@ class TestEnteringRow:
 
 
 @st.composite
-def working_sets(draw, multipliers):
-    """(rows, rhs, n_i, work, Q, R, z): a QP's stacked rows, a working set on them with its factors, and a target.
+def working_sets(draw):
+    """(rows, rhs, n_i, work, Q, R): a QP's stacked rows and a working set on them with its factors.
 
     The rows are qp_draws' with both blocks, no inequality rows or no
     equality rows.  work is a random set of independent rows laid out as a
@@ -928,13 +959,7 @@ def working_sets(draw, multipliers):
     them.  Either numpy's QR gives the factors, or work's rows are
     replaced by signed powers of two times distinct unit rows, with small
     integer right-hand sides, so that Q is a permutation and all the
-    arithmetic of the map is exact.  z = x + N^T lam for a point x on work's
-    rows, so lam is work's multipliers at z, up to rounding.  positive draws
-    lam in [0.5, 2] on inequality rows and in [-2, 2] on equality rows.
-    near zero then sets one inequality lam_i to 0 and maybe another to
-    [-2, 0], and moves each entry of z by up to 4 ulps.  With exact
-    arithmetic u_i is then exactly 0 before the move; otherwise lam_i is
-    first bisected to where the computed u_i changes sign.
+    arithmetic of the map is exact.
     """
     p = draw(qp_draws(blocks=draw(st.sampled_from(["both", "no inequality rows", "no equality rows"]))))
     rows, rhs, n_i = stacked(p)
@@ -964,94 +989,44 @@ def working_sets(draw, multipliers):
         Q, Rc = np.linalg.qr(rows[work].T, mode="complete")
         R = np.zeros((n, n))
         R[:, :q] = Rc
-    ineq = work < n_i
-    Q1 = Q[:, :q]
-    x = Q1 @ np.linalg.solve(R[:q, :q].T, rhs[work])
-    g = rng.standard_normal(n)
-    x += g - Q1 @ (Q1.T @ g)
-    lam = np.where(ineq, rng.uniform(0.5, 2.0, q), rng.uniform(-2.0, 2.0, q))
-    if multipliers == "near zero" and ineq.any():
-        if draw(st.booleans()):
-            lam[rng.choice(np.flatnonzero(ineq))] = rng.uniform(-2.0, 0.0)
-        i = rng.choice(np.flatnonzero(ineq))
-        lam[i] = 0.0
-        if not exact:
-            # bisect lam_i to where u_i changes sign, as the whole map computes it or
-            # as a product of the inequality multipliers' rows alone does: these two
-            # round differently, and near 0 one may be negative and the other not
-            T, t = fuse_reference(work, Q, R, rows, rhs, n_i)
-            rows_i = slice(T.shape[0] - n_i, T.shape[0] - n_i + np.count_nonzero(ineq))
-            alone = draw(st.booleans())
-            lo, hi = -1e-8, 1e-8
-            for _ in range(60):
-                lam[i] = 0.5 * (lo + hi)
-                z = x + rows[work].T @ lam
-                u_i = ((T[rows_i].dot(z) + t[rows_i])[np.count_nonzero(ineq[:i])] if alone
-                       else (T.dot(z) + t)[n + i])
-                lo, hi = (lam[i], hi) if u_i < 0.0 else (lo, lam[i])
-            lam[i] = rng.choice([lo, hi])
-    z = x + rows[work].T @ lam
-    if multipliers == "near zero":
-        for j in range(n):
-            for _ in range(abs(k := int(rng.integers(-4, 5)))):
-                z[j] = np.nextafter(z[j], math.copysign(math.inf, k))
-    return rows, rhs, n_i, work, Q, R, z
+    return rows, rhs, n_i, work, Q, R
 
 
 class TestFusedMap:
-    """The warm-start map has the bits of its blocks stacked, and a hint is refused before it only when the map refuses it."""
+    """The warm-start map has the bits of its blocks stacked, and a warm start refuses a negative multiplier it gives."""
 
     @FEW
-    @given(case=working_sets("positive"))
+    @given(case=working_sets())
     def test_map_has_the_bits_of_the_stacked_blocks(self, case):
-        rows, rhs, n_i, work, Q, R, z = case
+        rows, rhs, n_i, work, Q, R = case
         hint = qp._Hint()
         hint.keep(work, Q, R)
-        assert qp._fuse(hint, z, rows, rhs, n_i)
+        qp._fuse(hint, rows, rhs, n_i)
         T, t = fuse_reference(work, Q, R, rows, rhs, n_i)
         assert hint.T.shape == T.shape and hint.T.tobytes() == T.tobytes() and hint.t.tobytes() == t.tobytes()
 
-    @FEW
-    @given(case=working_sets("near zero"))
-    def test_refused_before_the_map_only_if_the_map_refuses(self, case):
-        rows, rhs, n_i, work, Q, R, z = case
-        T, t = fuse_reference(work, Q, R, rows, rhs, n_i)
-        u = (T.dot(z) + t)[z.size:z.size + work.size]
-        accepted = bool(np.isfinite(u).all() and (u[work < n_i] >= 0.0).all())
-        hint = qp._Hint()
-        hint.keep(work, Q, R)
-        built = qp._fuse(hint, z, rows, rhs, n_i)
-        assert built or not accepted
-        assert (hint.T is not None) == built
-        hint = qp._Hint()
-        hint.keep(work, Q, R)
-        assert (qp._warm_start(z, rows, rhs, n_i, hint) is not None) == accepted
-
-    def test_multiplier_within_rounding_builds_the_map(self):
+    def test_multiplier_within_rounding_is_refused(self):
         # one row a = (1/2)(1, 1, 1, 1), a Hadamard column: Q and R = 1 are exact, and at
-        # z = (1, 1, -1, -1 - 2^-51) the multiplier a.z = -2^-52 is exact too, but within
-        # the rounding of a product with |a| |z| = 2, so only the full map may refuse it
+        # z = (1, 1, -1, -1 - 2^-51) the multiplier a.z = -2^-52 is exact too, and refused
         H = np.array([[1.0, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
         rows, rhs = H[:, :1].T.copy(), np.zeros(1)
         hint = qp._Hint()
         hint.keep(np.array([0]), H, np.eye(4))
         assert qp._warm_start(np.array([1.0, 1.0, -1.0, -1.0 - 2.0**-51]), rows, rhs, 1, hint) is None
-        assert hint.T is not None
-        # at (1, 1, -1, -3) the multiplier is -1: refused before the map
-        hint.keep(np.array([0]), H, np.eye(4))
+        # at (1, 1, -1, -3) the multiplier is -1
         assert qp._warm_start(np.array([1.0, 1.0, -1.0, -3.0]), rows, rhs, 1, hint) is None
-        assert hint.T is None
 
-    def test_refused_hint_builds_no_map(self):
+    def test_map_built_for_a_refused_hint_serves_the_next_start(self):
         # BOX's corner (1, 0) from (2, -1) has multipliers 1 and 1; reflected through it, at (0, 1), both are -1
         rows, rhs, n_i = stacked(BOX)
         hint = qp._Hint()
         qp._solve(BOX.target, rows, rhs, n_i, hint)
         assert hint.work.tolist() == [0, 3] and hint.T is None
         assert qp._warm_start(np.array([0.0, 1.0]), rows, rhs, n_i, hint) is None
-        assert hint.T is None
+        T = hint.T                      # built by the warm start that refused the hint
+        assert T is not None
         assert qp._warm_start(np.array([3.0, -2.0]), rows, rhs, n_i, hint) is not None
-        assert hint.T is not None
+        assert hint.T is T
 
 
 def held(hint):
@@ -1067,7 +1042,7 @@ BOX = ProjectionQp([2, -1], [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], np
 
 
 class TestHintArrays:
-    """A solve reads a hint's arrays and never writes them: the loop pivots on copies."""
+    """A solve reads a hint's arrays and never writes them: the loop pivots on arrays of its own."""
 
     @given(case=hinted_qps())
     def test_solve_leaves_the_arrays_it_was_given(self, case):
@@ -1076,8 +1051,9 @@ class TestHintArrays:
         before = held(hint)
         cert = qp._solve(p.target, *stacked(p), hint)
         assert unchanged(before)
-        if warm and cert.pivots == 0:
-            # returned before the loop: the hint keeps the very same arrays
+        if warm:
+            # returned before the loop, with no pivot: the hint keeps the very same arrays
+            assert cert.pivots == 0
             assert all(x is y for x, (y, _) in zip((hint.work, hint.Q, hint.R), before))
 
     def test_zero_pivot_solve_returns_before_the_loop(self, monkeypatch):
@@ -1108,14 +1084,14 @@ class TestHintArrays:
         assert work is hint.work and unchanged(before)
 
     def test_infeasible_hinted_solve_leaves_the_hint(self):
-        # the hint's rows x <= 1 and -y <= 0 with y >= 2 instead: a valid start at
-        # (3, -5), from which y <= 1 enters, depends on -y <= -2 and proves the box empty
+        # the hint's rows x <= 1 and -y <= 0 with y >= 2 instead: the warm point violates
+        # y <= 1, so the solve goes cold and proves the box empty
         rows, rhs, n_i = stacked(BOX)
         hint = qp._Hint()
         qp._solve(BOX.target, rows, rhs, n_i, hint)
         before = held(hint)
         empty = np.array([1.0, 0.0, 1.0, -2.0])
-        assert qp._warm_start(np.array([3.0, -5.0]), rows, empty, n_i, hint) is not None
+        assert qp._warm_start(np.array([3.0, -5.0]), rows, empty, n_i, hint) is None
         with pytest.raises(Infeasible):
             qp._nearest_point(np.array([3.0, -5.0]), rows, empty, n_i, hint)
         assert unchanged(before) and hint.work is before[0][0]
