@@ -23,7 +23,8 @@ guards against numerical cycling.
 
 Every row decision reads one rounding model on one row scale.  The rows
 are unit-length or zero, which _unit_rows makes them where they are built
-(a Polyhedron once, a linearization once, _solve once per call), so
+(a Polyhedron, Halfspace or Hyperplane once, a linearization once, the
+cone test and _solve once per call), so
 scaling a row and its right-hand side changes nothing but the rounding
 of that division.  On a unit row a.x - b is the distance to its
 hyperplane, off by about eps (|x| + |b|).  A row enters only if violated

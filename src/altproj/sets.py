@@ -9,8 +9,10 @@ The drivers call the function _run_projection
 returns, once per run: _project itself, or for Polyhedron a projection
 that starts each QP from the previous one's working set.
 normal_cone takes a point p within _on_set_tol(p, scale) of the set, scale
-the size of its own data (_scale), and finds its active constraints by
-the bound _on_set_tol(p) (_active), at any scale.
+the size of its own data (_scale).  Every linear row decided on here is
+unit-length (a box's +-e_i) or made unit by qp._unit_rows where it is
+built, so _active finds the active ones by the bound _on_set_tol(p) alone,
+at any scale of the rows.
 Nonconvex projections use the documented tie-breaks so traces
 reproduce exactly:
 
@@ -43,9 +45,10 @@ class NormalCone:
 
     This is every cone's one form: {0} has no rows, and R^n (a finite point
     set's) has lineality I_n.  Rows need not be independent.  A ray is the
-    outward normal of an active constraint (a ball's boundary when
-    r - |p - c| <= _on_set_tol(p, |c| + r)).  At the centre, a point of a
-    sphere when r is within that bound, a ball has {0} and a sphere the
+    outward normal of an active constraint: a row active on its unit row
+    (_active; a polyhedron's ray is its row as given), or a ball's boundary
+    when r - |p - c| <= _on_set_tol(p, |c| + r).  At the centre, a point of
+    a sphere when r is within that bound, a ball has {0} and a sphere the
     tie-break's e_0.
     """
 
@@ -68,8 +71,11 @@ def _on_set_tol(p, scale=0.0):
 
 
 def _active(A, b, p):
-    """Rows of A x <= b within _on_set_tol(p) of their boundary at p, or past it, as a mask."""
-    return b - A @ p <= _on_set_tol(p) * np.linalg.norm(A, axis=1)
+    """Rows of A x <= b within _on_set_tol(p) of their boundary at p, or past it, as a mask.
+
+    A's rows are unit-length or zero, as qp._unit_rows makes them, so b - A p is a distance.
+    """
+    return b - A @ p <= _on_set_tol(p)
 
 
 class ProjectableSet(Schema):
@@ -269,17 +275,17 @@ def _free_coordinates(basis):
 
 
 class _NormalOffset(ProjectableSet):
-    """The constructor of Hyperplane and Halfspace."""
+    """The constructor of Hyperplane and Halfspace, which read only the unit row _u, _b of qp._unit_rows."""
 
     fields = {"normal": numbers, "offset": number}
 
     def __init__(self, normal, offset):
         self.normal = linalg.as_vector(normal, field=self._field("normal"))
-        self._normal_sq = self.normal @ self.normal  # |normal|^2, the divisor of every projection
-        if self._normal_sq == 0:
-            raise ValueError(f"{self._field('normal')} must be nonzero")
         self.offset = self._scalar("offset", offset)
         self.ambient_dim = self.normal.shape[0]
+        (self._u,), (self._b,), _ = qp._unit_rows(self.normal[None, :], np.array([self.offset]))
+        if not self._u.any():
+            raise ValueError(f"{self._field('normal')} must be nonzero")
 
 
 class Hyperplane(_NormalOffset):
@@ -288,12 +294,10 @@ class Hyperplane(_NormalOffset):
     kind = "hyperplane"
 
     def _project(self, z):
-        n = self.normal
-        return z - ((n @ z - self.offset) / self._normal_sq) * n
+        return z - (self._u @ z - self._b) * self._u
 
     def _normal_cone(self, p):
-        n = self.normal / np.linalg.norm(self.normal)
-        return self._cone(lineality=[n])
+        return self._cone(lineality=[self._u])
 
 
 class Halfspace(_NormalOffset):
@@ -302,15 +306,13 @@ class Halfspace(_NormalOffset):
     kind = "halfspace"
 
     def _project(self, z):
-        n = self.normal
-        excess = n @ z - self.offset
+        excess = self._u @ z - self._b
         if excess <= 0:
             return z.copy()
-        return z - (excess / self._normal_sq) * n
+        return z - excess * self._u
 
     def _normal_cone(self, p):
-        row = self.normal[None, :]
-        return self._cone(row[_active(row, self.offset, p)] / np.linalg.norm(self.normal))
+        return self._cone([self._u] if _active(self._u, self._b, p) else ())
 
 
 class FinitePointSet(ProjectableSet):
@@ -397,7 +399,7 @@ class Polyhedron(ProjectableSet):
         return lambda z: qp._nearest_point(z, rows, rhs, n_i, hint)[0]
 
     def _normal_cone(self, p):
-        return self._cone(self.A_ineq[_active(self.A_ineq, self.b_ineq, p)], self.A_eq)
+        return self._cone(self.A_ineq[_active(self._rows, self._rhs, p)[:len(self.A_ineq)]], self.A_eq)
 
 
 @dataclass
@@ -436,15 +438,10 @@ def _subspace_intersection(Qa, Qb):
     return TransversalityResult(False, Qa.T @ V[: Qa.shape[0], r])
 
 
-def _unit_rows(G):
-    """The nonzero rows of G at unit norm: the same cone, on the QP's FEAS_TOL scale."""
-    norms = np.linalg.norm(G, axis=1)
-    return G[norms > 0] / norms[norms > 0, None]
-
-
 def _cone_intersection(na: NormalCone, nb: NormalCone):
     n = na.dim
-    na, nb = (NormalCone(n, _unit_rows(c.rays), _unit_rows(c.lineality)) for c in (na, nb))
+    unit = [qp._unit_rows(G, np.zeros(len(G)))[0] for c in (na, nb) for G in (c.rays, c.lineality)]
+    na, nb = NormalCone(n, *unit[:2]), NormalCone(n, *unit[2:])
     # variables: [wa (>=0), ya (free), wb (>=0), yb (free)]
     ka, ma = na.rays.shape[0], na.lineality.shape[0]
     kb, mb = nb.rays.shape[0], nb.lineality.shape[0]

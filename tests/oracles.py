@@ -9,6 +9,8 @@ two QP steps as first written (the warm-start map, the entry test), so that
 a test can pin a faster spelling of them to the same bits.
 """
 
+import math
+
 import numpy as np
 
 from altproj import Box, ConstraintSystem, FixedRankMatrices, ManifoldChart, linalg
@@ -117,10 +119,12 @@ def chart_projection_oracle(chart: ManifoldChart, y, samples=10_000, bisections=
 def normal_cone_reference(S, p):
     """(rays, lineality) of a Box, Polyhedron or FixedRankMatrices at p, one row at a time.
 
-    A constraint A_i x <= b_i is active when b_i - A_i p <= ON_SET_TOL (1 + |p|) |A_i|;
-    a box's rows are e_i then -e_i, coordinate by coordinate, and the fixed-rank
-    normal space is spanned by the flattened np.outer of each pair of U and V
-    columns past the rank, in row-major pair order.
+    A constraint A_i x <= b_i is active when b_i/|A_i| - (A_i/|A_i|) p <= ON_SET_TOL (1 + |p|),
+    decided on its unit row (a zero row as it is), and its ray is A_i as given; |A_i|
+    is math.hypot's, which neither overflows nor underflows.  A box's rows are e_i
+    then -e_i, coordinate by coordinate, and the fixed-rank normal space is spanned
+    by the flattened np.outer of each pair of U and V columns past the rank, in
+    row-major pair order.
     """
     n, tol = S.ambient_dim, ON_SET_TOL * (1.0 + np.linalg.norm(p))
     if isinstance(S, FixedRankMatrices):
@@ -139,7 +143,11 @@ def normal_cone_reference(S, p):
         A, b, eq = np.array(rows), np.array(bounds), np.zeros((0, n))
     else:
         A, b, eq = S.A_ineq, S.b_ineq, S.A_eq
-    active = [A[i] for i in range(len(A)) if b[i] - A[i] @ p <= tol * np.linalg.norm(A[i])]
+    active = []
+    for a, b_i in zip(A, b):
+        norm = math.hypot(*a) or 1.0
+        if b_i / norm - (a / norm) @ p <= tol:
+            active.append(a)
     return np.array(active).reshape(-1, n), eq
 
 

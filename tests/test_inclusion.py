@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from altproj import (
@@ -313,6 +313,7 @@ class TestChartSchemeIsGaussNewton:
         assert chart_trace.status == "Converged"
         assert_chart_run_is_gauss_newton(chart_trace, solve_inclusion(p, [1.0, 0.5], opts), PARABOLOID)
 
+    @example(n=3, extra=0, seed=420263)
     @given(n=st.integers(1, 3), extra=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
     def test_random_quadratic_charts(self, n, extra, seed):
         rng = np.random.default_rng(seed)
@@ -326,6 +327,10 @@ class TestChartSchemeIsGaussNewton:
         assume(chart._contains(x0))
         proj = ChartApproximateProjector(chart, x0)
         chart_trace = run_approximate(proj, p.Q, proj.fx, opts)
+        if chart_trace.status == "LeftChart":
+            # the reference needs only the k + 1 rows read below; past the step that left the
+            # box it may diverge until a norm overflows (to about 1e161 on the example above)
+            opts = SolveOptions(opts.gap_tol, len(chart_trace.zs))
         gn_trace = solve_inclusion(p, x0, opts)
         assert_chart_run_is_gauss_newton(chart_trace, gn_trace, F)
         if chart_trace.status == "LeftChart":

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -33,7 +34,7 @@ from altproj import (
     solve_constraint_system,
     solve_inclusion,
 )
-from altproj.errors import DimensionMismatch, RankDrop, UnsupportedVariant
+from altproj.errors import DimensionMismatch, Infeasible, RankDrop, UnsupportedVariant
 from altproj.linalg import RANK_TOL
 from altproj.qp import VIOL_RTOL
 from altproj.sets import ON_SET_TOL, NormalCone, _cone_intersection
@@ -212,6 +213,14 @@ class TestPolyhedron:
         x = Polyhedron(A, b).project([1.0, 1.0])
         scale = np.linalg.norm(A, axis=1) * np.linalg.norm(x) + np.abs(b)
         assert np.all(A @ x - b <= VIOL_RTOL * scale)
+
+    @pytest.mark.xfail(strict=True, raises=Infeasible, reason=(
+        "the redundancy bound of a duplicated row does not count the eps |z| rounding of x"))
+    def test_far_target_on_a_degenerate_polyhedron(self):
+        # the inequality row is a scaled copy of the equality row; each alone gives x = 1.3727909...
+        P = Polyhedron([[0.7010695664422294]], [0.9624219416832364], [[1.116902352178943]], [1.5332734180855507])
+        np.testing.assert_allclose(P.project([1e4]), [1.3727909293899485], rtol=1e-12)
+        np.testing.assert_allclose(P.project([1e8]), [1.3727909293899485], rtol=1e-12)
 
     def test_projection_imports_no_scipy(self):
         # numpy is the only run-time dependency: with scipy blocked, any
@@ -730,6 +739,85 @@ class TestProjectionNormals:
         # 0.05 outside, within ON_SET_TOL (1 + |p|) = 0.1: on the boundary, so the cone is not {0}
         cone = Ball([0, 0], 1e8).normal_cone([1e8 + 0.05, 0])
         assert np.array_equal(cone.rays, [[1.0, 0.0]])
+
+
+ROW_SCALES = [1e-170, 1e-160, 1.0, 1e160, 1e200]
+
+
+def _unit_each(G):
+    """Each row of G over its norm, taken with math.hypot, which neither overflows nor underflows."""
+    return np.array([g / math.hypot(*g) for g in G]).reshape(G.shape)
+
+
+@st.composite
+def _scaled_linear_sets(draw, kind, E):
+    """(S, S_scaled, zs): a halfspace, hyperplane or polyhedron S in R^n, n <= 5, and 5 points.
+
+    S_scaled is S with each row and its right-hand side times 10^u, u uniform in [-E, E].
+    """
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "polyhedron":
+        A = rng.standard_normal((int(rng.integers(1, 2 * n + 1)), n))
+        C = rng.standard_normal((int(rng.integers(0, min(2, n) + 1)), n))
+        x_feas = rng.standard_normal(n)
+        b, d = A @ x_feas + rng.uniform(0.0, 1.0, len(A)), C @ x_feas
+        s, t = 10.0 ** rng.uniform(-E, E, len(A)), 10.0 ** rng.uniform(-E, E, len(C))
+        S, S_scaled = Polyhedron(A, b, C, d), Polyhedron(A * s[:, None], b * s, C * t[:, None], d * t)
+    else:
+        cls = Halfspace if kind == "halfspace" else Hyperplane
+        a, offset, s = rng.standard_normal(n), rng.standard_normal(), 10.0 ** rng.uniform(-E, E)
+        S, S_scaled = cls(a, offset), cls(a * s, offset * s)
+    return S, S_scaled, rng.standard_normal((5, n)) * 3.0
+
+
+class TestRowScale:
+    """Linear sets decide on the unit rows of qp._unit_rows, so a row's scale changes nothing but rounding.
+
+    |normal|^2 overflows at c = 1e160 and 1e200 and underflows at 1e-160 and 1e-170 (to 0), so no
+    projection or cone may divide by it or by a norm taken from it.
+    """
+
+    @pytest.mark.parametrize("c", ROW_SCALES)
+    @pytest.mark.parametrize("cls", [Hyperplane, Halfspace])
+    def test_projection_and_cone(self, cls, c):
+        S = cls([c, 0.0], c)
+        assert np.array_equal(S.project([5.0, 3.0]), [1.0, 3.0])
+        cone = S.normal_cone([1.0, 0.0])
+        assert np.array_equal(cone.lineality if cls is Hyperplane else cone.rays, [[1.0, 0.0]])
+
+    @pytest.mark.parametrize("cls", [Hyperplane, Halfspace])
+    def test_zero_normal_rejected(self, cls):
+        with pytest.raises(ValueError, match=f"{cls.kind} normal must be nonzero"):
+            cls([0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("c", ROW_SCALES)
+    def test_polyhedron_cone(self, c):
+        # no ray at an interior point; on the face the ray is the row as given
+        P = Polyhedron([[c, 0.0]], [c])
+        assert P.normal_cone([0.0, 0.0]).rays.shape == (0, 2)
+        assert np.array_equal(P.normal_cone([1.0, 0.0]).rays, [[c, 0.0]])
+
+    @pytest.mark.parametrize("c", ROW_SCALES)
+    def test_transversality(self, c):
+        # N_P = cone{e_0} = -N_H at (1, 0), as at c = 1
+        res = check_transversality(Polyhedron([[c, 0.0]], [c]), Halfspace([-1.0, 0.0], -1.0), [1.0, 0.0])
+        assert not res.transversal
+        np.testing.assert_allclose(_unit(res.witness), [1.0, 0.0], atol=1e-12)
+
+    @FEW
+    @pytest.mark.parametrize("E", [2, 8, 50, 200])
+    @pytest.mark.parametrize("kind", ["halfspace", "hyperplane", "polyhedron"])
+    @given(data=st.data())
+    def test_scaled_rows_give_the_same_projections_and_cones(self, kind, E, data):
+        S, S_scaled, zs = data.draw(_scaled_linear_sets(kind, E))
+        for z in zs:
+            p = S.project(z)
+            np.testing.assert_allclose(S_scaled.project(z), p, rtol=0, atol=1e-12 * (1.0 + np.linalg.norm(z)))
+            cone, cone_scaled = S.normal_cone(p), S_scaled.normal_cone(p)
+            for G, H in ((cone.rays, cone_scaled.rays), (cone.lineality, cone_scaled.lineality)):
+                assert G.shape == H.shape
+                np.testing.assert_allclose(_unit_each(H), _unit_each(G), rtol=0, atol=1e-12)
 
 
 def _subspace_type_set(draw, rng, n, p):
